@@ -17,9 +17,9 @@ from .estimation import (
     FitConfig,
     FitResult,
     IpfResult,
-    dispersion,
     fit,
     fit_component,
+    fit_score,
     gaussian_average_loglik,
     ipf,
     moment_matrix,

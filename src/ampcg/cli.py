@@ -133,7 +133,7 @@ def _cmd_magnify(args) -> int:
 def _cmd_fit(args) -> int:
     g = read_graph(args.graph)
     data_or_cov = _load_input(args)
-    cfg = FitConfig(equal_variance_penalty=1.0 if args.equal_var else 0.0)
+    cfg = FitConfig(equal_variances=args.equal_var)
     result = fit(data_or_cov, g, cfg)
     payload = {
         "params": parameters_to_dict(result.params),
@@ -258,7 +258,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--graph", required=True)
     fit_p.add_argument("--data")
     fit_p.add_argument("--population")
-    fit_p.add_argument("--equal-var", action="store_true")
+    fit_p.add_argument(
+        "--equal-var",
+        action="store_true",
+        help="exact equal-error-variance maximum likelihood (closed form for a DAG)",
+    )
     fit_p.add_argument("--out", required=True)
     fit_p.set_defaults(func=_cmd_fit)
 

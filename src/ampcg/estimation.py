@@ -8,11 +8,18 @@ regression-residual covariance to the component's undirected structure.
 Inputs may be a dataset or a covariance matrix directly; feeding the exact
 population covariance separates statistical error from algorithmic error.
 
-An optional equal-error-variance mode augments the likelihood with an
-escalating quadratic penalty on the spread of the log error variances,
-approximating the equality-constrained maximum likelihood. The spread
-itself (max minus min log fitted error variance, the `dispersion`) is the
-statistic that picks the true graph out of its Markov equivalence class.
+The equal-error-variance mode computes the exact equality-constrained
+maximum likelihood. Every component's error covariance is written as
+sigma2 * R_K with R_K a correlation matrix whose inverse has the
+component's undirected zero pattern; for fixed R_K the coefficients are a
+GLS solve and sigma2 profiles out as the mean weighted residual moment.
+With only singleton components (a DAG) this is closed form: per-node
+least squares, with sigma2 the mean residual sum of squares. Otherwise
+one L-BFGS solve runs over the off-diagonal pattern entries of the
+components' unit-diagonal concentration matrices. The spread of the
+unconstrained fit's log error variances (the `dispersion`) is the
+statistic that picks the true graph out of its Markov equivalence class
+at population.
 """
 
 from __future__ import annotations
@@ -32,9 +39,9 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "IpfResult",
-    "dispersion",
     "fit",
     "fit_component",
+    "fit_score",
     "gaussian_average_loglik",
     "ipf",
     "moment_matrix",
@@ -44,29 +51,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the alternating fit.
+    """Knobs for the fit.
 
-    equal_variance_penalty is the starting weight of the log-variance
-    spread penalty (0 disables the constrained mode); it is multiplied by
-    penalty_schedule after each outer round up to penalty_cap.
+    max_outer, max_ipf and tol govern the unconstrained alternating fit.
+    equal_variances selects the exact equal-error-variance maximum
+    likelihood instead, which has no knobs of its own.
     """
 
     max_outer: int = 200
     max_ipf: int = 500
     tol: float = 1e-9
-    equal_variance_penalty: float = 0.0
-    penalty_schedule: float = 10.0
-    penalty_cap: float = 1e6
+    equal_variances: bool = False
 
     def __post_init__(self):
         if self.max_outer < 1 or self.max_ipf < 1:
             raise ValueError("iteration caps must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.equal_variance_penalty < 0:
-            raise ValueError("equal_variance_penalty must be >= 0")
-        if self.penalty_schedule < 1 or self.penalty_cap <= 0:
-            raise ValueError("penalty schedule must be >= 1 with a positive cap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,18 +102,60 @@ def moment_matrix(data_or_cov, p: int) -> tuple[np.ndarray, int | None]:
 
     The model has no intercepts, so dataset input uses the uncentered
     second moment, which is its maximum-likelihood moment estimate.
+    Degenerate input raises ValueError naming the offending column or
+    node: a constant column, or a column (node) that is a linear
+    combination of the ones before it.
     """
     if isinstance(data_or_cov, Dataset):
         if data_or_cov.p != p:
             raise ValueError(f"dataset has {data_or_cov.p} columns, graph has {p} nodes")
         v = data_or_cov.values
-        return v.T @ v / data_or_cov.n, data_or_cov.n
-    s = np.asarray(data_or_cov, dtype=float)
-    if s.shape != (p, p):
-        raise ValueError(f"covariance must be {p}x{p}, got {s.shape}")
-    if not np.allclose(s, s.T, atol=1e-8):
-        raise ValueError("covariance must be symmetric")
-    return 0.5 * (s + s.T), None
+        names = data_or_cov.labels or tuple(f"X{j + 1}" for j in range(p))
+        constant = np.flatnonzero(np.ptp(v, axis=0) == 0)
+        if constant.size:
+            raise ValueError(f"column {names[constant[0]]} is constant")
+        s, n = v.T @ v / data_or_cov.n, data_or_cov.n
+        kind = "column"
+    else:
+        s = np.asarray(data_or_cov, dtype=float)
+        if s.shape != (p, p):
+            raise ValueError(f"covariance must be {p}x{p}, got {s.shape}")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("covariance has non-finite entries")
+        if not np.all(np.abs(s - s.T) <= 1e-8 + 1e-5 * np.abs(s.T)):  # np.allclose, cheaper
+            raise ValueError("covariance must be symmetric")
+        s, n = 0.5 * (s + s.T), None
+        names = tuple(range(p))
+        kind = "node"
+    j = _first_dependent(s)
+    if j is not None:
+        raise ValueError(
+            f"{kind} {names[j]} is a linear combination of the {kind}s before it "
+            "(second-moment matrix is not positive definite)"
+        )
+    return s, n
+
+
+_RANK_TOL = 1e-10  # smallest conditional-to-marginal variance ratio accepted
+_EV_GRAD_TOL = 1e-6  # largest objective gradient entry of a converged equal-variance fit
+
+
+def _first_dependent(s: np.ndarray) -> int | None:
+    """First index whose variance given all earlier ones vanishes, or None.
+
+    The squared Cholesky diagonal holds those conditional variances.
+    """
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        for j in range(s.shape[0]):
+            try:
+                chol = np.linalg.cholesky(s[: j + 1, : j + 1])
+            except np.linalg.LinAlgError:
+                return j
+        raise
+    below = chol.diagonal() ** 2 <= _RANK_TOL * s.diagonal()
+    return int(below.argmax()) if below.any() else None
 
 
 def _maximal_cliques(m: int, edges: Iterable[tuple]) -> list:
@@ -305,59 +348,104 @@ def gaussian_average_loglik(model_cov: np.ndarray, s: np.ndarray) -> float:
     return -0.5 * (p * math.log(2.0 * math.pi) + logdet + quad)
 
 
-def _scale_objective(d: np.ndarray, blocks: list, lam: float):
-    """Penalized profile objective over the log error variances.
+def _equal_variance_fit(s: np.ndarray, layouts: list, p: int):
+    """Exact equal-error-variance MLE; returns (betas, sigmas, iterations, converged).
 
-    blocks holds (global index array, inverse-correlation * residual-moment
-    elementwise) per component; the likelihood part is
-    0.5 * (sum d + trace term), the penalty is lam * sum (d - mean(d))^2.
+    Each component's error covariance is sigma2 * R_K. For fixed R_K the
+    coefficients are the GLS solve under weight R_K^-1, and sigma2 = T / p
+    with T = sum_K trace(R_K^-1 E_K) over the residual moments E_K, leaving
+    p * log(T / p) + sum_K log det R_K to minimize. Singleton components
+    have R_K = 1, so a DAG is closed form. Multi-node components take
+    R_K = corr(Omega_K^-1) over unit-diagonal Omega_K whose off-diagonal
+    entries sit on the undirected pattern, so R_K^-1 = D^1/2 Omega_K D^1/2
+    with D = diag(Omega_K^-1) keeps that pattern; one L-BFGS solve from
+    Omega_K = I runs over those entries. B and sigma2 are optimal at every
+    point, so by the envelope theorem the gradient only differentiates R_K.
+    The objective need not be convex, so the solve finds a local optimum.
     """
-    f = 0.5 * float(np.sum(d))
-    grad = np.full(d.shape[0], 0.5)
-    for idx, a in blocks:
-        dd = d[idx]
-        w = np.exp(-0.5 * (dd[:, None] + dd[None, :]))
-        t = a * w
-        f += 0.5 * float(t.sum())
-        grad[idx] -= 0.5 * t.sum(axis=1)
-    centered = d - d.mean()
-    f += lam * float(centered @ centered)
-    grad += 2.0 * lam * centered
-    return f, grad
+    betas: list = [None] * len(layouts)
+    corrs: list = [np.ones((1, 1))] * len(layouts)
+    fixed_t = 0.0
+    free = []
+    for i, (y_nodes, z_nodes, support, pattern) in enumerate(layouts):
+        if len(y_nodes) == 1:
+            betas[i] = _gls_coefficients(s, y_nodes, z_nodes, support, np.ones((1, 1)))
+            fixed_t += float(_residual_moment(s, y_nodes, z_nodes, betas[i])[0, 0])
+        else:
+            free.append((i, tuple(np.array(pattern, dtype=int).T)))  # (rows, cols)
+    if not free:
+        sigma2 = fixed_t / p
+        return betas, [sigma2 * r for r in corrs], 0, True
 
+    bounds = np.cumsum([0] + [rows.size for _i, (rows, _c) in free])
 
-def _equalize_scales(sigma_blocks, residuals, layouts, lam: float, p: int):
-    """Re-scale fitted component covariances toward equal log variances."""
-    d0 = np.empty(p)
-    blocks = []
-    corr_blocks = []
-    for (y_nodes, _z, _s, _pat), sigma0, resid in zip(layouts, sigma_blocks, residuals):
-        idx = np.array(y_nodes)
-        sd = np.sqrt(np.diag(sigma0))
-        corr = sigma0 / np.outer(sd, sd)
-        np.fill_diagonal(corr, 1.0)
-        d0[idx] = np.log(np.diag(sigma0))
-        blocks.append((idx, np.linalg.inv(corr) * resid))
-        corr_blocks.append(corr)
+    def profile(theta: np.ndarray):
+        """(objective, gradient, T) at theta, or None outside the positive-definite region.
+
+        Leaves theta's coefficients and correlations in betas and corrs.
+        """
+        total_t = fixed_t
+        logdet_r = 0.0
+        parts = []
+        for (i, (rows, cols)), lo, hi in zip(free, bounds[:-1], bounds[1:]):
+            y_nodes, z_nodes, support, _pattern = layouts[i]
+            omega = np.eye(len(y_nodes))
+            omega[rows, cols] = theta[lo:hi]
+            omega[cols, rows] = theta[lo:hi]
+            try:
+                chol = np.linalg.cholesky(omega)
+            except np.linalg.LinAlgError:
+                return None
+            if np.min(np.diag(chol)) ** 2 <= _RANK_TOL:
+                return None
+            c = np.linalg.inv(omega)
+            d = np.diag(c)
+            sd = np.sqrt(d)
+            weight = omega * np.outer(sd, sd)  # R_K^-1
+            betas[i] = _gls_coefficients(s, y_nodes, z_nodes, support, weight)
+            e = _residual_moment(s, y_nodes, z_nodes, betas[i])
+            corrs[i] = c / np.outer(sd, sd)
+            np.fill_diagonal(corrs[i], 1.0)
+            total_t += float(np.sum(weight * e))
+            logdet_r -= 2.0 * float(np.sum(np.log(np.diag(chol)))) + float(np.sum(np.log(d)))
+            parts.append((rows, cols, lo, hi, omega, c, d, sd, e))
+        grad = np.empty_like(theta)
+        for rows, cols, lo, hi, omega, c, d, sd, e in parts:
+            g = (omega * e) @ sd
+            d_trace = 2.0 * sd[rows] * sd[cols] * e[rows, cols] - 2.0 * ((c * (g / sd)) @ c)[rows, cols]
+            d_logdet = 2.0 * ((c / d) @ c)[rows, cols] - 2.0 * c[rows, cols]
+            grad[lo:hi] = p / total_t * d_trace + d_logdet
+        return p * math.log(total_t / p) + logdet_r, grad, total_t
+
+    theta0 = np.zeros(bounds[-1])  # Omega_K = I lies inside the region and is evaluated first
+    highest, best, best_theta = -math.inf, math.inf, theta0
+
+    def objective(theta: np.ndarray):
+        nonlocal highest, best, best_theta
+        out = profile(theta)
+        if out is None:  # worse than any point seen, so the line search backs off
+            return highest + 1.0, np.zeros_like(theta)
+        highest = max(highest, out[0])
+        if out[0] < best:
+            best, best_theta = out[0], theta.copy()
+        return out[:2]
+
     res = optimize.minimize(
-        _scale_objective, d0, args=(blocks, lam), jac=True, method="L-BFGS-B"
+        objective, theta0, jac=True, method="L-BFGS-B", options={"ftol": 1e-13, "gtol": 1e-9}
     )
-    d = res.x
-    out = []
-    for (y_nodes, _z, _s, _pat), corr in zip(layouts, corr_blocks):
-        scale = np.exp(0.5 * d[np.array(y_nodes)])
-        out.append(corr * np.outer(scale, scale))
-    return out
+    _f, grad, total_t = profile(best_theta)
+    converged = bool(res.success) or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL
+    sigma2 = total_t / p
+    return betas, [sigma2 * r for r in corrs], int(res.nit), converged
 
 
 def fit(data_or_cov, g: ChainGraph, cfg: FitConfig | None = None) -> FitResult:
     """Maximum-likelihood parameters of g's model for the given input.
 
     Components are fit separately in the unconstrained mode. With
-    equal_variance_penalty > 0 the components share an outer loop whose
-    covariance step is followed by the penalized log-variance equalization,
-    with the penalty weight escalating each round, so the fit approaches
-    the equal-variance maximum likelihood.
+    equal_variances the exact equality-constrained maximum likelihood is
+    returned instead (see `_equal_variance_fit`); its iterations count the
+    optimizer's steps, zero when every component is a singleton.
     """
     cfg = cfg or FitConfig()
     s, n = moment_matrix(data_or_cov, g.p)
@@ -369,43 +457,14 @@ def fit(data_or_cov, g: ChainGraph, cfg: FitConfig | None = None) -> FitResult:
                 f"{n} samples cannot support {len(z_nodes)} predictors for component {tuple(y_nodes)}"
             )
 
-    if cfg.equal_variance_penalty == 0.0:
+    if cfg.equal_variances:
+        beta_blocks, sigma_blocks, iterations, converged = _equal_variance_fit(s, layouts, g.p)
+    else:
         pieces = [fit_component(s, g, comp, cfg) for comp in comps]
         beta_blocks = [piece.beta for piece in pieces]
         sigma_blocks = [piece.sigma for piece in pieces]
         iterations = max(piece.iterations for piece in pieces)
         converged = all(piece.converged for piece in pieces)
-    else:
-        beta_blocks = [np.zeros((len(y), len(z))) for y, z, _s, _p in layouts]
-        sigma_blocks = [np.eye(len(y)) for y, _z, _s, _p in layouts]
-        lam = cfg.equal_variance_penalty
-        converged = False
-        iterations = 0
-        for iterations in range(1, cfg.max_outer + 1):
-            new_beta = []
-            residuals = []
-            raw_sigma = []
-            for (y_nodes, z_nodes, support, pattern), sigma_c in zip(layouts, sigma_blocks):
-                omega = np.linalg.inv(sigma_c)
-                b_c = _gls_coefficients(s, y_nodes, z_nodes, support, omega)
-                resid = _residual_moment(s, y_nodes, z_nodes, b_c)
-                new_beta.append(b_c)
-                residuals.append(resid)
-                raw_sigma.append(ipf(resid, pattern, cfg).sigma)
-            new_sigma = _equalize_scales(raw_sigma, residuals, layouts, lam, g.p)
-            change = max(
-                max(
-                    (_relative_change(nb, ob) for nb, ob in zip(new_beta, beta_blocks)),
-                    default=0.0,
-                ),
-                max(_relative_change(nb, ob) for nb, ob in zip(new_sigma, sigma_blocks)),
-            )
-            beta_blocks, sigma_blocks = new_beta, new_sigma
-            lam_next = min(lam * cfg.penalty_schedule, cfg.penalty_cap)
-            if change < cfg.tol and lam_next == lam:
-                converged = True
-                break
-            lam = lam_next
 
     beta = np.zeros((g.p, g.p))
     sigma = np.zeros((g.p, g.p))
@@ -430,10 +489,16 @@ def fit(data_or_cov, g: ChainGraph, cfg: FitConfig | None = None) -> FitResult:
     )
 
 
-def dispersion(fit_result: FitResult) -> float:
-    """Spread of the fitted log error variances; zero iff all equal."""
-    logs = np.log(fit_result.error_variances)
-    return float(np.max(logs) - np.min(logs))
+def fit_score(result: FitResult, n_eff: float, equal_variances: bool) -> float:
+    """Penalized log-likelihood score of a fit; higher is better.
+
+    score = n_eff * average log-likelihood - (k / 2) * log(n_eff), with k
+    counting every edge plus one shared error variance for an
+    equal-variance fit, or every edge plus p free variances otherwise.
+    """
+    g = result.params.graph
+    k = len(g.directed) + len(g.undirected) + (1 if equal_variances else g.p)
+    return float(n_eff * result.loglik - 0.5 * k * math.log(n_eff))
 
 
 def penalized_score(
@@ -442,12 +507,7 @@ def penalized_score(
     cfg: FitConfig | None = None,
     n_eff: float | None = None,
 ) -> float:
-    """Penalized log-likelihood score; higher is better.
-
-    score = n_eff * average log-likelihood - (k / 2) * log(n_eff), with k
-    counting every edge plus one shared error variance in the
-    equal-variance mode, or every edge plus p free variances otherwise.
-    """
+    """`fit_score` of g's fit; dataset input supplies n_eff by default."""
     cfg = cfg or FitConfig()
     if isinstance(data_or_cov, Dataset):
         n_eff = data_or_cov.n if n_eff is None else n_eff
@@ -455,6 +515,4 @@ def penalized_score(
         raise ValueError("covariance input requires an explicit n_eff")
     if n_eff <= 1:
         raise ValueError("n_eff must exceed 1")
-    result = fit(data_or_cov, g, cfg)
-    k = len(g.directed) + len(g.undirected) + (1 if cfg.equal_variance_penalty > 0 else g.p)
-    return float(n_eff * result.loglik - 0.5 * k * math.log(n_eff))
+    return fit_score(fit(data_or_cov, g, cfg), n_eff, cfg.equal_variances)

@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 from scipy import stats
 
-from .estimation import FitConfig, fit, moment_matrix, penalized_score
+from .estimation import FitConfig, fit, fit_score, moment_matrix, penalized_score
 from .graphs import (
     CapacityError,
     ChainGraph,
@@ -62,7 +62,7 @@ class SearchConfig:
     max_steps: int = 500
     operators: tuple = ALL_OPERATORS
     seed: int = 0
-    fit: FitConfig = field(default_factory=lambda: FitConfig(equal_variance_penalty=1.0))
+    fit: FitConfig = field(default_factory=lambda: FitConfig(equal_variances=True))
     n_eff: float | None = None
     ci_tol: float | None = None
 
@@ -125,16 +125,8 @@ def identify_in_class(
     n_eff = _resolve_n_eff(data_or_cov, cfg)
     rows = []
     for member in members:
-        if population:
-            result = fit(data_or_cov, member, replace(cfg.fit, equal_variance_penalty=0.0))
-            score = None
-        else:
-            ev_cfg = cfg.fit
-            if ev_cfg.equal_variance_penalty == 0.0:
-                ev_cfg = replace(ev_cfg, equal_variance_penalty=1.0)
-            result = fit(data_or_cov, member, ev_cfg)
-            k = len(member.directed) + len(member.undirected) + 1
-            score = float(n_eff * result.loglik - 0.5 * k * math.log(n_eff))
+        result = fit(data_or_cov, member, replace(cfg.fit, equal_variances=not population))
+        score = None if population else fit_score(result, n_eff, equal_variances=True)
         rows.append(
             MemberFit(
                 graph=member,

@@ -9,12 +9,14 @@ from ampcg import (
     ChainGraph,
     Dataset,
     FitConfig,
-    dispersion,
+    chain_components,
+    estimation,
     fit,
     fit_component,
     gaussian_average_loglik,
     implied_distribution,
     ipf,
+    moment_matrix,
     penalized_score,
     random_parameters,
     rescale_equal_variances,
@@ -27,6 +29,32 @@ from .oracles import ggm_mle_numeric, sem_equal_variance_mle_numeric
 def _random_pd(rng, m):
     a = rng.normal(size=(m, m))
     return a @ a.T + np.eye(m) * (0.5 + rng.uniform())
+
+
+class TestMomentMatrix:
+    def test_non_finite_covariance_rejected(self):
+        cov = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            moment_matrix(cov, 2)
+
+    def test_collinear_column_named(self):
+        rng = np.random.default_rng(2)
+        values = rng.normal(size=(200, 3))
+        values[:, 2] = values[:, 0] + values[:, 1]
+        data = Dataset(values, labels=("a", "b", "c"))
+        with pytest.raises(ValueError, match="column c is a linear combination"):
+            moment_matrix(data, 3)
+
+    def test_constant_column_named(self):
+        values = np.random.default_rng(3).normal(size=(50, 3))
+        values[:, 1] = 2.5
+        with pytest.raises(ValueError, match="column X2 is constant"):
+            moment_matrix(Dataset(values), 3)
+
+    def test_singular_covariance_names_node(self):
+        cov = np.array([[1.0, 0.5, 1.5], [0.5, 1.0, 1.5], [1.5, 1.5, 3.0]])
+        with pytest.raises(ValueError, match="node 2 is a linear combination"):
+            moment_matrix(cov, 3)
 
 
 class TestIpf:
@@ -143,11 +171,6 @@ class TestFit:
         assert result.converged
         assert np.max(np.abs(result.params.beta - params.beta)) < 0.05
 
-    def test_dispersion_function_matches_field(self):
-        cov = np.array([[1.0, 1.0], [1.0, 2.0]])
-        result = fit(cov, ChainGraph(2, directed={(1, 0)}))
-        assert dispersion(result) == result.dispersion
-
     def test_population_roundtrip_random_graphs(self):
         from hypothesis import given, settings
         from .conftest import chain_graphs
@@ -174,46 +197,96 @@ class TestFit:
         assert abs(d1 - d2) < 1e-7
 
 
+def _equal_variance_oracle(cov, g):
+    return sem_equal_variance_mle_numeric(
+        cov,
+        parent_pairs=sorted((child, parent) for parent, child in g.directed),
+        component_blocks=[sorted(comp) for comp in chain_components(g)],
+        undirected_pairs=sorted(g.undirected),
+    )
+
+
 class TestEqualVarianceFit:
+    cfg = FitConfig(equal_variances=True)
+
     def test_matches_constrained_numeric_oracle_two_nodes(self):
         cov = np.array([[1.0, 1.0], [1.0, 2.0]])
-        cfg = FitConfig(equal_variance_penalty=1.0)
-        ours = fit(cov, ChainGraph(2, directed={(1, 0)}), cfg)
+        ours = fit(cov, ChainGraph(2, directed={(1, 0)}), self.cfg)
         oracle = sem_equal_variance_mle_numeric(
             cov, parent_pairs=[(0, 1)], component_blocks=[[0], [1]], undirected_pairs=[]
         )
-        assert abs(ours.loglik - oracle) < 1e-5
-        assert ours.dispersion < 1e-5
+        assert abs(ours.loglik - oracle) < 1e-8
+        assert ours.dispersion == 0.0
 
     def test_close_to_constrained_numeric_oracle_three_nodes(self):
-        # The penalty method equalizes variance scales but keeps each
-        # component's correlation at its unconstrained-fit value, so with a
-        # multi-node component it sits slightly below the hard-constrained
-        # optimum. Bound the gap and check it never exceeds the optimum.
         g_true = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
         params = rescale_equal_variances(random_parameters(g_true, seed=17), 1.0)
         cov = implied_distribution(params).cov
         hypothesis = ChainGraph(3, directed={(1, 0)}, undirected={(1, 2)})
-        cfg = FitConfig(equal_variance_penalty=1.0)
-        ours = fit(cov, hypothesis, cfg)
+        ours = fit(cov, hypothesis, self.cfg)
         oracle = sem_equal_variance_mle_numeric(
             cov,
             parent_pairs=[(0, 1)],
             component_blocks=[[0], [1, 2]],
             undirected_pairs=[(1, 2)],
         )
-        assert ours.loglik <= oracle + 1e-6
-        assert ours.loglik >= oracle - 1e-2
-        assert ours.dispersion < 1e-5
-        # the ordering the score relies on is unaffected by the gap
-        true_fit = fit(cov, g_true, cfg)
+        assert ours.converged
+        assert abs(ours.loglik - oracle) < 1e-8
+        assert ours.dispersion == 0.0
+        true_fit = fit(cov, g_true, self.cfg)
         assert true_fit.loglik > ours.loglik + 0.01
+        # two multi-node components, the second with parents in the first
+        g4 = ChainGraph(4, directed={(0, 2), (1, 2), (1, 3)}, undirected={(0, 1), (2, 3)})
+        cov4 = _random_pd(np.random.default_rng(41), 4)
+        ours4 = fit(cov4, g4, self.cfg)
+        assert ours4.converged
+        assert abs(ours4.loglik - _equal_variance_oracle(cov4, g4)) < 1e-8
+        assert ours4.dispersion == 0.0
+
+    def test_dag_is_closed_form_least_squares(self, monkeypatch):
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("a DAG needs no numeric optimization")
+
+        monkeypatch.setattr(estimation.optimize, "minimize", no_optimizer)
+        g = ChainGraph(4, directed={(0, 1), (0, 2), (1, 3), (2, 3)})
+        params = rescale_equal_variances(random_parameters(g, seed=12), 1.0)
+        data = sample(implied_distribution(params), 3000, seed=13)
+        result = fit(data, g, self.cfg)
+        rss = []
+        for node in range(4):
+            parents = sorted(parent for parent, child in g.directed if child == node)
+            target = data.values[:, node]
+            if parents:
+                design = data.values[:, parents]
+                coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+                target = target - design @ coef
+            rss.append(float(target @ target) / data.n)
+        assert np.allclose(result.error_variances, np.mean(rss), rtol=1e-12, atol=0)
+        assert result.dispersion == 0
+        assert result.converged and result.iterations == 0
+
+    def test_undirected_edges_take_one_optimizer_call(self, monkeypatch):
+        calls = []
+        original = estimation.optimize.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimation.optimize, "minimize", counting)
+        g = ChainGraph(5, directed={(0, 2), (1, 3)}, undirected={(0, 1), (2, 3), (3, 4)})
+        cov = _random_pd(np.random.default_rng(43), 5)
+        result = fit(cov, g, self.cfg)
+        assert len(calls) == 1
+        assert result.converged
+        assert abs(result.loglik - _equal_variance_oracle(cov, g)) < 1e-8
+        conc = np.linalg.inv(result.params.sigma[np.ix_([2, 3, 4], [2, 3, 4])])
+        assert abs(conc[0, 2]) < 1e-10  # 2 and 4 are not adjacent
 
     def test_true_graph_reaches_entropy_bound(self):
         g = ChainGraph(2, directed={(0, 1)})
         cov = np.array([[1.0, 1.0], [1.0, 2.0]])
-        cfg = FitConfig(equal_variance_penalty=1.0)
-        result = fit(cov, g, cfg)
+        result = fit(cov, g, self.cfg)
         assert abs(result.loglik - gaussian_average_loglik(cov, cov)) < 1e-8
         assert result.dispersion < 1e-6
 

@@ -226,6 +226,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error input_error:") and "semidirected cycle" in err
 
+    def test_fit_collinear_column_is_input_error(self, tmp_path, capsys):
+        values = np.random.default_rng(4).normal(size=(100, 3))
+        values[:, 2] = values[:, 0] + values[:, 1]
+        dpath = tmp_path / "d.csv"
+        write_dataset(Dataset(values, labels=("u", "v", "w")), dpath)
+        gpath = tmp_path / "g.json"
+        write_graph(ChainGraph(3, directed={(0, 2), (1, 2)}), gpath)
+        out = tmp_path / "f.json"
+        assert main(["fit", "--graph", str(gpath), "--data", str(dpath), "--equal-var", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error input_error: column w ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_conflicting_inputs_rejected(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
         write_graph(ChainGraph(2), gpath)

@@ -7,6 +7,7 @@ import pytest
 
 from ampcg import (
     ChainGraph,
+    Dataset,
     SearchConfig,
     faithful_parameters,
     greedy_search,
@@ -99,6 +100,14 @@ class TestGreedySearch:
         cfg = SearchConfig(restarts=1, operators=("add_undir", "del_undir"))
         result = greedy_search(cov, cfg)
         assert not result.directed
+
+    def test_collinear_column_fails_before_searching(self):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(500, 3))
+        values[:, 2] = values[:, 0] + values[:, 1]
+        data = Dataset(values, labels=("X1", "X2", "X3"))
+        with pytest.raises(ValueError, match="column X3 is a linear combination"):
+            greedy_search(data, SearchConfig(restarts=2))
 
     def test_empty_operator_set_rejected(self):
         with pytest.raises(ValueError):
