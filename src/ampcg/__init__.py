@@ -14,6 +14,7 @@ observational distribution.
 
 from .estimation import (
     ComponentFit,
+    EqualVarianceScorer,
     FitConfig,
     FitResult,
     IpfResult,

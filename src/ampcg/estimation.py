@@ -16,17 +16,19 @@ GLS solve and sigma2 profiles out as the mean weighted residual moment.
 With only singleton components (a DAG) this is closed form: per-node
 least squares, with sigma2 the mean residual sum of squares. Otherwise
 one L-BFGS solve runs over the off-diagonal pattern entries of the
-components' unit-diagonal concentration matrices. The spread of the
-unconstrained fit's log error variances (the `dispersion`) is the
-statistic that picks the true graph out of its Markov equivalence class
-at population.
+components' unit-diagonal concentration matrices. `EqualVarianceScorer`
+scores many graphs on one input with that same solve, validating the
+input once and caching each singleton component's residual sum of squares
+by (node, parent set). The spread of the unconstrained fit's log error
+variances (the `dispersion`) is the statistic that picks the true graph
+out of its Markov equivalence class at population.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import optimize
@@ -36,6 +38,7 @@ from .sem import Dataset, SemParameters
 
 __all__ = [
     "ComponentFit",
+    "EqualVarianceScorer",
     "FitConfig",
     "FitResult",
     "IpfResult",
@@ -231,61 +234,118 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old))) / max(1.0, float(np.max(np.abs(old))))
 
 
-def _gls_coefficients(
-    s: np.ndarray,
-    y_nodes: list,
-    z_nodes: list,
-    support: list,
-    omega: np.ndarray,
-) -> np.ndarray:
-    """Solve the weighted normal equations for the supported coefficients.
+@dataclass(frozen=True, eq=False)
+class _Component:
+    """One chain component's regression layout and its slices of the second moment.
 
-    Minimizes trace(omega * residual-moment) over coefficient matrices that
-    vanish off `support` (pairs of local row/column indices). With identity
-    weighting the equations decouple into per-row ordinary least squares.
+    `support` holds the coefficients allowed to be non-zero as (local node,
+    local predictor) index arrays, `pattern` the undirected edges as local
+    node pairs. `normal` is the predictor factor of the weighted normal
+    equations, one row and column per supported coefficient.
     """
-    b = np.zeros((len(y_nodes), len(z_nodes)))
-    if not support:
-        return b
-    szz = s[np.ix_(z_nodes, z_nodes)]
-    syz = s[np.ix_(y_nodes, z_nodes)]
-    target = omega @ syz
-    f = len(support)
-    a = np.empty((f, f))
-    rhs = np.empty(f)
-    for row, (j, kz) in enumerate(support):
-        rhs[row] = target[j, kz]
-        for col, (j2, kz2) in enumerate(support):
-            a[row, col] = omega[j, j2] * szz[kz2, kz]
-    coefs = np.linalg.solve(a, rhs)
-    for (j, kz), value in zip(support, coefs):
-        b[j, kz] = value
-    return b
+
+    nodes: list
+    predictors: list
+    pattern: list
+    support: tuple
+    syy: np.ndarray
+    syz: np.ndarray
+    szz: np.ndarray
+    normal: np.ndarray
 
 
-def _residual_moment(s, y_nodes, z_nodes, b) -> np.ndarray:
-    syy = s[np.ix_(y_nodes, y_nodes)]
-    if not z_nodes:
-        return syy
-    syz = s[np.ix_(y_nodes, z_nodes)]
-    szz = s[np.ix_(z_nodes, z_nodes)]
-    e = syy - b @ syz.T - syz @ b.T + b @ szz @ b.T
-    return 0.5 * (e + e.T)
+def _index_arrays(pairs: list) -> tuple:
+    return tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)
 
 
-def _component_layout(g: ChainGraph, comp: frozenset):
+def _component(s: np.ndarray, g: ChainGraph, comp: frozenset) -> _Component:
     y_nodes = sorted(comp)
     z_nodes = sorted(relatives(g, comp, "parents"))
     z_index = {v: i for i, v in enumerate(z_nodes)}
-    support = []
-    for row, node in enumerate(y_nodes):
-        for parent in g._parents[node]:
-            support.append((row, z_index[parent]))
+    support = [(row, z_index[parent]) for row, node in enumerate(y_nodes) for parent in g._parents[node]]
     local = {v: i for i, v in enumerate(y_nodes)}
-    pattern = [
-        (local[a], local[b]) for a, b in g.undirected if a in comp and b in comp
-    ]
-    return y_nodes, z_nodes, support, pattern
+    pattern = [(local[a], local[b]) for a, b in g.undirected if a in comp and b in comp]
+    szz = s[np.ix_(z_nodes, z_nodes)]
+    rows, cols = _index_arrays(support)
+    return _Component(
+        nodes=y_nodes,
+        predictors=z_nodes,
+        pattern=pattern,
+        support=(rows, cols),
+        syy=s[np.ix_(y_nodes, y_nodes)],
+        syz=s[np.ix_(y_nodes, z_nodes)],
+        szz=szz,
+        normal=szz[np.ix_(cols, cols)].T,
+    )
+
+
+def _check_sample_size(n: int | None, c: _Component) -> None:
+    if n is not None and n < len(c.predictors):
+        raise ValueError(
+            f"{n} samples cannot support {len(c.predictors)} predictors for component {tuple(c.nodes)}"
+        )
+
+
+def _gls_coefficients(c: _Component, omega: np.ndarray) -> np.ndarray:
+    """Solve the weighted normal equations for the supported coefficients.
+
+    Minimizes trace(omega * residual-moment) over coefficient matrices that
+    vanish off the support. With identity weighting the equations decouple
+    into per-row ordinary least squares.
+    """
+    b = np.zeros(c.syz.shape)
+    rows, cols = c.support
+    if rows.size:
+        a = omega[rows[:, None], rows] * c.normal
+        b[rows, cols] = np.linalg.solve(a, (omega @ c.syz)[rows, cols])
+    return b
+
+
+def _residual_moment(c: _Component, b: np.ndarray) -> np.ndarray:
+    if not c.predictors:
+        return c.syy
+    e = c.syy - b @ c.syz.T - c.syz @ b.T + b @ c.szz @ b.T
+    return 0.5 * (e + e.T)
+
+
+def _least_squares(c: _Component) -> tuple[np.ndarray, float]:
+    """Coefficients and residual sum of squares (per sample) of a singleton component."""
+    b = _gls_coefficients(c, np.ones((1, 1)))
+    return b, float(_residual_moment(c, b)[0, 0])
+
+
+def _fit_component(c: _Component, cfg: FitConfig) -> ComponentFit:
+    if not c.predictors:
+        res = ipf(c.syy, c.pattern, cfg)
+        return ComponentFit(
+            nodes=tuple(c.nodes),
+            predictors=(),
+            beta=np.zeros((len(c.nodes), 0)),
+            sigma=res.sigma,
+            iterations=res.iterations,
+            converged=res.converged,
+        )
+    b = np.zeros((len(c.nodes), len(c.predictors)))
+    sigma = np.eye(len(c.nodes))
+    converged = False
+    rounds = 0
+    for rounds in range(1, cfg.max_outer + 1):
+        omega = np.linalg.inv(sigma)
+        b_new = _gls_coefficients(c, omega)
+        res = ipf(_residual_moment(c, b_new), c.pattern, cfg)
+        change = max(_relative_change(b_new, b), _relative_change(res.sigma, sigma))
+        b, sigma = b_new, res.sigma
+        if change < cfg.tol and res.converged:
+            converged = True
+            break
+    return ComponentFit(
+        nodes=tuple(c.nodes),
+        predictors=tuple(c.predictors),
+        beta=b,
+        sigma=sigma,
+        iterations=rounds,
+        converged=converged,
+    )
 
 
 def fit_component(
@@ -300,42 +360,9 @@ def fit_component(
     if comp not in set(chain_components(g)):
         raise ValueError("comp must be a chain component of g")
     s, n = moment_matrix(data_or_cov, g.p)
-    y_nodes, z_nodes, support, pattern = _component_layout(g, comp)
-    if n is not None and n < len(z_nodes):
-        raise ValueError(
-            f"{n} samples cannot support {len(z_nodes)} predictors for component {tuple(y_nodes)}"
-        )
-    if not z_nodes:
-        res = ipf(s[np.ix_(y_nodes, y_nodes)], pattern, cfg)
-        return ComponentFit(
-            nodes=tuple(y_nodes),
-            predictors=(),
-            beta=np.zeros((len(y_nodes), 0)),
-            sigma=res.sigma,
-            iterations=res.iterations,
-            converged=res.converged,
-        )
-    b = np.zeros((len(y_nodes), len(z_nodes)))
-    sigma = np.eye(len(y_nodes))
-    converged = False
-    rounds = 0
-    for rounds in range(1, cfg.max_outer + 1):
-        omega = np.linalg.inv(sigma)
-        b_new = _gls_coefficients(s, y_nodes, z_nodes, support, omega)
-        res = ipf(_residual_moment(s, y_nodes, z_nodes, b_new), pattern, cfg)
-        change = max(_relative_change(b_new, b), _relative_change(res.sigma, sigma))
-        b, sigma = b_new, res.sigma
-        if change < cfg.tol and res.converged:
-            converged = True
-            break
-    return ComponentFit(
-        nodes=tuple(y_nodes),
-        predictors=tuple(z_nodes),
-        beta=b,
-        sigma=sigma,
-        iterations=rounds,
-        converged=converged,
-    )
+    c = _component(s, g, comp)
+    _check_sample_size(n, c)
+    return _fit_component(c, cfg)
 
 
 def gaussian_average_loglik(model_cov: np.ndarray, s: np.ndarray) -> float:
@@ -348,14 +375,24 @@ def gaussian_average_loglik(model_cov: np.ndarray, s: np.ndarray) -> float:
     return -0.5 * (p * math.log(2.0 * math.pi) + logdet + quad)
 
 
-def _equal_variance_fit(s: np.ndarray, layouts: list, p: int):
-    """Exact equal-error-variance MLE; returns (betas, sigmas, iterations, converged).
+class _Solve(NamedTuple):
+    objective: float  # p * log(T / p) + sum_K log det R_K at the optimum
+    total_t: float
+    betas: list
+    corrs: list
+    iterations: int
+    converged: bool
+
+
+def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
+    """Profiled equal-error-variance optimum over the multi-node components `comps`.
 
     Each component's error covariance is sigma2 * R_K. For fixed R_K the
     coefficients are the GLS solve under weight R_K^-1, and sigma2 = T / p
     with T = sum_K trace(R_K^-1 E_K) over the residual moments E_K, leaving
     p * log(T / p) + sum_K log det R_K to minimize. Singleton components
-    have R_K = 1, so a DAG is closed form. Multi-node components take
+    have R_K = 1 and enter only through their residual sums of squares,
+    summed in `fixed_t`, so a DAG is closed form. Multi-node components take
     R_K = corr(Omega_K^-1) over unit-diagonal Omega_K whose off-diagonal
     entries sit on the undirected pattern, so R_K^-1 = D^1/2 Omega_K D^1/2
     with D = diag(Omega_K^-1) keeps that pattern; one L-BFGS solve from
@@ -363,59 +400,47 @@ def _equal_variance_fit(s: np.ndarray, layouts: list, p: int):
     point, so by the envelope theorem the gradient only differentiates R_K.
     The objective need not be convex, so the solve finds a local optimum.
     """
-    betas: list = [None] * len(layouts)
-    corrs: list = [np.ones((1, 1))] * len(layouts)
-    fixed_t = 0.0
-    free = []
-    for i, (y_nodes, z_nodes, support, pattern) in enumerate(layouts):
-        if len(y_nodes) == 1:
-            betas[i] = _gls_coefficients(s, y_nodes, z_nodes, support, np.ones((1, 1)))
-            fixed_t += float(_residual_moment(s, y_nodes, z_nodes, betas[i])[0, 0])
-        else:
-            free.append((i, tuple(np.array(pattern, dtype=int).T)))  # (rows, cols)
-    if not free:
-        sigma2 = fixed_t / p
-        return betas, [sigma2 * r for r in corrs], 0, True
-
-    bounds = np.cumsum([0] + [rows.size for _i, (rows, _c) in free])
+    if not comps:
+        return _Solve(p * math.log(fixed_t / p), fixed_t, [], [], 0, True)
+    betas: list = [None] * len(comps)
+    edges = [_index_arrays(c.pattern) for c in comps]
+    bounds = np.cumsum([0] + [len(c.pattern) for c in comps])
 
     def profile(theta: np.ndarray):
-        """(objective, gradient, T) at theta, or None outside the positive-definite region.
+        """(objective, gradient, T, parts) at theta, or None outside the positive-definite region.
 
-        Leaves theta's coefficients and correlations in betas and corrs.
+        Leaves theta's coefficients in betas.
         """
         total_t = fixed_t
         logdet_r = 0.0
         parts = []
-        for (i, (rows, cols)), lo, hi in zip(free, bounds[:-1], bounds[1:]):
-            y_nodes, z_nodes, support, _pattern = layouts[i]
-            omega = np.eye(len(y_nodes))
+        for i, (c, (rows, cols), lo, hi) in enumerate(zip(comps, edges, bounds[:-1], bounds[1:])):
+            omega = np.eye(len(c.nodes))
             omega[rows, cols] = theta[lo:hi]
             omega[cols, rows] = theta[lo:hi]
             try:
-                chol = np.linalg.cholesky(omega)
+                chol_diag = np.linalg.cholesky(omega).diagonal()
             except np.linalg.LinAlgError:
                 return None
-            if np.min(np.diag(chol)) ** 2 <= _RANK_TOL:
+            if chol_diag.min() ** 2 <= _RANK_TOL:
                 return None
-            c = np.linalg.inv(omega)
-            d = np.diag(c)
+            inv = np.linalg.inv(omega)
+            d = inv.diagonal()
             sd = np.sqrt(d)
-            weight = omega * np.outer(sd, sd)  # R_K^-1
-            betas[i] = _gls_coefficients(s, y_nodes, z_nodes, support, weight)
-            e = _residual_moment(s, y_nodes, z_nodes, betas[i])
-            corrs[i] = c / np.outer(sd, sd)
-            np.fill_diagonal(corrs[i], 1.0)
-            total_t += float(np.sum(weight * e))
-            logdet_r -= 2.0 * float(np.sum(np.log(np.diag(chol)))) + float(np.sum(np.log(d)))
-            parts.append((rows, cols, lo, hi, omega, c, d, sd, e))
+            scale = np.outer(sd, sd)
+            weight = omega * scale  # R_K^-1
+            betas[i] = _gls_coefficients(c, weight)
+            e = _residual_moment(c, betas[i])
+            total_t += float((weight * e).sum())
+            logdet_r -= 2.0 * float(np.log(chol_diag).sum()) + float(np.log(d).sum())
+            parts.append((rows, cols, lo, hi, omega, inv, d, sd, scale, e))
         grad = np.empty_like(theta)
-        for rows, cols, lo, hi, omega, c, d, sd, e in parts:
+        for rows, cols, lo, hi, omega, inv, d, sd, _scale, e in parts:
             g = (omega * e) @ sd
-            d_trace = 2.0 * sd[rows] * sd[cols] * e[rows, cols] - 2.0 * ((c * (g / sd)) @ c)[rows, cols]
-            d_logdet = 2.0 * ((c / d) @ c)[rows, cols] - 2.0 * c[rows, cols]
+            d_trace = 2.0 * sd[rows] * sd[cols] * e[rows, cols] - 2.0 * ((inv * (g / sd)) @ inv)[rows, cols]
+            d_logdet = 2.0 * ((inv / d) @ inv)[rows, cols] - 2.0 * inv[rows, cols]
             grad[lo:hi] = p / total_t * d_trace + d_logdet
-        return p * math.log(total_t / p) + logdet_r, grad, total_t
+        return p * math.log(total_t / p) + logdet_r, grad, total_t, parts
 
     theta0 = np.zeros(bounds[-1])  # Omega_K = I lies inside the region and is evaluated first
     highest, best, best_theta = -math.inf, math.inf, theta0
@@ -433,10 +458,32 @@ def _equal_variance_fit(s: np.ndarray, layouts: list, p: int):
     res = optimize.minimize(
         objective, theta0, jac=True, method="L-BFGS-B", options={"ftol": 1e-13, "gtol": 1e-9}
     )
-    _f, grad, total_t = profile(best_theta)
+    value, grad, total_t, parts = profile(best_theta)
     converged = bool(res.success) or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL
-    sigma2 = total_t / p
-    return betas, [sigma2 * r for r in corrs], int(res.nit), converged
+    corrs = []
+    for *_rest, inv, _d, _sd, scale, _e in parts:
+        corrs.append(inv / scale)
+        np.fill_diagonal(corrs[-1], 1.0)
+    return _Solve(value, total_t, betas, corrs, int(res.nit), converged)
+
+
+def _equal_variance_fit(comps: list, p: int):
+    """Exact equal-error-variance MLE; returns (betas, sigmas, iterations, converged)."""
+    betas: list = [None] * len(comps)
+    corrs: list = [np.ones((1, 1))] * len(comps)
+    fixed_t = 0.0
+    multi = []
+    for i, c in enumerate(comps):
+        if len(c.nodes) == 1:
+            betas[i], rss = _least_squares(c)
+            fixed_t += rss
+        else:
+            multi.append(i)
+    solve = _equal_variance_solve(fixed_t, [comps[i] for i in multi], p)
+    for i, b, r in zip(multi, solve.betas, solve.corrs):
+        betas[i], corrs[i] = b, r
+    sigma2 = solve.total_t / p
+    return betas, [sigma2 * r for r in corrs], solve.iterations, solve.converged
 
 
 def fit(data_or_cov, g: ChainGraph, cfg: FitConfig | None = None) -> FitResult:
@@ -444,23 +491,19 @@ def fit(data_or_cov, g: ChainGraph, cfg: FitConfig | None = None) -> FitResult:
 
     Components are fit separately in the unconstrained mode. With
     equal_variances the exact equality-constrained maximum likelihood is
-    returned instead (see `_equal_variance_fit`); its iterations count the
+    returned instead (see `_equal_variance_solve`); its iterations count the
     optimizer's steps, zero when every component is a singleton.
     """
     cfg = cfg or FitConfig()
     s, n = moment_matrix(data_or_cov, g.p)
-    comps = chain_components(g)
-    layouts = [_component_layout(g, comp) for comp in comps]
-    for y_nodes, z_nodes, _sup, _pat in layouts:
-        if n is not None and n < len(z_nodes):
-            raise ValueError(
-                f"{n} samples cannot support {len(z_nodes)} predictors for component {tuple(y_nodes)}"
-            )
+    comps = [_component(s, g, comp) for comp in chain_components(g)]
+    for c in comps:
+        _check_sample_size(n, c)
 
     if cfg.equal_variances:
-        beta_blocks, sigma_blocks, iterations, converged = _equal_variance_fit(s, layouts, g.p)
+        beta_blocks, sigma_blocks, iterations, converged = _equal_variance_fit(comps, g.p)
     else:
-        pieces = [fit_component(s, g, comp, cfg) for comp in comps]
+        pieces = [_fit_component(c, cfg) for c in comps]
         beta_blocks = [piece.beta for piece in pieces]
         sigma_blocks = [piece.sigma for piece in pieces]
         iterations = max(piece.iterations for piece in pieces)
@@ -468,10 +511,10 @@ def fit(data_or_cov, g: ChainGraph, cfg: FitConfig | None = None) -> FitResult:
 
     beta = np.zeros((g.p, g.p))
     sigma = np.zeros((g.p, g.p))
-    for (y_nodes, z_nodes, _sup, _pat), b_c, s_c in zip(layouts, beta_blocks, sigma_blocks):
-        if z_nodes:
-            beta[np.ix_(y_nodes, z_nodes)] = b_c
-        sigma[np.ix_(y_nodes, y_nodes)] = s_c
+    for c, b_c, s_c in zip(comps, beta_blocks, sigma_blocks):
+        if c.predictors:
+            beta[np.ix_(c.nodes, c.predictors)] = b_c
+        sigma[np.ix_(c.nodes, c.nodes)] = s_c
     params = SemParameters(graph=g, beta=beta, sigma=sigma)
     a = np.eye(g.p) - beta
     x = np.linalg.solve(a, sigma)
@@ -489,16 +532,15 @@ def fit(data_or_cov, g: ChainGraph, cfg: FitConfig | None = None) -> FitResult:
     )
 
 
-def fit_score(result: FitResult, n_eff: float, equal_variances: bool) -> float:
-    """Penalized log-likelihood score of a fit; higher is better.
+def fit_score(loglik: float, g: ChainGraph, n_eff: float, equal_variances: bool) -> float:
+    """Penalized log-likelihood score of g at average log-likelihood `loglik`; higher is better.
 
-    score = n_eff * average log-likelihood - (k / 2) * log(n_eff), with k
-    counting every edge plus one shared error variance for an
-    equal-variance fit, or every edge plus p free variances otherwise.
+    score = n_eff * loglik - (k / 2) * log(n_eff), with k counting every
+    edge plus one shared error variance for an equal-variance fit, or every
+    edge plus p free variances otherwise.
     """
-    g = result.params.graph
     k = len(g.directed) + len(g.undirected) + (1 if equal_variances else g.p)
-    return float(n_eff * result.loglik - 0.5 * k * math.log(n_eff))
+    return float(n_eff * loglik - 0.5 * k * math.log(n_eff))
 
 
 def penalized_score(
@@ -515,4 +557,49 @@ def penalized_score(
         raise ValueError("covariance input requires an explicit n_eff")
     if n_eff <= 1:
         raise ValueError("n_eff must exceed 1")
-    return fit_score(fit(data_or_cov, g, cfg), n_eff, cfg.equal_variances)
+    return fit_score(fit(data_or_cov, g, cfg).loglik, g, n_eff, cfg.equal_variances)
+
+
+class EqualVarianceScorer:
+    """Exact equal-variance log-likelihoods and scores of many graphs on one input.
+
+    The input is validated and its second moment formed once, on
+    construction. The profiled log-likelihood decomposes over chain
+    components: a singleton component enters only through its
+    least-squares residual sum of squares, cached by (node, parent set),
+    and the multi-node components share one profiled solve with the cached
+    singleton sum as the constant part of T (see `_equal_variance_solve`).
+    B and sigma2 are profiled out, so the average log-likelihood is
+    -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2 at the optimum,
+    the same value `fit(..., FitConfig(equal_variances=True))` reaches.
+    """
+
+    def __init__(self, data_or_cov, p: int):
+        self.p = p
+        self.s, self.n = moment_matrix(data_or_cov, p)
+        self._rss: dict = {}
+
+    def loglik(self, g: ChainGraph) -> tuple[float, bool]:
+        """(average log-likelihood, converged) of g's equal-variance fit."""
+        if g.p != self.p:
+            raise ValueError(f"graph has {g.p} nodes, the input has {self.p}")
+        fixed_t = 0.0
+        multi = []
+        for comp in chain_components(g):
+            if len(comp) == 1:
+                (node,) = comp
+                key = (node, g._parents[node])
+                if key not in self._rss:
+                    c = _component(self.s, g, comp)
+                    _check_sample_size(self.n, c)
+                    self._rss[key] = _least_squares(c)[1]
+                fixed_t += self._rss[key]
+            else:
+                multi.append(_component(self.s, g, comp))
+                _check_sample_size(self.n, multi[-1])
+        solve = _equal_variance_solve(fixed_t, multi, self.p)
+        return -0.5 * (self.p * math.log(2.0 * math.pi) + self.p + solve.objective), solve.converged
+
+    def score(self, g: ChainGraph, n_eff: float) -> float:
+        """`fit_score` of g's equal-variance fit."""
+        return fit_score(self.loglik(g)[0], g, n_eff, equal_variances=True)

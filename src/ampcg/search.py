@@ -4,7 +4,12 @@ Two layers: picking the true graph out of a known Markov equivalence class
 (every member is fit; on exact population input the winner is the member
 whose fitted error variances are flattest, on data the winner maximizes
 the equal-variance penalized score), and full greedy hill climbing over
-chain-graph space guided by that score. A small conditional-independence
+chain-graph space guided by that score. Both score through one
+`EqualVarianceScorer` per input: the second moment is validated once, and
+the score decomposes over chain components, so each singleton's residual
+sum of squares is computed once per (node, parent set) and reused by every
+graph that contains it; only components with undirected edges need a
+numeric solve. A small conditional-independence
 skeleton-plus-triplex recovery is included so the two-phase strategy
 (recover the class, then orient inside it) is runnable end to end; it
 assumes faithful input and is deliberately minimal.
@@ -14,13 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 from scipy import stats
 
-from .estimation import FitConfig, fit, fit_score, moment_matrix, penalized_score
+from .estimation import EqualVarianceScorer, fit, fit_score, moment_matrix
 from .graphs import (
     CapacityError,
     ChainGraph,
@@ -31,7 +36,7 @@ from .graphs import (
     random_chain_graph,
     triplexes,
 )
-from .sem import Dataset, compose_seed, gaussian_ci
+from .sem import Dataset, _as_symmetric, _partial_correlation, compose_seed
 
 __all__ = [
     "ALL_OPERATORS",
@@ -62,7 +67,6 @@ class SearchConfig:
     max_steps: int = 500
     operators: tuple = ALL_OPERATORS
     seed: int = 0
-    fit: FitConfig = field(default_factory=lambda: FitConfig(equal_variances=True))
     n_eff: float | None = None
     ci_tol: float | None = None
 
@@ -116,30 +120,27 @@ def identify_in_class(
     Population covariance input: every member reproduces the input exactly,
     so the member with the smallest fitted-variance spread (zero only for
     the generating graph, under equal error variances) is chosen. Dataset
-    input: the equal-variance penalized score decides. Ties break toward
-    fewer directed edges, then a fixed lexicographic order.
+    input: the equal-variance penalized score decides; every member is
+    scored by one `EqualVarianceScorer`, and its fitted error variances are
+    equal by construction, so its dispersion is 0. Ties break toward fewer
+    directed edges, then a fixed lexicographic order.
     """
     cfg = cfg or SearchConfig()
     members = equivalence_class(class_rep, cap=class_cap)
-    population = not isinstance(data_or_cov, Dataset)
-    n_eff = _resolve_n_eff(data_or_cov, cfg)
     rows = []
-    for member in members:
-        result = fit(data_or_cov, member, replace(cfg.fit, equal_variances=not population))
-        score = None if population else fit_score(result, n_eff, equal_variances=True)
-        rows.append(
-            MemberFit(
-                graph=member,
-                dispersion=result.dispersion,
-                score=score,
-                loglik=result.loglik,
-                converged=result.converged,
-            )
-        )
-    if population:
+    if not isinstance(data_or_cov, Dataset):
+        for member in members:
+            result = fit(data_or_cov, member)
+            rows.append(MemberFit(member, result.dispersion, None, result.loglik, result.converged))
         rows.sort(key=lambda r: (r.dispersion, len(r.graph.directed), canonical_key(r.graph)))
         margin = math.inf if len(rows) == 1 else rows[1].dispersion - rows[0].dispersion
     else:
+        n_eff = _resolve_n_eff(data_or_cov, cfg)
+        scorer = EqualVarianceScorer(data_or_cov, class_rep.p)
+        for member in members:
+            loglik, converged = scorer.loglik(member)
+            score = fit_score(loglik, member, n_eff, equal_variances=True)
+            rows.append(MemberFit(member, 0.0, score, loglik, converged))
         rows.sort(key=lambda r: (-r.score, len(r.graph.directed), canonical_key(r.graph)))
         margin = math.inf if len(rows) == 1 else rows[0].score - rows[1].score
     return IdentifyResult(
@@ -186,24 +187,29 @@ def _neighbor_graphs(g: ChainGraph, operators: Iterable[str]) -> list:
 
 
 def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
-    """Hill climbing over chain graphs under the penalized score.
+    """Hill climbing over chain graphs under the equal-variance penalized score.
 
     One chain starts from the empty graph and the remaining restarts from
     random chain graphs; each chain repeatedly moves to the best strictly
     improving single-edge change and stops at a local optimum. The best
     graph across chains wins. Deterministic given the seed.
+
+    The input is validated once, before any candidate is scored, and every
+    candidate is scored by one `EqualVarianceScorer`: a neighbour shares
+    most of its (node, parent set) residual sums of squares with the graphs
+    already scored, so a DAG candidate costs a few cache lookups, and only
+    candidates with undirected edges run a numeric solve. Scores are also
+    cached per graph across chains.
     """
     cfg = cfg or SearchConfig()
-    if isinstance(data_or_cov, Dataset):
-        p = data_or_cov.p
-    else:
-        p = np.asarray(data_or_cov).shape[0]
+    p = data_or_cov.p if isinstance(data_or_cov, Dataset) else np.asarray(data_or_cov).shape[0]
     n_eff = _resolve_n_eff(data_or_cov, cfg)
+    scorer = EqualVarianceScorer(data_or_cov, p)
     cache: dict[ChainGraph, float] = {}
 
     def score(h: ChainGraph) -> float:
         if h not in cache:
-            cache[h] = penalized_score(data_or_cov, h, cfg.fit, n_eff)
+            cache[h] = scorer.score(h, n_eff)
         return cache[h]
 
     best_graph = None
@@ -237,10 +243,7 @@ def _ci_decider(data_or_cov, alpha_tol: float | None):
         crit = float(stats.norm.ppf(1.0 - alpha / 2.0))
 
         def indep(j: int, k: int, cond: tuple) -> bool:
-            idx = [j, k] + list(cond)
-            prec = np.linalg.inv(s[np.ix_(idx, idx)])
-            r = -prec[0, 1] / math.sqrt(prec[0, 0] * prec[1, 1])
-            r = max(-0.999999, min(0.999999, r))
+            r = max(-0.999999, min(0.999999, _partial_correlation(s, j, k, cond)))
             z = 0.5 * math.log((1.0 + r) / (1.0 - r))
             dof = n - len(cond) - 3
             if dof <= 0:
@@ -248,11 +251,11 @@ def _ci_decider(data_or_cov, alpha_tol: float | None):
             return math.sqrt(dof) * abs(z) <= crit
 
         return indep, data_or_cov.p
-    cov = np.asarray(data_or_cov, dtype=float)
+    cov = _as_symmetric(data_or_cov, "cov")
     tol = 1e-8 if alpha_tol is None else alpha_tol
 
     def indep(j: int, k: int, cond: tuple) -> bool:
-        return gaussian_ci(cov, j, k, cond, tol=tol)
+        return abs(_partial_correlation(cov, j, k, cond)) < tol
 
     return indep, cov.shape[0]
 

@@ -262,10 +262,18 @@ def gaussian_ci(cov, j: int, k: int, given: Iterable[int] = (), tol: float = 1e-
     cond = sorted({int(x) for x in given})
     if j == k or j in cond or k in cond:
         raise ValueError("query nodes and conditioning set must be disjoint")
-    idx = [j, k] + cond
+    return abs(_partial_correlation(cov, j, k, cond)) < tol
+
+
+def _partial_correlation(cov: np.ndarray, j: int, k: int, cond) -> float:
+    """Partial correlation of j and k given cond, unchecked.
+
+    Read off the inverse of the marginal block over j, k and cond; `cov`
+    must already be a validated symmetric matrix.
+    """
+    idx = [j, k, *cond]
     prec = np.linalg.inv(cov[np.ix_(idx, idx)])
-    partial = -prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1])
-    return bool(abs(partial) < tol)
+    return float(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1]))
 
 
 def faithful_parameters(
@@ -292,14 +300,14 @@ def faithful_parameters(
         params = random_parameters(g, coef_range=coef_range, seed=compose_seed(seed, attempt))
         if sigma2 is not None:
             params = rescale_equal_variances(params, sigma2)
-        cov = implied_distribution(params).cov
+        cov = implied_distribution(params).cov  # symmetric and positive definite, checked there
         ok = True
         for j, k in itertools.combinations(range(g.p), 2):
             rest = [x for x in range(g.p) if x != j and x != k]
             for r in range(len(rest) + 1):
                 for cond in itertools.combinations(rest, r):
                     sep = (j, k, cond) in sep_lookup
-                    ci = gaussian_ci(cov, j, k, cond, tol=tol)
+                    ci = abs(_partial_correlation(cov, j, k, cond)) < tol
                     if sep and not ci:
                         raise RuntimeError(
                             f"separation ({j}, {k} | {cond}) violated by the implied "

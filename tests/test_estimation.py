@@ -8,8 +8,10 @@ import pytest
 from ampcg import (
     ChainGraph,
     Dataset,
+    EqualVarianceScorer,
     FitConfig,
     chain_components,
+    enumerate_chain_graphs,
     estimation,
     fit,
     fit_component,
@@ -130,6 +132,19 @@ class TestFitComponent:
     def test_not_a_component_rejected(self, six_node_graph):
         with pytest.raises(ValueError):
             fit_component(np.eye(6), six_node_graph, {2})
+
+    def test_fit_validates_input_once(self, six_node_graph, monkeypatch):
+        calls = []
+        original = estimation.moment_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "moment_matrix", counting)
+        params = random_parameters(six_node_graph, seed=8)
+        fit(implied_distribution(params).cov, six_node_graph)
+        assert len(calls) == 1
 
     def test_rank_error_with_tiny_dataset(self, six_node_graph):
         data = Dataset(np.zeros((1, 6)) + np.arange(6))
@@ -289,6 +304,56 @@ class TestEqualVarianceFit:
         result = fit(cov, g, self.cfg)
         assert abs(result.loglik - gaussian_average_loglik(cov, cov)) < 1e-8
         assert result.dispersion < 1e-6
+
+
+class TestEqualVarianceScorer:
+    cfg = FitConfig(equal_variances=True)
+
+    @staticmethod
+    def _assert_matches_penalized_score(data_or_cov, graphs, n_eff):
+        scorer = EqualVarianceScorer(data_or_cov, graphs[0].p)
+        for g in graphs:
+            ours = scorer.score(g, n_eff)
+            reference = penalized_score(data_or_cov, g, TestEqualVarianceScorer.cfg, n_eff)
+            assert abs(ours - reference) <= 1e-9 * abs(reference), g
+
+    def test_matches_penalized_score_on_every_three_node_graph(self):
+        g_true = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
+        params = rescale_equal_variances(random_parameters(g_true, seed=19), 1.0)
+        data = sample(implied_distribution(params), 500, seed=20)
+        graphs = list(enumerate_chain_graphs(3))
+        self._assert_matches_penalized_score(data, graphs, data.n)
+        self._assert_matches_penalized_score(_random_pd(np.random.default_rng(21), 3), graphs, 1e4)
+
+    def test_matches_penalized_score_on_four_node_sample(self):
+        rng = np.random.default_rng(22)
+        graphs = list(enumerate_chain_graphs(4))
+        picked = [graphs[i] for i in rng.choice(len(graphs), size=60, replace=False)]
+        assert any(len(comp) > 1 for g in picked for comp in chain_components(g))
+        values = rng.normal(size=(800, 4)) @ rng.normal(size=(4, 4))
+        self._assert_matches_penalized_score(Dataset(values), picked, 800)
+
+    def test_loglik_and_convergence_match_fit(self):
+        g = ChainGraph(5, directed={(0, 2), (1, 3)}, undirected={(0, 1), (2, 3), (3, 4)})
+        cov = _random_pd(np.random.default_rng(43), 5)
+        loglik, converged = EqualVarianceScorer(cov, 5).loglik(g)
+        reference = fit(cov, g, self.cfg)
+        assert abs(loglik - reference.loglik) < 1e-9
+        assert converged == reference.converged
+
+    def test_dag_needs_no_optimizer(self, monkeypatch):
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("a DAG needs no numeric optimization")
+
+        monkeypatch.setattr(estimation.optimize, "minimize", no_optimizer)
+        scorer = EqualVarianceScorer(_random_pd(np.random.default_rng(44), 4), 4)
+        for g in enumerate_chain_graphs(4):
+            if not g.undirected:
+                assert scorer.loglik(g)[1]
+
+    def test_graph_size_must_match_input(self):
+        with pytest.raises(ValueError, match="graph has 2 nodes"):
+            EqualVarianceScorer(np.eye(3), 3).loglik(ChainGraph(2))
 
 
 class TestPenalizedScore:

@@ -8,8 +8,11 @@ import pytest
 from ampcg import (
     ChainGraph,
     Dataset,
+    FitConfig,
     SearchConfig,
+    estimation,
     faithful_parameters,
+    fit,
     greedy_search,
     identify_in_class,
     implied_distribution,
@@ -70,6 +73,18 @@ class TestIdentifyInClass:
         assert all(row.score is not None for row in result.table)
         assert result.margin > 0
 
+    def test_dataset_rows_match_equal_variance_fit(self):
+        truth = ChainGraph(4, directed={(0, 1), (0, 2)}, undirected={(1, 2), (2, 3)})
+        params = rescale_equal_variances(random_parameters(truth, seed=8), 1.0)
+        data = sample(implied_distribution(params), 1000, seed=9)
+        result = identify_in_class(truth, data)
+        assert result.class_size > 1
+        for row in result.table:
+            reference = fit(data, row.graph, FitConfig(equal_variances=True))
+            assert abs(row.loglik - reference.loglik) < 1e-9
+            assert row.converged == reference.converged
+            assert row.dispersion == reference.dispersion == 0.0
+
 
 class TestGreedySearch:
     def test_independent_data_returns_empty_graph(self):
@@ -101,13 +116,33 @@ class TestGreedySearch:
         result = greedy_search(cov, cfg)
         assert not result.directed
 
-    def test_collinear_column_fails_before_searching(self):
+    def test_collinear_column_fails_before_searching(self, monkeypatch):
         rng = np.random.default_rng(8)
         values = rng.normal(size=(500, 3))
         values[:, 2] = values[:, 0] + values[:, 1]
         data = Dataset(values, labels=("X1", "X2", "X3"))
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a candidate was scored")
+
+        monkeypatch.setattr(estimation.EqualVarianceScorer, "loglik", no_scoring)
         with pytest.raises(ValueError, match="column X3 is a linear combination"):
             greedy_search(data, SearchConfig(restarts=2))
+
+    def test_input_validated_once_per_search(self, monkeypatch):
+        calls = []
+        original = estimation.moment_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "moment_matrix", counting)
+        truth = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
+        params = rescale_equal_variances(random_parameters(truth, seed=10), 1.0)
+        data = sample(implied_distribution(params), 1000, seed=11)
+        greedy_search(data, SearchConfig(restarts=2))
+        assert len(calls) == 1
 
     def test_empty_operator_set_rejected(self):
         with pytest.raises(ValueError):
