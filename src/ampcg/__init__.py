@@ -15,7 +15,6 @@ observational distribution.
 from .estimation import (
     ComponentFit,
     EqualVarianceScorer,
-    FitConfig,
     FitResult,
     IpfResult,
     fit,
@@ -90,7 +89,6 @@ from .sem import (
 from .separation import (
     SeparationQuery,
     all_separations,
-    brute_force_separated,
     separated,
     separated_magnified,
 )

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 
 import numpy as np
 
-from .estimation import FitConfig, fit
+from .estimation import fit
 from .experiments import ExperimentConfig, run_experiment
 from .graphs import (
     CapacityError,
@@ -43,7 +42,7 @@ from .sem import (
     sample,
     compose_seed,
 )
-from .separation import SeparationQuery, separated
+from .separation import SeparationQuery, pairwise_queries, separated
 
 __all__ = ["main"]
 
@@ -109,13 +108,10 @@ def _cmd_sep(args) -> int:
         if g.p > args.cap:
             raise CapacityError(f"enumeration capped at p={args.cap}, got p={g.p}")
         print("j,k,C,separated")
-        for j, k in itertools.combinations(range(g.p), 2):
-            rest = [x for x in range(g.p) if x != j and x != k]
-            for r in range(len(rest) + 1):
-                for cond in itertools.combinations(rest, r):
-                    q = SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))
-                    cell = ";".join(g.node_label(x) for x in cond)
-                    print(f"{g.node_label(j)},{g.node_label(k)},{cell},{separated(g, q)}")
+        for j, k, cond in pairwise_queries(g.p):
+            q = SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))
+            cell = ";".join(g.node_label(x) for x in cond)
+            print(f"{g.node_label(j)},{g.node_label(k)},{cell},{separated(g, q)}")
         return 0
     if not args.a or not args.b:
         raise ValueError("--a and --b are required unless --enumerate is given")
@@ -133,8 +129,7 @@ def _cmd_magnify(args) -> int:
 def _cmd_fit(args) -> int:
     g = read_graph(args.graph)
     data_or_cov = _load_input(args)
-    cfg = FitConfig(equal_variances=args.equal_var)
-    result = fit(data_or_cov, g, cfg)
+    result = fit(data_or_cov, g, equal_variances=args.equal_var)
     payload = {
         "params": parameters_to_dict(result.params),
         "loglik": result.loglik,
@@ -152,9 +147,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_identify(args) -> int:
     rep = read_graph(args.class_rep)
-    data_or_cov = _load_input(args)
-    cfg = SearchConfig(seed=args.seed)
-    result = identify_in_class(rep, data_or_cov, cfg)
+    result = identify_in_class(rep, _load_input(args))
     payload = {
         "chosen": graph_to_dict(result.chosen),
         "class_size": result.class_size,
@@ -179,11 +172,10 @@ def _cmd_identify(args) -> int:
 
 def _cmd_learn(args) -> int:
     data_or_cov = _load_input(args)
-    cfg = SearchConfig(seed=args.seed)
     if args.method == "greedy":
-        g = greedy_search(data_or_cov, cfg)
+        g = greedy_search(data_or_cov, SearchConfig(seed=args.seed))
     else:
-        g = two_phase(data_or_cov, cfg).chosen
+        g = two_phase(data_or_cov).chosen
     write_graph(g, args.out)
     print(f"learned {graph_hash(g)} -> {args.out}")
     return 0
@@ -270,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--class-rep", required=True)
     ident.add_argument("--data")
     ident.add_argument("--population")
-    ident.add_argument("--seed", type=int, default=0)
     ident.add_argument("--out", required=True)
     ident.set_defaults(func=_cmd_identify)
 

@@ -1,25 +1,31 @@
 """Maximum-likelihood fitting of chain-graph structural models.
 
-Each chain component is fit by alternating two steps until the parameters
-stop moving: a generalized-least-squares regression of the component on
-its parents under the current error-covariance estimate (plain least
-squares on the first pass), and iterative proportional fitting of the
+The likelihood decomposes over chain components. A singleton component's
+maximum likelihood is closed form in either mode: least squares on its
+parents, with the error variance the residual sum of squares per sample
+(the Peters & Bühlmann 2014 DAG case). A multi-node component is fit in
+the unconstrained mode by alternating two steps until the parameters stop
+moving: a generalized-least-squares regression of the component on its
+parents under the current error-covariance estimate (plain least squares
+on the first pass), and iterative proportional fitting of the
 regression-residual covariance to the component's undirected structure.
 Inputs may be a dataset or a covariance matrix directly; feeding the exact
 population covariance separates statistical error from algorithmic error.
+Each input is validated once, by `moment_matrix`, at the public entry
+point; the fit core works on the validated second moment.
 
 The equal-error-variance mode computes the exact equality-constrained
 maximum likelihood. Every component's error covariance is written as
 sigma2 * R_K with R_K a correlation matrix whose inverse has the
 component's undirected zero pattern; for fixed R_K the coefficients are a
 GLS solve and sigma2 profiles out as the mean weighted residual moment.
-With only singleton components (a DAG) this is closed form: per-node
-least squares, with sigma2 the mean residual sum of squares. Otherwise
-one L-BFGS solve runs over the off-diagonal pattern entries of the
-components' unit-diagonal concentration matrices. `EqualVarianceScorer`
-scores many graphs on one input with that same solve, validating the
-input once and caching each singleton component's residual sum of squares
-by (node, parent set). The spread of the unconstrained fit's log error
+Singletons have R_K = 1 and enter only through their residual sums of
+squares, so a DAG is closed form (sigma2 the mean residual sum of
+squares). Otherwise one L-BFGS solve runs over the off-diagonal pattern
+entries of the multi-node components' unit-diagonal concentration
+matrices. `EqualVarianceScorer` scores many graphs on one input with that
+same split and solve, caching each singleton's least-squares fit by
+(node, parent set). The spread of the unconstrained fit's log error
 variances (the `dispersion`) is the statistic that picks the true graph
 out of its Markov equivalence class at population.
 """
@@ -27,7 +33,7 @@ out of its Markov equivalence class at population.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -39,7 +45,6 @@ from .sem import Dataset, SemParameters
 __all__ = [
     "ComponentFit",
     "EqualVarianceScorer",
-    "FitConfig",
     "FitResult",
     "IpfResult",
     "fit",
@@ -50,27 +55,6 @@ __all__ = [
     "moment_matrix",
     "penalized_score",
 ]
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs for the fit.
-
-    max_outer, max_ipf and tol govern the unconstrained alternating fit.
-    equal_variances selects the exact equal-error-variance maximum
-    likelihood instead, which has no knobs of its own.
-    """
-
-    max_outer: int = 200
-    max_ipf: int = 500
-    tol: float = 1e-9
-    equal_variances: bool = False
-
-    def __post_init__(self):
-        if self.max_outer < 1 or self.max_ipf < 1:
-            raise ValueError("iteration caps must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +125,9 @@ def moment_matrix(data_or_cov, p: int) -> tuple[np.ndarray, int | None]:
 
 _RANK_TOL = 1e-10  # smallest conditional-to-marginal variance ratio accepted
 _EV_GRAD_TOL = 1e-6  # largest objective gradient entry of a converged equal-variance fit
+_TOL = 1e-9  # relative parameter change at which IPF and the alternating fit stop
+_MAX_IPF = 500  # IPF sweeps per call
+_MAX_OUTER = 200  # alternating GLS/IPF rounds per multi-node component
 
 
 def _first_dependent(s: np.ndarray) -> int | None:
@@ -182,7 +169,7 @@ def _maximal_cliques(m: int, edges: Iterable[tuple]) -> list:
     return sorted(cliques)
 
 
-def ipf(s, pattern: Iterable[tuple], cfg: FitConfig | None = None) -> IpfResult:
+def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
     """Covariance MLE under a concentration zero pattern, by clique scaling.
 
     `pattern` lists the allowed off-diagonal pairs (the undirected edges of
@@ -191,9 +178,10 @@ def ipf(s, pattern: Iterable[tuple], cfg: FitConfig | None = None) -> IpfResult:
     clique matches `s` exactly; updates never touch entries off the
     pattern, so the zero constraints hold by construction. A complete
     pattern therefore returns `s` itself after one sweep, and an empty
-    pattern returns its diagonal.
+    pattern returns its diagonal. Sweeps stop once the fitted covariance
+    moves by less than a relative 1e-9, or after 500 sweeps. The fit runs
+    it only on multi-node components; a singleton's variance is closed form.
     """
-    cfg = cfg or FitConfig()
     s = np.asarray(s, dtype=float)
     m = s.shape[0]
     if s.shape != (m, m) or not np.allclose(s, s.T, atol=1e-8):
@@ -207,7 +195,7 @@ def ipf(s, pattern: Iterable[tuple], cfg: FitConfig | None = None) -> IpfResult:
     all_idx = np.arange(m)
     converged = False
     sweeps = 0
-    for sweeps in range(1, cfg.max_ipf + 1):
+    for sweeps in range(1, _MAX_IPF + 1):
         prev = sigma
         for clique in cliques:
             ci = np.array(clique)
@@ -222,7 +210,7 @@ def ipf(s, pattern: Iterable[tuple], cfg: FitConfig | None = None) -> IpfResult:
                 conc = target
         sigma = np.linalg.inv(conc)
         change = float(np.max(np.abs(sigma - prev))) / max(1.0, float(np.max(np.abs(prev))))
-        if change < cfg.tol:
+        if change < _TOL:
             converged = True
             break
     return IpfResult(sigma=0.5 * (sigma + sigma.T), iterations=sweeps, converged=converged)
@@ -308,15 +296,49 @@ def _residual_moment(c: _Component, b: np.ndarray) -> np.ndarray:
     return 0.5 * (e + e.T)
 
 
-def _least_squares(c: _Component) -> tuple[np.ndarray, float]:
-    """Coefficients and residual sum of squares (per sample) of a singleton component."""
+def _least_squares(c: _Component) -> ComponentFit:
+    """Closed-form maximum likelihood of a singleton component.
+
+    Least squares on the parents, with the error variance the residual sum
+    of squares per sample; no iterations.
+    """
     b = _gls_coefficients(c, np.ones((1, 1)))
-    return b, float(_residual_moment(c, b)[0, 0])
+    return ComponentFit(tuple(c.nodes), tuple(c.predictors), b, _residual_moment(c, b), 0, True)
 
 
-def _fit_component(c: _Component, cfg: FitConfig) -> ComponentFit:
+def _split(s: np.ndarray, n: int | None, g: ChainGraph, comps: Iterable, cache: dict | None = None):
+    """(singleton fits, multi-node `_Component` records) of the chain components `comps` of g.
+
+    Every component's sample size is checked. A singleton is fit in closed
+    form by `_least_squares`, once per (node, parent set) when a `cache` is
+    given; only the multi-node components are left for a numeric fit.
+    """
+    cache = {} if cache is None else cache
+    singles, multi = [], []
+    for comp in comps:
+        if len(comp) > 1:
+            multi.append(_component(s, g, comp))
+            _check_sample_size(n, multi[-1])
+            continue
+        (node,) = comp
+        key = (node, g._parents[node])
+        if key not in cache:
+            c = _component(s, g, comp)
+            _check_sample_size(n, c)
+            cache[key] = _least_squares(c)
+        singles.append(cache[key])
+    return singles, multi
+
+
+def _residual_total(singles: list) -> float:
+    """Summed residual sums of squares of singleton fits: the fixed part of T."""
+    return float(sum(piece.sigma[0, 0] for piece in singles))
+
+
+def _alternating_fit(c: _Component) -> ComponentFit:
+    """Unconstrained maximum likelihood of a multi-node component by alternating GLS and IPF."""
     if not c.predictors:
-        res = ipf(c.syy, c.pattern, cfg)
+        res = ipf(c.syy, c.pattern)
         return ComponentFit(
             nodes=tuple(c.nodes),
             predictors=(),
@@ -329,13 +351,13 @@ def _fit_component(c: _Component, cfg: FitConfig) -> ComponentFit:
     sigma = np.eye(len(c.nodes))
     converged = False
     rounds = 0
-    for rounds in range(1, cfg.max_outer + 1):
+    for rounds in range(1, _MAX_OUTER + 1):
         omega = np.linalg.inv(sigma)
         b_new = _gls_coefficients(c, omega)
-        res = ipf(_residual_moment(c, b_new), c.pattern, cfg)
+        res = ipf(_residual_moment(c, b_new), c.pattern)
         change = max(_relative_change(b_new, b), _relative_change(res.sigma, sigma))
         b, sigma = b_new, res.sigma
-        if change < cfg.tol and res.converged:
+        if change < _TOL and res.converged:
             converged = True
             break
     return ComponentFit(
@@ -348,21 +370,17 @@ def _fit_component(c: _Component, cfg: FitConfig) -> ComponentFit:
     )
 
 
-def fit_component(
-    data_or_cov,
-    g: ChainGraph,
-    comp: Iterable[int],
-    cfg: FitConfig | None = None,
-) -> ComponentFit:
-    """Alternating GLS/IPF estimate for one chain component."""
-    cfg = cfg or FitConfig()
+def fit_component(data_or_cov, g: ChainGraph, comp: Iterable[int]) -> ComponentFit:
+    """Unconstrained maximum likelihood of one chain component.
+
+    Least squares for a singleton, alternating GLS/IPF otherwise.
+    """
     comp = frozenset(int(x) for x in comp)
     if comp not in set(chain_components(g)):
         raise ValueError("comp must be a chain component of g")
     s, n = moment_matrix(data_or_cov, g.p)
-    c = _component(s, g, comp)
-    _check_sample_size(n, c)
-    return _fit_component(c, cfg)
+    singles, multi = _split(s, n, g, [comp])
+    return singles[0] if singles else _alternating_fit(multi[0])
 
 
 def gaussian_average_loglik(model_cov: np.ndarray, s: np.ndarray) -> float:
@@ -467,54 +485,26 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     return _Solve(value, total_t, betas, corrs, int(res.nit), converged)
 
 
-def _equal_variance_fit(comps: list, p: int):
-    """Exact equal-error-variance MLE; returns (betas, sigmas, iterations, converged)."""
-    betas: list = [None] * len(comps)
-    corrs: list = [np.ones((1, 1))] * len(comps)
-    fixed_t = 0.0
-    multi = []
-    for i, c in enumerate(comps):
-        if len(c.nodes) == 1:
-            betas[i], rss = _least_squares(c)
-            fixed_t += rss
-        else:
-            multi.append(i)
-    solve = _equal_variance_solve(fixed_t, [comps[i] for i in multi], p)
-    for i, b, r in zip(multi, solve.betas, solve.corrs):
-        betas[i], corrs[i] = b, r
-    sigma2 = solve.total_t / p
-    return betas, [sigma2 * r for r in corrs], solve.iterations, solve.converged
-
-
-def fit(data_or_cov, g: ChainGraph, cfg: FitConfig | None = None) -> FitResult:
-    """Maximum-likelihood parameters of g's model for the given input.
-
-    Components are fit separately in the unconstrained mode. With
-    equal_variances the exact equality-constrained maximum likelihood is
-    returned instead (see `_equal_variance_solve`); its iterations count the
-    optimizer's steps, zero when every component is a singleton.
-    """
-    cfg = cfg or FitConfig()
-    s, n = moment_matrix(data_or_cov, g.p)
-    comps = [_component(s, g, comp) for comp in chain_components(g)]
-    for c in comps:
-        _check_sample_size(n, c)
-
-    if cfg.equal_variances:
-        beta_blocks, sigma_blocks, iterations, converged = _equal_variance_fit(comps, g.p)
+def _fit(s: np.ndarray, n: int | None, g: ChainGraph, equal_variances: bool = False) -> FitResult:
+    """`fit` on a second moment `s` already validated by `moment_matrix`."""
+    singles, multi = _split(s, n, g, chain_components(g))
+    if equal_variances:
+        solve = _equal_variance_solve(_residual_total(singles), multi, g.p)
+        sigma2 = solve.total_t / g.p
+        pieces = [replace(piece, sigma=np.full((1, 1), sigma2)) for piece in singles]
+        pieces += [
+            ComponentFit(tuple(c.nodes), tuple(c.predictors), b, sigma2 * r, solve.iterations, solve.converged)
+            for c, b, r in zip(multi, solve.betas, solve.corrs)
+        ]
     else:
-        pieces = [_fit_component(c, cfg) for c in comps]
-        beta_blocks = [piece.beta for piece in pieces]
-        sigma_blocks = [piece.sigma for piece in pieces]
-        iterations = max(piece.iterations for piece in pieces)
-        converged = all(piece.converged for piece in pieces)
+        pieces = singles + [_alternating_fit(c) for c in multi]
 
     beta = np.zeros((g.p, g.p))
     sigma = np.zeros((g.p, g.p))
-    for c, b_c, s_c in zip(comps, beta_blocks, sigma_blocks):
-        if c.predictors:
-            beta[np.ix_(c.nodes, c.predictors)] = b_c
-        sigma[np.ix_(c.nodes, c.nodes)] = s_c
+    for piece in pieces:
+        if piece.predictors:
+            beta[np.ix_(piece.nodes, piece.predictors)] = piece.beta
+        sigma[np.ix_(piece.nodes, piece.nodes)] = piece.sigma
     params = SemParameters(graph=g, beta=beta, sigma=sigma)
     a = np.eye(g.p) - beta
     x = np.linalg.solve(a, sigma)
@@ -526,10 +516,26 @@ def fit(data_or_cov, g: ChainGraph, cfg: FitConfig | None = None) -> FitResult:
         params=params,
         loglik=loglik,
         error_variances=variances,
-        iterations=iterations,
-        converged=converged,
+        iterations=max(piece.iterations for piece in pieces),
+        converged=all(piece.converged for piece in pieces),
         dispersion=spread,
     )
+
+
+def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
+    """Maximum-likelihood parameters of g's model for the given input.
+
+    Singleton components are closed form in both modes (least squares).
+    Unconstrained, each multi-node component is fit separately by
+    alternating GLS/IPF, and iterations count its largest number of rounds.
+    With equal_variances the exact equality-constrained maximum likelihood
+    is returned instead (see `_equal_variance_solve`), and iterations count
+    the optimizer's steps. Either way iterations are zero when every
+    component is a singleton. The loops' caps and tolerance are fixed, not
+    settable.
+    """
+    s, n = moment_matrix(data_or_cov, g.p)
+    return _fit(s, n, g, equal_variances)
 
 
 def fit_score(loglik: float, g: ChainGraph, n_eff: float, equal_variances: bool) -> float:
@@ -546,18 +552,17 @@ def fit_score(loglik: float, g: ChainGraph, n_eff: float, equal_variances: bool)
 def penalized_score(
     data_or_cov,
     g: ChainGraph,
-    cfg: FitConfig | None = None,
     n_eff: float | None = None,
+    equal_variances: bool = False,
 ) -> float:
     """`fit_score` of g's fit; dataset input supplies n_eff by default."""
-    cfg = cfg or FitConfig()
     if isinstance(data_or_cov, Dataset):
         n_eff = data_or_cov.n if n_eff is None else n_eff
     if n_eff is None:
         raise ValueError("covariance input requires an explicit n_eff")
     if n_eff <= 1:
         raise ValueError("n_eff must exceed 1")
-    return fit_score(fit(data_or_cov, g, cfg).loglik, g, n_eff, cfg.equal_variances)
+    return fit_score(fit(data_or_cov, g, equal_variances).loglik, g, n_eff, equal_variances)
 
 
 class EqualVarianceScorer:
@@ -571,33 +576,20 @@ class EqualVarianceScorer:
     singleton sum as the constant part of T (see `_equal_variance_solve`).
     B and sigma2 are profiled out, so the average log-likelihood is
     -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2 at the optimum,
-    the same value `fit(..., FitConfig(equal_variances=True))` reaches.
+    the same value `fit(..., equal_variances=True)` reaches.
     """
 
     def __init__(self, data_or_cov, p: int):
         self.p = p
         self.s, self.n = moment_matrix(data_or_cov, p)
-        self._rss: dict = {}
+        self._singletons: dict = {}
 
     def loglik(self, g: ChainGraph) -> tuple[float, bool]:
         """(average log-likelihood, converged) of g's equal-variance fit."""
         if g.p != self.p:
             raise ValueError(f"graph has {g.p} nodes, the input has {self.p}")
-        fixed_t = 0.0
-        multi = []
-        for comp in chain_components(g):
-            if len(comp) == 1:
-                (node,) = comp
-                key = (node, g._parents[node])
-                if key not in self._rss:
-                    c = _component(self.s, g, comp)
-                    _check_sample_size(self.n, c)
-                    self._rss[key] = _least_squares(c)[1]
-                fixed_t += self._rss[key]
-            else:
-                multi.append(_component(self.s, g, comp))
-                _check_sample_size(self.n, multi[-1])
-        solve = _equal_variance_solve(fixed_t, multi, self.p)
+        singles, multi = _split(self.s, self.n, g, chain_components(g), self._singletons)
+        solve = _equal_variance_solve(_residual_total(singles), multi, self.p)
         return -0.5 * (self.p * math.log(2.0 * math.pi) + self.p + solve.objective), solve.converged
 
     def score(self, g: ChainGraph, n_eff: float) -> float:

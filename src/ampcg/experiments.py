@@ -72,14 +72,13 @@ class ExperimentReport:
 
 
 def _apply_method(cfg: ExperimentConfig, truth: ChainGraph, data_or_cov, seed: int):
-    search_cfg = replace(cfg.search, seed=cfg.search.seed + seed)
     if cfg.method == "identify":
-        result = identify_in_class(truth, data_or_cov, search_cfg)
+        result = identify_in_class(truth, data_or_cov)
         return result.chosen, result.margin
     if cfg.method == "two-phase":
-        result = two_phase(data_or_cov, search_cfg)
+        result = two_phase(data_or_cov)
         return result.chosen, result.margin
-    return greedy_search(data_or_cov, search_cfg), math.nan
+    return greedy_search(data_or_cov, replace(cfg.search, seed=cfg.search.seed + seed)), math.nan
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> list:

@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 from scipy import stats
 
-from .estimation import EqualVarianceScorer, fit, fit_score, moment_matrix
+from .estimation import EqualVarianceScorer, _fit, fit_score, moment_matrix
 from .graphs import (
     CapacityError,
     ChainGraph,
@@ -37,6 +37,7 @@ from .graphs import (
     triplexes,
 )
 from .sem import Dataset, _as_symmetric, _partial_correlation, compose_seed
+from .separation import pairwise_queries
 
 __all__ = [
     "ALL_OPERATORS",
@@ -61,14 +62,15 @@ ALL_OPERATORS = (
 )
 
 
+_MAX_STEPS = 500  # greedy moves per chain
+_POPULATION_N_EFF = 1e5  # sample size the score assumes for covariance input
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 5
-    max_steps: int = 500
     operators: tuple = ALL_OPERATORS
     seed: int = 0
-    n_eff: float | None = None
-    ci_tol: float | None = None
 
     def __post_init__(self):
         if not self.operators:
@@ -76,8 +78,8 @@ class SearchConfig:
         unknown = set(self.operators) - set(ALL_OPERATORS)
         if unknown:
             raise ValueError(f"unknown operators: {sorted(unknown)}")
-        if self.restarts < 1 or self.max_steps < 1:
-            raise ValueError("restarts and max_steps must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,39 +105,33 @@ class SkeletonResult:
     consistent: bool
 
 
-def _resolve_n_eff(data_or_cov, cfg: SearchConfig) -> float:
-    if isinstance(data_or_cov, Dataset):
-        return float(data_or_cov.n)
-    return float(cfg.n_eff) if cfg.n_eff is not None else 1e5
+def _n_eff(data_or_cov) -> float:
+    return float(data_or_cov.n) if isinstance(data_or_cov, Dataset) else _POPULATION_N_EFF
 
 
-def identify_in_class(
-    class_rep: ChainGraph,
-    data_or_cov,
-    cfg: SearchConfig | None = None,
-    class_cap: int = 12,
-) -> IdentifyResult:
+def identify_in_class(class_rep: ChainGraph, data_or_cov, class_cap: int = 12) -> IdentifyResult:
     """Pick one member of class_rep's Markov equivalence class.
 
     Population covariance input: every member reproduces the input exactly,
     so the member with the smallest fitted-variance spread (zero only for
-    the generating graph, under equal error variances) is chosen. Dataset
+    the generating graph, under equal error variances) is chosen; the input
+    is validated once and every member is fit on it unconstrained. Dataset
     input: the equal-variance penalized score decides; every member is
     scored by one `EqualVarianceScorer`, and its fitted error variances are
     equal by construction, so its dispersion is 0. Ties break toward fewer
     directed edges, then a fixed lexicographic order.
     """
-    cfg = cfg or SearchConfig()
     members = equivalence_class(class_rep, cap=class_cap)
     rows = []
     if not isinstance(data_or_cov, Dataset):
+        s, n = moment_matrix(data_or_cov, class_rep.p)
         for member in members:
-            result = fit(data_or_cov, member)
+            result = _fit(s, n, member)
             rows.append(MemberFit(member, result.dispersion, None, result.loglik, result.converged))
         rows.sort(key=lambda r: (r.dispersion, len(r.graph.directed), canonical_key(r.graph)))
         margin = math.inf if len(rows) == 1 else rows[1].dispersion - rows[0].dispersion
     else:
-        n_eff = _resolve_n_eff(data_or_cov, cfg)
+        n_eff = _n_eff(data_or_cov)
         scorer = EqualVarianceScorer(data_or_cov, class_rep.p)
         for member in members:
             loglik, converged = scorer.loglik(member)
@@ -203,7 +199,7 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
     """
     cfg = cfg or SearchConfig()
     p = data_or_cov.p if isinstance(data_or_cov, Dataset) else np.asarray(data_or_cov).shape[0]
-    n_eff = _resolve_n_eff(data_or_cov, cfg)
+    n_eff = _n_eff(data_or_cov)
     scorer = EqualVarianceScorer(data_or_cov, p)
     cache: dict[ChainGraph, float] = {}
 
@@ -220,7 +216,7 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
         else:
             g = random_chain_graph(p, 0.4, 0.3, seed=compose_seed(cfg.seed, chain))
         current = score(g)
-        for _ in range(cfg.max_steps):
+        for _ in range(_MAX_STEPS):
             improved = None
             improved_score = current
             for h in _neighbor_graphs(g, cfg.operators):
@@ -351,21 +347,10 @@ def skeleton_recovery(data_or_cov, alpha_tol: float | None = None, cap: int = 8)
     if p > cap:
         raise CapacityError(f"skeleton recovery capped at p={cap}, got p={p}")
     sepset: dict[tuple, tuple] = {}
-    adjacency: set = set()
-    for j, k in itertools.combinations(range(p), 2):
-        rest = [x for x in range(p) if x != j and x != k]
-        found = None
-        for r in range(len(rest) + 1):
-            for cond in itertools.combinations(rest, r):
-                if indep(j, k, cond):
-                    found = cond
-                    break
-            if found is not None:
-                break
-        if found is None:
-            adjacency.add((j, k))
-        else:
-            sepset[(j, k)] = found
+    for j, k, cond in pairwise_queries(p):
+        if (j, k) not in sepset and indep(j, k, cond):
+            sepset[(j, k)] = cond  # the smallest separating set, first in query order
+    adjacency = set(itertools.combinations(range(p), 2)) - set(sepset)
     neighbors: dict[int, set] = {v: set() for v in range(p)}
     for a, b in adjacency:
         neighbors[a].add(b)
@@ -382,8 +367,7 @@ def skeleton_recovery(data_or_cov, alpha_tol: float | None = None, cap: int = 8)
     return SkeletonResult(graph=fallback, consistent=False)
 
 
-def two_phase(data_or_cov, cfg: SearchConfig | None = None, class_cap: int = 12) -> IdentifyResult:
+def two_phase(data_or_cov, class_cap: int = 12) -> IdentifyResult:
     """Recover the equivalence class from independences, then orient inside it."""
-    cfg = cfg or SearchConfig()
-    rep = skeleton_recovery(data_or_cov, alpha_tol=cfg.ci_tol)
-    return identify_in_class(rep.graph, data_or_cov, cfg, class_cap=class_cap)
+    rep = skeleton_recovery(data_or_cov)
+    return identify_in_class(rep.graph, data_or_cov, class_cap=class_cap)

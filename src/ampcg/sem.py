@@ -10,14 +10,13 @@ sampling and population-level conditional-independence checks live here.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .graphs import ChainGraph, chain_components, is_chain_graph
-from .separation import all_separations
+from .separation import all_separations, pairwise_queries
 
 __all__ = [
     "Dataset",
@@ -295,32 +294,22 @@ def faithful_parameters(
     used.
     """
     separations = all_separations(g, cap=cap)
-    sep_lookup = {(j, k, c) for j, k, c in separations}
     for attempt in range(1, max_draws + 1):
         params = random_parameters(g, coef_range=coef_range, seed=compose_seed(seed, attempt))
         if sigma2 is not None:
             params = rescale_equal_variances(params, sigma2)
         cov = implied_distribution(params).cov  # symmetric and positive definite, checked there
-        ok = True
-        for j, k in itertools.combinations(range(g.p), 2):
-            rest = [x for x in range(g.p) if x != j and x != k]
-            for r in range(len(rest) + 1):
-                for cond in itertools.combinations(rest, r):
-                    sep = (j, k, cond) in sep_lookup
-                    ci = abs(_partial_correlation(cov, j, k, cond)) < tol
-                    if sep and not ci:
-                        raise RuntimeError(
-                            f"separation ({j}, {k} | {cond}) violated by the implied "
-                            "distribution; the model construction is broken"
-                        )
-                    if ci and not sep:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        for j, k, cond in pairwise_queries(g.p):
+            sep = (j, k, cond) in separations
+            ci = abs(_partial_correlation(cov, j, k, cond)) < tol
+            if sep and not ci:
+                raise RuntimeError(
+                    f"separation ({j}, {k} | {cond}) violated by the implied "
+                    "distribution; the model construction is broken"
+                )
+            if ci and not sep:
+                break  # an independence g does not imply: redraw
+        else:
             return params, attempt
     raise RuntimeError(f"no faithful draw found in {max_draws} attempts")
 

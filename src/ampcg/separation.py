@@ -12,8 +12,7 @@ from B given C when no open route joins a node of A to a node of B.
 Because openness is a per-step condition, an open route that revisits a
 (node, entry-edge-kind) state can be spliced down to one that does not, so
 separation is decidable by reachability over at most 3p states; that is
-what :func:`separated` does. :func:`brute_force_separated` instead sweeps
-all routes length by length, as a slow ground truth for testing.
+what :func:`separated` does.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .graphs import CapacityError, ChainGraph, MagnifiedGraph, determined_closur
 __all__ = [
     "SeparationQuery",
     "all_separations",
-    "brute_force_separated",
+    "pairwise_queries",
     "separated",
     "separated_magnified",
 ]
@@ -109,51 +108,6 @@ def separated(g: ChainGraph, q: SeparationQuery) -> bool:
     return _separated_core(_incidence(g), q)
 
 
-def brute_force_separated(g: ChainGraph, q: SeparationQuery, max_len: int | None = None) -> bool:
-    """Sweep all routes of up to max_len edges and test openness literally.
-
-    The frontier at step L holds the (endpoint, final-edge-kind) pairs of
-    every open route with L edges; a route one edge longer is open exactly
-    when the step at the old endpoint is status-consistent. The default
-    cap of 9p edges is far above the 3p splicing bound, so a miss is
-    impossible; the sweep also stops early once a frontier repeats, since
-    the frontier sequence is then periodic and nothing new can appear.
-    Exponentially dumb on purpose: this is the testing ground truth for
-    :func:`separated`.
-    """
-    _check_query(g, q)
-    if max_len is None:
-        max_len = 9 * g.p
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    adj = _incidence(g)
-    layer: set[tuple[int, int]] = set()
-    for a in q.a:
-        for other, _at_a, at_other in adj[a]:
-            if other in q.b:
-                return False
-            layer.add((other, at_other))
-    seen_layers = {frozenset(layer)}
-    for _ in range(max_len - 1):
-        nxt: set[tuple[int, int]] = set()
-        for node, entry in layer:
-            node_given = node in q.c
-            for other, at_node, at_other in adj[node]:
-                if _triplex_step(entry, at_node) != node_given:
-                    continue
-                if other in q.b:
-                    return False
-                nxt.add((other, at_other))
-        if not nxt:
-            return True
-        key = frozenset(nxt)
-        if key in seen_layers:
-            return True
-        seen_layers.add(key)
-        layer = nxt
-    return True
-
-
 def separated_magnified(mg: MagnifiedGraph, q: SeparationQuery) -> bool:
     """Separation over the original nodes, read off the magnified graph.
 
@@ -173,6 +127,20 @@ def separated_magnified(mg: MagnifiedGraph, q: SeparationQuery) -> bool:
     return separated(mg.base, SeparationQuery(q.a, q.b, frozenset(closed)))
 
 
+def pairwise_queries(p: int):
+    """Every (j, k, cond) with j < k and cond a subset of the other nodes.
+
+    Pairs come in `itertools.combinations` order; for each pair the
+    conditioning sets run by size, each size in combinations order, so the
+    first separating set met for a pair is a smallest one.
+    """
+    for j, k in itertools.combinations(range(p), 2):
+        rest = [x for x in range(p) if x != j and x != k]
+        for r in range(len(rest) + 1):
+            for cond in itertools.combinations(rest, r):
+                yield j, k, cond
+
+
 def all_separations(g: ChainGraph, cap: int = 6) -> frozenset:
     """Every separated triple (j, k, C) over singleton pairs, canonically encoded.
 
@@ -184,11 +152,7 @@ def all_separations(g: ChainGraph, cap: int = 6) -> frozenset:
         raise CapacityError(f"separation enumeration capped at p={cap}, got p={g.p}")
     adj = _incidence(g)
     out = set()
-    for j, k in itertools.combinations(range(g.p), 2):
-        rest = [x for x in range(g.p) if x != j and x != k]
-        for r in range(len(rest) + 1):
-            for cond in itertools.combinations(rest, r):
-                q = SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))
-                if _separated_core(adj, q):
-                    out.add((j, k, cond))
+    for j, k, cond in pairwise_queries(g.p):
+        if _separated_core(adj, SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))):
+            out.add((j, k, cond))
     return frozenset(out)

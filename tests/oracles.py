@@ -2,7 +2,11 @@
 
 Everything here works from raw edge sets and plain numeric optimization,
 on purpose: these functions share no code (and as little cleverness as
-possible) with the implementations they vet.
+possible) with the implementations they vet. The one exception is
+`brute_force_separated`, which reuses the library's edge incidence and
+per-step openness rule and vets only the reachability shortcut of
+`separated`; `literal_route_separated` checks the rule itself from raw
+edge sets.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ import itertools
 
 import numpy as np
 from scipy import optimize
+
+from ampcg.graphs import ChainGraph
+from ampcg.separation import SeparationQuery, _check_query, _incidence, _triplex_step
 
 
 def edge_mark_at(directed: set, undirected: set, other: int, node: int) -> str:
@@ -234,3 +241,48 @@ def sem_equal_variance_mle_numeric(
         options={"maxiter": 2000, "ftol": 1e-14},
     )
     return -float(res.fun)
+
+
+def brute_force_separated(g: ChainGraph, q: SeparationQuery, max_len: int | None = None) -> bool:
+    """Sweep all routes of up to max_len edges and test openness literally.
+
+    The frontier at step L holds the (endpoint, final-edge-kind) pairs of
+    every open route with L edges; a route one edge longer is open exactly
+    when the step at the old endpoint is status-consistent. The default
+    cap of 9p edges is far above the 3p splicing bound, so a miss is
+    impossible; the sweep also stops early once a frontier repeats, since
+    the frontier sequence is then periodic and nothing new can appear.
+    Exponentially dumb on purpose: this is the testing ground truth for
+    `ampcg.separated`.
+    """
+    _check_query(g, q)
+    if max_len is None:
+        max_len = 9 * g.p
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    adj = _incidence(g)
+    layer: set[tuple[int, int]] = set()
+    for a in q.a:
+        for other, _at_a, at_other in adj[a]:
+            if other in q.b:
+                return False
+            layer.add((other, at_other))
+    seen_layers = {frozenset(layer)}
+    for _ in range(max_len - 1):
+        nxt: set[tuple[int, int]] = set()
+        for node, entry in layer:
+            node_given = node in q.c
+            for other, at_node, at_other in adj[node]:
+                if _triplex_step(entry, at_node) != node_given:
+                    continue
+                if other in q.b:
+                    return False
+                nxt.add((other, at_other))
+        if not nxt:
+            return True
+        key = frozenset(nxt)
+        if key in seen_layers:
+            return True
+        seen_layers.add(key)
+        layer = nxt
+    return True

@@ -17,7 +17,6 @@ from ampcg import (
     SearchConfig,
     SeparationQuery,
     all_separations,
-    brute_force_separated,
     condition,
     enumerate_chain_graphs,
     gaussian_ci,
@@ -36,7 +35,7 @@ from ampcg import (
     triplexes,
 )
 
-from .oracles import ggm_mle_numeric
+from .oracles import brute_force_separated, ggm_mle_numeric
 
 SIX_NODE = ChainGraph(
     6,

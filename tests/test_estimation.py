@@ -9,7 +9,6 @@ from ampcg import (
     ChainGraph,
     Dataset,
     EqualVarianceScorer,
-    FitConfig,
     chain_components,
     enumerate_chain_graphs,
     estimation,
@@ -172,6 +171,26 @@ class TestFit:
         und = fit(cov, ChainGraph(2, undirected={(0, 1)}))
         assert abs(und.dispersion - math.log(2.0)) < 1e-9
 
+    def test_dag_is_closed_form_without_ipf(self, monkeypatch):
+        def no_ipf(*args, **kwargs):
+            raise AssertionError("a singleton component needs no IPF")
+
+        monkeypatch.setattr(estimation, "ipf", no_ipf)
+        g = ChainGraph(4, directed={(0, 1), (0, 2), (1, 3), (2, 3)})
+        params = random_parameters(g, seed=12)
+        data = sample(implied_distribution(params), 3000, seed=13)
+        result = fit(data, g)
+        assert result.converged and result.iterations == 0
+        for node in range(4):
+            parents = sorted(parent for parent, child in g.directed if child == node)
+            target = data.values[:, node]
+            if parents:
+                design = data.values[:, parents]
+                coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+                assert np.max(np.abs(result.params.beta[node, parents] - coef)) < 1e-12
+                target = target - design @ coef
+            assert abs(result.params.sigma[node, node] - float(target @ target) / data.n) < 1e-12
+
     def test_empty_graph_on_independent_data(self):
         cov = np.diag([1.0, 2.0, 3.0])
         result = fit(cov, ChainGraph(3))
@@ -222,11 +241,9 @@ def _equal_variance_oracle(cov, g):
 
 
 class TestEqualVarianceFit:
-    cfg = FitConfig(equal_variances=True)
-
     def test_matches_constrained_numeric_oracle_two_nodes(self):
         cov = np.array([[1.0, 1.0], [1.0, 2.0]])
-        ours = fit(cov, ChainGraph(2, directed={(1, 0)}), self.cfg)
+        ours = fit(cov, ChainGraph(2, directed={(1, 0)}), equal_variances=True)
         oracle = sem_equal_variance_mle_numeric(
             cov, parent_pairs=[(0, 1)], component_blocks=[[0], [1]], undirected_pairs=[]
         )
@@ -238,7 +255,7 @@ class TestEqualVarianceFit:
         params = rescale_equal_variances(random_parameters(g_true, seed=17), 1.0)
         cov = implied_distribution(params).cov
         hypothesis = ChainGraph(3, directed={(1, 0)}, undirected={(1, 2)})
-        ours = fit(cov, hypothesis, self.cfg)
+        ours = fit(cov, hypothesis, equal_variances=True)
         oracle = sem_equal_variance_mle_numeric(
             cov,
             parent_pairs=[(0, 1)],
@@ -248,12 +265,12 @@ class TestEqualVarianceFit:
         assert ours.converged
         assert abs(ours.loglik - oracle) < 1e-8
         assert ours.dispersion == 0.0
-        true_fit = fit(cov, g_true, self.cfg)
+        true_fit = fit(cov, g_true, equal_variances=True)
         assert true_fit.loglik > ours.loglik + 0.01
         # two multi-node components, the second with parents in the first
         g4 = ChainGraph(4, directed={(0, 2), (1, 2), (1, 3)}, undirected={(0, 1), (2, 3)})
         cov4 = _random_pd(np.random.default_rng(41), 4)
-        ours4 = fit(cov4, g4, self.cfg)
+        ours4 = fit(cov4, g4, equal_variances=True)
         assert ours4.converged
         assert abs(ours4.loglik - _equal_variance_oracle(cov4, g4)) < 1e-8
         assert ours4.dispersion == 0.0
@@ -266,7 +283,7 @@ class TestEqualVarianceFit:
         g = ChainGraph(4, directed={(0, 1), (0, 2), (1, 3), (2, 3)})
         params = rescale_equal_variances(random_parameters(g, seed=12), 1.0)
         data = sample(implied_distribution(params), 3000, seed=13)
-        result = fit(data, g, self.cfg)
+        result = fit(data, g, equal_variances=True)
         rss = []
         for node in range(4):
             parents = sorted(parent for parent, child in g.directed if child == node)
@@ -291,7 +308,7 @@ class TestEqualVarianceFit:
         monkeypatch.setattr(estimation.optimize, "minimize", counting)
         g = ChainGraph(5, directed={(0, 2), (1, 3)}, undirected={(0, 1), (2, 3), (3, 4)})
         cov = _random_pd(np.random.default_rng(43), 5)
-        result = fit(cov, g, self.cfg)
+        result = fit(cov, g, equal_variances=True)
         assert len(calls) == 1
         assert result.converged
         assert abs(result.loglik - _equal_variance_oracle(cov, g)) < 1e-8
@@ -301,20 +318,18 @@ class TestEqualVarianceFit:
     def test_true_graph_reaches_entropy_bound(self):
         g = ChainGraph(2, directed={(0, 1)})
         cov = np.array([[1.0, 1.0], [1.0, 2.0]])
-        result = fit(cov, g, self.cfg)
+        result = fit(cov, g, equal_variances=True)
         assert abs(result.loglik - gaussian_average_loglik(cov, cov)) < 1e-8
         assert result.dispersion < 1e-6
 
 
 class TestEqualVarianceScorer:
-    cfg = FitConfig(equal_variances=True)
-
     @staticmethod
     def _assert_matches_penalized_score(data_or_cov, graphs, n_eff):
         scorer = EqualVarianceScorer(data_or_cov, graphs[0].p)
         for g in graphs:
             ours = scorer.score(g, n_eff)
-            reference = penalized_score(data_or_cov, g, TestEqualVarianceScorer.cfg, n_eff)
+            reference = penalized_score(data_or_cov, g, n_eff=n_eff, equal_variances=True)
             assert abs(ours - reference) <= 1e-9 * abs(reference), g
 
     def test_matches_penalized_score_on_every_three_node_graph(self):
@@ -337,7 +352,7 @@ class TestEqualVarianceScorer:
         g = ChainGraph(5, directed={(0, 2), (1, 3)}, undirected={(0, 1), (2, 3), (3, 4)})
         cov = _random_pd(np.random.default_rng(43), 5)
         loglik, converged = EqualVarianceScorer(cov, 5).loglik(g)
-        reference = fit(cov, g, self.cfg)
+        reference = fit(cov, g, equal_variances=True)
         assert abs(loglik - reference.loglik) < 1e-9
         assert converged == reference.converged
 
@@ -370,16 +385,14 @@ class TestPenalizedScore:
         loglik_true = fit(cov, six_node_graph).loglik
         assert loglik_true >= loglik_sub - 1e-12
         n_eff = 1e5
-        assert penalized_score(cov, six_node_graph, FitConfig(), n_eff) > penalized_score(
-            cov, sub, FitConfig(), n_eff
-        )
+        assert penalized_score(cov, six_node_graph, n_eff=n_eff) > penalized_score(cov, sub, n_eff=n_eff)
 
     def test_true_beats_empty(self, six_node_graph):
         params = rescale_equal_variances(random_parameters(six_node_graph, seed=1), 1.0)
         cov = implied_distribution(params).cov
         n_eff = 1e5
-        assert penalized_score(cov, six_node_graph, FitConfig(), n_eff) > penalized_score(
-            cov, ChainGraph(6), FitConfig(), n_eff
+        assert penalized_score(cov, six_node_graph, n_eff=n_eff) > penalized_score(
+            cov, ChainGraph(6), n_eff=n_eff
         )
 
     def test_relabeling_symmetry(self):
@@ -394,8 +407,8 @@ class TestPenalizedScore:
         )
         inverse = np.argsort(perm)
         cov_relabeled = cov[np.ix_(inverse, inverse)]
-        a = penalized_score(cov, g, FitConfig(), 1e4)
-        b = penalized_score(cov_relabeled, relabeled, FitConfig(), 1e4)
+        a = penalized_score(cov, g, n_eff=1e4)
+        b = penalized_score(cov_relabeled, relabeled, n_eff=1e4)
         assert abs(a - b) < 1e-9
 
     def test_dataset_uses_own_n(self):

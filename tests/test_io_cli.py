@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ampcg
 from ampcg import (
     ChainGraph,
     Dataset,
@@ -248,10 +251,14 @@ class TestCli:
     def test_console_entry_point(self, tmp_path):
         gpath = tmp_path / "g.json"
         write_graph(ChainGraph(2, directed={(0, 1)}), gpath)
+        # the child finds the package where this process did, installed or not
+        source = str(Path(ampcg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "ampcg", "sep", "--graph", str(gpath), "--a", "0", "--b", "1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "separated: false"

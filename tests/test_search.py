@@ -8,7 +8,6 @@ import pytest
 from ampcg import (
     ChainGraph,
     Dataset,
-    FitConfig,
     SearchConfig,
     estimation,
     faithful_parameters,
@@ -20,6 +19,7 @@ from ampcg import (
     random_parameters,
     rescale_equal_variances,
     sample,
+    search,
     skeleton_recovery,
     two_phase,
 )
@@ -64,6 +64,21 @@ class TestIdentifyInClass:
             else:
                 assert row.dispersion > 1e-6
 
+    def test_covariance_validated_once_per_call(self, six_node_graph, monkeypatch):
+        calls = []
+        original = estimation.moment_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "moment_matrix", counting)
+        monkeypatch.setattr(search, "moment_matrix", counting)
+        params = rescale_equal_variances(random_parameters(six_node_graph, seed=31), 1.0)
+        result = identify_in_class(six_node_graph, implied_distribution(params).cov)
+        assert result.class_size > 1
+        assert len(calls) == 1
+
     def test_dataset_path_uses_score(self):
         truth = ChainGraph(2, directed={(0, 1)})
         params = rescale_equal_variances(random_parameters(truth, seed=3), 1.0)
@@ -80,7 +95,7 @@ class TestIdentifyInClass:
         result = identify_in_class(truth, data)
         assert result.class_size > 1
         for row in result.table:
-            reference = fit(data, row.graph, FitConfig(equal_variances=True))
+            reference = fit(data, row.graph, equal_variances=True)
             assert abs(row.loglik - reference.loglik) < 1e-9
             assert row.converged == reference.converged
             assert row.dispersion == reference.dispersion == 0.0

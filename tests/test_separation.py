@@ -11,7 +11,6 @@ from ampcg import (
     ChainGraph,
     SeparationQuery,
     all_separations,
-    brute_force_separated,
     enumerate_chain_graphs,
     magnify,
     markov_equivalent,
@@ -21,7 +20,7 @@ from ampcg import (
 )
 
 from .conftest import chain_graphs
-from .oracles import literal_route_separated
+from .oracles import brute_force_separated, literal_route_separated
 
 
 def _singleton_queries(p):
