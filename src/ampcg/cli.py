@@ -24,6 +24,7 @@ from .graphs import (
     random_chain_graph,
 )
 from .io import (
+    _write_json,
     graph_hash,
     graph_to_dict,
     parameters_to_dict,
@@ -138,9 +139,7 @@ def _cmd_fit(args) -> int:
         "converged": result.converged,
         "dispersion": result.dispersion,
     }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(payload, args.out)
     print(f"loglik={result.loglik:.6f} dispersion={result.dispersion:.6g} -> {args.out}")
     return 0
 
@@ -163,9 +162,7 @@ def _cmd_identify(args) -> int:
             for row in result.table
         ],
     }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(payload, args.out)
     print(f"chosen {graph_hash(result.chosen)} margin={result.margin:.6g} -> {args.out}")
     return 0
 
@@ -185,7 +182,7 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"search"}
+        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown field(s) in experiment config: {sorted(unknown)}")

@@ -12,7 +12,8 @@ regression-residual covariance to the component's undirected structure.
 Inputs may be a dataset or a covariance matrix directly; feeding the exact
 population covariance separates statistical error from algorithmic error.
 Each input is validated once, by `moment_matrix`, at the public entry
-point; the fit core works on the validated second moment.
+point, under `sem`'s scale-free rule for a valid covariance; the fit core
+works on the validated second moment.
 
 The equal-error-variance mode computes the exact equality-constrained
 maximum likelihood. Every component's error covariance is written as
@@ -40,7 +41,7 @@ import numpy as np
 from scipy import optimize
 
 from .graphs import ChainGraph, chain_components, relatives
-from .sem import Dataset, SemParameters
+from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
 
 __all__ = [
     "ComponentFit",
@@ -89,63 +90,37 @@ def moment_matrix(data_or_cov, p: int) -> tuple[np.ndarray, int | None]:
 
     The model has no intercepts, so dataset input uses the uncentered
     second moment, which is its maximum-likelihood moment estimate.
-    Degenerate input raises ValueError naming the offending column or
-    node: a constant column, or a column (node) that is a linear
-    combination of the ones before it.
+    Covariance input must pass `sem._valid_covariance`; dataset input must
+    have no constant column, and its second moment must pass the same
+    scale-free rank test. Degenerate input raises ValueError naming the
+    offending column or node.
     """
-    if isinstance(data_or_cov, Dataset):
-        if data_or_cov.p != p:
-            raise ValueError(f"dataset has {data_or_cov.p} columns, graph has {p} nodes")
-        v = data_or_cov.values
-        names = data_or_cov.labels or tuple(f"X{j + 1}" for j in range(p))
-        constant = np.flatnonzero(np.ptp(v, axis=0) == 0)
-        if constant.size:
-            raise ValueError(f"column {names[constant[0]]} is constant")
-        s, n = v.T @ v / data_or_cov.n, data_or_cov.n
-        kind = "column"
-    else:
-        s = np.asarray(data_or_cov, dtype=float)
+    if not isinstance(data_or_cov, Dataset):
+        s = _valid_covariance(data_or_cov, "covariance")
         if s.shape != (p, p):
             raise ValueError(f"covariance must be {p}x{p}, got {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("covariance has non-finite entries")
-        if not np.all(np.abs(s - s.T) <= 1e-8 + 1e-5 * np.abs(s.T)):  # np.allclose, cheaper
-            raise ValueError("covariance must be symmetric")
-        s, n = 0.5 * (s + s.T), None
-        names = tuple(range(p))
-        kind = "node"
+        return s, None
+    if data_or_cov.p != p:
+        raise ValueError(f"dataset has {data_or_cov.p} columns, graph has {p} nodes")
+    v = data_or_cov.values
+    names = data_or_cov.labels or tuple(f"X{j + 1}" for j in range(p))
+    constant = np.flatnonzero(np.ptp(v, axis=0) == 0)
+    if constant.size:
+        raise ValueError(f"column {names[constant[0]]} is constant")
+    s = v.T @ v / data_or_cov.n
     j = _first_dependent(s)
     if j is not None:
         raise ValueError(
-            f"{kind} {names[j]} is a linear combination of the {kind}s before it "
+            f"column {names[j]} is a linear combination of the columns before it "
             "(second-moment matrix is not positive definite)"
         )
-    return s, n
+    return s, data_or_cov.n
 
 
-_RANK_TOL = 1e-10  # smallest conditional-to-marginal variance ratio accepted
 _EV_GRAD_TOL = 1e-6  # largest objective gradient entry of a converged equal-variance fit
 _TOL = 1e-9  # relative parameter change at which IPF and the alternating fit stop
 _MAX_IPF = 500  # IPF sweeps per call
 _MAX_OUTER = 200  # alternating GLS/IPF rounds per multi-node component
-
-
-def _first_dependent(s: np.ndarray) -> int | None:
-    """First index whose variance given all earlier ones vanishes, or None.
-
-    The squared Cholesky diagonal holds those conditional variances.
-    """
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        for j in range(s.shape[0]):
-            try:
-                chol = np.linalg.cholesky(s[: j + 1, : j + 1])
-            except np.linalg.LinAlgError:
-                return j
-        raise
-    below = chol.diagonal() ** 2 <= _RANK_TOL * s.diagonal()
-    return int(below.argmax()) if below.any() else None
 
 
 def _maximal_cliques(m: int, edges: Iterable[tuple]) -> list:
@@ -167,6 +142,12 @@ def _maximal_cliques(m: int, edges: Iterable[tuple]) -> list:
 
     expand(set(), set(range(m)), set())
     return sorted(cliques)
+
+
+def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
+    if new.size == 0:
+        return 0.0
+    return float(np.max(np.abs(new - old))) / max(1.0, float(np.max(np.abs(old))))
 
 
 def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
@@ -209,17 +190,10 @@ def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
             else:
                 conc = target
         sigma = np.linalg.inv(conc)
-        change = float(np.max(np.abs(sigma - prev))) / max(1.0, float(np.max(np.abs(prev))))
-        if change < _TOL:
+        if _relative_change(sigma, prev) < _TOL:
             converged = True
             break
     return IpfResult(sigma=0.5 * (sigma + sigma.T), iterations=sweeps, converged=converged)
-
-
-def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
-    if new.size == 0:
-        return 0.0
-    return float(np.max(np.abs(new - old))) / max(1.0, float(np.max(np.abs(old))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,10 +480,7 @@ def _fit(s: np.ndarray, n: int | None, g: ChainGraph, equal_variances: bool = Fa
             beta[np.ix_(piece.nodes, piece.predictors)] = piece.beta
         sigma[np.ix_(piece.nodes, piece.nodes)] = piece.sigma
     params = SemParameters(graph=g, beta=beta, sigma=sigma)
-    a = np.eye(g.p) - beta
-    x = np.linalg.solve(a, sigma)
-    model_cov = np.linalg.solve(a, x.T).T
-    loglik = gaussian_average_loglik(0.5 * (model_cov + model_cov.T), s)
+    loglik = gaussian_average_loglik(implied_distribution(params).cov, s)
     variances = np.diag(sigma).copy()
     spread = float(np.max(np.log(variances)) - np.min(np.log(variances)))
     return FitResult(

@@ -11,15 +11,14 @@ to one report (timing columns aside).
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .graphs import ChainGraph, random_chain_graph, structural_hamming_distance
-from .io import graph_hash, graph_to_dict
+from .io import _write_json, graph_hash, graph_to_dict
 from .search import SearchConfig, greedy_search, identify_in_class, two_phase
 from .sem import (
     compose_seed,
@@ -47,7 +46,6 @@ class ExperimentConfig:
     coef_range: tuple = (0.3, 1.0)
     out_dir: str | None = None
     workers: int = 1
-    search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -78,7 +76,7 @@ def _apply_method(cfg: ExperimentConfig, truth: ChainGraph, data_or_cov, seed: i
     if cfg.method == "two-phase":
         result = two_phase(data_or_cov)
         return result.chosen, result.margin
-    return greedy_search(data_or_cov, replace(cfg.search, seed=cfg.search.seed + seed)), math.nan
+    return greedy_search(data_or_cov, SearchConfig(seed=seed)), math.nan
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> list:
@@ -170,6 +168,4 @@ def write_report(report: ExperimentReport, out_dir) -> None:
         "recovery": report.recovery,
         "rows": list(report.rows),
     }
-    with open(out / "report.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(payload, out / "report.json")

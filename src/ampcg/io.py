@@ -80,11 +80,16 @@ def read_graph(path) -> ChainGraph:
         return graph_from_dict(json.load(handle))
 
 
-def write_graph(g: ChainGraph, path) -> None:
+def _write_json(payload, path) -> None:
+    """Write payload as indented, key-sorted JSON plus a newline, creating parent directories."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(graph_to_dict(g), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def write_graph(g: ChainGraph, path) -> None:
+    _write_json(graph_to_dict(g), path)
 
 
 def graph_hash(g: ChainGraph) -> str:
@@ -118,10 +123,7 @@ def read_parameters(path) -> SemParameters:
 
 
 def write_parameters(params: SemParameters, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(parameters_to_dict(params), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(parameters_to_dict(params), path)
 
 
 def read_covariance(path) -> np.ndarray:
@@ -138,10 +140,7 @@ def write_covariance(cov: np.ndarray, path, labels=None) -> None:
     payload = {"cov": np.asarray(cov, dtype=float).tolist()}
     if labels is not None:
         payload["labels"] = list(labels)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(payload, path)
 
 
 def read_dataset(path) -> Dataset:

@@ -36,7 +36,7 @@ from .graphs import (
     random_chain_graph,
     triplexes,
 )
-from .sem import Dataset, _as_symmetric, _partial_correlation, compose_seed
+from .sem import Dataset, _partial_correlation, compose_seed
 from .separation import pairwise_queries
 
 __all__ = [
@@ -107,6 +107,10 @@ class SkeletonResult:
 
 def _n_eff(data_or_cov) -> float:
     return float(data_or_cov.n) if isinstance(data_or_cov, Dataset) else _POPULATION_N_EFF
+
+
+def _size(data_or_cov) -> int:
+    return data_or_cov.p if isinstance(data_or_cov, Dataset) else len(np.atleast_1d(data_or_cov))
 
 
 def identify_in_class(class_rep: ChainGraph, data_or_cov, class_cap: int = 12) -> IdentifyResult:
@@ -198,7 +202,7 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
     cached per graph across chains.
     """
     cfg = cfg or SearchConfig()
-    p = data_or_cov.p if isinstance(data_or_cov, Dataset) else np.asarray(data_or_cov).shape[0]
+    p = _size(data_or_cov)
     n_eff = _n_eff(data_or_cov)
     scorer = EqualVarianceScorer(data_or_cov, p)
     cache: dict[ChainGraph, float] = {}
@@ -233,9 +237,10 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
 
 
 def _ci_decider(data_or_cov, alpha_tol: float | None):
-    if isinstance(data_or_cov, Dataset):
+    p = _size(data_or_cov)
+    s, n = moment_matrix(data_or_cov, p)
+    if n is not None:
         alpha = 0.01 if alpha_tol is None else alpha_tol
-        s, n = moment_matrix(data_or_cov, data_or_cov.p)
         crit = float(stats.norm.ppf(1.0 - alpha / 2.0))
 
         def indep(j: int, k: int, cond: tuple) -> bool:
@@ -246,14 +251,13 @@ def _ci_decider(data_or_cov, alpha_tol: float | None):
                 return True
             return math.sqrt(dof) * abs(z) <= crit
 
-        return indep, data_or_cov.p
-    cov = _as_symmetric(data_or_cov, "cov")
+        return indep, p
     tol = 1e-8 if alpha_tol is None else alpha_tol
 
     def indep(j: int, k: int, cond: tuple) -> bool:
-        return abs(_partial_correlation(cov, j, k, cond)) < tol
+        return abs(_partial_correlation(s, j, k, cond)) < tol
 
-    return indep, cov.shape[0]
+    return indep, p
 
 
 def _is_triplex_config(into_center: tuple) -> bool:

@@ -6,6 +6,11 @@ is zero wherever two nodes are not joined by an undirected edge (so the
 error covariance is block-diagonal over chain components). The implied
 observational distribution, equal-variance rescaling, conditioning,
 sampling and population-level conditional-independence checks live here.
+So does the one rule for a valid covariance, `_valid_covariance`: finite,
+square, symmetric, and positive definite under a scale-free rank test, so
+multiplying a covariance by c > 0 never changes its verdict. It guards
+`GaussianDistribution`, `SemParameters.sigma`, `gaussian_ci` and
+covariance input to `estimation.moment_matrix`.
 """
 
 from __future__ import annotations
@@ -32,20 +37,48 @@ __all__ = [
     "sample",
 ]
 
-_EIG_TOL = 1e-10
+_RANK_TOL = 1e-10  # smallest conditional-to-marginal variance ratio accepted
 
 
-def _as_symmetric(m, name: str) -> np.ndarray:
+def _first_dependent(s: np.ndarray) -> int | None:
+    """First index whose variance given all earlier ones vanishes, or None.
+
+    The squared Cholesky diagonal holds those conditional variances; each
+    is compared with its own marginal variance, so the test is scale-free.
+    """
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        for j in range(s.shape[0]):
+            try:
+                chol = np.linalg.cholesky(s[: j + 1, : j + 1])
+            except np.linalg.LinAlgError:
+                return j
+        raise
+    below = chol.diagonal() ** 2 <= _RANK_TOL * s.diagonal()
+    return int(below.argmax()) if below.any() else None
+
+
+def _valid_covariance(m, name: str) -> np.ndarray:
+    """`m` as a symmetric float matrix, or ValueError naming `name` and the fault.
+
+    Finite, square, symmetric within `np.allclose` tolerances, and no node
+    a linear combination of the nodes before it (`_first_dependent`).
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if not np.allclose(m, m.T, atol=1e-8):
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    if not np.all(np.abs(m - m.T) <= 1e-8 + 1e-5 * np.abs(m.T)):  # np.allclose, cheaper
         raise ValueError(f"{name} must be symmetric")
-    return 0.5 * (m + m.T)
-
-
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
+    m = 0.5 * (m + m.T)
+    j = _first_dependent(m)
+    if j is not None:
+        raise ValueError(
+            f"node {j} is a linear combination of the nodes before it ({name} is not positive definite)"
+        )
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,12 +89,10 @@ class GaussianDistribution:
     cov: np.ndarray
 
     def __post_init__(self):
-        cov = _as_symmetric(self.cov, "cov")
+        cov = _valid_covariance(self.cov, "cov")
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
         if mean.shape[0] != cov.shape[0]:
             raise ValueError("mean and cov dimensions disagree")
-        if _min_eig(cov) <= _EIG_TOL:
-            raise ValueError("covariance is not positive definite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -120,7 +151,7 @@ class SemParameters:
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (p, p):
             raise ValueError(f"beta must be {p}x{p}, got {beta.shape}")
-        sigma = _as_symmetric(self.sigma, "sigma")
+        sigma = _valid_covariance(self.sigma, "sigma")
         if sigma.shape != (p, p):
             raise ValueError(f"sigma must be {p}x{p}, got {sigma.shape}")
         for j in range(p):
@@ -128,8 +159,6 @@ class SemParameters:
             for k in range(p):
                 if k not in allowed and abs(beta[j, k]) > 1e-12:
                     raise ValueError(f"beta[{j}, {k}] non-zero but {k} is not a parent of {j}")
-        if _min_eig(sigma) <= _EIG_TOL:
-            raise ValueError("sigma is not positive definite")
         omega = np.linalg.inv(sigma)
         scale = 1.0 + float(np.max(np.abs(omega)))
         for j in range(p):
@@ -257,7 +286,7 @@ def gaussian_ci(cov, j: int, k: int, given: Iterable[int] = (), tol: float = 1e-
     covariances. The default suits exact population inputs; finite-sample
     use wants a far looser threshold or a proper test.
     """
-    cov = _as_symmetric(cov, "cov")
+    cov = _valid_covariance(cov, "cov")
     cond = sorted({int(x) for x in given})
     if j == k or j in cond or k in cond:
         raise ValueError("query nodes and conditioning set must be disjoint")

@@ -58,6 +58,22 @@ class TestMomentMatrix:
             moment_matrix(cov, 3)
 
 
+class TestScaleFree:
+    """A common change of units rescales the moments by c**2 and nothing else."""
+
+    def test_fit_on_rescaled_dataset(self):
+        g = ChainGraph(4, directed={(0, 1), (1, 2)}, undirected={(2, 3)})
+        params = rescale_equal_variances(random_parameters(g, seed=3), 1.0)
+        data = sample(implied_distribution(params), 500, seed=1)
+        tiny = Dataset(data.values * 1e-6)
+        for equal_variances in (False, True):
+            ref = fit(data, g, equal_variances=equal_variances)
+            scaled = fit(tiny, g, equal_variances=equal_variances)
+            assert scaled.dispersion == pytest.approx(ref.dispersion, rel=1e-9, abs=1e-12)
+            assert scaled.loglik == pytest.approx(ref.loglik + g.p * math.log(1e6), rel=1e-12)
+            assert np.allclose(scaled.params.beta, ref.params.beta, rtol=1e-9, atol=1e-12)
+
+
 class TestIpf:
     def test_complete_pattern_returns_input(self):
         s = np.array([[2.0, 1.0, 0.4], [1.0, 2.0, 0.6], [0.4, 0.6, 1.5]])

@@ -242,6 +242,15 @@ class TestCli:
         assert err.startswith("error input_error: column w ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_two_phase_singular_covariance_names_node(self, tmp_path, capsys):
+        cpath = tmp_path / "c.json"
+        write_covariance(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), cpath)
+        out = tmp_path / "g.json"
+        assert main(["learn", "--method", "two-phase", "--population", str(cpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error input_error: node 1 ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_conflicting_inputs_rejected(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
         write_graph(ChainGraph(2), gpath)

@@ -184,6 +184,12 @@ class TestSkeletonRecovery:
         assert result.consistent
         assert markov_equivalent(result.graph, truth)
 
+    def test_non_finite_covariance_rejected(self):
+        cov = np.eye(3)
+        cov[0, 1] = cov[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            skeleton_recovery(cov)
+
     def test_finite_sample_flag_is_best_effort(self):
         truth = ChainGraph(3, directed={(0, 1), (2, 1)})
         params, _ = faithful_parameters(truth, seed=43)
@@ -198,3 +204,9 @@ class TestTwoPhase:
         cov = implied_distribution(params).cov
         result = two_phase(cov)
         assert result.chosen == six_node_graph
+
+    def test_choice_survives_a_change_of_units(self, six_node_graph):
+        params, _ = faithful_parameters(six_node_graph, seed=51, sigma2=1.0)
+        cov = implied_distribution(params).cov
+        assert two_phase(1e-11 * cov).chosen == two_phase(cov).chosen == six_node_graph
+        assert identify_in_class(six_node_graph, 1e-11 * cov).chosen == six_node_graph

@@ -47,6 +47,21 @@ class TestTypes:
         with pytest.raises(ValueError):
             SemParameters(g, bad, np.eye(2))
 
+    def test_singular_matrices_rejected_naming_node(self):
+        singular = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])  # node 2 = node 0 + node 1
+        with pytest.raises(ValueError, match=r"node 2 is a linear combination .*\(cov is not"):
+            GaussianDistribution(np.zeros(3), singular)
+        g = ChainGraph(3, undirected={(0, 1), (0, 2), (1, 2)})
+        with pytest.raises(ValueError, match=r"node 2 is a linear combination .*\(sigma is not"):
+            SemParameters(g, np.zeros((3, 3)), singular)
+
+    def test_validity_is_scale_free(self):
+        g = ChainGraph(2, undirected={(0, 1)})
+        sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
+        for c in (1e-14, 1e14):
+            assert np.array_equal(GaussianDistribution(np.zeros(2), c * sigma).cov, c * sigma)
+            assert np.array_equal(SemParameters(g, np.zeros((2, 2)), c * sigma).sigma, c * sigma)
+
     def test_parameters_reject_offpattern_concentration(self):
         g = ChainGraph(2)
         with pytest.raises(ValueError):
