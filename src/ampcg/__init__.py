@@ -63,7 +63,6 @@ from .io import (
     write_parameters,
 )
 from .search import (
-    ALL_OPERATORS,
     IdentifyResult,
     MemberFit,
     SearchConfig,

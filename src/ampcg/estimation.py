@@ -27,8 +27,10 @@ entries of the multi-node components' unit-diagonal concentration
 matrices. `EqualVarianceScorer` scores many graphs on one input with that
 same split and solve, caching each singleton's least-squares fit by
 (node, parent set). The spread of the unconstrained fit's log error
-variances (the `dispersion`) is the statistic that picks the true graph
-out of its Markov equivalence class at population.
+variances is its `dispersion`. On a population covariance that the model
+reproduces, each node's fitted error variance is its residual variance
+given its parents, so `search.identify_in_class` reads the dispersion of
+every class member off those least-squares fits, with no fit run here.
 """
 
 from __future__ import annotations
@@ -459,8 +461,19 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     return _Solve(value, total_t, betas, corrs, int(res.nit), converged)
 
 
-def _fit(s: np.ndarray, n: int | None, g: ChainGraph, equal_variances: bool = False) -> FitResult:
-    """`fit` on a second moment `s` already validated by `moment_matrix`."""
+def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
+    """Maximum-likelihood parameters of g's model for the given input.
+
+    Singleton components are closed form in both modes (least squares).
+    Unconstrained, each multi-node component is fit separately by
+    alternating GLS/IPF, and iterations count its largest number of rounds.
+    With equal_variances the exact equality-constrained maximum likelihood
+    is returned instead (see `_equal_variance_solve`), and iterations count
+    the optimizer's steps. Either way iterations are zero when every
+    component is a singleton. The loops' caps and tolerance are fixed, not
+    settable.
+    """
+    s, n = moment_matrix(data_or_cov, g.p)
     singles, multi = _split(s, n, g, chain_components(g))
     if equal_variances:
         solve = _equal_variance_solve(_residual_total(singles), multi, g.p)
@@ -493,22 +506,6 @@ def _fit(s: np.ndarray, n: int | None, g: ChainGraph, equal_variances: bool = Fa
     )
 
 
-def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
-    """Maximum-likelihood parameters of g's model for the given input.
-
-    Singleton components are closed form in both modes (least squares).
-    Unconstrained, each multi-node component is fit separately by
-    alternating GLS/IPF, and iterations count its largest number of rounds.
-    With equal_variances the exact equality-constrained maximum likelihood
-    is returned instead (see `_equal_variance_solve`), and iterations count
-    the optimizer's steps. Either way iterations are zero when every
-    component is a singleton. The loops' caps and tolerance are fixed, not
-    settable.
-    """
-    s, n = moment_matrix(data_or_cov, g.p)
-    return _fit(s, n, g, equal_variances)
-
-
 def fit_score(loglik: float, g: ChainGraph, n_eff: float, equal_variances: bool) -> float:
     """Penalized log-likelihood score of g at average log-likelihood `loglik`; higher is better.
 
@@ -526,7 +523,12 @@ def penalized_score(
     n_eff: float | None = None,
     equal_variances: bool = False,
 ) -> float:
-    """`fit_score` of g's fit; dataset input supplies n_eff by default."""
+    """`fit_score` of g's fit; dataset input supplies n_eff by default.
+
+    No search calls it: it is kept as the fit-based reference that
+    `EqualVarianceScorer` is tested against, and `perfbench`'s tracer
+    traces it by this name.
+    """
     if isinstance(data_or_cov, Dataset):
         n_eff = data_or_cov.n if n_eff is None else n_eff
     if n_eff is None:

@@ -1,18 +1,24 @@
 """Structure identification and search.
 
-Two layers: picking the true graph out of a known Markov equivalence class
-(every member is fit; on exact population input the winner is the member
-whose fitted error variances are flattest, on data the winner maximizes
-the equal-variance penalized score), and full greedy hill climbing over
-chain-graph space guided by that score. Both score through one
-`EqualVarianceScorer` per input: the second moment is validated once, and
-the score decomposes over chain components, so each singleton's residual
-sum of squares is computed once per (node, parent set) and reused by every
-graph that contains it; only components with undirected edges need a
-numeric solve. A small conditional-independence
+Two layers: picking the true graph out of a known Markov equivalence class,
+and full greedy hill climbing over chain-graph space guided by the
+equal-variance penalized score. Greedy search, and identification on
+data, score through one `EqualVarianceScorer` per input: the second moment
+is validated once, and the score decomposes over chain components, so each
+singleton's residual sum of squares is computed once per (node, parent
+set) and reused by every graph that contains it; only components with
+undirected edges need a numeric solve. Identification on a population
+covariance fits nothing. The covariance must be a distribution of the
+class's model, so every member reproduces it exactly; each member's error
+variances are then its nodes' residual variances given their parents, and
+the member whose variances are flattest wins. Every row of that table
+carries the input's own maximum log-likelihood, which every member
+attains, and `converged` is True. A small conditional-independence
 skeleton-plus-triplex recovery is included so the two-phase strategy
 (recover the class, then orient inside it) is runnable end to end; it
-assumes faithful input and is deliberately minimal.
+assumes faithful input and is deliberately minimal. Equivalence classes
+are enumerated up to 12 nodes and conditioning sets swept up to 8; larger
+inputs raise `CapacityError`.
 """
 
 from __future__ import annotations
@@ -20,12 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy import stats
 
-from .estimation import EqualVarianceScorer, _fit, fit_score, moment_matrix
+from .estimation import EqualVarianceScorer, _split, fit_score, gaussian_average_loglik, moment_matrix
 from .graphs import (
     CapacityError,
     ChainGraph,
@@ -40,7 +45,6 @@ from .sem import Dataset, _partial_correlation, compose_seed
 from .separation import pairwise_queries
 
 __all__ = [
-    "ALL_OPERATORS",
     "IdentifyResult",
     "MemberFit",
     "SearchConfig",
@@ -51,33 +55,18 @@ __all__ = [
     "two_phase",
 ]
 
-ALL_OPERATORS = (
-    "add_dir",
-    "del_dir",
-    "rev_dir",
-    "add_undir",
-    "del_undir",
-    "dir_to_undir",
-    "undir_to_dir",
-)
-
-
 _MAX_STEPS = 500  # greedy moves per chain
 _POPULATION_N_EFF = 1e5  # sample size the score assumes for covariance input
+_CLASS_CAP = 12  # largest node count whose equivalence class is enumerated
+_SKELETON_CAP = 8  # largest node count whose conditioning sets are swept
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 5
-    operators: tuple = ALL_OPERATORS
     seed: int = 0
 
     def __post_init__(self):
-        if not self.operators:
-            raise ValueError("operator set must be non-empty")
-        unknown = set(self.operators) - set(ALL_OPERATORS)
-        if unknown:
-            raise ValueError(f"unknown operators: {sorted(unknown)}")
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
 
@@ -113,25 +102,36 @@ def _size(data_or_cov) -> int:
     return data_or_cov.p if isinstance(data_or_cov, Dataset) else len(np.atleast_1d(data_or_cov))
 
 
-def identify_in_class(class_rep: ChainGraph, data_or_cov, class_cap: int = 12) -> IdentifyResult:
+def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     """Pick one member of class_rep's Markov equivalence class.
 
-    Population covariance input: every member reproduces the input exactly,
-    so the member with the smallest fitted-variance spread (zero only for
-    the generating graph, under equal error variances) is chosen; the input
-    is validated once and every member is fit on it unconstrained. Dataset
-    input: the equal-variance penalized score decides; every member is
-    scored by one `EqualVarianceScorer`, and its fitted error variances are
-    equal by construction, so its dispersion is 0. Ties break toward fewer
-    directed edges, then a fixed lexicographic order.
+    Population covariance input must be a distribution of the class's
+    model: then every member reproduces it exactly, so each node's error is
+    independent of its parents and its variance is the node's residual
+    variance given its parents, read off the input in closed form with no
+    fit. The member whose error variances are flattest (smallest
+    `dispersion`, zero only for the generating graph under equal error
+    variances) is chosen. The input is validated once and each (node,
+    parent set) regression is solved once for the whole class. Every row's
+    `loglik` is the input's own maximum, which every member attains, and
+    `converged` is True, as no iteration runs. Dataset input: the
+    equal-variance penalized score decides; every member is scored by one
+    `EqualVarianceScorer`, and its fitted error variances are equal by
+    construction, so its dispersion is 0. Ties break toward fewer directed
+    edges, then a fixed lexicographic order. Classes are enumerated up to
+    12 nodes; beyond that `CapacityError` is raised.
     """
-    members = equivalence_class(class_rep, cap=class_cap)
+    members = equivalence_class(class_rep, cap=_CLASS_CAP)
     rows = []
     if not isinstance(data_or_cov, Dataset):
-        s, n = moment_matrix(data_or_cov, class_rep.p)
+        s, _ = moment_matrix(data_or_cov, class_rep.p)
+        loglik = gaussian_average_loglik(s, s)
+        nodes = [frozenset({j}) for j in range(class_rep.p)]
+        regressions: dict = {}
         for member in members:
-            result = _fit(s, n, member)
-            rows.append(MemberFit(member, result.dispersion, None, result.loglik, result.converged))
+            singles, _ = _split(s, None, member, nodes, regressions)
+            logs = np.log([piece.sigma[0, 0] for piece in singles])
+            rows.append(MemberFit(member, float(logs.max() - logs.min()), None, loglik, True))
         rows.sort(key=lambda r: (r.dispersion, len(r.graph.directed), canonical_key(r.graph)))
         margin = math.inf if len(rows) == 1 else rows[1].dispersion - rows[0].dispersion
     else:
@@ -151,36 +151,26 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov, class_cap: int = 12) -
     )
 
 
-def _neighbor_graphs(g: ChainGraph, operators: Iterable[str]) -> list:
+def _neighbor_graphs(g: ChainGraph) -> list:
+    """Every chain graph one edge addition, deletion, reversal or type change away from g."""
     candidates = set()
-    operators = set(operators)
-    pairs = list(itertools.combinations(range(g.p), 2))
-    if "add_dir" in operators or "add_undir" in operators:
-        for a, b in pairs:
-            if g.adjacent(a, b):
-                continue
-            if "add_dir" in operators:
-                candidates.add(ChainGraph(g.p, g.directed | {(a, b)}, g.undirected, labels=g.labels))
-                candidates.add(ChainGraph(g.p, g.directed | {(b, a)}, g.undirected, labels=g.labels))
-            if "add_undir" in operators:
-                candidates.add(ChainGraph(g.p, g.directed, g.undirected | {(a, b)}, labels=g.labels))
+    for a, b in itertools.combinations(range(g.p), 2):
+        if not g.adjacent(a, b):
+            candidates.add(ChainGraph(g.p, g.directed | {(a, b)}, g.undirected, labels=g.labels))
+            candidates.add(ChainGraph(g.p, g.directed | {(b, a)}, g.undirected, labels=g.labels))
+            candidates.add(ChainGraph(g.p, g.directed, g.undirected | {(a, b)}, labels=g.labels))
     for a, b in g.directed:
         without = g.directed - {(a, b)}
-        if "del_dir" in operators:
-            candidates.add(ChainGraph(g.p, without, g.undirected, labels=g.labels))
-        if "rev_dir" in operators:
-            candidates.add(ChainGraph(g.p, without | {(b, a)}, g.undirected, labels=g.labels))
-        if "dir_to_undir" in operators:
-            candidates.add(
-                ChainGraph(g.p, without, g.undirected | {(min(a, b), max(a, b))}, labels=g.labels)
-            )
+        candidates.add(ChainGraph(g.p, without, g.undirected, labels=g.labels))
+        candidates.add(ChainGraph(g.p, without | {(b, a)}, g.undirected, labels=g.labels))
+        candidates.add(
+            ChainGraph(g.p, without, g.undirected | {(min(a, b), max(a, b))}, labels=g.labels)
+        )
     for a, b in g.undirected:
         without = g.undirected - {(a, b)}
-        if "del_undir" in operators:
-            candidates.add(ChainGraph(g.p, g.directed, without, labels=g.labels))
-        if "undir_to_dir" in operators:
-            candidates.add(ChainGraph(g.p, g.directed | {(a, b)}, without, labels=g.labels))
-            candidates.add(ChainGraph(g.p, g.directed | {(b, a)}, without, labels=g.labels))
+        candidates.add(ChainGraph(g.p, g.directed, without, labels=g.labels))
+        candidates.add(ChainGraph(g.p, g.directed | {(a, b)}, without, labels=g.labels))
+        candidates.add(ChainGraph(g.p, g.directed | {(b, a)}, without, labels=g.labels))
     valid = [h for h in candidates if h != g and is_chain_graph(h)]
     valid.sort(key=lambda h: (len(h.directed), canonical_key(h)))
     return valid
@@ -223,7 +213,7 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
         for _ in range(_MAX_STEPS):
             improved = None
             improved_score = current
-            for h in _neighbor_graphs(g, cfg.operators):
+            for h in _neighbor_graphs(g):
                 s = score(h)
                 if s > improved_score:
                     improved, improved_score = h, s
@@ -336,7 +326,7 @@ def _orient_to_match(p: int, adjacency: set, target: frozenset) -> ChainGraph | 
     return found
 
 
-def skeleton_recovery(data_or_cov, alpha_tol: float | None = None, cap: int = 8) -> SkeletonResult:
+def skeleton_recovery(data_or_cov, alpha_tol: float | None = None) -> SkeletonResult:
     """Recover an equivalence-class representative from independences alone.
 
     Adjacency: two nodes stay adjacent when no conditioning set renders
@@ -346,10 +336,11 @@ def skeleton_recovery(data_or_cov, alpha_tol: float | None = None, cap: int = 8)
     is then assembled by backtracking. On exact faithful population input
     the result is Markov equivalent to the generating graph; inconsistent
     finite-sample answers fall back to the undirected skeleton, flagged.
+    Inputs over 8 nodes raise `CapacityError`.
     """
     indep, p = _ci_decider(data_or_cov, alpha_tol)
-    if p > cap:
-        raise CapacityError(f"skeleton recovery capped at p={cap}, got p={p}")
+    if p > _SKELETON_CAP:
+        raise CapacityError(f"skeleton recovery capped at p={_SKELETON_CAP}, got p={p}")
     sepset: dict[tuple, tuple] = {}
     for j, k, cond in pairwise_queries(p):
         if (j, k) not in sepset and indep(j, k, cond):
@@ -371,7 +362,7 @@ def skeleton_recovery(data_or_cov, alpha_tol: float | None = None, cap: int = 8)
     return SkeletonResult(graph=fallback, consistent=False)
 
 
-def two_phase(data_or_cov, class_cap: int = 12) -> IdentifyResult:
+def two_phase(data_or_cov) -> IdentifyResult:
     """Recover the equivalence class from independences, then orient inside it."""
     rep = skeleton_recovery(data_or_cov)
-    return identify_in_class(rep.graph, data_or_cov, class_cap=class_cap)
+    return identify_in_class(rep.graph, data_or_cov)

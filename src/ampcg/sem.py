@@ -288,6 +288,9 @@ def gaussian_ci(cov, j: int, k: int, given: Iterable[int] = (), tol: float = 1e-
     """
     cov = _valid_covariance(cov, "cov")
     cond = sorted({int(x) for x in given})
+    for node in (j, k, *cond):
+        if not 0 <= node < len(cov):
+            raise ValueError(f"node {node} is out of range for a {len(cov)}-node covariance")
     if j == k or j in cond or k in cond:
         raise ValueError("query nodes and conditioning set must be disjoint")
     return abs(_partial_correlation(cov, j, k, cond)) < tol

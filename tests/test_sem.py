@@ -255,6 +255,18 @@ class TestGaussianCi:
         with pytest.raises(ValueError):
             gaussian_ci(np.eye(3), 0, 1, {1})
 
+    def test_negative_query_node_rejected(self):
+        with pytest.raises(ValueError, match="node -1 is out of range"):
+            gaussian_ci(np.eye(3), -1, 0)
+
+    def test_negative_conditioning_node_rejected(self):
+        with pytest.raises(ValueError, match="node -1 is out of range"):
+            gaussian_ci(np.eye(3), 0, 1, {-1})
+
+    def test_query_node_past_the_end_rejected(self):
+        with pytest.raises(ValueError, match="node 3 is out of range"):
+            gaussian_ci(np.eye(3), 3, 0)
+
     def test_conditional_independence_in_chain(self):
         g = ChainGraph(3, directed={(0, 1), (1, 2)})
         beta = np.zeros((3, 3))
