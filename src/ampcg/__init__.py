@@ -4,7 +4,7 @@ Chain graphs mix directed and undirected edges: arrows carry the causal
 ordering between blocks of nodes, undirected edges carry dependence
 between the error terms inside a block. This package provides the
 graphical layer (validity, separation, Markov equivalence, equivalence
-class traversal), the Gaussian model layer (simulation, equal-variance
+class enumeration), the Gaussian model layer (simulation, equal-variance
 rescaling, conditioning), maximum-likelihood fitting by alternating
 regression with iterative proportional fitting, and structure
 identification: under equal error variances the generating graph itself,
@@ -38,12 +38,11 @@ from .graphs import (
     determined_closure,
     enumerate_chain_graphs,
     equivalence_class,
-    feasible_merge,
-    feasible_split,
     find_semidirected_cycle,
     is_chain_graph,
     magnify,
     markov_equivalent,
+    orientations,
     random_chain_graph,
     relatives,
     structural_hamming_distance,

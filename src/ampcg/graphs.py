@@ -4,9 +4,9 @@ Nodes are integers ``0..p-1``. A directed edge ``(j, k)`` is an arrow from
 node ``j`` to node ``k``; undirected edges are unordered pairs. Everything
 purely graphical lives here: validity, relatives, chain components,
 triplexes, Markov equivalence, magnification onto explicit error nodes,
-determination closure, and traversal of a Markov equivalence class via
-component merges and splits. Graphs are immutable values; every operation
-returns a new graph.
+determination closure, and enumeration of every chain graph with given
+adjacencies and triplexes, which is how a Markov equivalence class is
+listed. Graphs are immutable values; every operation returns a new graph.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ __all__ = [
     "determined_closure",
     "enumerate_chain_graphs",
     "equivalence_class",
-    "feasible_merge",
-    "feasible_split",
     "find_semidirected_cycle",
     "is_chain_graph",
     "magnify",
     "markov_equivalent",
+    "orientations",
     "random_chain_graph",
     "relatives",
     "structural_hamming_distance",
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 RELATIVE_KINDS = ("parents", "descendants", "non_descendants", "adjacents")
+CLASS_CAP = 12  # largest node count whose Markov equivalence class is enumerated
 
 
 class GraphStructureError(ValueError):
@@ -352,104 +352,111 @@ def determined_closure(mg: MagnifiedGraph, c: Iterable[int]) -> frozenset:
     return frozenset(closed)
 
 
-def feasible_merge(g: ChainGraph, upper: Iterable[int], lower: Iterable[int]) -> ChainGraph | None:
-    """Drop the direction of every edge from component `upper` into `lower`.
-
-    Accepted (the new graph is returned) only when the result is a valid
-    chain graph that is Markov equivalent to g; otherwise None.
-    """
-    u = frozenset(_validate_nodes(g, upper))
-    l = frozenset(_validate_nodes(g, lower))
-    comps = set(chain_components(g))
-    if u not in comps or l not in comps or u == l:
-        raise ValueError("upper and lower must be two distinct chain components")
-    between = [(a, b) for a, b in g.directed if a in u and b in l]
-    if not between:
-        raise ValueError("no directed edge from the upper to the lower component")
-    h = ChainGraph(
-        g.p,
-        g.directed - set(between),
-        g.undirected | {(min(a, b), max(a, b)) for a, b in between},
-        labels=g.labels,
-    )
-    if is_chain_graph(h) and markov_equivalent(g, h):
-        return h
-    return None
-
-
-def feasible_split(g: ChainGraph, upper: Iterable[int], lower: Iterable[int]) -> ChainGraph | None:
-    """Orient every undirected edge between the two halves of one component.
-
-    Inverse of :func:`feasible_merge`: `upper` and `lower` partition a single
-    chain component, and each crossing undirected edge {a, b} with a in
-    `upper` becomes a -> b. Same accept test as the merge; None on reject.
-    """
-    u = frozenset(_validate_nodes(g, upper))
-    l = frozenset(_validate_nodes(g, lower))
-    if not u or not l or u & l:
-        raise ValueError("upper and lower must be disjoint and non-empty")
-    if (u | l) not in set(chain_components(g)):
-        raise ValueError("upper and lower must partition one chain component")
-    crossing = [(a, b) for a, b in g.undirected if (a in u) != (b in u)]
-    directed = set(g.directed)
-    for a, b in crossing:
-        directed.add((a, b) if a in u else (b, a))
-    h = ChainGraph(
-        g.p,
-        frozenset(directed),
-        g.undirected - set(crossing),
-        labels=g.labels,
-    )
-    if is_chain_graph(h) and markov_equivalent(g, h):
-        return h
-    return None
-
-
-def _single_moves(g: ChainGraph) -> Iterator[ChainGraph]:
-    comps = chain_components(g)
-    comp_index = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_index[v] = i
-    merge_pairs = {(comp_index[a], comp_index[b]) for a, b in g.directed}
-    for iu, il in sorted(merge_pairs):
-        h = feasible_merge(g, comps[iu], comps[il])
-        if h is not None:
-            yield h
-    for comp in comps:
-        if len(comp) < 2:
-            continue
-        members = sorted(comp)
-        for r in range(1, len(members)):
-            for upper in itertools.combinations(members, r):
-                h = feasible_split(g, upper, comp - set(upper))
-                if h is not None:
-                    yield h
-
-
 def canonical_key(g: ChainGraph) -> tuple:
     """Total order on graphs of equal size; used for deterministic output."""
     return (g.p, tuple(sorted(g.directed)), tuple(sorted(g.undirected)))
 
 
-def equivalence_class(g: ChainGraph, cap: int = 12) -> list:
-    """All graphs reachable from g by feasible merges and splits.
+def _returns_with_arrow(children: list, neighbors: list, start: int) -> bool:
+    """True iff a walk from start along undirected edges and forward arrows
+    comes back to start having taken at least one arrow."""
+    seen = {(start, False)}
+    stack = [(start, False)]
+    while stack:
+        v, arrow = stack.pop()
+        steps = [(w, arrow) for w in neighbors[v]] + [(w, True) for w in children[v]]
+        for state in steps:
+            if state == (start, True):
+                return True
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return False
 
-    Every returned graph is Markov equivalent to g, and the closure is the
-    whole Markov equivalence class (checked against brute-force enumeration
-    at small node counts in the test suite). Sorted for reproducibility.
+
+def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> Iterator[ChainGraph]:
+    """Every chain graph on p nodes with exactly these adjacencies and triplexes.
+
+    Depth first over the node pairs of `adjacency` in sorted order, marking
+    each pair (a, b) as a - b, then a -> b, then b -> a. A candidate triplex
+    (two edges meeting at a center whose far ends are not adjacent) is
+    decided as soon as its later edge is marked, and a mark that closes a
+    semidirected cycle among the edges marked so far is dropped at once, so
+    every graph yielded is a chain graph, in a fixed order. Yields nothing
+    when no chain graph fits.
     """
-    if g.p > cap:
-        raise CapacityError(f"equivalence-class traversal capped at p={cap}, got p={g.p}")
-    seen = {g}
-    frontier = [g]
-    while frontier:
-        x = frontier.pop()
-        for h in _single_moves(x):
-            if h not in seen:
-                seen.add(h)
-                frontier.append(h)
-    return sorted(seen, key=canonical_key)
+    edges = sorted({(min(a, b), max(a, b)) for a, b in adjacency})
+    target = frozenset(target)
+    index = {e: i for i, e in enumerate(edges)}
+    ends: list[list[int]] = [[] for _ in range(p)]
+    for a, b in edges:
+        ends[a].append(b)
+        ends[b].append(a)
+    checks: list[list] = [[] for _ in edges]  # by the later edge of each candidate
+    candidates = set()
+    for k in range(p):
+        for j, l in itertools.combinations(sorted(ends[k]), 2):
+            if (j, l) not in index:
+                t = Triplex(j, k, l)
+                candidates.add(t)
+                later = max(index[(min(j, k), max(j, k))], index[(min(k, l), max(k, l))])
+                checks[later].append((t, t in target))
+    if not target <= candidates:
+        return
+    children: list[set] = [set() for _ in range(p)]
+    neighbors: list[set] = [set() for _ in range(p)]
+
+    def is_triplex(t: Triplex) -> bool:
+        j, k, l = t
+        return not children[k] & {j, l} and (k in children[j] or k in children[l])
+
+    def extend(i: int) -> Iterator[ChainGraph]:
+        if i == len(edges):
+            directed = frozenset((a, b) for a in range(p) for b in children[a])
+            undirected = frozenset((a, b) for a in range(p) for b in neighbors[a] if a < b)
+            yield ChainGraph(p, directed, undirected, labels=labels)
+            return
+        a, b = edges[i]
+        for mark in ("--", "->", "<-"):
+            if mark == "--":
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+            elif mark == "->":
+                children[a].add(b)
+            else:
+                children[b].add(a)
+            if all(is_triplex(t) == want for t, want in checks[i]):
+                # the marks before this one close no cycle, so a new one runs through a
+                if not _returns_with_arrow(children, neighbors, a):
+                    yield from extend(i + 1)
+            for x, y in ((a, b), (b, a)):
+                neighbors[x].discard(y)
+                children[x].discard(y)
+
+    yield from extend(0)
+
+
+def _require_chain_graph(g: ChainGraph) -> None:
+    """Raise ValueError naming a semidirected cycle of g, if it has one."""
+    cycle = find_semidirected_cycle(g)
+    if cycle is not None:
+        parts = [g.node_label(cycle[0])]
+        for a, b in zip(cycle, cycle[1:]):
+            parts.append(f" {'->' if (a, b) in g.directed else '-'} {g.node_label(b)}")
+        raise ValueError(f"not a chain graph; semidirected cycle: {''.join(parts)}")
+
+
+def equivalence_class(g: ChainGraph) -> list:
+    """The Markov equivalence class of the chain graph g, sorted by `canonical_key`.
+
+    Its members are the chain graphs with g's adjacencies and triplexes,
+    each carrying g's labels. A g with a semidirected cycle is rejected
+    with ValueError, and one over `CLASS_CAP` nodes with `CapacityError`.
+    """
+    if g.p > CLASS_CAP:
+        raise CapacityError(f"equivalence-class enumeration capped at p={CLASS_CAP}, got p={g.p}")
+    _require_chain_graph(g)
+    return sorted(orientations(g.p, g._adjacencies, g._triplexes, labels=g.labels), key=canonical_key)
 
 
 def random_chain_graph(p: int, edge_prob: float, undirected_frac: float, seed) -> ChainGraph:

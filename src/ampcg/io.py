@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import ChainGraph, find_semidirected_cycle
+from .graphs import ChainGraph, _require_chain_graph
 from .sem import Dataset, SemParameters
 
 __all__ = [
@@ -44,14 +44,6 @@ def _require_keys(payload: dict, required: set, optional: set, what: str) -> Non
         raise ValueError(f"missing field(s) in {what}: {sorted(missing)}")
 
 
-def _render_cycle(g: ChainGraph, cycle: list) -> str:
-    parts = [g.node_label(cycle[0])]
-    for a, b in zip(cycle, cycle[1:]):
-        arrow = "->" if (a, b) in g.directed else "-"
-        parts.append(f" {arrow} {g.node_label(b)}")
-    return "".join(parts)
-
-
 def graph_to_dict(g: ChainGraph) -> dict:
     return {
         "p": g.p,
@@ -69,9 +61,7 @@ def graph_from_dict(payload: dict) -> ChainGraph:
         undirected=frozenset(tuple(e) for e in payload["undirected"]),
         labels=tuple(payload["labels"]) if payload.get("labels") is not None else None,
     )
-    cycle = find_semidirected_cycle(g)
-    if cycle is not None:
-        raise ValueError(f"not a chain graph; semidirected cycle: {_render_cycle(g, cycle)}")
+    _require_chain_graph(g)
     return g
 
 

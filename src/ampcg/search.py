@@ -16,9 +16,11 @@ carries the input's own maximum log-likelihood, which every member
 attains, and `converged` is True. A small conditional-independence
 skeleton-plus-triplex recovery is included so the two-phase strategy
 (recover the class, then orient inside it) is runnable end to end; it
-assumes faithful input and is deliberately minimal. Equivalence classes
-are enumerated up to 12 nodes and conditioning sets swept up to 8; larger
-inputs raise `CapacityError`.
+assumes faithful input and is deliberately minimal. Both the class and
+the recovered representative come from one enumerator,
+`graphs.orientations`: the class is all it yields, the representative its
+first graph. Equivalence classes are enumerated up to 12 nodes and
+conditioning sets swept up to 8; larger inputs raise `CapacityError`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .graphs import (
     canonical_key,
     equivalence_class,
     is_chain_graph,
+    orientations,
     random_chain_graph,
     triplexes,
 )
@@ -57,7 +60,6 @@ __all__ = [
 
 _MAX_STEPS = 500  # greedy moves per chain
 _POPULATION_N_EFF = 1e5  # sample size the score assumes for covariance input
-_CLASS_CAP = 12  # largest node count whose equivalence class is enumerated
 _SKELETON_CAP = 8  # largest node count whose conditioning sets are swept
 
 
@@ -121,7 +123,7 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     edges, then a fixed lexicographic order. Classes are enumerated up to
     12 nodes; beyond that `CapacityError` is raised.
     """
-    members = equivalence_class(class_rep, cap=_CLASS_CAP)
+    members = equivalence_class(class_rep)
     rows = []
     if not isinstance(data_or_cov, Dataset):
         s, _ = moment_matrix(data_or_cov, class_rep.p)
@@ -250,92 +252,17 @@ def _ci_decider(data_or_cov, alpha_tol: float | None):
     return indep, p
 
 
-def _is_triplex_config(into_center: tuple) -> bool:
-    # into_center: per side, '>' arrow into center, '<' arrow out, '-' undirected
-    a, b = into_center
-    if "<" in (a, b):
-        return False
-    return ">" in (a, b)
-
-
-def _orient_to_match(p: int, adjacency: set, target: frozenset) -> ChainGraph | None:
-    """Backtracking assignment of edge types reproducing the target triplexes."""
-    edges = sorted(adjacency)
-    edge_index = {e: i for i, e in enumerate(edges)}
-    neighbors: dict[int, set] = {v: set() for v in range(p)}
-    for a, b in edges:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    triples = []
-    for k in range(p):
-        for j, l in itertools.combinations(sorted(neighbors[k]), 2):
-            if (min(j, l), max(j, l)) not in adjacency:
-                triples.append((j, k, l))
-    by_edge: dict[int, list] = {i: [] for i in range(len(edges))}
-    for t_idx, (j, k, l) in enumerate(triples):
-        by_edge[edge_index[(min(j, k), max(j, k))]].append(t_idx)
-        by_edge[edge_index[(min(l, k), max(l, k))]].append(t_idx)
-    assignment: list[str | None] = [None] * len(edges)
-
-    def side_mark(j: int, k: int) -> str:
-        # mark of edge {j, k} as seen at center k
-        e = (min(j, k), max(j, k))
-        val = assignment[edge_index[e]]
-        if val == "--":
-            return "-"
-        if (val == "ab" and e[1] == k) or (val == "ba" and e[0] == k):
-            return ">"
-        return "<"
-
-    def triple_ok(t_idx: int) -> bool:
-        j, k, l = triples[t_idx]
-        for other in ((j, k), (l, k)):
-            if assignment[edge_index[(min(other), max(other))]] is None:
-                return True
-        want = Triplex(min(j, l), k, max(j, l)) in target
-        return _is_triplex_config((side_mark(j, k), side_mark(l, k))) == want
-
-    def build() -> ChainGraph:
-        directed = set()
-        undirected = set()
-        for (a, b), val in zip(edges, assignment):
-            if val == "--":
-                undirected.add((a, b))
-            elif val == "ab":
-                directed.add((a, b))
-            else:
-                directed.add((b, a))
-        return ChainGraph(p, frozenset(directed), frozenset(undirected))
-
-    def backtrack(i: int) -> ChainGraph | None:
-        if i == len(edges):
-            g = build()
-            return g if is_chain_graph(g) else None
-        for val in ("--", "ab", "ba"):
-            assignment[i] = val
-            if all(triple_ok(t) for t in by_edge[i]):
-                found = backtrack(i + 1)
-                if found is not None:
-                    return found
-        assignment[i] = None
-        return None
-
-    found = backtrack(0)
-    if found is not None:
-        assert triplexes(found) == target
-    return found
-
-
 def skeleton_recovery(data_or_cov, alpha_tol: float | None = None) -> SkeletonResult:
     """Recover an equivalence-class representative from independences alone.
 
     Adjacency: two nodes stay adjacent when no conditioning set renders
     them independent. Triplexes: a common neighbor of a non-adjacent pair
     is a triplex center exactly when it lies outside the recorded
-    separating set. A representative with those adjacencies and triplexes
-    is then assembled by backtracking. On exact faithful population input
-    the result is Markov equivalent to the generating graph; inconsistent
-    finite-sample answers fall back to the undirected skeleton, flagged.
+    separating set. The representative is the first chain graph
+    `orientations` yields with those adjacencies and triplexes. On exact
+    faithful population input the result is Markov equivalent to the
+    generating graph; inconsistent finite-sample answers, for which no
+    chain graph fits, fall back to the undirected skeleton, flagged.
     Inputs over 8 nodes raise `CapacityError`.
     """
     indep, p = _ci_decider(data_or_cov, alpha_tol)
@@ -355,8 +282,9 @@ def skeleton_recovery(data_or_cov, alpha_tol: float | None = None) -> SkeletonRe
         for k in neighbors[j] & neighbors[l]:
             if k not in cond:
                 target.add(Triplex(min(j, l), k, max(j, l)))
-    oriented = _orient_to_match(p, adjacency, frozenset(target))
+    oriented = next(orientations(p, adjacency, target), None)
     if oriented is not None:
+        assert triplexes(oriented) == target
         return SkeletonResult(graph=oriented, consistent=True)
     fallback = ChainGraph(p, frozenset(), frozenset(adjacency))
     return SkeletonResult(graph=fallback, consistent=False)

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10  # smallest conditional-to-marginal variance ratio accepted
+_FAITHFUL_DRAWS = 50  # parameter draws faithful_parameters tries before giving up
+_FAITHFUL_TOL = 1e-8  # |partial correlation| below which faithful_parameters sees an independence
 
 
 def _first_dependent(s: np.ndarray) -> int | None:
@@ -312,9 +314,6 @@ def faithful_parameters(
     coef_range: tuple = (0.3, 1.0),
     seed=0,
     sigma2: float | None = None,
-    max_draws: int = 50,
-    tol: float = 1e-8,
-    cap: int = 6,
 ) -> tuple[SemParameters, int]:
     """Random parameters whose population distribution is faithful to g.
 
@@ -323,17 +322,19 @@ def faithful_parameters(
     discarded and redrawn rather than assumed away. Separations must always
     map to vanishing partial correlations; a violation there is a bug, not
     bad luck, and raises. Returns the parameters and the number of draws
-    used.
+    used. At most `_FAITHFUL_DRAWS` draws are tried; a partial correlation
+    under `_FAITHFUL_TOL` counts as zero. Graphs too large for
+    `all_separations` raise `CapacityError`.
     """
-    separations = all_separations(g, cap=cap)
-    for attempt in range(1, max_draws + 1):
+    separations = all_separations(g)
+    for attempt in range(1, _FAITHFUL_DRAWS + 1):
         params = random_parameters(g, coef_range=coef_range, seed=compose_seed(seed, attempt))
         if sigma2 is not None:
             params = rescale_equal_variances(params, sigma2)
         cov = implied_distribution(params).cov  # symmetric and positive definite, checked there
         for j, k, cond in pairwise_queries(g.p):
             sep = (j, k, cond) in separations
-            ci = abs(_partial_correlation(cov, j, k, cond)) < tol
+            ci = abs(_partial_correlation(cov, j, k, cond)) < _FAITHFUL_TOL
             if sep and not ci:
                 raise RuntimeError(
                     f"separation ({j}, {k} | {cond}) violated by the implied "
@@ -343,7 +344,7 @@ def faithful_parameters(
                 break  # an independence g does not imply: redraw
         else:
             return params, attempt
-    raise RuntimeError(f"no faithful draw found in {max_draws} attempts")
+    raise RuntimeError(f"no faithful draw found in {_FAITHFUL_DRAWS} attempts")
 
 
 def compose_seed(seed, *extra) -> list:

@@ -16,12 +16,11 @@ from ampcg import (
     determined_closure,
     enumerate_chain_graphs,
     equivalence_class,
-    feasible_merge,
-    feasible_split,
     find_semidirected_cycle,
     is_chain_graph,
     magnify,
     markov_equivalent,
+    orientations,
     random_chain_graph,
     relatives,
     structural_hamming_distance,
@@ -232,52 +231,6 @@ class TestDeterminedClosure:
         assert determined_closure(mg, closed) == closed
 
 
-class TestMergeSplit:
-    def test_single_edge_merge_accepted(self):
-        g = ChainGraph(2, directed={(0, 1)})
-        h = feasible_merge(g, {0}, {1})
-        assert h is not None and h.undirected == frozenset({(0, 1)})
-
-    def test_collider_merge_keeps_triplex(self):
-        g = ChainGraph(3, directed={(0, 1), (2, 1)})
-        h = feasible_merge(g, {0}, {1})
-        assert h is not None and h.undirected == frozenset({(0, 1)})
-        assert markov_equivalent(g, h)
-
-    def test_chain_merge_rejected(self):
-        g = ChainGraph(3, directed={(0, 1), (1, 2)})
-        assert feasible_merge(g, {1}, {2}) is None
-
-    def test_merge_requires_components(self):
-        g = ChainGraph(3, directed={(0, 1), (1, 2)})
-        with pytest.raises(ValueError):
-            feasible_merge(g, {0, 1}, {2})
-        with pytest.raises(ValueError):
-            feasible_merge(g, {2}, {0})  # no edge from {2} to {0}
-
-    def test_split_is_inverse_of_merge(self):
-        g = ChainGraph(3, directed={(0, 1), (2, 1)})
-        merged = feasible_merge(g, {0}, {1})
-        assert merged is not None
-        back = feasible_split(merged, {0}, {1})
-        assert back == g
-
-    @settings(max_examples=100, deadline=None)
-    @given(chain_graphs(min_p=2, max_p=5))
-    def test_accepted_moves_preserve_equivalence(self, g):
-        comps = chain_components(g)
-        comp_of = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
-        seen_pairs = {(comp_of[a], comp_of[b]) for a, b in g.directed}
-        for iu, il in sorted(seen_pairs):
-            h = feasible_merge(g, comps[iu], comps[il])
-            if h is not None:
-                assert markov_equivalent(g, h)
-                assert triplexes(g) == triplexes(h)
-
-
 class TestEquivalenceClass:
     def test_two_node_class(self):
         cls = equivalence_class(ChainGraph(2, directed={(0, 1)}))
@@ -294,7 +247,27 @@ class TestEquivalenceClass:
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            equivalence_class(ChainGraph(13), cap=12)
+            equivalence_class(ChainGraph(13))
+
+    def test_representative_with_semidirected_cycle_rejected(self):
+        g = ChainGraph(3, directed={(0, 1), (1, 2)}, undirected={(0, 2)})
+        with pytest.raises(ValueError, match="semidirected cycle: X1 -> X2 -> X3 - X1"):
+            equivalence_class(g)
+
+    def test_members_keep_representative_labels(self):
+        g = ChainGraph(3, directed={(0, 1), (2, 1)}, labels=("a", "b", "c"))
+        cls = equivalence_class(g)
+        assert len(cls) == 3
+        assert all(h.labels == ("a", "b", "c") for h in cls)
+
+    @pytest.mark.parametrize("p", [8, 9, 10])
+    def test_members_are_distinct_equivalent_chain_graphs(self, p):
+        for seed in range(3):
+            g = random_chain_graph(p, 0.35, 0.3, seed=seed)
+            cls = equivalence_class(g)
+            assert g in cls
+            assert len(set(cls)) == len(cls)
+            assert all(is_chain_graph(h) and markov_equivalent(g, h) for h in cls)
 
     @settings(max_examples=60, deadline=None)
     @given(chain_graphs(min_p=2, max_p=4))
@@ -324,6 +297,24 @@ class TestEquivalenceClass:
             want = equivalence_class_brute(g.p, set(g.directed), set(g.undirected))
             assert got == want
         assert found == 4
+
+
+class TestOrientations:
+    def test_order_of_marks(self):
+        got = list(orientations(2, {(0, 1)}, frozenset()))
+        assert got == [
+            ChainGraph(2, undirected={(0, 1)}),
+            ChainGraph(2, directed={(0, 1)}),
+            ChainGraph(2, directed={(1, 0)}),
+        ]
+
+    def test_unrealizable_four_cycle_yields_nothing(self):
+        cycle = {(0, 1), (1, 2), (2, 3), (0, 3)}
+        target = {Triplex(1, 0, 3), Triplex(0, 1, 2), Triplex(1, 2, 3), Triplex(0, 3, 2)}
+        assert list(orientations(4, cycle, target)) == []
+
+    def test_triplex_off_the_skeleton_yields_nothing(self):
+        assert list(orientations(3, {(0, 1)}, {Triplex(0, 1, 2)})) == []
 
 
 class TestRandomChainGraph:

@@ -204,6 +204,16 @@ class TestSkeletonRecovery:
         assert result.consistent
         assert markov_equivalent(result.graph, truth)
 
+    def test_unrealizable_triplexes_fall_back_to_skeleton(self):
+        # 0 and 2, and 1 and 3, are marginally independent on the 4-cycle
+        # 0 - 1 - 2 - 3 - 0, so every node is a triplex center: no chain
+        # graph has those triplexes
+        a = 0.3
+        cov = np.array([[1, a, 0, a], [a, 1, a, 0], [0, a, 1, a], [a, 0, a, 1.0]])
+        result = skeleton_recovery(cov)
+        assert not result.consistent
+        assert result.graph == ChainGraph(4, undirected={(0, 1), (1, 2), (2, 3), (0, 3)})
+
     def test_non_finite_covariance_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = cov[1, 0] = np.nan
