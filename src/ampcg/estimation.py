@@ -22,15 +22,18 @@ component's undirected zero pattern; for fixed R_K the coefficients are a
 GLS solve and sigma2 profiles out as the mean weighted residual moment.
 Singletons have R_K = 1 and enter only through their residual sums of
 squares, so a DAG is closed form (sigma2 the mean residual sum of
-squares). Otherwise one L-BFGS solve runs over the off-diagonal pattern
-entries of the multi-node components' unit-diagonal concentration
-matrices. `EqualVarianceScorer` scores many graphs on one input with that
-same split and solve, caching each singleton's least-squares fit by
-(node, parent set). The spread of the unconstrained fit's log error
-variances is its `dispersion`. On a population covariance that the model
-reproduces, each node's fitted error variance is its residual variance
-given its parents, so `search.identify_in_class` reads the dispersion of
-every class member off those least-squares fits, with no fit run here.
+squares). When the only multi-node component is two nodes joined by one
+undirected edge, the one free correlation is found in closed form, as the
+best real root of a polynomial, and the optimum is global. Otherwise one
+L-BFGS solve runs over the off-diagonal pattern entries of the multi-node
+components' unit-diagonal concentration matrices. `EqualVarianceScorer`
+scores many graphs on one input with that same split and solve, caching
+each singleton's least-squares fit by (node, parent set). The spread of
+the unconstrained fit's log error variances is its `dispersion`. On a
+population covariance that the model reproduces, each node's fitted error
+variance is its residual variance given its parents, so
+`search.identify_in_class` reads the dispersion of every class member off
+those least-squares fits, with no fit run here.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy import optimize
 
 from .graphs import ChainGraph, chain_components, relatives
@@ -378,6 +382,82 @@ class _Solve(NamedTuple):
     converged: bool
 
 
+def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> float:
+    """Global minimizer rho of the profiled objective when c is one two-node component with one edge.
+
+    With R = [[1, rho], [rho, 1]], (1 - rho^2) R^-1 = I - rho J is linear in
+    rho, so the GLS normal matrix is A0 - rho A1 and its right side
+    r0 - rho r1. Predictors that both rows regress on enter without
+    restriction, so GLS on them is least squares and they are partialled
+    out of the second moment first. On the rest, A0 = L L^T and the
+    eigenvalues lam of L^-1 A1 L^-T (canonical correlations between the
+    two rows' own predictors, so inside (-1, 1)) give, with u0 and u1 the
+    right sides rotated alike,
+        g(rho) = (1 - rho^2)(T - T0) = a - 2 rho c - sum_i (u0_i - rho u1_i)^2 / (1 - rho lam_i)
+    for a, c the trace and off-diagonal entry of the partialled residual
+    moment and T0 = fixed_t. The objective p log(T / p) + log(1 - rho^2)
+    tends to +inf at rho = +-1, so its minimum is a real root in (-1, 1) of
+        h(rho) = p (1 - rho^2) g' + 2 (p - 1) rho g - 2 rho T0 (1 - rho^2),
+    whose product with prod_i (1 - rho lam_i)^2 is a polynomial of degree at
+    most 2k + 3 for k own coefficients; with identical parent sets (k = 0)
+    it is the cubic T0 rho^3 + (2 - p) c rho^2 + ((p - 1) a - T0) rho - p c.
+    The polynomial is interpolated at Chebyshev points, its real roots in
+    (-1, 1) take one Newton step on h itself, and the one with the smallest
+    objective is returned.
+    """
+    pairs = list(zip(*(index.tolist() for index in c.support)))
+    shared = sorted({z for row, z in pairs if row == 0} & {z for row, z in pairs if row == 1})
+    m = np.empty((2 + len(c.predictors),) * 2)  # second moment of (the two nodes, the predictors)
+    m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:] = c.syy, c.syz, c.syz.T, c.szz
+    if shared:
+        at = [z + 2 for z in shared]
+        m -= m[:, at] @ np.linalg.solve(m[np.ix_(at, at)], m[at])
+    lam = u0 = u1 = np.zeros(0)
+    own = [(row, z + 2) for row, z in pairs if z not in shared]
+    if own:
+        rows, cols = np.array(own).T
+        szz = m[np.ix_(cols, cols)]
+        same_row = rows[:, None] == rows
+        chol_inv = np.linalg.inv(np.linalg.cholesky(np.where(same_row, szz, 0.0)))
+        lam, vecs = np.linalg.eigh(chol_inv @ np.where(same_row, 0.0, szz) @ chol_inv.T)
+        rotate = vecs.T @ chol_inv
+        u0, u1 = rotate @ m[rows, cols], rotate @ m[1 - rows, cols]
+    a, cross = m[0, 0] + m[1, 1], m[0, 1]
+
+    def g_derivatives(x: np.ndarray):
+        """g, g' and g'' at the points x."""
+        d = 1.0 - x[:, None] * lam
+        res = u0 - x[:, None] * u1
+        n = res**2
+        dn = (-2.0 * u1 * res) * d + lam * n  # d(n / d)/drho times d^2
+        g = a - 2.0 * x * cross - (n / d).sum(axis=1)
+        dg = -2.0 * cross - (dn / d**2).sum(axis=1)
+        ddg = -(2.0 * u1**2 / d + 2.0 * lam * dn / d**3).sum(axis=1)
+        return g, dg, ddg
+
+    def stationarity(x: np.ndarray):
+        """h and h' at the points x."""
+        g, dg, ddg = g_derivatives(x)
+        s = 1.0 - x**2
+        h = p * s * dg + 2.0 * (p - 1) * x * g - 2.0 * fixed_t * x * s
+        dh = p * s * ddg - 2.0 * x * dg + 2.0 * (p - 1) * g - 2.0 * fixed_t * (1.0 - 3.0 * x**2)
+        return h, dh
+
+    def polynomial(x: np.ndarray) -> np.ndarray:
+        return stationarity(x)[0] * np.prod(1.0 - x[:, None] * lam, axis=1) ** 2
+
+    roots = chebyshev.chebroots(chebyshev.chebinterpolate(polynomial, 2 * lam.size + 3))
+    x = roots.real[np.isreal(roots) & (np.abs(roots.real) < 1.0)]
+    h, dh = stationarity(x)
+    step = x - h / dh
+    x = np.where(np.abs(step) < 1.0, step, x)
+    if x.size == 1:
+        return float(x[0])
+    s = 1.0 - x**2
+    objective = p * np.log(fixed_t + g_derivatives(x)[0] / s) + np.log(s)
+    return float(x[np.argmin(objective)])
+
+
 def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     """Profiled equal-error-variance optimum over the multi-node components `comps`.
 
@@ -389,10 +469,13 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     summed in `fixed_t`, so a DAG is closed form. Multi-node components take
     R_K = corr(Omega_K^-1) over unit-diagonal Omega_K whose off-diagonal
     entries sit on the undirected pattern, so R_K^-1 = D^1/2 Omega_K D^1/2
-    with D = diag(Omega_K^-1) keeps that pattern; one L-BFGS solve from
-    Omega_K = I runs over those entries. B and sigma2 are optimal at every
-    point, so by the envelope theorem the gradient only differentiates R_K.
-    The objective need not be convex, so the solve finds a local optimum.
+    with D = diag(Omega_K^-1) keeps that pattern. With one free entry (one
+    component, two nodes, one edge) the global optimum is closed form (see
+    `_one_edge_correlation`) and iterations are 0. Otherwise one L-BFGS
+    solve from Omega_K = I runs over those entries; B and sigma2 are optimal
+    at every point, so by the envelope theorem the gradient only
+    differentiates R_K. The objective need not be convex, so that solve
+    finds a local optimum.
     """
     if not comps:
         return _Solve(p * math.log(fixed_t / p), fixed_t, [], [], 0, True)
@@ -436,29 +519,35 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
             grad[lo:hi] = p / total_t * d_trace + d_logdet
         return p * math.log(total_t / p) + logdet_r, grad, total_t, parts
 
-    theta0 = np.zeros(bounds[-1])  # Omega_K = I lies inside the region and is evaluated first
-    highest, best, best_theta = -math.inf, math.inf, theta0
+    if len(comps) == 1 and len(comps[0].pattern) == 1:
+        # Omega = [[1, theta], [theta, 1]] has correlation rho = -theta.
+        theta = np.array([-_one_edge_correlation(fixed_t, comps[0], p)])
+        iterations, success = 0, True
+    else:
+        theta = np.zeros(bounds[-1])  # Omega_K = I lies inside the region and is evaluated first
+        highest, best = -math.inf, math.inf
 
-    def objective(theta: np.ndarray):
-        nonlocal highest, best, best_theta
-        out = profile(theta)
-        if out is None:  # worse than any point seen, so the line search backs off
-            return highest + 1.0, np.zeros_like(theta)
-        highest = max(highest, out[0])
-        if out[0] < best:
-            best, best_theta = out[0], theta.copy()
-        return out[:2]
+        def objective(point: np.ndarray):
+            nonlocal highest, best, theta
+            out = profile(point)
+            if out is None:  # worse than any point seen, so the line search backs off
+                return highest + 1.0, np.zeros_like(point)
+            highest = max(highest, out[0])
+            if out[0] < best:
+                best, theta = out[0], point.copy()
+            return out[:2]
 
-    res = optimize.minimize(
-        objective, theta0, jac=True, method="L-BFGS-B", options={"ftol": 1e-13, "gtol": 1e-9}
-    )
-    value, grad, total_t, parts = profile(best_theta)
-    converged = bool(res.success) or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL
+        res = optimize.minimize(
+            objective, theta, jac=True, method="L-BFGS-B", options={"ftol": 1e-13, "gtol": 1e-9}
+        )
+        iterations, success = int(res.nit), bool(res.success)
+    value, grad, total_t, parts = profile(theta)
+    converged = success or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL
     corrs = []
     for *_rest, inv, _d, _sd, scale, _e in parts:
         corrs.append(inv / scale)
         np.fill_diagonal(corrs[-1], 1.0)
-    return _Solve(value, total_t, betas, corrs, int(res.nit), converged)
+    return _Solve(value, total_t, betas, corrs, iterations, converged)
 
 
 def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
@@ -469,9 +558,10 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     alternating GLS/IPF, and iterations count its largest number of rounds.
     With equal_variances the exact equality-constrained maximum likelihood
     is returned instead (see `_equal_variance_solve`), and iterations count
-    the optimizer's steps. Either way iterations are zero when every
-    component is a singleton. The loops' caps and tolerance are fixed, not
-    settable.
+    the optimizer's steps; they are zero when the only multi-node component
+    is two nodes joined by one edge, which is solved in closed form. Either
+    way iterations are zero when every component is a singleton. The loops'
+    caps and tolerance are fixed, not settable.
     """
     s, n = moment_matrix(data_or_cov, g.p)
     singles, multi = _split(s, n, g, chain_components(g))

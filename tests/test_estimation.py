@@ -9,6 +9,7 @@ from ampcg import (
     ChainGraph,
     Dataset,
     EqualVarianceScorer,
+    SemParameters,
     chain_components,
     enumerate_chain_graphs,
     estimation,
@@ -66,12 +67,16 @@ class TestScaleFree:
         params = rescale_equal_variances(random_parameters(g, seed=3), 1.0)
         data = sample(implied_distribution(params), 500, seed=1)
         tiny = Dataset(data.values * 1e-6)
-        for equal_variances in (False, True):
-            ref = fit(data, g, equal_variances=equal_variances)
-            scaled = fit(tiny, g, equal_variances=equal_variances)
-            assert scaled.dispersion == pytest.approx(ref.dispersion, rel=1e-9, abs=1e-12)
-            assert scaled.loglik == pytest.approx(ref.loglik + g.p * math.log(1e6), rel=1e-12)
-            assert np.allclose(scaled.params.beta, ref.params.beta, rtol=1e-9, atol=1e-12)
+        # one-edge components whose rows have parents on one side, and shared plus own parents
+        for h in (g, ChainGraph(4, directed={(0, 2), (0, 3), (1, 3)}, undirected={(2, 3)})):
+            for equal_variances in (False, True):
+                ref = fit(data, h, equal_variances=equal_variances)
+                scaled = fit(tiny, h, equal_variances=equal_variances)
+                assert scaled.dispersion == pytest.approx(ref.dispersion, rel=1e-9, abs=1e-12)
+                assert scaled.loglik == pytest.approx(ref.loglik + h.p * math.log(1e6), rel=1e-12)
+                assert np.allclose(scaled.params.beta, ref.params.beta, rtol=1e-9, atol=1e-12)
+                assert np.allclose(scaled.params.sigma * 1e12, ref.params.sigma, rtol=1e-9, atol=1e-12)
+            assert scaled.iterations == ref.iterations == 0
 
 
 class TestIpf:
@@ -331,6 +336,46 @@ class TestEqualVarianceFit:
         conc = np.linalg.inv(result.params.sigma[np.ix_([2, 3, 4], [2, 3, 4])])
         assert abs(conc[0, 2]) < 1e-10  # 2 and 4 are not adjacent
 
+    def test_stationary_start_reaches_oracle(self):
+        # Zero residual cross-moment on the edge: Omega = I is a stationary maximum of the objective.
+        cov = np.diag([10.0, 10.0, 0.1, 0.1])
+        g = ChainGraph(4, undirected={(2, 3)})
+        result = fit(cov, g, equal_variances=True)
+        oracle = _equal_variance_oracle(cov, g)
+        assert result.converged and result.iterations == 0
+        assert abs(result.loglik - oracle) < 1e-8
+        loglik, converged = EqualVarianceScorer(cov, 4).loglik(g)
+        assert converged and abs(loglik - result.loglik) < 1e-12
+
+    @pytest.mark.parametrize(
+        "directed",
+        [
+            {(0, 2), (0, 3), (1, 2), (1, 3)},  # same parents: GLS is least squares
+            {(0, 2), (1, 2), (1, 3), (4, 3)},  # different parents, one shared
+            {(0, 2), (1, 2)},  # parents on one side only
+        ],
+    )
+    def test_one_edge_matches_oracle(self, directed):
+        g = ChainGraph(5, directed=directed, undirected={(2, 3)})
+        cov = _random_pd(np.random.default_rng(len(directed)), 5)
+        result = fit(cov, g, equal_variances=True)
+        assert result.converged and result.iterations == 0
+        assert abs(result.loglik - _equal_variance_oracle(cov, g)) < 1e-8
+        assert result.dispersion < 1e-12
+
+    def test_one_edge_strong_correlation_matches_oracle(self):
+        g = ChainGraph(4, directed={(0, 2), (1, 3)}, undirected={(2, 3)})
+        beta = np.zeros((4, 4))
+        beta[2, 0], beta[3, 1] = 1.0, 0.5
+        sigma = np.eye(4)
+        sigma[2, 3] = sigma[3, 2] = 0.97
+        data = sample(implied_distribution(SemParameters(graph=g, beta=beta, sigma=sigma)), 500, seed=5)
+        result = fit(data, g, equal_variances=True)
+        block = result.params.sigma[np.ix_([2, 3], [2, 3])]
+        assert abs(block[0, 1]) / block[0, 0] > 0.95
+        assert result.converged and result.iterations == 0
+        assert abs(result.loglik - _equal_variance_oracle(moment_matrix(data, 4)[0], g)) < 1e-8
+
     def test_true_graph_reaches_entropy_bound(self):
         g = ChainGraph(2, directed={(0, 1)})
         cov = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -381,6 +426,23 @@ class TestEqualVarianceScorer:
         for g in enumerate_chain_graphs(4):
             if not g.undirected:
                 assert scorer.loglik(g)[1]
+
+    def test_one_edge_needs_no_optimizer(self, monkeypatch):
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("a single two-node component with one edge is solved in closed form")
+
+        monkeypatch.setattr(estimation.optimize, "minimize", no_optimizer)
+        cov = _random_pd(np.random.default_rng(45), 4)
+        scorer = EqualVarianceScorer(cov, 4)
+        graphs = [
+            g for g in enumerate_chain_graphs(4) if [len(comp) for comp in chain_components(g) if len(comp) > 1] == [2]
+        ]
+        assert graphs
+        for g in graphs:
+            loglik, converged = scorer.loglik(g)
+            result = fit(cov, g, equal_variances=True)
+            assert converged and result.converged and result.iterations == 0
+            assert abs(loglik - result.loglik) < 1e-9
 
     def test_graph_size_must_match_input(self):
         with pytest.raises(ValueError, match="graph has 2 nodes"):
