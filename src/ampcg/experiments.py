@@ -28,6 +28,7 @@ from .sem import (
     rescale_equal_variances,
     sample,
 )
+from .separation import SEPARATION_CAP
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment", "write_report"]
 
@@ -82,7 +83,7 @@ def _apply_method(cfg: ExperimentConfig, truth: ChainGraph, data_or_cov, seed: i
 def _run_seed(cfg: ExperimentConfig, seed: int) -> list:
     rows = []
     truth = random_chain_graph(cfg.p, cfg.edge_prob, cfg.undirected_frac, seed=compose_seed(seed, 0))
-    if cfg.p <= 6:
+    if cfg.p <= SEPARATION_CAP:  # faithful draws check every separation
         params, _draws = faithful_parameters(
             truth, coef_range=cfg.coef_range, seed=compose_seed(seed, 1), sigma2=cfg.sigma2
         )

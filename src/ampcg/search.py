@@ -44,7 +44,7 @@ from .graphs import (
     random_chain_graph,
     triplexes,
 )
-from .sem import Dataset, _partial_correlation, compose_seed
+from .sem import Dataset, _mask, _partial_correlations, compose_seed
 from .separation import pairwise_queries
 
 __all__ = [
@@ -229,14 +229,25 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
 
 
 def _ci_decider(data_or_cov, alpha_tol: float | None):
+    """`indep(j, k, cond)` for skeleton recovery, and the node count.
+
+    The input is validated, then checked against `_SKELETON_CAP` before
+    the one `_partial_correlations` table (2^p rows) that answers every
+    query is built. A covariance decides by |partial correlation| < tol
+    (default 1e-8); a dataset by a two-sided Fisher-z test at level alpha
+    (default 0.01) on its second moment.
+    """
     p = _size(data_or_cov)
     s, n = moment_matrix(data_or_cov, p)
+    if p > _SKELETON_CAP:
+        raise CapacityError(f"skeleton recovery capped at p={_SKELETON_CAP}, got p={p}")
+    table = _partial_correlations(s)
     if n is not None:
         alpha = 0.01 if alpha_tol is None else alpha_tol
         crit = float(stats.norm.ppf(1.0 - alpha / 2.0))
 
         def indep(j: int, k: int, cond: tuple) -> bool:
-            r = max(-0.999999, min(0.999999, _partial_correlation(s, j, k, cond)))
+            r = max(-0.999999, min(0.999999, float(table[_mask(cond), j, k])))
             z = 0.5 * math.log((1.0 + r) / (1.0 - r))
             dof = n - len(cond) - 3
             if dof <= 0:
@@ -247,7 +258,7 @@ def _ci_decider(data_or_cov, alpha_tol: float | None):
     tol = 1e-8 if alpha_tol is None else alpha_tol
 
     def indep(j: int, k: int, cond: tuple) -> bool:
-        return abs(_partial_correlation(s, j, k, cond)) < tol
+        return abs(table[_mask(cond), j, k]) < tol
 
     return indep, p
 
@@ -263,11 +274,11 @@ def skeleton_recovery(data_or_cov, alpha_tol: float | None = None) -> SkeletonRe
     faithful population input the result is Markov equivalent to the
     generating graph; inconsistent finite-sample answers, for which no
     chain graph fits, fall back to the undirected skeleton, flagged.
-    Inputs over 8 nodes raise `CapacityError`.
+    Every independence query is read off one partial-correlation table
+    per call (`_ci_decider`). Inputs over 8 nodes raise `CapacityError`
+    before that table is built.
     """
     indep, p = _ci_decider(data_or_cov, alpha_tol)
-    if p > _SKELETON_CAP:
-        raise CapacityError(f"skeleton recovery capped at p={_SKELETON_CAP}, got p={p}")
     sepset: dict[tuple, tuple] = {}
     for j, k, cond in pairwise_queries(p):
         if (j, k) not in sepset and indep(j, k, cond):

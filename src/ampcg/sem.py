@@ -11,6 +11,12 @@ square, symmetric, and positive definite under a scale-free rank test, so
 multiplying a covariance by c > 0 never changes its verdict. It guards
 `GaussianDistribution`, `SemParameters.sigma`, `gaussian_ci` and
 covariance input to `estimation.moment_matrix`.
+
+A single conditional-independence query, `gaussian_ci`, inverts its
+marginal block (`_partial_correlation`). A sweep over many queries reads
+one table, `_partial_correlations`, built per covariance from rank-one
+Schur updates: `faithful_parameters` builds one per draw, and skeleton
+recovery in `search` one per call.
 """
 
 from __future__ import annotations
@@ -302,11 +308,44 @@ def _partial_correlation(cov: np.ndarray, j: int, k: int, cond) -> float:
     """Partial correlation of j and k given cond, unchecked.
 
     Read off the inverse of the marginal block over j, k and cond; `cov`
-    must already be a validated symmetric matrix.
+    must already be a validated symmetric matrix. One query at any node
+    count; sweeps read `_partial_correlations` instead.
     """
     idx = [j, k, *cond]
     prec = np.linalg.inv(cov[np.ix_(idx, idx)])
     return float(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1]))
+
+
+def _partial_correlations(cov: np.ndarray) -> np.ndarray:
+    """Partial correlation of every pair given every node subset, unchecked.
+
+    `out[mask, j, k]` is the partial correlation of j and k given the nodes
+    whose bits are set in `mask` (see `_mask`); it is NaN when j or k is
+    itself in the mask. Each conditional covariance is one rank-one Schur
+    update of another, Σ|C = Σ|C' − Σ|C'[:, m] Σ|C'[m, :] / Σ|C'[m, m],
+    where m is the highest node of C and C' is C without m. The masks
+    2^m .. 2^(m+1) − 1 are those whose highest node is m, and their C' are
+    the masks 0 .. 2^m − 1, so node m's updates are one numpy operation:
+    2^p − 1 updates in p operations. `cov` must already be a validated
+    symmetric matrix; the table holds 2^p·p² numbers, so callers cap p.
+    """
+    p = len(cov)
+    given = np.empty((1 << p, p, p))
+    given[0] = cov
+    for m in range(p):
+        base = given[: 1 << m]
+        col = base[:, :, m]
+        given[1 << m : 2 << m] = base - col[:, :, None] * col[:, None, :] / base[:, m, m, None, None]
+    variances = np.diagonal(given, axis1=1, axis2=2).copy()
+    conditioned = ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
+    variances[conditioned] = np.nan
+    sd = np.sqrt(variances)
+    return given / (sd[:, :, None] * sd[:, None, :])
+
+
+def _mask(nodes) -> int:
+    """Row of `_partial_correlations` for conditioning on `nodes`."""
+    return sum(1 << x for x in nodes)
 
 
 def faithful_parameters(
@@ -324,17 +363,21 @@ def faithful_parameters(
     bad luck, and raises. Returns the parameters and the number of draws
     used. At most `_FAITHFUL_DRAWS` draws are tried; a partial correlation
     under `_FAITHFUL_TOL` counts as zero. Graphs too large for
-    `all_separations` raise `CapacityError`.
+    `all_separations` raise `CapacityError`. Each draw answers every
+    pairwise query from one `_partial_correlations` table, in
+    `pairwise_queries` order, stopping at the first unwanted independence.
     """
     separations = all_separations(g)
+    queries = [
+        (j, k, cond, _mask(cond), (j, k, cond) in separations) for j, k, cond in pairwise_queries(g.p)
+    ]
     for attempt in range(1, _FAITHFUL_DRAWS + 1):
         params = random_parameters(g, coef_range=coef_range, seed=compose_seed(seed, attempt))
         if sigma2 is not None:
             params = rescale_equal_variances(params, sigma2)
-        cov = implied_distribution(params).cov  # symmetric and positive definite, checked there
-        for j, k, cond in pairwise_queries(g.p):
-            sep = (j, k, cond) in separations
-            ci = abs(_partial_correlation(cov, j, k, cond)) < _FAITHFUL_TOL
+        table = _partial_correlations(implied_distribution(params).cov)  # cov checked there
+        for j, k, cond, mask, sep in queries:
+            ci = abs(table[mask, j, k]) < _FAITHFUL_TOL
             if sep and not ci:
                 raise RuntimeError(
                     f"separation ({j}, {k} | {cond}) violated by the implied "

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _HEAD, _TAIL, _UND = 0, 1, 2
+SEPARATION_CAP = 6  # largest node count whose pairwise separations are enumerated
 
 
 @dataclass(frozen=True)
@@ -141,15 +142,16 @@ def pairwise_queries(p: int):
                 yield j, k, cond
 
 
-def all_separations(g: ChainGraph, cap: int = 6) -> frozenset:
+def all_separations(g: ChainGraph) -> frozenset:
     """Every separated triple (j, k, C) over singleton pairs, canonically encoded.
 
     Pairwise queries suffice to pin down the represented independence model
     for the Gaussian use made of it here; set-valued queries remain
-    available through :func:`separated`.
+    available through :func:`separated`. Graphs over `SEPARATION_CAP`
+    nodes raise `CapacityError`.
     """
-    if g.p > cap:
-        raise CapacityError(f"separation enumeration capped at p={cap}, got p={g.p}")
+    if g.p > SEPARATION_CAP:
+        raise CapacityError(f"separation enumeration capped at p={SEPARATION_CAP}, got p={g.p}")
     adj = _incidence(g)
     out = set()
     for j, k, cond in pairwise_queries(g.p):

@@ -129,10 +129,12 @@ class TestExperiments:
             ExperimentConfig(p=3, seeds=())
 
     def test_worker_pool_matches_sequential(self):
-        cfg_seq = ExperimentConfig(p=3, seeds=(7, 8), workers=1)
-        cfg_par = ExperimentConfig(p=3, seeds=(7, 8), workers=2)
         strip = lambda rows: [{k: v for k, v in r.items() if k != "runtime_s"} for r in rows]
-        assert strip(run_experiment(cfg_seq).rows) == strip(run_experiment(cfg_par).rows)
+        # the two-phase config runs faithful draws and skeleton recovery in the workers
+        for kwargs in ({"p": 3}, {"p": 6, "method": "two-phase"}):
+            cfg_seq = ExperimentConfig(seeds=(7, 8), workers=1, **kwargs)
+            cfg_par = ExperimentConfig(seeds=(7, 8), workers=2, **kwargs)
+            assert strip(run_experiment(cfg_seq).rows) == strip(run_experiment(cfg_par).rows)
 
     def test_two_phase_method(self):
         cfg = ExperimentConfig(p=4, seeds=(11, 12), method="two-phase")

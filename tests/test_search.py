@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ampcg import (
+    CapacityError,
     ChainGraph,
     Dataset,
     SearchConfig,
@@ -21,6 +22,7 @@ from ampcg import (
     rescale_equal_variances,
     sample,
     search,
+    sem,
     skeleton_recovery,
     two_phase,
 )
@@ -226,6 +228,50 @@ class TestSkeletonRecovery:
         data = sample(implied_distribution(params), 2000, seed=44)
         result = skeleton_recovery(data, alpha_tol=0.05)
         assert result.graph.p == 3  # flag may go either way; output must exist
+
+    def test_cap_checked_before_table(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built a partial-correlation table over the cap")
+
+        monkeypatch.setattr(sem, "_partial_correlations", forbidden)
+        monkeypatch.setattr(search, "_partial_correlations", forbidden)
+        with pytest.raises(CapacityError, match="capped at p=8, got p=9"):
+            skeleton_recovery(np.eye(9))
+
+    def test_sweeps_run_no_single_query(self, six_node_graph, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a CI sweep inverted a submatrix per query")
+
+        monkeypatch.setattr(sem, "_partial_correlation", forbidden)
+        monkeypatch.setattr(search, "_partial_correlation", forbidden, raising=False)
+        params, draws = faithful_parameters(six_node_graph, seed=41)
+        assert draws >= 1
+        dist = implied_distribution(params)
+        assert markov_equivalent(skeleton_recovery(dist.cov).graph, six_node_graph)
+        assert skeleton_recovery(sample(dist, 500, seed=45)).graph.p == 6
+
+    def test_conditioned_entries_never_decide(self, six_node_graph, monkeypatch):
+        # every table entry with a conditioned query node is replaced by an
+        # object that fails on use, so reading one at a decision raises
+        class Poison:
+            def __abs__(self):
+                raise AssertionError("a conditioned entry reached a decision")
+
+            __float__ = __abs__
+
+        original = sem._partial_correlations
+
+        def poisoned(cov):
+            table = original(cov).astype(object)
+            table[np.isnan(table.astype(float))] = Poison()
+            return table
+
+        monkeypatch.setattr(sem, "_partial_correlations", poisoned)
+        monkeypatch.setattr(search, "_partial_correlations", poisoned)
+        params, _ = faithful_parameters(six_node_graph, seed=41)
+        dist = implied_distribution(params)
+        assert markov_equivalent(skeleton_recovery(dist.cov).graph, six_node_graph)
+        assert skeleton_recovery(sample(dist, 500, seed=45)).graph.p == 6
 
 
 class TestTwoPhase:

@@ -22,6 +22,9 @@ from ampcg import (
     rescale_equal_variances,
     sample,
 )
+from ampcg.estimation import moment_matrix
+from ampcg.sem import _mask, _partial_correlation, _partial_correlations
+from ampcg.separation import pairwise_queries
 
 from .conftest import chain_graphs
 
@@ -275,3 +278,34 @@ class TestGaussianCi:
         cov = implied_distribution(SemParameters(g, beta, np.eye(3))).cov
         assert gaussian_ci(cov, 0, 2, {1})
         assert not gaussian_ci(cov, 0, 2)
+
+
+class TestPartialCorrelationTable:
+    @staticmethod
+    def _inputs(p: int):
+        rng = np.random.default_rng(p)
+        for _ in range(3):
+            a = rng.standard_normal((p, p))
+            yield a @ a.T + 0.1 * np.eye(p)
+        g = random_chain_graph(p, 0.5, 0.3, seed=p)
+        dist = implied_distribution(random_parameters(g, seed=p))
+        yield moment_matrix(sample(dist, 50, seed=p), p)[0]  # a sample second moment
+        yield 1e-11 * dist.cov  # the scale-free rule: no absolute tolerance anywhere
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_matches_single_queries(self, p):
+        for cov in self._inputs(p):
+            table = _partial_correlations(cov)
+            assert table.shape == (2**p, p, p)
+            for j, k, cond in pairwise_queries(p):
+                reference = _partial_correlation(cov, j, k, cond)
+                assert abs(table[_mask(cond), j, k] - reference) < 1e-12
+                assert table[_mask(cond), k, j] == table[_mask(cond), j, k]
+
+    def test_conditioned_nodes_read_nan(self):
+        a = np.random.default_rng(1).standard_normal((4, 4))
+        table = _partial_correlations(a @ a.T + np.eye(4))
+        for mask in range(16):
+            for j, k in itertools.product(range(4), repeat=2):
+                conditioned = (mask >> j) & 1 or (mask >> k) & 1
+                assert np.isnan(table[mask, j, k]) == bool(conditioned)

@@ -14,7 +14,6 @@ from ampcg import (
     enumerate_chain_graphs,
     magnify,
     markov_equivalent,
-    random_chain_graph,
     separated,
     separated_magnified,
 )
@@ -195,7 +194,3 @@ class TestAllSeparations:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             all_separations(ChainGraph(7))
-
-    def test_cap_override(self):
-        g = random_chain_graph(7, 0.3, 0.3, seed=0)
-        assert isinstance(all_separations(g, cap=7), frozenset)
