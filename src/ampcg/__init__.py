@@ -36,7 +36,6 @@ from .graphs import (
     canonical_key,
     chain_components,
     determined_closure,
-    enumerate_chain_graphs,
     equivalence_class,
     find_semidirected_cycle,
     is_chain_graph,

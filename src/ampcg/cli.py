@@ -43,7 +43,7 @@ from .sem import (
     sample,
     compose_seed,
 )
-from .separation import SeparationQuery, pairwise_queries, separated
+from .separation import SeparationQuery, all_separations, pairwise_queries, separated
 
 __all__ = ["main"]
 
@@ -106,13 +106,11 @@ def _cmd_generate(args) -> int:
 def _cmd_sep(args) -> int:
     g = read_graph(args.graph)
     if args.enumerate:
-        if g.p > args.cap:
-            raise CapacityError(f"enumeration capped at p={args.cap}, got p={g.p}")
+        separations = all_separations(g)
         print("j,k,C,separated")
         for j, k, cond in pairwise_queries(g.p):
-            q = SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))
             cell = ";".join(g.node_label(x) for x in cond)
-            print(f"{g.node_label(j)},{g.node_label(k)},{cell},{separated(g, q)}")
+            print(f"{g.node_label(j)},{g.node_label(k)},{cell},{(j, k, cond) in separations}")
         return 0
     if not args.a or not args.b:
         raise ValueError("--a and --b are required unless --enumerate is given")
@@ -236,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--b")
     sep.add_argument("--c")
     sep.add_argument("--enumerate", action="store_true")
-    sep.add_argument("--cap", type=int, default=6)
     sep.set_defaults(func=_cmd_sep)
 
     mag = sub.add_parser("magnify", help="print the graph with explicit error nodes")

@@ -28,7 +28,6 @@ __all__ = [
     "canonical_key",
     "chain_components",
     "determined_closure",
-    "enumerate_chain_graphs",
     "equivalence_class",
     "find_semidirected_cycle",
     "is_chain_graph",
@@ -493,26 +492,6 @@ def random_chain_graph(p: int, edge_prob: float, undirected_frac: float, seed) -
             else:
                 directed.add((a, b))
     return ChainGraph(p, frozenset(directed), frozenset(undirected))
-
-
-def enumerate_chain_graphs(p: int, cap: int = 5) -> Iterator[ChainGraph]:
-    """Yield every chain graph on p nodes (4^C(p,2) candidates filtered)."""
-    if p > cap:
-        raise CapacityError(f"exhaustive enumeration capped at p={cap}, got p={p}")
-    pairs = list(itertools.combinations(range(p), 2))
-    for states in itertools.product(range(4), repeat=len(pairs)):
-        directed = set()
-        undirected = set()
-        for (a, b), state in zip(pairs, states):
-            if state == 1:
-                directed.add((a, b))
-            elif state == 2:
-                directed.add((b, a))
-            elif state == 3:
-                undirected.add((a, b))
-        g = ChainGraph(p, frozenset(directed), frozenset(undirected))
-        if is_chain_graph(g):
-            yield g
 
 
 def structural_hamming_distance(g: ChainGraph, h: ChainGraph) -> int:

@@ -16,7 +16,9 @@ carries the input's own maximum log-likelihood, which every member
 attains, and `converged` is True. A small conditional-independence
 skeleton-plus-triplex recovery is included so the two-phase strategy
 (recover the class, then orient inside it) is runnable end to end; it
-assumes faithful input and is deliberately minimal. Both the class and
+assumes faithful input and is deliberately minimal, and it decides no
+independence itself: it reads `sem._independences`, the same table and
+rule that faithful parameter draws use. Both the class and
 the recovered representative come from one enumerator,
 `graphs.orientations`: the class is all it yields, the representative its
 first graph. Equivalence classes are enumerated up to 12 nodes and
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .estimation import EqualVarianceScorer, _split, fit_score, gaussian_average_loglik, moment_matrix
 from .graphs import (
@@ -44,7 +45,7 @@ from .graphs import (
     random_chain_graph,
     triplexes,
 )
-from .sem import Dataset, _mask, _partial_correlations, compose_seed
+from .sem import Dataset, _independences, _mask, compose_seed
 from .separation import pairwise_queries
 
 __all__ = [
@@ -228,42 +229,7 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
     return best_graph
 
 
-def _ci_decider(data_or_cov, alpha_tol: float | None):
-    """`indep(j, k, cond)` for skeleton recovery, and the node count.
-
-    The input is validated, then checked against `_SKELETON_CAP` before
-    the one `_partial_correlations` table (2^p rows) that answers every
-    query is built. A covariance decides by |partial correlation| < tol
-    (default 1e-8); a dataset by a two-sided Fisher-z test at level alpha
-    (default 0.01) on its second moment.
-    """
-    p = _size(data_or_cov)
-    s, n = moment_matrix(data_or_cov, p)
-    if p > _SKELETON_CAP:
-        raise CapacityError(f"skeleton recovery capped at p={_SKELETON_CAP}, got p={p}")
-    table = _partial_correlations(s)
-    if n is not None:
-        alpha = 0.01 if alpha_tol is None else alpha_tol
-        crit = float(stats.norm.ppf(1.0 - alpha / 2.0))
-
-        def indep(j: int, k: int, cond: tuple) -> bool:
-            r = max(-0.999999, min(0.999999, float(table[_mask(cond), j, k])))
-            z = 0.5 * math.log((1.0 + r) / (1.0 - r))
-            dof = n - len(cond) - 3
-            if dof <= 0:
-                return True
-            return math.sqrt(dof) * abs(z) <= crit
-
-        return indep, p
-    tol = 1e-8 if alpha_tol is None else alpha_tol
-
-    def indep(j: int, k: int, cond: tuple) -> bool:
-        return abs(table[_mask(cond), j, k]) < tol
-
-    return indep, p
-
-
-def skeleton_recovery(data_or_cov, alpha_tol: float | None = None) -> SkeletonResult:
+def skeleton_recovery(data_or_cov) -> SkeletonResult:
     """Recover an equivalence-class representative from independences alone.
 
     Adjacency: two nodes stay adjacent when no conditioning set renders
@@ -274,14 +240,19 @@ def skeleton_recovery(data_or_cov, alpha_tol: float | None = None) -> SkeletonRe
     faithful population input the result is Markov equivalent to the
     generating graph; inconsistent finite-sample answers, for which no
     chain graph fits, fall back to the undirected skeleton, flagged.
-    Every independence query is read off one partial-correlation table
-    per call (`_ci_decider`). Inputs over 8 nodes raise `CapacityError`
-    before that table is built.
+    The input is validated, then every independence query is read off one
+    `sem._independences` table: |partial correlation| < 1e-8 on a
+    covariance, a two-sided Fisher-z test at level 0.01 on data. Inputs
+    over 8 nodes raise `CapacityError` before that table is built.
     """
-    indep, p = _ci_decider(data_or_cov, alpha_tol)
+    p = _size(data_or_cov)
+    s, n = moment_matrix(data_or_cov, p)
+    if p > _SKELETON_CAP:
+        raise CapacityError(f"skeleton recovery capped at p={_SKELETON_CAP}, got p={p}")
+    indep = _independences(s, n)
     sepset: dict[tuple, tuple] = {}
     for j, k, cond in pairwise_queries(p):
-        if (j, k) not in sepset and indep(j, k, cond):
+        if (j, k) not in sepset and indep[_mask(cond), j, k]:
             sepset[(j, k)] = cond  # the smallest separating set, first in query order
     adjacency = set(itertools.combinations(range(p), 2)) - set(sepset)
     neighbors: dict[int, set] = {v: set() for v in range(p)}

@@ -12,11 +12,15 @@ multiplying a covariance by c > 0 never changes its verdict. It guards
 `GaussianDistribution`, `SemParameters.sigma`, `gaussian_ci` and
 covariance input to `estimation.moment_matrix`.
 
-A single conditional-independence query, `gaussian_ci`, inverts its
-marginal block (`_partial_correlation`). A sweep over many queries reads
-one table, `_partial_correlations`, built per covariance from rank-one
-Schur updates: `faithful_parameters` builds one per draw, and skeleton
-recovery in `search` one per call.
+This module is the one place that turns partial correlations into
+conditional-independence decisions. A single query, `gaussian_ci`, inverts
+its marginal block (`_partial_correlation`) and compares |r| with
+`_CI_TOL`. A sweep reads one boolean table, `_independences`, that decides
+every pairwise query given every node subset at once: on a covariance by
+the same `_CI_TOL`, on data by a Fisher-z test at the fixed level
+`_CI_LEVEL`. It is built from one partial-correlation table,
+`_partial_correlations`, of rank-one Schur updates: `faithful_parameters`
+builds one per draw, and skeleton recovery in `search` one per call.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
+from scipy import stats
 
 from .graphs import ChainGraph, chain_components, is_chain_graph
 from .separation import all_separations, pairwise_queries
@@ -45,7 +50,8 @@ __all__ = [
 
 _RANK_TOL = 1e-10  # smallest conditional-to-marginal variance ratio accepted
 _FAITHFUL_DRAWS = 50  # parameter draws faithful_parameters tries before giving up
-_FAITHFUL_TOL = 1e-8  # |partial correlation| below which faithful_parameters sees an independence
+_CI_TOL = 1e-8  # |partial correlation| below which a covariance shows an independence
+_CI_LEVEL = 0.01  # level of the two-sided Fisher-z test that decides independence on data
 
 
 def _first_dependent(s: np.ndarray) -> int | None:
@@ -286,13 +292,14 @@ def sample(dist: GaussianDistribution, n: int, seed, labels: tuple | None = None
     return Dataset(values=dist.mean + z @ chol.T, labels=labels)
 
 
-def gaussian_ci(cov, j: int, k: int, given: Iterable[int] = (), tol: float = 1e-8) -> bool:
+def gaussian_ci(cov, j: int, k: int, given: Iterable[int] = ()) -> bool:
     """True iff nodes j and k are conditionally independent given `given`.
 
     Decided on the partial correlation read from the precision matrix of
-    the relevant marginal block; scale-free, so one tolerance serves all
-    covariances. The default suits exact population inputs; finite-sample
-    use wants a far looser threshold or a proper test.
+    the relevant marginal block; scale-free, so one tolerance, `_CI_TOL`
+    (1e-8), serves all covariances: the rule `_independences` applies to a
+    covariance, for one query. It suits exact population inputs; data are
+    decided by the Fisher-z test of `_independences`.
     """
     cov = _valid_covariance(cov, "cov")
     cond = sorted({int(x) for x in given})
@@ -301,7 +308,7 @@ def gaussian_ci(cov, j: int, k: int, given: Iterable[int] = (), tol: float = 1e-
             raise ValueError(f"node {node} is out of range for a {len(cov)}-node covariance")
     if j == k or j in cond or k in cond:
         raise ValueError("query nodes and conditioning set must be disjoint")
-    return abs(_partial_correlation(cov, j, k, cond)) < tol
+    return abs(_partial_correlation(cov, j, k, cond)) < _CI_TOL
 
 
 def _partial_correlation(cov: np.ndarray, j: int, k: int, cond) -> float:
@@ -309,7 +316,7 @@ def _partial_correlation(cov: np.ndarray, j: int, k: int, cond) -> float:
 
     Read off the inverse of the marginal block over j, k and cond; `cov`
     must already be a validated symmetric matrix. One query at any node
-    count; sweeps read `_partial_correlations` instead.
+    count; sweeps read `_independences` instead.
     """
     idx = [j, k, *cond]
     prec = np.linalg.inv(cov[np.ix_(idx, idx)])
@@ -337,15 +344,42 @@ def _partial_correlations(cov: np.ndarray) -> np.ndarray:
         col = base[:, :, m]
         given[1 << m : 2 << m] = base - col[:, :, None] * col[:, None, :] / base[:, m, m, None, None]
     variances = np.diagonal(given, axis1=1, axis2=2).copy()
-    conditioned = ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
-    variances[conditioned] = np.nan
+    variances[_mask_bits(p)] = np.nan
     sd = np.sqrt(variances)
     return given / (sd[:, :, None] * sd[:, None, :])
 
 
+def _independences(s: np.ndarray, n: int | None = None) -> np.ndarray:
+    """Every pairwise independence decision given every node subset, unchecked.
+
+    `out[mask, j, k]` decides whether j and k are independent given the
+    nodes of `mask`, read off one `_partial_correlations(s)` table; entries
+    with j or k in the mask are meaningless. A covariance (`n` None) shows
+    an independence where |r| < `_CI_TOL`. A second moment of `n` samples
+    is tested two-sided by Fisher's z at level `_CI_LEVEL`: r clipped to
+    ±0.999999, z = ½·log((1 + r)/(1 − r)), independent when the degrees of
+    freedom n − |mask| − 3 are not positive or √dof·|z| ≤ the normal
+    quantile. `s` must already be validated.
+    """
+    r = _partial_correlations(s)
+    if n is None:
+        return np.abs(r) < _CI_TOL
+    r = np.clip(r, -0.999999, 0.999999)
+    z = 0.5 * np.log((1.0 + r) / (1.0 - r))
+    dof = n - _mask_bits(len(s)).sum(axis=1) - 3
+    crit = float(stats.norm.ppf(1.0 - _CI_LEVEL / 2.0))
+    root = np.sqrt(np.maximum(dof, 0))[:, None, None]
+    return (dof <= 0)[:, None, None] | (root * np.abs(z) <= crit)
+
+
 def _mask(nodes) -> int:
-    """Row of `_partial_correlations` for conditioning on `nodes`."""
+    """Row of `_partial_correlations` and `_independences` for conditioning on `nodes`."""
     return sum(1 << x for x in nodes)
+
+
+def _mask_bits(p: int) -> np.ndarray:
+    """`bits[mask, v]` is True when node v is in `mask`, for every mask over p nodes."""
+    return ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
 
 
 def faithful_parameters(
@@ -361,32 +395,31 @@ def faithful_parameters(
     discarded and redrawn rather than assumed away. Separations must always
     map to vanishing partial correlations; a violation there is a bug, not
     bad luck, and raises. Returns the parameters and the number of draws
-    used. At most `_FAITHFUL_DRAWS` draws are tried; a partial correlation
-    under `_FAITHFUL_TOL` counts as zero. Graphs too large for
-    `all_separations` raise `CapacityError`. Each draw answers every
-    pairwise query from one `_partial_correlations` table, in
-    `pairwise_queries` order, stopping at the first unwanted independence.
+    used. At most `_FAITHFUL_DRAWS` draws are tried. Graphs too large for
+    `all_separations` raise `CapacityError`. Each draw reads every pairwise
+    query off one `_independences` table and compares it with g's
+    separations in one array operation; the first query, in
+    `pairwise_queries` order, where the two disagree decides: a missing
+    independence raises, an extra one redraws.
     """
     separations = all_separations(g)
-    queries = [
-        (j, k, cond, _mask(cond), (j, k, cond) in separations) for j, k, cond in pairwise_queries(g.p)
-    ]
+    queries = list(pairwise_queries(g.p))
+    masks, js, ks = np.array([(_mask(cond), j, k) for j, k, cond in queries], dtype=int).reshape(-1, 3).T
+    wanted = np.array([query in separations for query in queries], dtype=bool)
     for attempt in range(1, _FAITHFUL_DRAWS + 1):
         params = random_parameters(g, coef_range=coef_range, seed=compose_seed(seed, attempt))
         if sigma2 is not None:
             params = rescale_equal_variances(params, sigma2)
-        table = _partial_correlations(implied_distribution(params).cov)  # cov checked there
-        for j, k, cond, mask, sep in queries:
-            ci = abs(table[mask, j, k]) < _FAITHFUL_TOL
-            if sep and not ci:
-                raise RuntimeError(
-                    f"separation ({j}, {k} | {cond}) violated by the implied "
-                    "distribution; the model construction is broken"
-                )
-            if ci and not sep:
-                break  # an independence g does not imply: redraw
-        else:
+        found = _independences(implied_distribution(params).cov)[masks, js, ks]  # cov checked there
+        wrong = np.flatnonzero(found != wanted)
+        if not wrong.size:
             return params, attempt
+        if wanted[wrong[0]]:
+            j, k, cond = queries[wrong[0]]
+            raise RuntimeError(
+                f"separation ({j}, {k} | {cond}) violated by the implied "
+                "distribution; the model construction is broken"
+            )
     raise RuntimeError(f"no faithful draw found in {_FAITHFUL_DRAWS} attempts")
 
 

@@ -11,8 +11,10 @@ from B given C when no open route joins a node of A to a node of B.
 
 Because openness is a per-step condition, an open route that revisits a
 (node, entry-edge-kind) state can be spliced down to one that does not, so
-separation is decidable by reachability over at most 3p states; that is
-what :func:`separated` does.
+separation is decidable by reachability over at most 3p states. One search,
+`_reachable`, finds every node an open route from A given C reaches;
+:func:`separated` asks whether it meets B, and :func:`all_separations`
+reads every pair (j, k) given C off one search from j.
 """
 
 from __future__ import annotations
@@ -77,36 +79,25 @@ def _check_query(g: ChainGraph, q: SeparationQuery) -> None:
             raise ValueError(f"query node {x} out of range for p={g.p}")
 
 
-def _separated_core(adj, q: SeparationQuery) -> bool:
-    visited = set()
-    stack = []
-    for a in q.a:
-        for other, _at_a, at_other in adj[a]:
-            if other in q.b:
-                return False
-            state = (other, at_other)
-            if state not in visited:
-                visited.add(state)
-                stack.append(state)
+def _reachable(adj, a, c) -> set:
+    """Every node at which an open route from a node of `a` given `c` ends."""
+    visited = {(other, at_other) for x in a for other, _at_x, at_other in adj[x]}
+    stack = list(visited)
     while stack:
         node, entry = stack.pop()
-        node_given = node in q.c
+        node_given = node in c
         for other, at_node, at_other in adj[node]:
-            if _triplex_step(entry, at_node) != node_given:
-                continue
-            if other in q.b:
-                return False
             state = (other, at_other)
-            if state not in visited:
+            if _triplex_step(entry, at_node) == node_given and state not in visited:
                 visited.add(state)
                 stack.append(state)
-    return True
+    return {node for node, _entry in visited}
 
 
 def separated(g: ChainGraph, q: SeparationQuery) -> bool:
     """True iff no open route joins q.a to q.b given q.c."""
     _check_query(g, q)
-    return _separated_core(_incidence(g), q)
+    return not _reachable(_incidence(g), q.a, q.c) & q.b
 
 
 def separated_magnified(mg: MagnifiedGraph, q: SeparationQuery) -> bool:
@@ -147,14 +138,21 @@ def all_separations(g: ChainGraph) -> frozenset:
 
     Pairwise queries suffice to pin down the represented independence model
     for the Gaussian use made of it here; set-valued queries remain
-    available through :func:`separated`. Graphs over `SEPARATION_CAP`
-    nodes raise `CapacityError`.
+    available through :func:`separated`. Queries that share j and C share
+    one reachability search from j, so each (node, conditioning set) with a
+    later node outside it is searched once: 129 searches at p=6 for the
+    240 queries. Graphs over `SEPARATION_CAP` nodes raise `CapacityError`.
     """
     if g.p > SEPARATION_CAP:
         raise CapacityError(f"separation enumeration capped at p={SEPARATION_CAP}, got p={g.p}")
     adj = _incidence(g)
     out = set()
-    for j, k, cond in pairwise_queries(g.p):
-        if _separated_core(adj, SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))):
-            out.add((j, k, cond))
+    for j in range(g.p):
+        others = [x for x in range(g.p) if x != j]
+        for r in range(len(others) + 1):
+            for cond in itertools.combinations(others, r):
+                later = [k for k in range(j + 1, g.p) if k not in cond]
+                if later:
+                    reached = _reachable(adj, (j,), cond)
+                    out.update((j, k, cond) for k in later if k not in reached)
     return frozenset(out)

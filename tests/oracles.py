@@ -6,7 +6,9 @@ possible) with the implementations they vet. The one exception is
 `brute_force_separated`, which reuses the library's edge incidence and
 per-step openness rule and vets only the reachability shortcut of
 `separated`; `literal_route_separated` checks the rule itself from raw
-edge sets.
+edge sets. `enumerate_chain_graphs`, which lists every chain graph on a
+few nodes for the exhaustive tests, filters its candidates with the
+library's `is_chain_graph`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 import numpy as np
 from scipy import optimize
 
-from ampcg.graphs import ChainGraph
+from ampcg.graphs import CapacityError, ChainGraph, is_chain_graph
 from ampcg.separation import SeparationQuery, _check_query, _incidence, _triplex_step
 
 
@@ -73,6 +75,26 @@ def literal_route_separated(
             for nxt in sorted(neighbors[route[-1]]):
                 stack.append(route + (nxt,))
     return True
+
+
+def enumerate_chain_graphs(p: int, cap: int = 5):
+    """Yield every chain graph on p nodes (4^C(p,2) candidates filtered)."""
+    if p > cap:
+        raise CapacityError(f"exhaustive enumeration capped at p={cap}, got p={p}")
+    pairs = list(itertools.combinations(range(p), 2))
+    for states in itertools.product(range(4), repeat=len(pairs)):
+        directed = set()
+        undirected = set()
+        for (a, b), state in zip(pairs, states):
+            if state == 1:
+                directed.add((a, b))
+            elif state == 2:
+                directed.add((b, a))
+            elif state == 3:
+                undirected.add((a, b))
+        g = ChainGraph(p, frozenset(directed), frozenset(undirected))
+        if is_chain_graph(g):
+            yield g
 
 
 def has_semidirected_cycle_matrix(p: int, directed: set, undirected: set) -> bool:

@@ -11,7 +11,6 @@ from ampcg import (
     EqualVarianceScorer,
     SemParameters,
     chain_components,
-    enumerate_chain_graphs,
     estimation,
     fit,
     fit_component,
@@ -25,7 +24,7 @@ from ampcg import (
     sample,
 )
 
-from .oracles import ggm_mle_numeric, sem_equal_variance_mle_numeric
+from .oracles import enumerate_chain_graphs, ggm_mle_numeric, sem_equal_variance_mle_numeric
 
 
 def _random_pd(rng, m):

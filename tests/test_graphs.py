@@ -14,7 +14,6 @@ from ampcg import (
     adjacencies,
     chain_components,
     determined_closure,
-    enumerate_chain_graphs,
     equivalence_class,
     find_semidirected_cycle,
     is_chain_graph,
@@ -28,7 +27,12 @@ from ampcg import (
 )
 
 from .conftest import chain_graphs
-from .oracles import equivalence_class_brute, has_semidirected_cycle_matrix, triplex_scan
+from .oracles import (
+    enumerate_chain_graphs,
+    equivalence_class_brute,
+    has_semidirected_cycle_matrix,
+    triplex_scan,
+)
 
 
 class TestConstruction:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from ampcg import (
     ChainGraph,
     Dataset,
     ExperimentConfig,
+    SeparationQuery,
     graph_from_dict,
     graph_to_dict,
     implied_distribution,
@@ -24,6 +26,7 @@ from ampcg import (
     read_parameters,
     run_experiment,
     sample,
+    separated,
     write_covariance,
     write_dataset,
     write_graph,
@@ -168,6 +171,27 @@ class TestCli:
         assert lines[0] == "j,k,C,separated"
         assert len(lines) == 1 + 6  # 3 pairs x 2 conditioning sets
         assert any(line.startswith("X1,X2,,False") for line in lines[1:])
+
+    def test_sep_enumerate_matches_single_queries(self, tmp_path, capsys, six_node_graph):
+        g = ChainGraph(6, six_node_graph.directed, six_node_graph.undirected, labels=tuple("abcdef"))
+        gpath = tmp_path / "g.json"
+        write_graph(g, gpath)
+        assert main(["sep", "--graph", str(gpath), "--enumerate"]) == 0
+        want = ["j,k,C,separated"]
+        for j, k in itertools.combinations(range(6), 2):
+            rest = [x for x in range(6) if x not in (j, k)]
+            for r in range(len(rest) + 1):
+                for cond in itertools.combinations(rest, r):
+                    q = SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))
+                    cell = ";".join("abcdef"[x] for x in cond)
+                    want.append(f"{'abcdef'[j]},{'abcdef'[k]},{cell},{separated(g, q)}")
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+    def test_sep_enumerate_capacity_error(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        write_graph(ChainGraph(7, directed={(0, 1)}), gpath)
+        assert main(["sep", "--graph", str(gpath), "--enumerate"]) == 2
+        assert capsys.readouterr().err.startswith("error capacity_error: ")
 
     def test_fit_and_identify(self, tmp_path, capsys):
         truth = ChainGraph(2, directed={(0, 1)})

@@ -226,7 +226,7 @@ class TestSkeletonRecovery:
         truth = ChainGraph(3, directed={(0, 1), (2, 1)})
         params, _ = faithful_parameters(truth, seed=43)
         data = sample(implied_distribution(params), 2000, seed=44)
-        result = skeleton_recovery(data, alpha_tol=0.05)
+        result = skeleton_recovery(data)
         assert result.graph.p == 3  # flag may go either way; output must exist
 
     def test_cap_checked_before_table(self, monkeypatch):
@@ -234,7 +234,7 @@ class TestSkeletonRecovery:
             raise AssertionError("built a partial-correlation table over the cap")
 
         monkeypatch.setattr(sem, "_partial_correlations", forbidden)
-        monkeypatch.setattr(search, "_partial_correlations", forbidden)
+        monkeypatch.setattr(search, "_independences", forbidden)
         with pytest.raises(CapacityError, match="capped at p=8, got p=9"):
             skeleton_recovery(np.eye(9))
 
@@ -251,27 +251,32 @@ class TestSkeletonRecovery:
         assert skeleton_recovery(sample(dist, 500, seed=45)).graph.p == 6
 
     def test_conditioned_entries_never_decide(self, six_node_graph, monkeypatch):
-        # every table entry with a conditioned query node is replaced by an
-        # object that fails on use, so reading one at a decision raises
-        class Poison:
-            def __abs__(self):
-                raise AssertionError("a conditioned entry reached a decision")
-
-            __float__ = __abs__
-
-        original = sem._partial_correlations
-
-        def poisoned(cov):
-            table = original(cov).astype(object)
-            table[np.isnan(table.astype(float))] = Poison()
-            return table
-
-        monkeypatch.setattr(sem, "_partial_correlations", poisoned)
-        monkeypatch.setattr(search, "_partial_correlations", poisoned)
+        # a table entry with a query node in its own conditioning set is
+        # never read: forcing every such entry to True, then to False,
+        # changes no faithful draw and no recovered skeleton
         params, _ = faithful_parameters(six_node_graph, seed=41)
         dist = implied_distribution(params)
-        assert markov_equivalent(skeleton_recovery(dist.cov).graph, six_node_graph)
-        assert skeleton_recovery(sample(dist, 500, seed=45)).graph.p == 6
+        data = sample(dist, 500, seed=45)
+
+        def outcomes():
+            drawn, draws = faithful_parameters(six_node_graph, seed=41)
+            skeletons = [skeleton_recovery(x) for x in (dist.cov, data)]
+            return draws, drawn.beta.tolist(), [(r.graph, r.consistent) for r in skeletons]
+
+        expected = outcomes()
+        assert markov_equivalent(expected[2][0][0], six_node_graph)
+        original = sem._independences
+        for value in (True, False):
+
+            def forced(s, n=None, value=value):
+                table = original(s, n)
+                bits = sem._mask_bits(len(s))
+                table[bits[:, :, None] | bits[:, None, :]] = value
+                return table
+
+            monkeypatch.setattr(sem, "_independences", forced)
+            monkeypatch.setattr(search, "_independences", forced)
+            assert outcomes() == expected
 
 
 class TestTwoPhase:

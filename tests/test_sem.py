@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ampcg import (
     ChainGraph,
@@ -23,7 +25,7 @@ from ampcg import (
     sample,
 )
 from ampcg.estimation import moment_matrix
-from ampcg.sem import _mask, _partial_correlation, _partial_correlations
+from ampcg.sem import _independences, _mask, _partial_correlation, _partial_correlations
 from ampcg.separation import pairwise_queries
 
 from .conftest import chain_graphs
@@ -133,7 +135,7 @@ class TestMarkovAndFaithfulness:
     def test_separations_imply_zero_partial_correlation(self, g, seed):
         cov = implied_distribution(random_parameters(g, seed=seed)).cov
         for j, k, cond in all_separations(g):
-            assert gaussian_ci(cov, j, k, cond, tol=1e-8)
+            assert gaussian_ci(cov, j, k, cond)
 
     def test_faithful_draw_has_no_extra_independences(self, six_node_graph):
         params, draws = faithful_parameters(six_node_graph, seed=21)
@@ -309,3 +311,51 @@ class TestPartialCorrelationTable:
             for j, k in itertools.product(range(4), repeat=2):
                 conditioned = (mask >> j) & 1 or (mask >> k) & 1
                 assert np.isnan(table[mask, j, k]) == bool(conditioned)
+
+
+class TestIndependenceTable:
+    @staticmethod
+    def _decision(table, n, j, k, cond) -> bool:
+        # one query at a time: |r| < 1e-8 on a covariance, a two-sided
+        # Fisher-z test at level 0.01 on n samples
+        r = float(table[_mask(cond), j, k])
+        if n is None:
+            return abs(r) < 1e-8
+        r = max(-0.999999, min(0.999999, r))
+        z = 0.5 * math.log((1.0 + r) / (1.0 - r))
+        dof = n - len(cond) - 3
+        if dof <= 0:
+            return True
+        return math.sqrt(dof) * abs(z) <= float(stats.norm.ppf(1.0 - 0.01 / 2.0))
+
+    @staticmethod
+    def _inputs(p: int):
+        rng = np.random.default_rng(10 + p)
+        a = rng.standard_normal((p, p))
+        yield a @ a.T + 0.1 * np.eye(p), None
+        g = random_chain_graph(p, 0.5, 0.3, seed=p)
+        dist = implied_distribution(random_parameters(g, seed=p))
+        yield dist.cov, None  # exact zeros wherever g separates
+        yield 1e-11 * dist.cov, None
+        for n in (5, 50, 500):
+            if n >= p:
+                yield moment_matrix(sample(dist, n, seed=[p, n]), p)[0], n
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_matches_single_queries(self, p):
+        for s, n in self._inputs(p):
+            got = _independences(s, n)
+            table = _partial_correlations(s)
+            assert got.shape == (2**p, p, p) and got.dtype == bool
+            for j, k, cond in pairwise_queries(p):
+                want = self._decision(table, n, j, k, cond)
+                assert got[_mask(cond), j, k] == got[_mask(cond), k, j] == want, (n, j, k, cond)
+
+    def test_too_few_samples_read_independent(self):
+        # n=5 leaves n - |C| - 3 <= 0 degrees of freedom once |C| >= 2
+        chain = ChainGraph(4, directed={(0, 1), (1, 2), (2, 3)})
+        dist = implied_distribution(random_parameters(chain, seed=1))
+        s = moment_matrix(sample(dist, 5, seed=2), 4)[0]
+        got = _independences(s, 5)
+        assert got[_mask((2, 3)), 0, 1] and got[_mask((0, 1)), 2, 3]
+        assert not _independences(dist.cov)[_mask((2, 3)), 0, 1]

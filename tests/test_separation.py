@@ -11,7 +11,6 @@ from ampcg import (
     ChainGraph,
     SeparationQuery,
     all_separations,
-    enumerate_chain_graphs,
     magnify,
     markov_equivalent,
     separated,
@@ -19,7 +18,7 @@ from ampcg import (
 )
 
 from .conftest import chain_graphs
-from .oracles import brute_force_separated, literal_route_separated
+from .oracles import brute_force_separated, enumerate_chain_graphs, literal_route_separated
 
 
 def _singleton_queries(p):
@@ -28,6 +27,14 @@ def _singleton_queries(p):
         for r in range(len(rest) + 1):
             for cond in itertools.combinations(rest, r):
                 yield SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))
+
+
+def _separated_triples(g):
+    return {
+        (min(q.a), min(q.b), tuple(sorted(q.c)))
+        for q in _singleton_queries(g.p)
+        if separated(g, q)
+    }
 
 
 class TestQueryValidation:
@@ -194,3 +201,13 @@ class TestAllSeparations:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             all_separations(ChainGraph(7))
+
+    def test_one_search_per_node_and_set_matches_single_queries(self):
+        for p in range(1, 5):
+            for g in enumerate_chain_graphs(p):
+                assert all_separations(g) == _separated_triples(g), g
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_graphs(min_p=2, max_p=6))
+    def test_random_graphs_match_single_queries(self, g):
+        assert all_separations(g) == _separated_triples(g)
