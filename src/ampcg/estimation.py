@@ -25,8 +25,8 @@ squares, so a DAG is closed form (sigma2 the mean residual sum of
 squares). When the only multi-node component is two nodes joined by one
 undirected edge, the one free correlation is found in closed form, as the
 best real root of a polynomial, and the optimum is global. Otherwise one
-L-BFGS solve runs over the off-diagonal pattern entries of the multi-node
-components' unit-diagonal concentration matrices. `EqualVarianceScorer`
+BFGS descent (`_descend`) runs over the off-diagonal pattern entries of
+the multi-node components' unit-diagonal concentration matrices. `EqualVarianceScorer`
 scores many graphs on one input with that same split and solve, caching
 each singleton's least-squares fit by (node, parent set). The spread of
 the unconstrained fit's log error variances is its `dispersion`. On a
@@ -44,7 +44,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import optimize
 
 from .graphs import ChainGraph, chain_components, relatives
 from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
@@ -127,6 +126,7 @@ _EV_GRAD_TOL = 1e-6  # largest objective gradient entry of a converged equal-var
 _TOL = 1e-9  # relative parameter change at which IPF and the alternating fit stop
 _MAX_IPF = 500  # IPF sweeps per call
 _MAX_OUTER = 200  # alternating GLS/IPF rounds per multi-node component
+_MAX_STEPS = 15000  # descent steps per equal-variance solve
 
 
 def _maximal_cliques(m: int, edges: Iterable[tuple]) -> list:
@@ -458,6 +458,43 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> float:
     return float(x[np.argmin(objective)])
 
 
+def _descend(profile, theta: np.ndarray) -> tuple:
+    """(point, steps, stopped on a tolerance) of a BFGS descent on `profile` from the feasible theta.
+
+    `profile(theta)` returns (objective, gradient, ...) or None outside the
+    feasible region. Each step halves the quasi-Newton step until the trial
+    point is feasible and meets the Armijo condition; the first trial step
+    has unit length. The inverse-Hessian estimate starts at the identity,
+    is scaled by s.y / y.y after the first step, as in L-BFGS-B, and skips
+    updates without positive curvature. The descent stops on a tolerance
+    when the largest gradient entry is at most 1e-9 or the relative
+    decrease at most 1e-13, and off tolerance when halving finds no
+    acceptable step or after `_MAX_STEPS` steps.
+    """
+    value, grad = profile(theta)[:2]
+    inv_hess = np.eye(theta.size)
+    for steps in range(_MAX_STEPS):
+        if np.max(np.abs(grad)) <= 1e-9:
+            return theta, steps, True
+        direction = -inv_hess @ grad
+        t = 1.0 / np.linalg.norm(direction) if steps == 0 else 1.0
+        while (out := profile(theta + t * direction)) is None or out[0] > value + 1e-4 * t * (grad @ direction):
+            t *= 0.5
+            if t < 1e-20:
+                return theta, steps, False
+        s, y = t * direction, out[1] - grad
+        decrease, theta, value, grad = value - out[0], theta + s, out[0], out[1]
+        if decrease <= 1e-13 * max(abs(value + decrease), abs(value), 1.0):
+            return theta, steps + 1, True
+        sy = s @ y
+        if sy > 0:
+            if steps == 0:
+                inv_hess *= sy / (y @ y)
+            v = np.eye(theta.size) - np.outer(s, y) / sy
+            inv_hess = v @ inv_hess @ v.T + np.outer(s, s) / sy
+    return theta, _MAX_STEPS, False
+
+
 def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     """Profiled equal-error-variance optimum over the multi-node components `comps`.
 
@@ -471,11 +508,12 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     entries sit on the undirected pattern, so R_K^-1 = D^1/2 Omega_K D^1/2
     with D = diag(Omega_K^-1) keeps that pattern. With one free entry (one
     component, two nodes, one edge) the global optimum is closed form (see
-    `_one_edge_correlation`) and iterations are 0. Otherwise one L-BFGS
-    solve from Omega_K = I runs over those entries; B and sigma2 are optimal
-    at every point, so by the envelope theorem the gradient only
-    differentiates R_K. The objective need not be convex, so that solve
-    finds a local optimum.
+    `_one_edge_correlation`) and iterations are 0. Otherwise one `_descend`
+    from Omega_K = I runs over those entries; B and sigma2 are optimal at
+    every point, so by the envelope theorem the gradient only
+    differentiates R_K. The objective need not be convex, so the descent
+    finds a local optimum. The solve is converged when the descent stopped
+    on a tolerance or the largest gradient entry is at most `_EV_GRAD_TOL`.
     """
     if not comps:
         return _Solve(p * math.log(fixed_t / p), fixed_t, [], [], 0, True)
@@ -524,23 +562,8 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
         theta = np.array([-_one_edge_correlation(fixed_t, comps[0], p)])
         iterations, success = 0, True
     else:
-        theta = np.zeros(bounds[-1])  # Omega_K = I lies inside the region and is evaluated first
-        highest, best = -math.inf, math.inf
-
-        def objective(point: np.ndarray):
-            nonlocal highest, best, theta
-            out = profile(point)
-            if out is None:  # worse than any point seen, so the line search backs off
-                return highest + 1.0, np.zeros_like(point)
-            highest = max(highest, out[0])
-            if out[0] < best:
-                best, theta = out[0], point.copy()
-            return out[:2]
-
-        res = optimize.minimize(
-            objective, theta, jac=True, method="L-BFGS-B", options={"ftol": 1e-13, "gtol": 1e-9}
-        )
-        iterations, success = int(res.nit), bool(res.success)
+        # Omega_K = I lies inside the region.
+        theta, iterations, success = _descend(profile, np.zeros(bounds[-1]))
     value, grad, total_t, parts = profile(theta)
     converged = success or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL
     corrs = []
@@ -558,7 +581,7 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     alternating GLS/IPF, and iterations count its largest number of rounds.
     With equal_variances the exact equality-constrained maximum likelihood
     is returned instead (see `_equal_variance_solve`), and iterations count
-    the optimizer's steps; they are zero when the only multi-node component
+    the descent's steps; they are zero when the only multi-node component
     is two nodes joined by one edge, which is solved in closed form. Either
     way iterations are zero when every component is a singleton. The loops'
     caps and tolerance are fixed, not settable.

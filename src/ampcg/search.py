@@ -155,25 +155,12 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
 
 
 def _neighbor_graphs(g: ChainGraph) -> list:
-    """Every chain graph one edge addition, deletion, reversal or type change away from g."""
-    candidates = set()
+    """Every chain graph whose edge state (none, a->b, b->a or a-b) differs from g's on one node pair."""
+    candidates = []
     for a, b in itertools.combinations(range(g.p), 2):
-        if not g.adjacent(a, b):
-            candidates.add(ChainGraph(g.p, g.directed | {(a, b)}, g.undirected, labels=g.labels))
-            candidates.add(ChainGraph(g.p, g.directed | {(b, a)}, g.undirected, labels=g.labels))
-            candidates.add(ChainGraph(g.p, g.directed, g.undirected | {(a, b)}, labels=g.labels))
-    for a, b in g.directed:
-        without = g.directed - {(a, b)}
-        candidates.add(ChainGraph(g.p, without, g.undirected, labels=g.labels))
-        candidates.add(ChainGraph(g.p, without | {(b, a)}, g.undirected, labels=g.labels))
-        candidates.add(
-            ChainGraph(g.p, without, g.undirected | {(min(a, b), max(a, b))}, labels=g.labels)
-        )
-    for a, b in g.undirected:
-        without = g.undirected - {(a, b)}
-        candidates.add(ChainGraph(g.p, g.directed, without, labels=g.labels))
-        candidates.add(ChainGraph(g.p, g.directed | {(a, b)}, without, labels=g.labels))
-        candidates.add(ChainGraph(g.p, g.directed | {(b, a)}, without, labels=g.labels))
+        d, u = g.directed - {(a, b), (b, a)}, g.undirected - {(a, b)}
+        for state in ((d, u), (d | {(a, b)}, u), (d | {(b, a)}, u), (d, u | {(a, b)})):
+            candidates.append(ChainGraph(g.p, *state, labels=g.labels))
     valid = [h for h in candidates if h != g and is_chain_graph(h)]
     valid.sort(key=lambda h: (len(h.directed), canonical_key(h)))
     return valid

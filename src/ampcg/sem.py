@@ -26,10 +26,10 @@ builds one per draw, and skeleton recovery in `search` one per call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Iterable
 
 import numpy as np
-from scipy import stats
 
 from .graphs import ChainGraph, chain_components, is_chain_graph
 from .separation import all_separations, pairwise_queries
@@ -367,7 +367,7 @@ def _independences(s: np.ndarray, n: int | None = None) -> np.ndarray:
     r = np.clip(r, -0.999999, 0.999999)
     z = 0.5 * np.log((1.0 + r) / (1.0 - r))
     dof = n - _mask_bits(len(s)).sum(axis=1) - 3
-    crit = float(stats.norm.ppf(1.0 - _CI_LEVEL / 2.0))
+    crit = NormalDist().inv_cdf(1.0 - _CI_LEVEL / 2.0)
     root = np.sqrt(np.maximum(dof, 0))[:, None, None]
     return (dof <= 0)[:, None, None] | (root * np.abs(z) <= crit)
 

@@ -296,10 +296,10 @@ class TestEqualVarianceFit:
         assert ours4.dispersion == 0.0
 
     def test_dag_is_closed_form_least_squares(self, monkeypatch):
-        def no_optimizer(*args, **kwargs):
+        def no_descent(*args, **kwargs):
             raise AssertionError("a DAG needs no numeric optimization")
 
-        monkeypatch.setattr(estimation.optimize, "minimize", no_optimizer)
+        monkeypatch.setattr(estimation, "_descend", no_descent)
         g = ChainGraph(4, directed={(0, 1), (0, 2), (1, 3), (2, 3)})
         params = rescale_equal_variances(random_parameters(g, seed=12), 1.0)
         data = sample(implied_distribution(params), 3000, seed=13)
@@ -319,13 +319,13 @@ class TestEqualVarianceFit:
 
     def test_undirected_edges_take_one_optimizer_call(self, monkeypatch):
         calls = []
-        original = estimation.optimize.minimize
+        original = estimation._descend
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(estimation.optimize, "minimize", counting)
+        monkeypatch.setattr(estimation, "_descend", counting)
         g = ChainGraph(5, directed={(0, 2), (1, 3)}, undirected={(0, 1), (2, 3), (3, 4)})
         cov = _random_pd(np.random.default_rng(43), 5)
         result = fit(cov, g, equal_variances=True)
@@ -334,6 +334,23 @@ class TestEqualVarianceFit:
         assert abs(result.loglik - _equal_variance_oracle(cov, g)) < 1e-8
         conc = np.linalg.inv(result.params.sigma[np.ix_([2, 3, 4], [2, 3, 4])])
         assert abs(conc[0, 2]) < 1e-10  # 2 and 4 are not adjacent
+
+    def test_descent_halves_back_into_the_feasible_region(self):
+        trials = []
+
+        def profile(theta):
+            # feasible on |x| < 0.5, minimum at 0.2; the first unit-length step from 0 lands on 1
+            trials.append(float(theta[0]))
+            if abs(theta[0]) >= 0.5:
+                return None
+            u = 3.0 * (theta[0] - 0.2)
+            return math.cosh(u), np.array([3.0 * math.sinh(u)])
+
+        theta, steps, stopped = estimation._descend(profile, np.zeros(1))
+        assert trials[1:4] == [1.0, 0.5, 0.25]
+        assert stopped and steps > 1
+        assert abs(profile(theta)[1][0]) <= 1e-9
+        assert abs(theta[0] - 0.2) < 1e-9
 
     def test_stationary_start_reaches_oracle(self):
         # Zero residual cross-moment on the edge: Omega = I is a stationary maximum of the objective.
@@ -417,20 +434,20 @@ class TestEqualVarianceScorer:
         assert converged == reference.converged
 
     def test_dag_needs_no_optimizer(self, monkeypatch):
-        def no_optimizer(*args, **kwargs):
+        def no_descent(*args, **kwargs):
             raise AssertionError("a DAG needs no numeric optimization")
 
-        monkeypatch.setattr(estimation.optimize, "minimize", no_optimizer)
+        monkeypatch.setattr(estimation, "_descend", no_descent)
         scorer = EqualVarianceScorer(_random_pd(np.random.default_rng(44), 4), 4)
         for g in enumerate_chain_graphs(4):
             if not g.undirected:
                 assert scorer.loglik(g)[1]
 
     def test_one_edge_needs_no_optimizer(self, monkeypatch):
-        def no_optimizer(*args, **kwargs):
+        def no_descent(*args, **kwargs):
             raise AssertionError("a single two-node component with one edge is solved in closed form")
 
-        monkeypatch.setattr(estimation.optimize, "minimize", no_optimizer)
+        monkeypatch.setattr(estimation, "_descend", no_descent)
         cov = _random_pd(np.random.default_rng(45), 4)
         scorer = EqualVarianceScorer(cov, 4)
         graphs = [

@@ -24,8 +24,11 @@ from ampcg import (
     search,
     sem,
     skeleton_recovery,
+    structural_hamming_distance,
     two_phase,
 )
+
+from .oracles import enumerate_chain_graphs
 
 
 class TestIdentifyInClass:
@@ -149,6 +152,16 @@ class TestGreedySearch:
         params = rescale_equal_variances(random_parameters(truth, seed=6), 1.0)
         cov = implied_distribution(params).cov
         assert greedy_search(cov, SearchConfig(restarts=3)) == truth
+
+    def test_neighbors_are_the_chain_graphs_one_edge_state_away(self):
+        every = {p: list(enumerate_chain_graphs(p)) for p in (3, 4)}
+        rng = np.random.default_rng(8)
+        picked = every[3] + [every[4][i] for i in rng.choice(len(every[4]), size=30, replace=False)]
+        assert len(picked) == 50 + 30
+        for g in picked:
+            neighbors = search._neighbor_graphs(g)
+            assert len(set(neighbors)) == len(neighbors)
+            assert set(neighbors) == {h for h in every[g.p] if structural_hamming_distance(g, h) == 1}, g
 
     def test_deterministic_given_seed(self):
         truth = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
