@@ -26,12 +26,13 @@ squares). When the only multi-node component is two nodes joined by one
 undirected edge, the one free correlation is found in closed form, as the
 best real root of a polynomial, and the optimum is global. Otherwise one
 BFGS descent (`_descend`) runs over the off-diagonal pattern entries of
-the multi-node components' unit-diagonal concentration matrices. `EqualVarianceScorer`
-scores many graphs on one input with that same split and solve, caching
-each singleton's least-squares fit by (node, parent set). The spread of
-the unconstrained fit's log error variances is its `dispersion`. On a
-population covariance that the model reproduces, each node's fitted error
-variance is its residual variance given its parents, so
+the multi-node components' unit-diagonal concentration matrices.
+`EqualVarianceScorer` scores many graphs on one input with that same
+split and solve, caching each singleton's least-squares fit by (node,
+parent set). The spread of the unconstrained fit's log error variances is
+its `dispersion`. On a population covariance that the model reproduces,
+each node's fitted error variance is its residual variance given its
+parents, so
 `search.identify_in_class` reads the dispersion of every class member off
 those least-squares fits, with no fit run here.
 """
