@@ -128,6 +128,7 @@ _TOL = 1e-9  # relative parameter change at which IPF and the alternating fit st
 _MAX_IPF = 500  # IPF sweeps per call
 _MAX_OUTER = 200  # alternating GLS/IPF rounds per multi-node component
 _MAX_STEPS = 15000  # descent steps per equal-variance solve
+_MAX_HALVINGS = 20  # trial points per descent step (L-BFGS-B's default line-search limit)
 
 
 def _maximal_cliques(m: int, edges: Iterable[tuple]) -> list:
@@ -463,34 +464,39 @@ def _descend(profile, theta: np.ndarray) -> tuple:
     """(point, steps, stopped on a tolerance) of a BFGS descent on `profile` from the feasible theta.
 
     `profile(theta)` returns (objective, gradient, ...) or None outside the
-    feasible region. Each step halves the quasi-Newton step until the trial
-    point is feasible and meets the Armijo condition; the first trial step
-    has unit length. The inverse-Hessian estimate starts at the identity,
-    is scaled by s.y / y.y after the first step, as in L-BFGS-B, and skips
-    updates without positive curvature. The descent stops on a tolerance
-    when the largest gradient entry is at most 1e-9 or the relative
-    decrease at most 1e-13, and off tolerance when halving finds no
-    acceptable step or after `_MAX_STEPS` steps.
+    feasible region. Until a step shows positive curvature (s.y > 0), each
+    step goes along the unit-length steepest descent direction. The first
+    such step starts the inverse-Hessian estimate at (s.y / y.y) I, and
+    BFGS updates it on every such step. Each step halves its trial length,
+    from 1, until the trial point is feasible and meets the Armijo
+    condition, at most `_MAX_HALVINGS` times. The descent stops on a
+    tolerance when the largest gradient entry is at most 1e-9 or the
+    relative decrease at most 1e-13, counting halvings that end at a
+    feasible point no higher than theta to that tolerance (the objective
+    is flat to rounding there). It stops off tolerance when the halvings
+    end elsewhere, or after `_MAX_STEPS` steps.
     """
     value, grad = profile(theta)[:2]
-    inv_hess = np.eye(theta.size)
+    inv_hess = None
     for steps in range(_MAX_STEPS):
         if np.max(np.abs(grad)) <= 1e-9:
             return theta, steps, True
-        direction = -inv_hess @ grad
-        t = 1.0 / np.linalg.norm(direction) if steps == 0 else 1.0
-        while (out := profile(theta + t * direction)) is None or out[0] > value + 1e-4 * t * (grad @ direction):
+        direction = -grad / np.linalg.norm(grad) if inv_hess is None else -inv_hess @ grad
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            if (out := profile(theta + t * direction)) is not None and out[0] <= value + 1e-4 * t * (grad @ direction):
+                break
             t *= 0.5
-            if t < 1e-20:
-                return theta, steps, False
+        else:
+            return theta, steps, out is not None and out[0] - value <= 1e-13 * max(abs(value), 1.0)
         s, y = t * direction, out[1] - grad
         decrease, theta, value, grad = value - out[0], theta + s, out[0], out[1]
         if decrease <= 1e-13 * max(abs(value + decrease), abs(value), 1.0):
             return theta, steps + 1, True
         sy = s @ y
         if sy > 0:
-            if steps == 0:
-                inv_hess *= sy / (y @ y)
+            if inv_hess is None:
+                inv_hess = np.eye(theta.size) * (sy / (y @ y))
             v = np.eye(theta.size) - np.outer(s, y) / sy
             inv_hess = v @ inv_hess @ v.T + np.outer(s, s) / sy
     return theta, _MAX_STEPS, False

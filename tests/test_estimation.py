@@ -352,6 +352,34 @@ class TestEqualVarianceFit:
         assert abs(profile(theta)[1][0]) <= 1e-9
         assert abs(theta[0] - 0.2) < 1e-9
 
+    def test_descent_scales_on_the_first_positive_curvature_step(self):
+        trials = []
+
+        def profile(theta):
+            # -20 cos x from 2.5: the first unit step, to 1.5, has negative curvature (s.y < 0).
+            trials.append(float(theta[0]))
+            return -20.0 * math.cos(theta[0]), np.array([20.0 * math.sin(theta[0])])
+
+        theta, steps, stopped = estimation._descend(profile, np.array([2.5]))
+        # An unscaled step of gradient length from 1.5 would try 1.5 - 20 sin 1.5 = -18.45,
+        # in the basin of -6 pi. Unit steps hold until the step 1.5 -> 0.5 shows positive curvature.
+        assert trials[1:3] == [1.5, 0.5]
+        assert all(abs(x) < math.pi for x in trials)
+        assert stopped and abs(theta[0]) < 1e-9
+
+    def test_descent_halvings_are_capped(self):
+        # A gradient of 1e-6 on a level objective: no trial meets the Armijo condition.
+        trials = []
+
+        def flat(theta):
+            trials.append(float(theta[0]))
+            return 1.0, np.array([1e-6])
+
+        assert estimation._descend(flat, np.zeros(1))[1:] == (0, True)  # flat to rounding: on tolerance
+        assert len(trials) == 1 + estimation._MAX_HALVINGS
+        walled = estimation._descend(lambda theta: flat(theta) if theta[0] == 0 else None, np.zeros(1))
+        assert walled[1:] == (0, False)  # no feasible trial: off tolerance
+
     def test_stationary_start_reaches_oracle(self):
         # Zero residual cross-moment on the edge: Omega = I is a stationary maximum of the objective.
         cov = np.diag([10.0, 10.0, 0.1, 0.1])
