@@ -24,23 +24,30 @@ Singletons have R_K = 1 and enter only through their residual sums of
 squares, so a DAG is closed form (sigma2 the mean residual sum of
 squares). When the only multi-node component is two nodes joined by one
 undirected edge, the one free correlation is found in closed form, as the
-best real root of a polynomial, and the optimum is global. Otherwise one
-BFGS descent (`_descend`) runs over the off-diagonal pattern entries of
-the multi-node components' unit-diagonal concentration matrices.
+best real root of a polynomial; the optimum is global, and its objective
+is read off the same closed form. Otherwise one BFGS descent (`_descend`)
+runs over the off-diagonal pattern entries of the multi-node components'
+unit-diagonal concentration matrices, on the profiled objective
+`_profile`.
 `EqualVarianceScorer` scores many graphs on one input with that same
-split and solve, caching each singleton's least-squares fit by (node,
-parent set). The spread of the unconstrained fit's log error variances is
-its `dispersion`. On a population covariance that the model reproduces,
-each node's fitted error variance is its residual variance given its
-parents, so
-`search.identify_in_class` reads the dispersion of every class member off
-those least-squares fits, with no fit run here.
+split and solve. It builds each component once: a singleton's
+least-squares fit per (node, parent set), and a multi-node component's
+record per (component, parent sets, undirected edges). Graphs that share
+a lone one-edge component differ only in the singletons' residual total
+T0, and the stationarity polynomial is linear in T0, so the record keeps
+its T0-free part and each further score is one small root solve. The
+spread of the unconstrained fit's log error variances is its
+`dispersion`. On a population covariance that the model reproduces, each
+node's fitted error variance is its residual variance given its parents,
+so `search.identify_in_class` reads the dispersion of every class member
+off those least-squares fits, with no fit run here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, partial, reduce
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -204,24 +211,42 @@ def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
     return IpfResult(sigma=0.5 * (sigma + sigma.T), iterations=sweeps, converged=converged)
 
 
+class _OneEdge(NamedTuple):
+    """The T0-free pieces of a one-edge component's solve (see `_one_edge_correlation`)."""
+
+    lam: np.ndarray
+    u0: np.ndarray
+    u1: np.ndarray
+    trace: float
+    cross: float
+    series: np.ndarray  # Chebyshev rows of (1 - rho^2) g' D^2, rho g D^2 and 2 rho (1 - rho^2) D^2
+
+
 @dataclass(frozen=True, eq=False)
 class _Component:
     """One chain component's regression layout and its slices of the second moment.
 
     `support` holds the coefficients allowed to be non-zero as (local node,
-    local predictor) index arrays, `pattern` the undirected edges as local
-    node pairs. `normal` is the predictor factor of the weighted normal
-    equations, one row and column per supported coefficient.
+    local predictor) index arrays, `pattern` the undirected edges as sorted
+    local node pairs and `edges` the same pairs as index arrays. `normal` is
+    the predictor factor of the weighted normal equations, one row and
+    column per supported coefficient.
     """
 
     nodes: list
     predictors: list
     pattern: list
+    edges: tuple
     support: tuple
     syy: np.ndarray
     syz: np.ndarray
     szz: np.ndarray
     normal: np.ndarray
+
+    @cached_property
+    def one_edge(self) -> _OneEdge:
+        """The T0-free pieces of the one-edge solve, worked out on first use."""
+        return _one_edge_terms(self)
 
 
 def _index_arrays(pairs: list) -> tuple:
@@ -234,13 +259,15 @@ def _component(s: np.ndarray, g: ChainGraph, comp: frozenset) -> _Component:
     z_index = {v: i for i, v in enumerate(z_nodes)}
     support = [(row, z_index[parent]) for row, node in enumerate(y_nodes) for parent in g._parents[node]]
     local = {v: i for i, v in enumerate(y_nodes)}
-    pattern = [(local[a], local[b]) for a, b in g.undirected if a in comp and b in comp]
+    # sorted, so a record shared by many graphs orders its edges the same whichever graph built it
+    pattern = sorted((local[a], local[b]) for a, b in g.undirected if a in comp and b in comp)
     szz = s[np.ix_(z_nodes, z_nodes)]
     rows, cols = _index_arrays(support)
     return _Component(
         nodes=y_nodes,
         predictors=z_nodes,
         pattern=pattern,
+        edges=_index_arrays(pattern),
         support=(rows, cols),
         syy=s[np.ix_(y_nodes, y_nodes)],
         syz=s[np.ix_(y_nodes, z_nodes)],
@@ -291,24 +318,27 @@ def _least_squares(c: _Component) -> ComponentFit:
 def _split(s: np.ndarray, n: int | None, g: ChainGraph, comps: Iterable, cache: dict | None = None):
     """(singleton fits, multi-node `_Component` records) of the chain components `comps` of g.
 
-    Every component's sample size is checked. A singleton is fit in closed
-    form by `_least_squares`, once per (node, parent set) when a `cache` is
-    given; only the multi-node components are left for a numeric fit.
+    A singleton is fit in closed form by `_least_squares`; only the
+    multi-node components are left for a numeric fit. With a `cache`, each
+    singleton fit is kept by (node, parent set) and each multi-node record
+    by (component, its nodes' parent sets, its undirected edges), so a
+    component is built once however many graphs contain it. Every
+    component's sample size is checked when it is built.
     """
     cache = {} if cache is None else cache
     singles, multi = [], []
     for comp in comps:
         if len(comp) > 1:
-            multi.append(_component(s, g, comp))
-            _check_sample_size(n, multi[-1])
-            continue
-        (node,) = comp
-        key = (node, g._parents[node])
+            edges = frozenset(e for e in g.undirected if e[0] in comp)
+            key = (comp, tuple(g._parents[v] for v in sorted(comp)), edges)
+        else:
+            (node,) = comp
+            key = (node, g._parents[node])
         if key not in cache:
             c = _component(s, g, comp)
             _check_sample_size(n, c)
-            cache[key] = _least_squares(c)
-        singles.append(cache[key])
+            cache[key] = c if len(comp) > 1 else _least_squares(c)
+        (multi if len(comp) > 1 else singles).append(cache[key])
     return singles, multi
 
 
@@ -377,36 +407,44 @@ def gaussian_average_loglik(model_cov: np.ndarray, s: np.ndarray) -> float:
 
 class _Solve(NamedTuple):
     objective: float  # p * log(T / p) + sum_K log det R_K at the optimum
-    total_t: float
-    betas: list
-    corrs: list
+    theta: np.ndarray  # off-diagonal pattern entries of the unit-diagonal Omega_K at the optimum
     iterations: int
     converged: bool
 
 
-def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> float:
-    """Global minimizer rho of the profiled objective when c is one two-node component with one edge.
+# 1 - rho^2 and 2 rho (1 - rho^2) in the Chebyshev basis
+_ONE_MINUS_SQUARE = np.array([0.5, 0.0, -0.5])
+_TWICE_RHO_ONE_MINUS_SQUARE = np.array([0.0, 0.5, 0.0, -0.5])
 
-    With R = [[1, rho], [rho, 1]], (1 - rho^2) R^-1 = I - rho J is linear in
-    rho, so the GLS normal matrix is A0 - rho A1 and its right side
-    r0 - rho r1. Predictors that both rows regress on enter without
-    restriction, so GLS on them is least squares and they are partialled
-    out of the second moment first. On the rest, A0 = L L^T and the
-    eigenvalues lam of L^-1 A1 L^-T (canonical correlations between the
-    two rows' own predictors, so inside (-1, 1)) give, with u0 and u1 the
-    right sides rotated alike,
-        g(rho) = (1 - rho^2)(T - T0) = a - 2 rho c - sum_i (u0_i - rho u1_i)^2 / (1 - rho lam_i)
-    for a, c the trace and off-diagonal entry of the partialled residual
-    moment and T0 = fixed_t. The objective p log(T / p) + log(1 - rho^2)
-    tends to +inf at rho = +-1, so its minimum is a real root in (-1, 1) of
-        h(rho) = p (1 - rho^2) g' + 2 (p - 1) rho g - 2 rho T0 (1 - rho^2),
-    whose product with prod_i (1 - rho lam_i)^2 is a polynomial of degree at
-    most 2k + 3 for k own coefficients; with identical parent sets (k = 0)
-    it is the cubic T0 rho^3 + (2 - p) c rho^2 + ((p - 1) a - T0) rho - p c.
-    The polynomial is interpolated at Chebyshev points, its real roots in
-    (-1, 1) take one Newton step on h itself, and the one with the smallest
-    objective is returned.
+
+def _cheb_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chebyshev series of the product of the Chebyshev series a and b.
+
+    T_m T_n = (T_{m+n} + T_{|m-n|}) / 2: a convolution gives the first
+    halves and a correlation, folded at lag 0, the second. It is
+    `chebyshev.chebmul` without its argument handling, which costs several
+    times the arithmetic at these sizes; the result keeps all
+    a.size + b.size - 1 coefficients.
     """
+    out = np.convolve(a, b)
+    lag = np.correlate(a, b, "full")  # entry j + b.size - 1 sums a_m b_n over m - n = j
+    z = b.size - 1
+    out[: z + 1] += lag[z::-1]
+    out[1 : a.size] += lag[z + 1 :]
+    return 0.5 * out
+
+
+def _cheb_der(c: np.ndarray) -> np.ndarray:
+    """Chebyshev series of the derivative of the Chebyshev series c, padded to c.size coefficients."""
+    out = np.zeros(c.size + 1)
+    for j in range(c.size - 1, 0, -1):
+        out[j - 1] = out[j + 1] + 2.0 * j * c[j]
+    out[0] *= 0.5
+    return out[:-1]
+
+
+def _one_edge_terms(c: _Component) -> _OneEdge:
+    """The T0-free pieces of the one-edge solve of c (see `_one_edge_correlation`)."""
     pairs = list(zip(*(index.tolist() for index in c.support)))
     shared = sorted({z for row, z in pairs if row == 0} & {z for row, z in pairs if row == 1})
     m = np.empty((2 + len(c.predictors),) * 2)  # second moment of (the two nodes, the predictors)
@@ -424,40 +462,74 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> float:
         lam, vecs = np.linalg.eigh(chol_inv @ np.where(same_row, 0.0, szz) @ chol_inv.T)
         rotate = vecs.T @ chol_inv
         u0, u1 = rotate @ m[rows, cols], rotate @ m[1 - rows, cols]
-    a, cross = m[0, 0] + m[1, 1], m[0, 1]
+    trace, cross = m[0, 0] + m[1, 1], m[0, 1]
+    # D, and g D = (trace - 2 rho cross) D - sum_i (u0_i - rho u1_i)^2 prod_{j != i} (1 - rho lam_j)
+    factors = [np.array([1.0, -x]) for x in lam]
+    d = reduce(_cheb_mul, factors, np.ones(1))
+    g_d = _cheb_mul(np.array([trace, -2.0 * cross]), d)
+    for i in range(lam.size):
+        residual = np.array([u0[i], -u1[i]])
+        g_d -= reduce(_cheb_mul, factors[:i] + factors[i + 1 :], _cheb_mul(residual, residual))
+    dg_d2 = _cheb_mul(_cheb_der(g_d), d) - _cheb_mul(g_d, _cheb_der(d))  # g' D^2
+    series = np.zeros((3, 2 * lam.size + 4))
+    series[0] = _cheb_mul(_ONE_MINUS_SQUARE, dg_d2)
+    series[1, :-1] = _cheb_mul(np.array([0.0, 1.0]), _cheb_mul(g_d, d))
+    series[2] = _cheb_mul(_TWICE_RHO_ONE_MINUS_SQUARE, _cheb_mul(d, d))
+    return _OneEdge(lam, u0, u1, float(trace), float(cross), series)
 
-    def g_derivatives(x: np.ndarray):
-        """g, g' and g'' at the points x."""
-        d = 1.0 - x[:, None] * lam
-        res = u0 - x[:, None] * u1
-        n = res**2
-        dn = (-2.0 * u1 * res) * d + lam * n  # d(n / d)/drho times d^2
-        g = a - 2.0 * x * cross - (n / d).sum(axis=1)
-        dg = -2.0 * cross - (dn / d**2).sum(axis=1)
-        ddg = -(2.0 * u1**2 / d + 2.0 * lam * dn / d**3).sum(axis=1)
-        return g, dg, ddg
 
-    def stationarity(x: np.ndarray):
-        """h and h' at the points x."""
-        g, dg, ddg = g_derivatives(x)
-        s = 1.0 - x**2
-        h = p * s * dg + 2.0 * (p - 1) * x * g - 2.0 * fixed_t * x * s
-        dh = p * s * ddg - 2.0 * x * dg + 2.0 * (p - 1) * g - 2.0 * fixed_t * (1.0 - 3.0 * x**2)
-        return h, dh
+def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float, float]:
+    """(rho, objective) at the global minimum of the profiled objective when c is one two-node component with one edge.
 
-    def polynomial(x: np.ndarray) -> np.ndarray:
-        return stationarity(x)[0] * np.prod(1.0 - x[:, None] * lam, axis=1) ** 2
+    With R = [[1, rho], [rho, 1]], (1 - rho^2) R^-1 = I - rho J is linear in
+    rho, so the GLS normal matrix is A0 - rho A1 and its right side
+    r0 - rho r1. Predictors that both rows regress on enter without
+    restriction, so GLS on them is least squares and they are partialled
+    out of the second moment first. On the rest, A0 = L L^T and the
+    eigenvalues lam of L^-1 A1 L^-T (canonical correlations between the
+    two rows' own predictors, so inside (-1, 1)) give, with u0 and u1 the
+    right sides rotated alike,
+        g(rho) = (1 - rho^2)(T - T0) = a - 2 rho c - sum_i (u0_i - rho u1_i)^2 / (1 - rho lam_i)
+    for a, c the trace and off-diagonal entry of the partialled residual
+    moment and T0 = fixed_t. The objective p log(T / p) + log(1 - rho^2)
+    tends to +inf at rho = +-1, so its minimum is a real root in (-1, 1) of
+        h(rho) = p (1 - rho^2) g' + 2 (p - 1) rho g - 2 rho T0 (1 - rho^2).
+    With D = prod_i (1 - rho lam_i) for k own coefficients, g D is a
+    polynomial, and h D^2 = P - T0 Q with
+        P = p (1 - rho^2) g' D^2 + 2 (p - 1) rho g D^2,  Q = 2 rho (1 - rho^2) D^2,
+    of degree at most 2k + 3; with identical parent sets (k = 0) it is
+    twice the cubic T0 rho^3 + (2 - p) c rho^2 + ((p - 1) a - T0) rho - p c.
+    Nothing but T0 changes between graphs that share the component, so the
+    partialling, the reduction and the series of P's two terms and Q, built
+    as exact products in the Chebyshev basis, are worked out once per
+    record (`_Component.one_edge`). Each call finds the real roots of
+    P - T0 Q in (-1, 1), takes one Newton step on h itself from each, and
+    returns the one with the smallest objective.
+    """
+    t = c.one_edge
 
-    roots = chebyshev.chebroots(chebyshev.chebinterpolate(polynomial, 2 * lam.size + 3))
+    def g_parts(x: np.ndarray):
+        """1 - rho lam_i, u0_i - rho u1_i and g at the points x."""
+        d = 1.0 - x[:, None] * t.lam
+        res = t.u0 - x[:, None] * t.u1
+        return d, res, t.trace - 2.0 * x * t.cross - (res**2 / d).sum(axis=1)
+
+    series = np.array([p, 2.0 * (p - 1), -fixed_t]) @ t.series
+    roots = chebyshev.chebroots(series[: np.flatnonzero(series)[-1] + 1])  # lam_i = 0 lowers the degree
     x = roots.real[np.isreal(roots) & (np.abs(roots.real) < 1.0)]
-    h, dh = stationarity(x)
+    d, res, g = g_parts(x)
+    dn = (-2.0 * t.u1 * res) * d + t.lam * res**2  # d((u0_i - rho u1_i)^2 / (1 - rho lam_i))/drho times its d^2
+    dg = -2.0 * t.cross - (dn / d**2).sum(axis=1)
+    ddg = -(2.0 * t.u1**2 / d + 2.0 * t.lam * dn / d**3).sum(axis=1)
+    s = 1.0 - x**2
+    h = p * s * dg + 2.0 * (p - 1) * x * g - 2.0 * fixed_t * x * s
+    dh = p * s * ddg - 2.0 * x * dg + 2.0 * (p - 1) * g - 2.0 * fixed_t * (1.0 - 3.0 * x**2)
     step = x - h / dh
     x = np.where(np.abs(step) < 1.0, step, x)
-    if x.size == 1:
-        return float(x[0])
     s = 1.0 - x**2
-    objective = p * np.log(fixed_t + g_derivatives(x)[0] / s) + np.log(s)
-    return float(x[np.argmin(objective)])
+    objective = p * np.log((fixed_t + g_parts(x)[2] / s) / p) + np.log(s)
+    best = np.argmin(objective)
+    return float(x[best]), float(objective[best])
 
 
 def _descend(profile, theta: np.ndarray) -> tuple:
@@ -502,6 +574,49 @@ def _descend(profile, theta: np.ndarray) -> tuple:
     return theta, _MAX_STEPS, False
 
 
+def _profile(fixed_t: float, comps: list, p: int, theta: np.ndarray):
+    """(objective, gradient, T, coefficients, Omega_K^-1 per component) at theta, or None outside the region.
+
+    theta holds the off-diagonal pattern entries of each multi-node
+    component's unit-diagonal Omega_K, in `comps` order; the region is
+    where every Omega_K is positive definite (see `_equal_variance_solve`).
+    """
+    total_t = fixed_t
+    logdet_r = 0.0
+    betas, invs, parts = [], [], []
+    lo = 0
+    for c in comps:
+        rows, cols = c.edges
+        hi = lo + len(c.pattern)
+        omega = np.eye(len(c.nodes))
+        omega[rows, cols] = theta[lo:hi]
+        omega[cols, rows] = theta[lo:hi]
+        try:
+            chol_diag = np.linalg.cholesky(omega).diagonal()
+        except np.linalg.LinAlgError:
+            return None
+        if chol_diag.min() ** 2 <= _RANK_TOL:
+            return None
+        inv = np.linalg.inv(omega)
+        d = inv.diagonal()
+        sd = np.sqrt(d)
+        weight = omega * np.outer(sd, sd)  # R_K^-1
+        betas.append(_gls_coefficients(c, weight))
+        invs.append(inv)
+        e = _residual_moment(c, betas[-1])
+        total_t += float((weight * e).sum())
+        logdet_r -= 2.0 * float(np.log(chol_diag).sum()) + float(np.log(d).sum())
+        parts.append((rows, cols, lo, hi, omega, inv, d, sd, e))
+        lo = hi
+    grad = np.empty_like(theta)
+    for rows, cols, lo, hi, omega, inv, d, sd, e in parts:
+        g = (omega * e) @ sd
+        d_trace = 2.0 * sd[rows] * sd[cols] * e[rows, cols] - 2.0 * ((inv * (g / sd)) @ inv)[rows, cols]
+        d_logdet = 2.0 * ((inv / d) @ inv)[rows, cols] - 2.0 * inv[rows, cols]
+        grad[lo:hi] = p / total_t * d_trace + d_logdet
+    return p * math.log(total_t / p) + logdet_r, grad, total_t, betas, invs
+
+
 def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     """Profiled equal-error-variance optimum over the multi-node components `comps`.
 
@@ -514,70 +629,26 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     R_K = corr(Omega_K^-1) over unit-diagonal Omega_K whose off-diagonal
     entries sit on the undirected pattern, so R_K^-1 = D^1/2 Omega_K D^1/2
     with D = diag(Omega_K^-1) keeps that pattern. With one free entry (one
-    component, two nodes, one edge) the global optimum is closed form (see
-    `_one_edge_correlation`) and iterations are 0. Otherwise one `_descend`
-    from Omega_K = I runs over those entries; B and sigma2 are optimal at
-    every point, so by the envelope theorem the gradient only
-    differentiates R_K. The objective need not be convex, so the descent
-    finds a local optimum. The solve is converged when the descent stopped
-    on a tolerance or the largest gradient entry is at most `_EV_GRAD_TOL`.
+    component, two nodes, one edge) the global optimum and its objective
+    are closed form (see `_one_edge_correlation`) and iterations are 0.
+    Otherwise one `_descend` from Omega_K = I runs over those entries on
+    `_profile`; B and sigma2 are optimal at every point, so by the envelope
+    theorem the gradient only differentiates R_K. The objective need not be
+    convex, so the descent finds a local optimum. The solve is converged
+    when the descent stopped on a tolerance or the largest gradient entry
+    at its end point is at most `_EV_GRAD_TOL`.
     """
-    if not comps:
-        return _Solve(p * math.log(fixed_t / p), fixed_t, [], [], 0, True)
-    betas: list = [None] * len(comps)
-    edges = [_index_arrays(c.pattern) for c in comps]
-    bounds = np.cumsum([0] + [len(c.pattern) for c in comps])
-
-    def profile(theta: np.ndarray):
-        """(objective, gradient, T, parts) at theta, or None outside the positive-definite region.
-
-        Leaves theta's coefficients in betas.
-        """
-        total_t = fixed_t
-        logdet_r = 0.0
-        parts = []
-        for i, (c, (rows, cols), lo, hi) in enumerate(zip(comps, edges, bounds[:-1], bounds[1:])):
-            omega = np.eye(len(c.nodes))
-            omega[rows, cols] = theta[lo:hi]
-            omega[cols, rows] = theta[lo:hi]
-            try:
-                chol_diag = np.linalg.cholesky(omega).diagonal()
-            except np.linalg.LinAlgError:
-                return None
-            if chol_diag.min() ** 2 <= _RANK_TOL:
-                return None
-            inv = np.linalg.inv(omega)
-            d = inv.diagonal()
-            sd = np.sqrt(d)
-            scale = np.outer(sd, sd)
-            weight = omega * scale  # R_K^-1
-            betas[i] = _gls_coefficients(c, weight)
-            e = _residual_moment(c, betas[i])
-            total_t += float((weight * e).sum())
-            logdet_r -= 2.0 * float(np.log(chol_diag).sum()) + float(np.log(d).sum())
-            parts.append((rows, cols, lo, hi, omega, inv, d, sd, scale, e))
-        grad = np.empty_like(theta)
-        for rows, cols, lo, hi, omega, inv, d, sd, _scale, e in parts:
-            g = (omega * e) @ sd
-            d_trace = 2.0 * sd[rows] * sd[cols] * e[rows, cols] - 2.0 * ((inv * (g / sd)) @ inv)[rows, cols]
-            d_logdet = 2.0 * ((inv / d) @ inv)[rows, cols] - 2.0 * inv[rows, cols]
-            grad[lo:hi] = p / total_t * d_trace + d_logdet
-        return p * math.log(total_t / p) + logdet_r, grad, total_t, parts
-
-    if len(comps) == 1 and len(comps[0].pattern) == 1:
+    size = sum(len(c.pattern) for c in comps)
+    if size == 0:
+        return _Solve(p * math.log(fixed_t / p), np.zeros(0), 0, True)
+    if size == 1:
+        rho, objective = _one_edge_correlation(fixed_t, comps[0], p)
         # Omega = [[1, theta], [theta, 1]] has correlation rho = -theta.
-        theta = np.array([-_one_edge_correlation(fixed_t, comps[0], p)])
-        iterations, success = 0, True
-    else:
-        # Omega_K = I lies inside the region.
-        theta, iterations, success = _descend(profile, np.zeros(bounds[-1]))
-    value, grad, total_t, parts = profile(theta)
-    converged = success or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL
-    corrs = []
-    for *_rest, inv, _d, _sd, scale, _e in parts:
-        corrs.append(inv / scale)
-        np.fill_diagonal(corrs[-1], 1.0)
-    return _Solve(value, total_t, betas, corrs, iterations, converged)
+        return _Solve(objective, np.array([-rho]), 0, True)
+    # Omega_K = I lies inside the region.
+    theta, iterations, success = _descend(partial(_profile, fixed_t, comps, p), np.zeros(size))
+    objective, grad = _profile(fixed_t, comps, p, theta)[:2]
+    return _Solve(objective, theta, iterations, success or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL)
 
 
 def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
@@ -587,22 +658,28 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     Unconstrained, each multi-node component is fit separately by
     alternating GLS/IPF, and iterations count its largest number of rounds.
     With equal_variances the exact equality-constrained maximum likelihood
-    is returned instead (see `_equal_variance_solve`), and iterations count
-    the descent's steps; they are zero when the only multi-node component
-    is two nodes joined by one edge, which is solved in closed form. Either
-    way iterations are zero when every component is a singleton. The loops'
-    caps and tolerance are fixed, not settable.
+    is returned instead (see `_equal_variance_solve`), with coefficients and
+    correlations from one `_profile` evaluation at the optimum, and
+    iterations count the descent's steps; they are zero when the only
+    multi-node component is two nodes joined by one edge, which is solved
+    in closed form. Either way iterations are zero when every component is
+    a singleton. The loops' caps and tolerance are fixed, not settable.
     """
     s, n = moment_matrix(data_or_cov, g.p)
     singles, multi = _split(s, n, g, chain_components(g))
     if equal_variances:
-        solve = _equal_variance_solve(_residual_total(singles), multi, g.p)
-        sigma2 = solve.total_t / g.p
+        fixed_t = _residual_total(singles)
+        solve = _equal_variance_solve(fixed_t, multi, g.p)
+        _, _, total_t, betas, covs = _profile(fixed_t, multi, g.p, solve.theta)
+        sigma2 = total_t / g.p
         pieces = [replace(piece, sigma=np.full((1, 1), sigma2)) for piece in singles]
-        pieces += [
-            ComponentFit(tuple(c.nodes), tuple(c.predictors), b, sigma2 * r, solve.iterations, solve.converged)
-            for c, b, r in zip(multi, solve.betas, solve.corrs)
-        ]
+        for c, b, cov in zip(multi, betas, covs):
+            sd = np.sqrt(cov.diagonal())
+            r = cov / np.outer(sd, sd)
+            np.fill_diagonal(r, 1.0)
+            pieces.append(
+                ComponentFit(tuple(c.nodes), tuple(c.predictors), b, sigma2 * r, solve.iterations, solve.converged)
+            )
     else:
         pieces = singles + [_alternating_fit(c) for c in multi]
 
@@ -664,25 +741,54 @@ class EqualVarianceScorer:
     The input is validated and its second moment formed once, on
     construction. The profiled log-likelihood decomposes over chain
     components: a singleton component enters only through its
-    least-squares residual sum of squares, cached by (node, parent set),
-    and the multi-node components share one profiled solve with the cached
-    singleton sum as the constant part of T (see `_equal_variance_solve`).
-    B and sigma2 are profiled out, so the average log-likelihood is
+    least-squares residual sum of squares, and the multi-node components
+    share one profiled solve with the singleton sum as the constant part
+    T0 of T (see `_equal_variance_solve`). Each component's record, a
+    singleton's least-squares fit or a multi-node `_Component`, is built
+    once and kept for the scorer's life (see `_split`). Between graphs
+    that share a lone one-edge component only T0 changes, so its record
+    also keeps the T0-free part of its closed-form solve, and each further
+    score of it costs one small polynomial root solve. B and sigma2 are
+    profiled out, so the average log-likelihood is
     -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2 at the optimum,
     the same value `fit(..., equal_variances=True)` reaches.
+
+    Plain counts of the work done so far: `graphs` scored, component
+    records built and reused (`records_built`, `records_reused`; a
+    singleton's record is its least-squares fit), `one_edge_solves`,
+    `descents` and their `descent_steps`, and `nonconverged` solves.
     """
 
     def __init__(self, data_or_cov, p: int):
         self.p = p
         self.s, self.n = moment_matrix(data_or_cov, p)
-        self._singletons: dict = {}
+        self._records: dict = {}
+        self.graphs = 0
+        self.records_built = 0
+        self.records_reused = 0
+        self.one_edge_solves = 0
+        self.descents = 0
+        self.descent_steps = 0
+        self.nonconverged = 0
 
     def loglik(self, g: ChainGraph) -> tuple[float, bool]:
         """(average log-likelihood, converged) of g's equal-variance fit."""
         if g.p != self.p:
             raise ValueError(f"graph has {g.p} nodes, the input has {self.p}")
-        singles, multi = _split(self.s, self.n, g, chain_components(g), self._singletons)
+        known = len(self._records)
+        comps = chain_components(g)
+        singles, multi = _split(self.s, self.n, g, comps, self._records)
         solve = _equal_variance_solve(_residual_total(singles), multi, self.p)
+        built = len(self._records) - known
+        self.graphs += 1
+        self.records_built += built
+        self.records_reused += len(comps) - built
+        if solve.theta.size == 1:
+            self.one_edge_solves += 1
+        elif solve.theta.size:
+            self.descents += 1
+            self.descent_steps += solve.iterations
+        self.nonconverged += not solve.converged
         return -0.5 * (self.p * math.log(2.0 * math.pi) + self.p + solve.objective), solve.converged
 
     def score(self, g: ChainGraph, n_eff: float) -> float:

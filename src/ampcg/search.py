@@ -5,9 +5,13 @@ and full greedy hill climbing over chain-graph space guided by the
 equal-variance penalized score. Greedy search, and identification on
 data, score through one `EqualVarianceScorer` per input: the second moment
 is validated once, and the score decomposes over chain components, so each
-singleton's residual sum of squares is computed once per (node, parent
-set) and reused by every graph that contains it; only components with
-undirected edges need a numeric solve. Identification on a population
+component is built once and reused by every graph that contains it (a
+singleton's residual sum of squares per (node, parent set), a multi-node
+component per parent sets and edges). A lone two-node, one-edge component
+is solved in closed form, and its record keeps everything but the
+singletons' residual total, so scoring it again is one small root solve;
+only graphs with more undirected edges run a numeric descent.
+Identification on a population
 covariance fits nothing. The covariance must be a distribution of the
 class's model, so every member reproduces it exactly; each member's error
 variances are then its nodes' residual variances given their parents, and
@@ -176,10 +180,11 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
 
     The input is validated once, before any candidate is scored, and every
     candidate is scored by one `EqualVarianceScorer`: a neighbour shares
-    most of its (node, parent set) residual sums of squares with the graphs
-    already scored, so a DAG candidate costs a few cache lookups, and only
-    candidates with undirected edges run a numeric solve. Scores are also
-    cached per graph across chains.
+    most of its components with the graphs already scored, so a DAG
+    candidate costs a few cache lookups, a candidate whose only undirected
+    edge joins a component already seen costs one small root solve, and
+    only candidates with two or more undirected edges run a numeric
+    descent. Scores are also cached per graph across chains.
     """
     cfg = cfg or SearchConfig()
     p = _size(data_or_cov)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
 from ampcg import (
     ChainGraph,
@@ -24,6 +27,7 @@ from ampcg import (
     sample,
 )
 
+from .conftest import chain_graphs
 from .oracles import enumerate_chain_graphs, ggm_mle_numeric, sem_equal_variance_mle_numeric
 
 
@@ -226,10 +230,6 @@ class TestFit:
         assert np.max(np.abs(result.params.beta - params.beta)) < 0.05
 
     def test_population_roundtrip_random_graphs(self):
-        from hypothesis import given, settings
-        from .conftest import chain_graphs
-        from hypothesis import strategies as st
-
         @settings(max_examples=30, deadline=None)
         @given(chain_graphs(min_p=2, max_p=4), st.integers(0, 1000))
         def run(g, seed):
@@ -249,6 +249,16 @@ class TestFit:
         d1 = fit(cov, wrong).dispersion
         d2 = fit(cov * 7.3, wrong).dispersion
         assert abs(d1 - d2) < 1e-7
+
+
+def _strong_correlation_sample():
+    """One edge 2 - 3 whose error correlation is 0.97, with parents 0 -> 2 and 1 -> 3."""
+    g = ChainGraph(4, directed={(0, 2), (1, 3)}, undirected={(2, 3)})
+    beta = np.zeros((4, 4))
+    beta[2, 0], beta[3, 1] = 1.0, 0.5
+    sigma = np.eye(4)
+    sigma[2, 3] = sigma[3, 2] = 0.97
+    return g, sample(implied_distribution(SemParameters(graph=g, beta=beta, sigma=sigma)), 500, seed=5)
 
 
 def _equal_variance_oracle(cov, g):
@@ -408,17 +418,23 @@ class TestEqualVarianceFit:
         assert result.dispersion < 1e-12
 
     def test_one_edge_strong_correlation_matches_oracle(self):
-        g = ChainGraph(4, directed={(0, 2), (1, 3)}, undirected={(2, 3)})
-        beta = np.zeros((4, 4))
-        beta[2, 0], beta[3, 1] = 1.0, 0.5
-        sigma = np.eye(4)
-        sigma[2, 3] = sigma[3, 2] = 0.97
-        data = sample(implied_distribution(SemParameters(graph=g, beta=beta, sigma=sigma)), 500, seed=5)
+        g, data = _strong_correlation_sample()
         result = fit(data, g, equal_variances=True)
         block = result.params.sigma[np.ix_([2, 3], [2, 3])]
         assert abs(block[0, 1]) / block[0, 0] > 0.95
         assert result.converged and result.iterations == 0
         assert abs(result.loglik - _equal_variance_oracle(moment_matrix(data, 4)[0], g)) < 1e-8
+
+    def test_chebyshev_products_and_derivatives_match_numpy(self):
+        rng = np.random.default_rng(46)
+        for _ in range(200):
+            a, b = rng.normal(size=rng.integers(1, 8)), rng.normal(size=rng.integers(1, 8))
+            product = estimation._cheb_mul(a, b)
+            assert product.size == a.size + b.size - 1
+            assert np.allclose(chebyshev.chebsub(product, chebyshev.chebmul(a, b)), 0.0, rtol=0, atol=1e-13)
+            derivative = estimation._cheb_der(a)
+            assert derivative.size == a.size
+            assert np.allclose(chebyshev.chebsub(derivative, chebyshev.chebder(a)), 0.0, rtol=0, atol=1e-13)
 
     def test_true_graph_reaches_entropy_bound(self):
         g = ChainGraph(2, directed={(0, 1)})
@@ -491,6 +507,89 @@ class TestEqualVarianceScorer:
     def test_graph_size_must_match_input(self):
         with pytest.raises(ValueError, match="graph has 2 nodes"):
             EqualVarianceScorer(np.eye(3), 3).loglik(ChainGraph(2))
+
+    def test_one_edge_record_is_built_once_and_counted(self, monkeypatch):
+        cov = _random_pd(np.random.default_rng(47), 4)
+        scorer = EqualVarianceScorer(cov, 4)
+        # Singleton fits 0 <- 1 and 1 <- (); then the edge 2 - 3 with 0 -> 2 and 1 -> 3
+        # under two singleton parent sets, 0 -> 1 and 1 -> 0, so two values of T0.
+        first, second = (
+            ChainGraph(4, directed={edge, (0, 2), (1, 3)}, undirected={(2, 3)}) for edge in ((0, 1), (1, 0))
+        )
+        scorer.loglik(ChainGraph(4, directed={(1, 0)}))
+        scorer.loglik(first)
+        assert (scorer.graphs, scorer.records_built, scorer.records_reused) == (2, 7, 0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cached component was rebuilt or refit")
+
+        monkeypatch.setattr(estimation, "_component", forbidden)
+        monkeypatch.setattr(estimation, "_gls_coefficients", forbidden)
+        loglik, converged = scorer.loglik(second)
+        monkeypatch.undo()
+        assert (scorer.graphs, scorer.records_built, scorer.records_reused) == (3, 7, 3)
+        assert (scorer.one_edge_solves, scorer.descents, scorer.descent_steps, scorer.nonconverged) == (2, 0, 0, 0)
+        assert converged and abs(loglik - fit(cov, second, equal_variances=True).loglik) < 1e-9
+
+    def test_descents_and_their_steps_are_counted(self):
+        g = ChainGraph(5, directed={(0, 2), (1, 3)}, undirected={(0, 1), (2, 3), (3, 4)})
+        cov = _random_pd(np.random.default_rng(43), 5)
+        scorer = EqualVarianceScorer(cov, 5)
+        scorer.loglik(g)
+        reference = fit(cov, g, equal_variances=True)
+        assert reference.iterations > 0
+        assert (scorer.descents, scorer.descent_steps, scorer.one_edge_solves) == (1, reference.iterations, 0)
+        assert scorer.nonconverged == int(not reference.converged)
+
+    @pytest.mark.parametrize(
+        "component_parents",
+        [
+            {(0, 2), (1, 2), (0, 3), (1, 3)},  # k = 0: both rows regress on {0, 1}
+            {(0, 2), (0, 3), (1, 3)},  # k = 1: 0 is shared, 1 -> 3 is the only own coefficient
+            {(0, 2), (1, 3)},  # k = 2
+        ],
+    )
+    def test_one_edge_record_matches_fit_under_every_t0(self, component_parents):
+        rng = np.random.default_rng(48)
+        data = Dataset(rng.normal(size=(400, 5)) @ rng.normal(size=(5, 5)))
+        singleton_parents = [set(), {(0, 4)}, {(0, 1)}, {(0, 1), (1, 4)}, {(2, 4)}, {(3, 4), (1, 0)}]
+        graphs = [ChainGraph(5, directed=component_parents | extra, undirected={(2, 3)}) for extra in singleton_parents]
+        self._assert_one_edge_scores_match_fit(data, graphs)
+
+    def test_one_edge_record_matches_fit_at_strong_correlation(self):
+        g, data = _strong_correlation_sample()
+        extras = (set(), {(0, 1)}, {(1, 0)})
+        graphs = [ChainGraph(4, directed=g.directed | extra, undirected=g.undirected) for extra in extras]
+        self._assert_one_edge_scores_match_fit(data, graphs)
+
+    @staticmethod
+    def _assert_one_edge_scores_match_fit(data, graphs):
+        scorer = EqualVarianceScorer(data, graphs[0].p)
+        fixed_totals, singleton_keys = set(), set()
+        for g in graphs:
+            singles, _ = estimation._split(scorer.s, scorer.n, g, chain_components(g))
+            fixed_totals.add(estimation._residual_total(singles))
+            singleton_keys |= {(piece.nodes, piece.predictors) for piece in singles}
+            loglik, converged = scorer.loglik(g)
+            reference = fit(data, g, equal_variances=True)
+            assert converged and reference.converged and reference.iterations == 0
+            assert abs(loglik - reference.loglik) < 1e-9, g
+        assert len(fixed_totals) == len(graphs)
+        # one record for the shared edge, one least-squares fit per distinct singleton
+        assert scorer.records_built == len(singleton_keys) + 1
+        assert scorer.one_edge_solves == len(graphs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 5).flatmap(lambda p: st.lists(chain_graphs(min_p=p, max_p=p), min_size=2, max_size=6)))
+    def test_cached_records_do_not_change_scores(self, graphs):
+        p = graphs[0].p
+        rng = np.random.default_rng(49)
+        data = Dataset(rng.normal(size=(300, p)) @ rng.normal(size=(p, p)))
+        forward, backward = EqualVarianceScorer(data, p), EqualVarianceScorer(data, p)
+        ahead = [forward.loglik(g) for g in graphs]
+        behind = [backward.loglik(g) for g in reversed(graphs)][::-1]
+        alone = [EqualVarianceScorer(data, p).loglik(g) for g in graphs]
+        assert ahead == behind == alone
 
 
 class TestPenalizedScore:
