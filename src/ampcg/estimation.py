@@ -30,12 +30,15 @@ runs over the off-diagonal pattern entries of the multi-node components'
 unit-diagonal concentration matrices, on the profiled objective
 `_profile`.
 `EqualVarianceScorer` scores many graphs on one input with that same
-split and solve. It builds each component once: a singleton's
-least-squares fit per (node, parent set), and a multi-node component's
-record per (component, parent sets, undirected edges). Graphs that share
-a lone one-edge component differ only in the singletons' residual total
-T0, and the stationarity polynomial is linear in T0, so the record keeps
-its T0-free part and each further score is one small root solve. The
+split and solve. The split reads a graph only through its parent tuples
+and undirected edges, so a search can score a one-edge move of its
+incumbent without building the graph. The scorer builds each component
+once: a singleton's least-squares fit per (node, parent set), and a
+multi-node component's record per (component, parent sets, undirected
+edges). Graphs that share a lone one-edge component differ only in the
+singletons' residual total T0, and the stationarity polynomial is linear
+in T0, so the record keeps its T0-free part and each further score is
+one small root solve. The
 spread of the unconstrained fit's log error variances is its
 `dispersion`. On a population covariance that the model reproduces, each
 node's fitted error variance is its residual variance given its parents,
@@ -53,7 +56,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .graphs import ChainGraph, chain_components, relatives
+from .graphs import ChainGraph, _blocks, chain_components
 from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
 
 __all__ = [
@@ -253,15 +256,21 @@ def _index_arrays(pairs: list) -> tuple:
     return tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)
 
 
-def _component(s: np.ndarray, g: ChainGraph, comp: frozenset) -> _Component:
+def _component(s: np.ndarray, parents: tuple, undirected: frozenset, comp: frozenset) -> _Component:
+    """The record of the chain component `comp` of the graph with these parent tuples and undirected edges.
+
+    The second moment is sliced with broadcast index arrays, which give
+    what `np.ix_` gives without its per-call argument handling.
+    """
     y_nodes = sorted(comp)
-    z_nodes = sorted(relatives(g, comp, "parents"))
+    z_nodes = sorted({z for v in comp for z in parents[v]})
     z_index = {v: i for i, v in enumerate(z_nodes)}
-    support = [(row, z_index[parent]) for row, node in enumerate(y_nodes) for parent in g._parents[node]]
+    support = [(row, z_index[parent]) for row, node in enumerate(y_nodes) for parent in parents[node]]
     local = {v: i for i, v in enumerate(y_nodes)}
     # sorted, so a record shared by many graphs orders its edges the same whichever graph built it
-    pattern = sorted((local[a], local[b]) for a, b in g.undirected if a in comp and b in comp)
-    szz = s[np.ix_(z_nodes, z_nodes)]
+    pattern = sorted((local[a], local[b]) for a, b in undirected if a in comp and b in comp)
+    y, z = np.array(y_nodes)[:, None], np.array(z_nodes, dtype=int)
+    szz = s[z[:, None], z]
     rows, cols = _index_arrays(support)
     return _Component(
         nodes=y_nodes,
@@ -269,10 +278,10 @@ def _component(s: np.ndarray, g: ChainGraph, comp: frozenset) -> _Component:
         pattern=pattern,
         edges=_index_arrays(pattern),
         support=(rows, cols),
-        syy=s[np.ix_(y_nodes, y_nodes)],
-        syz=s[np.ix_(y_nodes, z_nodes)],
+        syy=s[y, y.T],
+        syz=s[y, z],
         szz=szz,
-        normal=szz[np.ix_(cols, cols)].T,
+        normal=szz[cols[:, None], cols].T,
     )
 
 
@@ -315,11 +324,16 @@ def _least_squares(c: _Component) -> ComponentFit:
     return ComponentFit(tuple(c.nodes), tuple(c.predictors), b, _residual_moment(c, b), 0, True)
 
 
-def _split(s: np.ndarray, n: int | None, g: ChainGraph, comps: Iterable, cache: dict | None = None):
-    """(singleton fits, multi-node `_Component` records) of the chain components `comps` of g.
+def _split(
+    s: np.ndarray, n: int | None, parents: tuple, undirected: frozenset, comps: Iterable, cache: dict | None = None
+):
+    """(singleton fits, multi-node `_Component` records) of the chain components `comps`.
 
-    A singleton is fit in closed form by `_least_squares`; only the
-    multi-node components are left for a numeric fit. With a `cache`, each
+    The graph is given by its parent tuples (sorted, one per node) and its
+    undirected edges, as `ChainGraph._parents` and `ChainGraph.undirected`
+    hold them, so a caller can score a graph it never built. A singleton
+    is fit in closed form by `_least_squares`; only the multi-node
+    components are left for a numeric fit. With a `cache`, each
     singleton fit is kept by (node, parent set) and each multi-node record
     by (component, its nodes' parent sets, its undirected edges), so a
     component is built once however many graphs contain it. Every
@@ -329,13 +343,13 @@ def _split(s: np.ndarray, n: int | None, g: ChainGraph, comps: Iterable, cache: 
     singles, multi = [], []
     for comp in comps:
         if len(comp) > 1:
-            edges = frozenset(e for e in g.undirected if e[0] in comp)
-            key = (comp, tuple(g._parents[v] for v in sorted(comp)), edges)
+            edges = frozenset(e for e in undirected if e[0] in comp)
+            key = (comp, tuple(parents[v] for v in sorted(comp)), edges)
         else:
             (node,) = comp
-            key = (node, g._parents[node])
+            key = (node, parents[node])
         if key not in cache:
-            c = _component(s, g, comp)
+            c = _component(s, parents, undirected, comp)
             _check_sample_size(n, c)
             cache[key] = c if len(comp) > 1 else _least_squares(c)
         (multi if len(comp) > 1 else singles).append(cache[key])
@@ -391,7 +405,7 @@ def fit_component(data_or_cov, g: ChainGraph, comp: Iterable[int]) -> ComponentF
     if comp not in set(chain_components(g)):
         raise ValueError("comp must be a chain component of g")
     s, n = moment_matrix(data_or_cov, g.p)
-    singles, multi = _split(s, n, g, [comp])
+    singles, multi = _split(s, n, g._parents, g.undirected, [comp])
     return singles[0] if singles else _alternating_fit(multi[0])
 
 
@@ -666,7 +680,7 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     a singleton. The loops' caps and tolerance are fixed, not settable.
     """
     s, n = moment_matrix(data_or_cov, g.p)
-    singles, multi = _split(s, n, g, chain_components(g))
+    singles, multi = _split(s, n, g._parents, g.undirected, chain_components(g))
     if equal_variances:
         fixed_t = _residual_total(singles)
         solve = _equal_variance_solve(fixed_t, multi, g.p)
@@ -710,7 +724,11 @@ def fit_score(loglik: float, g: ChainGraph, n_eff: float, equal_variances: bool)
     edge plus one shared error variance for an equal-variance fit, or every
     edge plus p free variances otherwise.
     """
-    k = len(g.directed) + len(g.undirected) + (1 if equal_variances else g.p)
+    return _bic(loglik, len(g.directed) + len(g.undirected) + (1 if equal_variances else g.p), n_eff)
+
+
+def _bic(loglik: float, k: int, n_eff: float) -> float:
+    """n_eff * loglik - (k / 2) * log(n_eff): the score of a fit with k free parameters."""
     return float(n_eff * loglik - 0.5 * k * math.log(n_eff))
 
 
@@ -736,20 +754,23 @@ def penalized_score(
 
 
 class EqualVarianceScorer:
-    """Exact equal-variance log-likelihoods and scores of many graphs on one input.
+    """Exact equal-variance log-likelihoods of many graphs on one input.
 
     The input is validated and its second moment formed once, on
     construction. The profiled log-likelihood decomposes over chain
     components: a singleton component enters only through its
     least-squares residual sum of squares, and the multi-node components
     share one profiled solve with the singleton sum as the constant part
-    T0 of T (see `_equal_variance_solve`). Each component's record, a
-    singleton's least-squares fit or a multi-node `_Component`, is built
-    once and kept for the scorer's life (see `_split`). Between graphs
-    that share a lone one-edge component only T0 changes, so its record
-    also keeps the T0-free part of its closed-form solve, and each further
-    score of it costs one small polynomial root solve. B and sigma2 are
-    profiled out, so the average log-likelihood is
+    T0 of T (see `_equal_variance_solve`). `loglik` takes a `ChainGraph`;
+    `state_loglik`, which it calls, takes the same graph as parent tuples
+    and undirected edges, which is how `search.greedy_search` scores its
+    moves, and gives bitwise the same result and counts. Each component's
+    record, a singleton's least-squares fit or a multi-node `_Component`,
+    is built once and kept for the scorer's life (see `_split`). Between
+    graphs that share a lone one-edge component only T0 changes, so its
+    record also keeps the T0-free part of its closed-form solve, and each
+    further score of it costs one small polynomial root solve. B and sigma2
+    are profiled out, so the average log-likelihood is
     -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2 at the optimum,
     the same value `fit(..., equal_variances=True)` reaches.
 
@@ -775,9 +796,18 @@ class EqualVarianceScorer:
         """(average log-likelihood, converged) of g's equal-variance fit."""
         if g.p != self.p:
             raise ValueError(f"graph has {g.p} nodes, the input has {self.p}")
+        return self.state_loglik(g._parents, g.undirected)
+
+    def state_loglik(self, parents: tuple, undirected: frozenset) -> tuple[float, bool]:
+        """`loglik` of the chain graph with these parent tuples and undirected edges, unchecked.
+
+        `parents` holds one sorted tuple per node and `undirected` the
+        edges as (smaller, larger) pairs, as a `ChainGraph` holds them; the
+        caller vouches that they form a chain graph on the input's nodes.
+        """
         known = len(self._records)
-        comps = chain_components(g)
-        singles, multi = _split(self.s, self.n, g, comps, self._records)
+        comps = _blocks(self.p, undirected)
+        singles, multi = _split(self.s, self.n, parents, undirected, comps, self._records)
         solve = _equal_variance_solve(_residual_total(singles), multi, self.p)
         built = len(self._records) - known
         self.graphs += 1
@@ -790,7 +820,3 @@ class EqualVarianceScorer:
             self.descent_steps += solve.iterations
         self.nonconverged += not solve.converged
         return -0.5 * (self.p * math.log(2.0 * math.pi) + self.p + solve.objective), solve.converged
-
-    def score(self, g: ChainGraph, n_eff: float) -> float:
-        """`fit_score` of g's equal-variance fit."""
-        return fit_score(self.loglik(g)[0], g, n_eff, equal_variances=True)

@@ -142,23 +142,7 @@ class ChainGraph:
 
     @cached_property
     def _components(self) -> tuple[frozenset, ...]:
-        seen = [False] * self.p
-        blocks = []
-        for start in range(self.p):
-            if seen[start]:
-                continue
-            block = {start}
-            stack = [start]
-            seen[start] = True
-            while stack:
-                v = stack.pop()
-                for w in self._neighbors[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        block.add(w)
-                        stack.append(w)
-            blocks.append(frozenset(block))
-        return tuple(sorted(blocks, key=min))
+        return _blocks(self.p, self.undirected)
 
     # -- small helpers ---------------------------------------------------
 
@@ -212,6 +196,17 @@ class MagnifiedGraph:
     @property
     def original_p(self) -> int:
         return len(self.error_of)
+
+
+def _blocks(p: int, undirected: Iterable) -> tuple:
+    """The node sets that undirected edges join, ordered by least node: the chain components."""
+    block = [frozenset({v}) for v in range(p)]
+    for a, b in undirected:
+        if b not in block[a]:
+            merged = block[a] | block[b]
+            for v in merged:
+                block[v] = merged
+    return tuple(sorted(set(block), key=min))
 
 
 def _validate_nodes(g: ChainGraph, s: Iterable[int]) -> frozenset:

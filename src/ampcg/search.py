@@ -10,12 +10,15 @@ singleton's residual sum of squares per (node, parent set), a multi-node
 component per parent sets and edges). A lone two-node, one-edge component
 is solved in closed form, and its record keeps everything but the
 singletons' residual total, so scoring it again is one small root solve;
-only graphs with more undirected edges run a numeric descent.
-Identification on a population
-covariance fits nothing. The covariance must be a distribution of the
-class's model, so every member reproduces it exactly; each member's error
-variances are then its nodes' residual variances given their parents, and
-the member whose variances are flattest wins. Every row of that table
+only graphs with more undirected edges run a numeric descent. Greedy
+search scores each single-edge move against its incumbent: the move edits
+the incumbent's parent tuples and undirected edges for one node pair, one
+walk from that pair rules out a semidirected cycle, and a graph is built
+only for the move taken. Identification on a population covariance fits
+nothing. The covariance must be a distribution of the class's model, so
+every member reproduces it exactly; each member's error variances are
+then its nodes' residual variances given their parents, and the member
+whose variances are flattest wins. Every row of that table
 carries the input's own maximum log-likelihood, which every member
 attains, and `converged` is True. A small conditional-independence
 skeleton-plus-triplex recovery is included so the two-phase strategy
@@ -37,14 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EqualVarianceScorer, _split, fit_score, gaussian_average_loglik, moment_matrix
+from .estimation import EqualVarianceScorer, _bic, _split, fit_score, gaussian_average_loglik, moment_matrix
 from .graphs import (
     CapacityError,
     ChainGraph,
     Triplex,
+    _returns_with_arrow,
     canonical_key,
     equivalence_class,
-    is_chain_graph,
     orientations,
     random_chain_graph,
     triplexes,
@@ -136,7 +139,7 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
         nodes = [frozenset({j}) for j in range(class_rep.p)]
         regressions: dict = {}
         for member in members:
-            singles, _ = _split(s, None, member, nodes, regressions)
+            singles, _ = _split(s, None, member._parents, member.undirected, nodes, regressions)
             logs = np.log([piece.sigma[0, 0] for piece in singles])
             rows.append(MemberFit(member, float(logs.max() - logs.min()), None, loglik, True))
         rows.sort(key=lambda r: (r.dispersion, len(r.graph.directed), canonical_key(r.graph)))
@@ -158,16 +161,56 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     )
 
 
-def _neighbor_graphs(g: ChainGraph) -> list:
-    """Every chain graph whose edge state (none, a->b, b->a or a-b) differs from g's on one node pair."""
-    candidates = []
+def _mark(children: list, neighbors: list, a: int, b: int, state: str | None) -> None:
+    """Put the edge state None, '->', '<-' or '--' on the pair (a, b) of mutable child and neighbour sets."""
+    for x, y in ((a, b), (b, a)):
+        children[x].discard(y)
+        neighbors[x].discard(y)
+    if state == "->":
+        children[a].add(b)
+    elif state == "<-":
+        children[b].add(a)
+    elif state == "--":
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+
+
+def _moves(g: ChainGraph):
+    """(parent tuples, undirected edges) of every chain graph whose edge state differs from g's on one pair.
+
+    Pairs (a, b) run in order and each pair's states in the order none,
+    a -> b, b -> a, a - b, skipping g's own. Dropping an edge leaves a chain
+    graph; any other state can only close a semidirected cycle through the
+    pair, so one `_returns_with_arrow` walk from a decides it. Only the two
+    parent tuples and the undirected edge of the pair are edited; no graph
+    is built.
+    """
+    children = [set(x) for x in g._children]
+    neighbors = [set(x) for x in g._neighbors]
     for a, b in itertools.combinations(range(g.p), 2):
-        d, u = g.directed - {(a, b), (b, a)}, g.undirected - {(a, b)}
-        for state in ((d, u), (d | {(a, b)}, u), (d | {(b, a)}, u), (d, u | {(a, b)})):
-            candidates.append(ChainGraph(g.p, *state, labels=g.labels))
-    valid = [h for h in candidates if h != g and is_chain_graph(h)]
-    valid.sort(key=lambda h: (len(h.directed), canonical_key(h)))
-    return valid
+        own = g.edge_between(a, b)
+        into_a = tuple(x for x in g._parents[a] if x != b)
+        into_b = tuple(x for x in g._parents[b] if x != a)
+        undirected = g.undirected - {(a, b)}
+        for state in (None, "->", "<-", "--"):
+            if state == own:
+                continue
+            _mark(children, neighbors, a, b, state)
+            if state is None or not _returns_with_arrow(children, neighbors, a):
+                parents = list(g._parents)
+                parents[a] = tuple(sorted(into_a + (b,))) if state == "<-" else into_a
+                parents[b] = tuple(sorted(into_b + (a,))) if state == "->" else into_b
+                yield tuple(parents), (undirected | {(a, b)} if state == "--" else undirected)
+        _mark(children, neighbors, a, b, own)
+
+
+def _graph(p: int, parents: tuple, undirected: frozenset) -> ChainGraph:
+    return ChainGraph(p, [(j, k) for k, into in enumerate(parents) for j in into], undirected)
+
+
+def _rank(g: ChainGraph) -> tuple:
+    """Tie-break among equal scores: fewer directed edges, then `canonical_key`."""
+    return len(g.directed), canonical_key(g)
 
 
 def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
@@ -175,27 +218,34 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
 
     One chain starts from the empty graph and the remaining restarts from
     random chain graphs; each chain repeatedly moves to the best strictly
-    improving single-edge change and stops at a local optimum. The best
-    graph across chains wins. Deterministic given the seed.
+    improving single-edge change and stops at a local optimum. Equal
+    scores go to fewer directed edges, then the lower `canonical_key`. The
+    best graph across chains wins. Deterministic given the seed.
 
-    The input is validated once, before any candidate is scored, and every
-    candidate is scored by one `EqualVarianceScorer`: a neighbour shares
-    most of its components with the graphs already scored, so a DAG
-    candidate costs a few cache lookups, a candidate whose only undirected
-    edge joins a component already seen costs one small root solve, and
-    only candidates with two or more undirected edges run a numeric
+    A move is scored against the incumbent without building a graph: it
+    edits the incumbent's parent tuples and undirected edges for one node
+    pair, one walk from the pair rules out a semidirected cycle (see
+    `_moves`), and a `ChainGraph` is built only for the winning move and
+    for exact ties. The input is validated once, before any move is
+    scored, and every move is scored by one `EqualVarianceScorer`
+    (`state_loglik`): a move shares most of its components with the graphs
+    already scored, so a DAG costs a few cache lookups, a graph whose only
+    undirected edge joins a component already seen costs one small root
+    solve, and only graphs with two or more undirected edges run a numeric
     descent. Scores are also cached per graph across chains.
     """
     cfg = cfg or SearchConfig()
     p = _size(data_or_cov)
     n_eff = _n_eff(data_or_cov)
     scorer = EqualVarianceScorer(data_or_cov, p)
-    cache: dict[ChainGraph, float] = {}
+    cache: dict[tuple, float] = {}
 
-    def score(h: ChainGraph) -> float:
-        if h not in cache:
-            cache[h] = scorer.score(h, n_eff)
-        return cache[h]
+    def score(parents: tuple, undirected: frozenset) -> float:
+        key = (parents, undirected)
+        if key not in cache:
+            loglik = scorer.state_loglik(parents, undirected)[0]
+            cache[key] = _bic(loglik, sum(map(len, parents)) + len(undirected) + 1, n_eff)
+        return cache[key]
 
     best_graph = None
     best_key = None
@@ -204,18 +254,21 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
             g = ChainGraph(p)
         else:
             g = random_chain_graph(p, 0.4, 0.3, seed=compose_seed(cfg.seed, chain))
-        current = score(g)
+        current = score(g._parents, g.undirected)
         for _ in range(_MAX_STEPS):
             improved = None
             improved_score = current
-            for h in _neighbor_graphs(g):
-                s = score(h)
+            for move in _moves(g):
+                s = score(*move)
                 if s > improved_score:
-                    improved, improved_score = h, s
+                    improved, improved_score = move, s
+                elif s == improved_score and improved is not None:
+                    if _rank(_graph(p, *move)) < _rank(_graph(p, *improved)):
+                        improved = move
             if improved is None:
                 break
-            g, current = improved, improved_score
-        key = (-current, len(g.directed), canonical_key(g))
+            g, current = _graph(p, *improved), improved_score
+        key = (-current, *_rank(g))
         if best_key is None or key < best_key:
             best_graph, best_key = g, key
     return best_graph

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from ampcg import ChainGraph
+
+# CI runs replay the same examples, so a red run reproduces locally with CI=1;
+# local runs keep drawing fresh examples.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from ampcg import (
     estimation,
     fit,
     fit_component,
+    fit_score,
     gaussian_average_loglik,
     implied_distribution,
     ipf,
@@ -449,7 +450,7 @@ class TestEqualVarianceScorer:
     def _assert_matches_penalized_score(data_or_cov, graphs, n_eff):
         scorer = EqualVarianceScorer(data_or_cov, graphs[0].p)
         for g in graphs:
-            ours = scorer.score(g, n_eff)
+            ours = fit_score(scorer.loglik(g)[0], g, n_eff, equal_variances=True)
             reference = penalized_score(data_or_cov, g, n_eff=n_eff, equal_variances=True)
             assert abs(ours - reference) <= 1e-9 * abs(reference), g
 
@@ -567,7 +568,7 @@ class TestEqualVarianceScorer:
         scorer = EqualVarianceScorer(data, graphs[0].p)
         fixed_totals, singleton_keys = set(), set()
         for g in graphs:
-            singles, _ = estimation._split(scorer.s, scorer.n, g, chain_components(g))
+            singles, _ = estimation._split(scorer.s, scorer.n, g._parents, g.undirected, chain_components(g))
             fixed_totals.add(estimation._residual_total(singles))
             singleton_keys |= {(piece.nodes, piece.predictors) for piece in singles}
             loglik, converged = scorer.loglik(g)

@@ -1,21 +1,27 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ampcg import (
     CapacityError,
     ChainGraph,
     Dataset,
+    EqualVarianceScorer,
     SearchConfig,
+    canonical_key,
     estimation,
     faithful_parameters,
     fit,
+    fit_score,
     greedy_search,
     identify_in_class,
     implied_distribution,
+    is_chain_graph,
     markov_equivalent,
     random_chain_graph,
     random_parameters,
@@ -27,7 +33,9 @@ from ampcg import (
     structural_hamming_distance,
     two_phase,
 )
+from ampcg.graphs import _returns_with_arrow
 
+from .conftest import chain_graphs
 from .oracles import enumerate_chain_graphs
 
 # Recorded before greedy scoring kept per-component records: (truth, greedy_search with 2 restarts
@@ -56,6 +64,19 @@ _PINNED_CHOICES = (
     ("1>3", "1>3", "1>3"),
 )
 
+# Recorded while greedy search still built and checked every neighbour graph: (truth,
+# greedy_search with 2 restarts at n=2000) on seeded p=5 problems.
+_PINNED_P5_CHOICES = (
+    ("0>1 0>2 0>4 1-2 1-4 2-3 2-4", "0>1 0>2 0>4 1>2 2>3 4>2 1-4"),
+    ("0>2 0>4 1>0 1>3", "0>2 0>4 1>0 1>3"),
+    ("0>1 3>1 3>2 0-3 1-2", "0>1 3>1 3>2 0-3 1-2"),
+    ("1>2 2>0 3>2 4>0 1-3", "0>2 2>1 3>0 3>2 4>0 4>2"),
+    ("0>4 1>2 2>4 3>0 3>2 0-1", "0>4 1>2 2>4 3>0 3>2 0-1"),
+    ("0>2 4>0", "0>2 4>0"),
+    ("1>4 2>4 3>0 4>0 1-2", "1>4 2>4 3>0 4>0 1-2"),
+    ("1>0 1>4 3-4", "1>0 1>4 3-4"),
+)
+
 
 def _edges(g: ChainGraph) -> str:
     return " ".join([f"{a}>{b}" for a, b in sorted(g.directed)] + [f"{a}-{b}" for a, b in sorted(g.undirected)])
@@ -71,6 +92,16 @@ def test_data_choices_are_pinned():
         chosen = identify_in_class(truth, sample(dist, 1000, seed=sem.compose_seed(2026, i, 3))).chosen
         found.append((_edges(truth), _edges(greedy), _edges(chosen)))
     assert tuple(found) == _PINNED_CHOICES
+
+
+def test_five_node_greedy_choices_are_pinned():
+    found = []
+    for i in range(len(_PINNED_P5_CHOICES)):
+        truth = random_chain_graph(5, 0.4, 0.3, seed=sem.compose_seed(2026, 5, i))
+        params = rescale_equal_variances(random_parameters(truth, seed=sem.compose_seed(2026, 5, i, 1)))
+        data = sample(implied_distribution(params), 2000, seed=sem.compose_seed(2026, 5, i, 2))
+        found.append((_edges(truth), _edges(greedy_search(data, SearchConfig(restarts=2, seed=i)))))
+    assert tuple(found) == _PINNED_P5_CHOICES
 
 
 class TestIdentifyInClass:
@@ -201,9 +232,76 @@ class TestGreedySearch:
         picked = every[3] + [every[4][i] for i in rng.choice(len(every[4]), size=30, replace=False)]
         assert len(picked) == 50 + 30
         for g in picked:
-            neighbors = search._neighbor_graphs(g)
-            assert len(set(neighbors)) == len(neighbors)
+            moves = list(search._moves(g))
+            assert len(set(moves)) == len(moves)
+            neighbors = [search._graph(g.p, *move) for move in moves]
+            # a move's parent tuples are the ones its graph holds, so both share cache keys
+            assert [(h._parents, h.undirected) for h in neighbors] == moves
             assert set(neighbors) == {h for h in every[g.p] if structural_hamming_distance(g, h) == 1}, g
+
+    @settings(max_examples=100, deadline=None)
+    @given(chain_graphs(max_p=6))
+    def test_walk_from_the_pair_decides_every_edge_state(self, g):
+        children = [set(x) for x in g._children]
+        neighbors = [set(x) for x in g._neighbors]
+        valid = []
+        for a, b in itertools.combinations(range(g.p), 2):
+            own = g.edge_between(a, b)
+            for state in (None, "->", "<-", "--"):
+                search._mark(children, neighbors, a, b, state)
+                h = ChainGraph(
+                    g.p,
+                    {(j, k) for j in range(g.p) for k in children[j]},
+                    {(j, k) for j in range(g.p) for k in neighbors[j] if j < k},
+                )
+                assert h.edge_between(a, b) == state
+                assert is_chain_graph(h) == (state is None or not _returns_with_arrow(children, neighbors, a)), h
+                if state != own and is_chain_graph(h):
+                    valid.append((h._parents, h.undirected))
+            search._mark(children, neighbors, a, b, own)
+        assert [set(x) for x in g._children] == children and [set(x) for x in g._neighbors] == neighbors
+        assert list(search._moves(g)) == valid
+
+    def test_scoring_a_move_matches_scoring_its_graph(self):
+        rng = np.random.default_rng(12)
+        data = Dataset(rng.normal(size=(300, 4)) @ rng.normal(size=(4, 4)))
+        by_move, by_graph = EqualVarianceScorer(data, 4), EqualVarianceScorer(data, 4)
+        names = ("graphs", "records_built", "records_reused", "one_edge_solves", "descents", "descent_steps", "nonconverged")
+        starts = [ChainGraph(4, undirected={(0, 1), (1, 2)}), ChainGraph(4, {(0, 1), (2, 1)}, {(2, 3)})]
+        for g in starts + [random_chain_graph(4, 0.5, 0.5, seed=seed) for seed in range(6)]:
+            for move in search._moves(g):
+                assert by_move.state_loglik(*move) == by_graph.loglik(search._graph(4, *move))
+                assert [getattr(by_move, name) for name in names] == [getattr(by_graph, name) for name in names]
+        assert by_move.descents > 0 and by_move.one_edge_solves > 0
+
+    @pytest.mark.parametrize(
+        "offdiagonal",
+        [
+            # (0,1), (0,2), (0,3), (1,2), (1,3), (2,3): improving moves tie exactly, and the first
+            # of them in pair order is not the one with fewest directed edges and least key
+            (0.0, 0.25, 0.25, 0.5, 0.0, 0.5),
+            (0.25, 0.25, 0.25, 0.0, 0.5, 0.5),
+        ],
+    )
+    def test_ties_break_as_a_sorted_scan_of_every_neighbour(self, offdiagonal):
+        cov = np.eye(4)
+        for (a, b), value in zip(itertools.combinations(range(4), 2), offdiagonal):
+            cov[a, b] = cov[b, a] = value
+        every = list(enumerate_chain_graphs(4))
+        scorer = EqualVarianceScorer(cov, 4)
+
+        def score(h):
+            return fit_score(scorer.loglik(h)[0], h, search._POPULATION_N_EFF, equal_variances=True)
+
+        g = ChainGraph(4)
+        while True:
+            neighbors = [h for h in every if structural_hamming_distance(g, h) == 1]
+            neighbors.sort(key=lambda h: (len(h.directed), canonical_key(h)))
+            best = max(neighbors, key=score)  # the first of equal scores
+            if score(best) <= score(g):
+                break
+            g = best
+        assert greedy_search(cov, SearchConfig(restarts=1)) == g
 
     def test_deterministic_given_seed(self):
         truth = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
@@ -221,7 +319,7 @@ class TestGreedySearch:
         def no_scoring(*args, **kwargs):
             raise AssertionError("a candidate was scored")
 
-        monkeypatch.setattr(estimation.EqualVarianceScorer, "loglik", no_scoring)
+        monkeypatch.setattr(estimation.EqualVarianceScorer, "state_loglik", no_scoring)
         with pytest.raises(ValueError, match="column X3 is a linear combination"):
             greedy_search(data, SearchConfig(restarts=2))
 
