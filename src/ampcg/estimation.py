@@ -23,27 +23,23 @@ GLS solve and sigma2 profiles out as the mean weighted residual moment.
 Singletons have R_K = 1 and enter only through their residual sums of
 squares, so a DAG is closed form (sigma2 the mean residual sum of
 squares). When the only multi-node component is two nodes joined by one
-undirected edge, the one free correlation is found in closed form, as the
-best real root of a polynomial; the optimum is global, and its objective
-is read off the same closed form. Otherwise one BFGS descent (`_descend`)
-runs over the off-diagonal pattern entries of the multi-node components'
-unit-diagonal concentration matrices, on the profiled objective
-`_profile`.
+undirected edge, the one free correlation is the best real root of a
+polynomial built as power series, so the optimum is global and closed
+form. Otherwise a BFGS descent (`_descend`) runs over the off-diagonal
+pattern entries of the multi-node components' unit-diagonal concentration
+matrices, on the profiled objective `_profile`, from the identity, and
+again from a diagonally dominant start if the identity is stationary.
 `EqualVarianceScorer` scores many graphs on one input with that same
-split and solve. The split reads a graph only through its parent tuples
-and undirected edges, so a search can score a one-edge move of its
-incumbent without building the graph. The scorer builds each component
-once: a singleton's least-squares fit per (node, parent set), and a
-multi-node component's record per (component, parent sets, undirected
-edges). Graphs that share a lone one-edge component differ only in the
-singletons' residual total T0, and the stationarity polynomial is linear
-in T0, so the record keeps its T0-free part and each further score is
-one small root solve. The
-spread of the unconstrained fit's log error variances is its
-`dispersion`. On a population covariance that the model reproduces, each
-node's fitted error variance is its residual variance given its parents,
-so `search.identify_in_class` reads the dispersion of every class member
-off those least-squares fits, with no fit run here.
+split and solve, read off parent tuples and undirected edges, so a search
+scores a state without building its graph. It builds each component once
+(a singleton's least-squares fit per (node, parent set), a multi-node
+component's record per parent sets and edges), keeps each state's
+penalized score, and reads each node's residual variance given its
+parents off the singleton records, which is all population
+identification in `search` needs. A lone one-edge record keeps the part
+of its solve that does not depend on the singletons' residual total T0,
+so each further score of it is one small root solve. The spread of the
+unconstrained fit's log error variances is its `dispersion`.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from functools import cached_property, partial, reduce
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev
+from numpy.polynomial.polynomial import polyroots
 
 from .graphs import ChainGraph, _blocks, chain_components
 from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
@@ -139,6 +135,8 @@ _MAX_IPF = 500  # IPF sweeps per call
 _MAX_OUTER = 200  # alternating GLS/IPF rounds per multi-node component
 _MAX_STEPS = 15000  # descent steps per equal-variance solve
 _MAX_HALVINGS = 20  # trial points per descent step (L-BFGS-B's default line-search limit)
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest correlation below 1
+_POPULATION_N_EFF = 1e5  # sample size the scorer's penalty assumes for covariance input
 
 
 def _maximal_cliques(m: int, edges: Iterable[tuple]) -> list:
@@ -222,7 +220,7 @@ class _OneEdge(NamedTuple):
     u1: np.ndarray
     trace: float
     cross: float
-    series: np.ndarray  # Chebyshev rows of (1 - rho^2) g' D^2, rho g D^2 and 2 rho (1 - rho^2) D^2
+    series: np.ndarray  # power-series rows of (1 - rho^2) g' D^2, rho g D^2 and 2 rho (1 - rho^2) D^2
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,37 +424,6 @@ class _Solve(NamedTuple):
     converged: bool
 
 
-# 1 - rho^2 and 2 rho (1 - rho^2) in the Chebyshev basis
-_ONE_MINUS_SQUARE = np.array([0.5, 0.0, -0.5])
-_TWICE_RHO_ONE_MINUS_SQUARE = np.array([0.0, 0.5, 0.0, -0.5])
-
-
-def _cheb_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Chebyshev series of the product of the Chebyshev series a and b.
-
-    T_m T_n = (T_{m+n} + T_{|m-n|}) / 2: a convolution gives the first
-    halves and a correlation, folded at lag 0, the second. It is
-    `chebyshev.chebmul` without its argument handling, which costs several
-    times the arithmetic at these sizes; the result keeps all
-    a.size + b.size - 1 coefficients.
-    """
-    out = np.convolve(a, b)
-    lag = np.correlate(a, b, "full")  # entry j + b.size - 1 sums a_m b_n over m - n = j
-    z = b.size - 1
-    out[: z + 1] += lag[z::-1]
-    out[1 : a.size] += lag[z + 1 :]
-    return 0.5 * out
-
-
-def _cheb_der(c: np.ndarray) -> np.ndarray:
-    """Chebyshev series of the derivative of the Chebyshev series c, padded to c.size coefficients."""
-    out = np.zeros(c.size + 1)
-    for j in range(c.size - 1, 0, -1):
-        out[j - 1] = out[j + 1] + 2.0 * j * c[j]
-    out[0] *= 0.5
-    return out[:-1]
-
-
 def _one_edge_terms(c: _Component) -> _OneEdge:
     """The T0-free pieces of the one-edge solve of c (see `_one_edge_correlation`)."""
     pairs = list(zip(*(index.tolist() for index in c.support)))
@@ -477,18 +444,19 @@ def _one_edge_terms(c: _Component) -> _OneEdge:
         rotate = vecs.T @ chol_inv
         u0, u1 = rotate @ m[rows, cols], rotate @ m[1 - rows, cols]
     trace, cross = m[0, 0] + m[1, 1], m[0, 1]
-    # D, and g D = (trace - 2 rho cross) D - sum_i (u0_i - rho u1_i)^2 prod_{j != i} (1 - rho lam_j)
+    # D and g D = (trace - 2 rho cross) D - sum_i (u0_i - rho u1_i)^2 prod_{j != i} (1 - rho lam_j),
+    # as power series in rho, lowest degree first, so a product is a convolution
     factors = [np.array([1.0, -x]) for x in lam]
-    d = reduce(_cheb_mul, factors, np.ones(1))
-    g_d = _cheb_mul(np.array([trace, -2.0 * cross]), d)
+    d = reduce(np.convolve, factors, np.ones(1))
+    g_d = np.convolve([trace, -2.0 * cross], d)
     for i in range(lam.size):
         residual = np.array([u0[i], -u1[i]])
-        g_d -= reduce(_cheb_mul, factors[:i] + factors[i + 1 :], _cheb_mul(residual, residual))
-    dg_d2 = _cheb_mul(_cheb_der(g_d), d) - _cheb_mul(g_d, _cheb_der(d))  # g' D^2
+        g_d -= reduce(np.convolve, factors[:i] + factors[i + 1 :], np.convolve(residual, residual))
+    d_der, g_d_der = (np.roll(q * np.arange(q.size), -1) for q in (d, g_d))  # derivatives, padded with a zero
     series = np.zeros((3, 2 * lam.size + 4))
-    series[0] = _cheb_mul(_ONE_MINUS_SQUARE, dg_d2)
-    series[1, :-1] = _cheb_mul(np.array([0.0, 1.0]), _cheb_mul(g_d, d))
-    series[2] = _cheb_mul(_TWICE_RHO_ONE_MINUS_SQUARE, _cheb_mul(d, d))
+    series[0] = np.convolve([1.0, 0.0, -1.0], np.convolve(g_d_der, d) - np.convolve(g_d, d_der))
+    series[1, 1:-1] = np.convolve(g_d, d)
+    series[2] = np.convolve([0.0, 2.0, 0.0, -2.0], np.convolve(d, d))
     return _OneEdge(lam, u0, u1, float(trace), float(cross), series)
 
 
@@ -514,11 +482,13 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float,
     of degree at most 2k + 3; with identical parent sets (k = 0) it is
     twice the cubic T0 rho^3 + (2 - p) c rho^2 + ((p - 1) a - T0) rho - p c.
     Nothing but T0 changes between graphs that share the component, so the
-    partialling, the reduction and the series of P's two terms and Q, built
-    as exact products in the Chebyshev basis, are worked out once per
-    record (`_Component.one_edge`). Each call finds the real roots of
-    P - T0 Q in (-1, 1), takes one Newton step on h itself from each, and
-    returns the one with the smallest objective.
+    partialling, the reduction and the power series of P's two terms and
+    Q, whose products are convolutions, are worked out once per record
+    (`_Component.one_edge`). Each call finds the real roots of P - T0 Q in
+    (-1, 1) and adds +-`_BELOW_ONE`, where the objective is least when its
+    minimum lies within rounding of +-1 (a component whose residual total
+    is many orders below T0). It takes one Newton step on h itself from
+    each and returns the one with the smallest objective.
     """
     t = c.one_edge
 
@@ -529,8 +499,8 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float,
         return d, res, t.trace - 2.0 * x * t.cross - (res**2 / d).sum(axis=1)
 
     series = np.array([p, 2.0 * (p - 1), -fixed_t]) @ t.series
-    roots = chebyshev.chebroots(series[: np.flatnonzero(series)[-1] + 1])  # lam_i = 0 lowers the degree
-    x = roots.real[np.isreal(roots) & (np.abs(roots.real) < 1.0)]
+    roots = polyroots(series[: np.flatnonzero(series)[-1] + 1])  # lam_i = 0 lowers the degree
+    x = np.append(roots.real[np.isreal(roots) & (np.abs(roots.real) < 1.0)], (-_BELOW_ONE, _BELOW_ONE))
     d, res, g = g_parts(x)
     dn = (-2.0 * t.u1 * res) * d + t.lam * res**2  # d((u0_i - rho u1_i)^2 / (1 - rho lam_i))/drho times its d^2
     dg = -2.0 * t.cross - (dn / d**2).sum(axis=1)
@@ -647,10 +617,14 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     are closed form (see `_one_edge_correlation`) and iterations are 0.
     Otherwise one `_descend` from Omega_K = I runs over those entries on
     `_profile`; B and sigma2 are optimal at every point, so by the envelope
-    theorem the gradient only differentiates R_K. The objective need not be
-    convex, so the descent finds a local optimum. The solve is converged
-    when the descent stopped on a tolerance or the largest gradient entry
-    at its end point is at most `_EV_GRAD_TOL`.
+    theorem the gradient only differentiates R_K. The gradient at I is
+    2p/T times the residual cross-moments on the pattern, so when they all
+    vanish I is stationary, possibly a maximum, and the descent stops after
+    0 steps; it then descends again from every entry at 1 / (2 * the
+    largest pattern degree) and keeps the lower objective. The objective
+    need not be convex, so the descent finds a local optimum. The solve is
+    converged when the kept descent stopped on a tolerance or the largest
+    gradient entry at its end point is at most `_EV_GRAD_TOL`.
     """
     size = sum(len(c.pattern) for c in comps)
     if size == 0:
@@ -659,9 +633,14 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
         rho, objective = _one_edge_correlation(fixed_t, comps[0], p)
         # Omega = [[1, theta], [theta, 1]] has correlation rho = -theta.
         return _Solve(objective, np.array([-rho]), 0, True)
-    # Omega_K = I lies inside the region.
-    theta, iterations, success = _descend(partial(_profile, fixed_t, comps, p), np.zeros(size))
-    objective, grad = _profile(fixed_t, comps, p, theta)[:2]
+    profile = partial(_profile, fixed_t, comps, p)
+    theta, iterations, success = _descend(profile, np.zeros(size))  # Omega_K = I lies inside the region
+    if iterations == 0:  # I may be a stationary maximum; a diagonally dominant start lies inside too
+        degree = max(np.bincount(np.concatenate(c.edges)).max() for c in comps)
+        again = _descend(profile, np.full(size, 0.5 / degree))
+        if profile(again[0])[0] < profile(theta)[0]:
+            theta, iterations, success = again
+    objective, grad = profile(theta)[:2]
     return _Solve(objective, theta, iterations, success or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL)
 
 
@@ -758,21 +737,26 @@ class EqualVarianceScorer:
 
     The input is validated and its second moment formed once, on
     construction. The profiled log-likelihood decomposes over chain
-    components: a singleton component enters only through its
-    least-squares residual sum of squares, and the multi-node components
-    share one profiled solve with the singleton sum as the constant part
-    T0 of T (see `_equal_variance_solve`). `loglik` takes a `ChainGraph`;
-    `state_loglik`, which it calls, takes the same graph as parent tuples
-    and undirected edges, which is how `search.greedy_search` scores its
-    moves, and gives bitwise the same result and counts. Each component's
-    record, a singleton's least-squares fit or a multi-node `_Component`,
-    is built once and kept for the scorer's life (see `_split`). Between
-    graphs that share a lone one-edge component only T0 changes, so its
-    record also keeps the T0-free part of its closed-form solve, and each
-    further score of it costs one small polynomial root solve. B and sigma2
-    are profiled out, so the average log-likelihood is
-    -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2 at the optimum,
-    the same value `fit(..., equal_variances=True)` reaches.
+    components: a singleton component enters only through its least-squares
+    residual sum of squares, and the multi-node components share one
+    profiled solve with the singleton sum as the constant part T0 of T (see
+    `_equal_variance_solve`). `loglik` takes a `ChainGraph`; `state_loglik`,
+    which it calls, takes the same graph as parent tuples and undirected
+    edges and gives bitwise the same result and counts. Each component's
+    record, a singleton's least-squares fit or a multi-node `_Component`, is
+    built once and kept for the scorer's life (see `_split`). Between graphs
+    that share a lone one-edge component only T0 changes, so its record also
+    keeps the T0-free part of its closed-form solve, and each further score
+    of it costs one small polynomial root solve. B and sigma2 are profiled
+    out, so the average log-likelihood is
+        -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2
+    at the optimum, the same value `fit(..., equal_variances=True)` reaches.
+
+    `score` adds the `fit_score` penalty at `n_eff`, the sample size for a
+    dataset and `_POPULATION_N_EFF` for a covariance, and keeps each
+    state's result, so a search asks for a state as often as it likes.
+    `residual_variances` reads each node's least-squares residual variance
+    given its parents off the same singleton records.
 
     Plain counts of the work done so far: `graphs` scored, component
     records built and reused (`records_built`, `records_reused`; a
@@ -783,7 +767,9 @@ class EqualVarianceScorer:
     def __init__(self, data_or_cov, p: int):
         self.p = p
         self.s, self.n = moment_matrix(data_or_cov, p)
+        self.n_eff = _POPULATION_N_EFF if self.n is None else float(self.n)
         self._records: dict = {}
+        self._scores: dict = {}
         self.graphs = 0
         self.records_built = 0
         self.records_reused = 0
@@ -820,3 +806,18 @@ class EqualVarianceScorer:
             self.descent_steps += solve.iterations
         self.nonconverged += not solve.converged
         return -0.5 * (self.p * math.log(2.0 * math.pi) + self.p + solve.objective), solve.converged
+
+    def score(self, parents: tuple, undirected: frozenset) -> tuple[float, float, bool]:
+        """(penalized score, average log-likelihood, converged) of `state_loglik`'s chain graph, kept per state."""
+        key = (parents, undirected)
+        if key not in self._scores:
+            loglik, converged = self.state_loglik(parents, undirected)
+            k = sum(map(len, parents)) + len(undirected) + 1
+            self._scores[key] = (_bic(loglik, k, self.n_eff), loglik, converged)
+        return self._scores[key]
+
+    def residual_variances(self, parents: tuple) -> np.ndarray:
+        """Each node's residual variance given its parents in `parents`, by least squares."""
+        nodes = [frozenset({j}) for j in range(self.p)]
+        singles, _ = _split(self.s, self.n, parents, frozenset(), nodes, self._records)
+        return np.array([piece.sigma[0, 0] for piece in singles])

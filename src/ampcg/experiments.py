@@ -44,7 +44,6 @@ class ExperimentConfig:
     sigma2: float = 1.0
     n_list: tuple = ()
     method: str = "identify"
-    coef_range: tuple = (0.3, 1.0)
     out_dir: str | None = None
     workers: int = 1
 
@@ -84,14 +83,9 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> list:
     rows = []
     truth = random_chain_graph(cfg.p, cfg.edge_prob, cfg.undirected_frac, seed=compose_seed(seed, 0))
     if cfg.p <= SEPARATION_CAP:  # faithful draws check every separation
-        params, _draws = faithful_parameters(
-            truth, coef_range=cfg.coef_range, seed=compose_seed(seed, 1), sigma2=cfg.sigma2
-        )
+        params, _draws = faithful_parameters(truth, seed=compose_seed(seed, 1), sigma2=cfg.sigma2)
     else:
-        params = rescale_equal_variances(
-            random_parameters(truth, coef_range=cfg.coef_range, seed=compose_seed(seed, 1)),
-            cfg.sigma2,
-        )
+        params = rescale_equal_variances(random_parameters(truth, seed=compose_seed(seed, 1)), cfg.sigma2)
     dist = implied_distribution(params)
     for n in cfg.n_list or (None,):
         started = time.perf_counter()

@@ -368,6 +368,21 @@ def _returns_with_arrow(children: list, neighbors: list, start: int) -> bool:
     return False
 
 
+def _mark(children: list, neighbors: list, a: int, b: int, state: str | None) -> None:
+    """Put the edge state None, '->', '<-' or '--' on the pair (a, b) of mutable child and neighbour sets."""
+    children[a].discard(b)
+    children[b].discard(a)
+    neighbors[a].discard(b)
+    neighbors[b].discard(a)
+    if state == "->":
+        children[a].add(b)
+    elif state == "<-":
+        children[b].add(a)
+    elif state == "--":
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+
+
 def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> Iterator[ChainGraph]:
     """Every chain graph on p nodes with exactly these adjacencies and triplexes.
 
@@ -412,20 +427,12 @@ def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> 
             return
         a, b = edges[i]
         for mark in ("--", "->", "<-"):
-            if mark == "--":
-                neighbors[a].add(b)
-                neighbors[b].add(a)
-            elif mark == "->":
-                children[a].add(b)
-            else:
-                children[b].add(a)
+            _mark(children, neighbors, a, b, mark)
             if all(is_triplex(t) == want for t, want in checks[i]):
                 # the marks before this one close no cycle, so a new one runs through a
                 if not _returns_with_arrow(children, neighbors, a):
                     yield from extend(i + 1)
-            for x, y in ((a, b), (b, a)):
-                neighbors[x].discard(y)
-                children[x].discard(y)
+        _mark(children, neighbors, a, b, None)
 
     yield from extend(0)
 

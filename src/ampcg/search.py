@@ -2,25 +2,15 @@
 
 Two layers: picking the true graph out of a known Markov equivalence class,
 and full greedy hill climbing over chain-graph space guided by the
-equal-variance penalized score. Greedy search, and identification on
-data, score through one `EqualVarianceScorer` per input: the second moment
-is validated once, and the score decomposes over chain components, so each
-component is built once and reused by every graph that contains it (a
-singleton's residual sum of squares per (node, parent set), a multi-node
-component per parent sets and edges). A lone two-node, one-edge component
-is solved in closed form, and its record keeps everything but the
-singletons' residual total, so scoring it again is one small root solve;
-only graphs with more undirected edges run a numeric descent. Greedy
-search scores each single-edge move against its incumbent: the move edits
-the incumbent's parent tuples and undirected edges for one node pair, one
-walk from that pair rules out a semidirected cycle, and a graph is built
-only for the move taken. Identification on a population covariance fits
-nothing. The covariance must be a distribution of the class's model, so
-every member reproduces it exactly; each member's error variances are
-then its nodes' residual variances given their parents, and the member
-whose variances are flattest wins. Every row of that table
-carries the input's own maximum log-likelihood, which every member
-attains, and `converged` is True. A small conditional-independence
+equal-variance penalized score. Both read the input only through one
+`EqualVarianceScorer`, which validates it once, builds each chain
+component once for every graph that contains it and keeps each state's
+score; ties between equal scores are broken on the state itself (`_rank`),
+so a search builds a graph only for the move it takes. Identification on a
+population covariance fits nothing: once `_check_population` has found the
+covariance reproducible by the class's model, each member's error
+variances are its nodes' residual variances given their parents, and the
+member whose variances are flattest wins. A small conditional-independence
 skeleton-plus-triplex recovery is included so the two-phase strategy
 (recover the class, then orient inside it) is runnable end to end; it
 assumes faithful input and is deliberately minimal, and it decides no
@@ -40,19 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EqualVarianceScorer, _bic, _split, fit_score, gaussian_average_loglik, moment_matrix
+from .estimation import EqualVarianceScorer, gaussian_average_loglik, moment_matrix
 from .graphs import (
     CapacityError,
     ChainGraph,
     Triplex,
+    _mark,
     _returns_with_arrow,
-    canonical_key,
     equivalence_class,
     orientations,
     random_chain_graph,
     triplexes,
 )
-from .sem import Dataset, _independences, _mask, compose_seed
+from .sem import _CI_TOL, Dataset, _independences, _mask, compose_seed
 from .separation import pairwise_queries
 
 __all__ = [
@@ -67,7 +57,6 @@ __all__ = [
 ]
 
 _MAX_STEPS = 500  # greedy moves per chain
-_POPULATION_N_EFF = 1e5  # sample size the score assumes for covariance input
 _SKELETON_CAP = 8  # largest node count whose conditioning sets are swept
 
 
@@ -104,10 +93,6 @@ class SkeletonResult:
     consistent: bool
 
 
-def _n_eff(data_or_cov) -> float:
-    return float(data_or_cov.n) if isinstance(data_or_cov, Dataset) else _POPULATION_N_EFF
-
-
 def _size(data_or_cov) -> int:
     return data_or_cov.p if isinstance(data_or_cov, Dataset) else len(np.atleast_1d(data_or_cov))
 
@@ -115,43 +100,40 @@ def _size(data_or_cov) -> int:
 def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     """Pick one member of class_rep's Markov equivalence class.
 
-    Population covariance input must be a distribution of the class's
-    model: then every member reproduces it exactly, so each node's error is
-    independent of its parents and its variance is the node's residual
-    variance given its parents, read off the input in closed form with no
-    fit. The member whose error variances are flattest (smallest
-    `dispersion`, zero only for the generating graph under equal error
-    variances) is chosen. The input is validated once and each (node,
-    parent set) regression is solved once for the whole class. Every row's
-    `loglik` is the input's own maximum, which every member attains, and
-    `converged` is True, as no iteration runs. Dataset input: the
-    equal-variance penalized score decides; every member is scored by one
-    `EqualVarianceScorer`, and its fitted error variances are equal by
-    construction, so its dispersion is 0. Ties break toward fewer directed
-    edges, then a fixed lexicographic order. Classes are enumerated up to
-    12 nodes; beyond that `CapacityError` is raised.
+    Population covariance input must be a distribution of the class's model,
+    or ValueError names the first pair of nodes that shows it is not (see
+    `_check_population`). Then every member reproduces it exactly, so each
+    node's error is independent of its parents and its variance is the
+    node's residual variance given its parents, read off the input in closed
+    form with no fit. The member whose error variances are flattest
+    (smallest `dispersion`, zero only for the generating graph under equal
+    error variances) is chosen. The input is validated once and each (node,
+    parent set) regression is solved once for the whole class, by one
+    `EqualVarianceScorer` (`residual_variances`). Every row's `loglik` is
+    the input's own maximum, which every member attains, and `converged` is
+    True, as no iteration runs. Dataset input: the equal-variance penalized
+    score decides; every member is scored by the same scorer (`score`), and
+    its fitted error variances are equal by construction, so its dispersion
+    is 0. Ties break toward fewer directed edges, then `canonical_key`
+    (`_rank`). Classes are enumerated up to 12 nodes; beyond that
+    `CapacityError` is raised.
     """
     members = equivalence_class(class_rep)
+    scorer = EqualVarianceScorer(data_or_cov, class_rep.p)
     rows = []
-    if not isinstance(data_or_cov, Dataset):
-        s, _ = moment_matrix(data_or_cov, class_rep.p)
-        loglik = gaussian_average_loglik(s, s)
-        nodes = [frozenset({j}) for j in range(class_rep.p)]
-        regressions: dict = {}
+    if scorer.n is None:
+        _check_population(scorer.s, class_rep)
+        loglik = gaussian_average_loglik(scorer.s, scorer.s)
         for member in members:
-            singles, _ = _split(s, None, member._parents, member.undirected, nodes, regressions)
-            logs = np.log([piece.sigma[0, 0] for piece in singles])
+            logs = np.log(scorer.residual_variances(member._parents))
             rows.append(MemberFit(member, float(logs.max() - logs.min()), None, loglik, True))
-        rows.sort(key=lambda r: (r.dispersion, len(r.graph.directed), canonical_key(r.graph)))
+        rows.sort(key=lambda r: (r.dispersion, *_rank(r.graph._parents, r.graph.undirected)))
         margin = math.inf if len(rows) == 1 else rows[1].dispersion - rows[0].dispersion
     else:
-        n_eff = _n_eff(data_or_cov)
-        scorer = EqualVarianceScorer(data_or_cov, class_rep.p)
         for member in members:
-            loglik, converged = scorer.loglik(member)
-            score = fit_score(loglik, member, n_eff, equal_variances=True)
+            score, loglik, converged = scorer.score(member._parents, member.undirected)
             rows.append(MemberFit(member, 0.0, score, loglik, converged))
-        rows.sort(key=lambda r: (-r.score, len(r.graph.directed), canonical_key(r.graph)))
+        rows.sort(key=lambda r: (-r.score, *_rank(r.graph._parents, r.graph.undirected)))
         margin = math.inf if len(rows) == 1 else rows[0].score - rows[1].score
     return IdentifyResult(
         chosen=rows[0].graph,
@@ -161,18 +143,27 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     )
 
 
-def _mark(children: list, neighbors: list, a: int, b: int, state: str | None) -> None:
-    """Put the edge state None, '->', '<-' or '--' on the pair (a, b) of mutable child and neighbour sets."""
-    for x, y in ((a, b), (b, a)):
-        children[x].discard(y)
-        neighbors[x].discard(y)
-    if state == "->":
-        children[a].add(b)
-    elif state == "<-":
-        children[b].add(a)
-    elif state == "--":
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+def _check_population(s: np.ndarray, g: ChainGraph) -> None:
+    """Raise ValueError unless g's model can reproduce the covariance s.
+
+    Each node is regressed on its parents in g, and the residuals
+    E = (I - B) s (I - B)^T must show every pair of nodes without an
+    undirected edge independent given the rest: |partial correlation| below
+    `sem._CI_TOL`. The first pair that is not is named.
+    """
+    a = np.eye(g.p)
+    for v, into in enumerate(g._parents):
+        if into:
+            a[v, into] = -np.linalg.solve(s[np.ix_(into, into)], s[into, v])
+    prec = np.linalg.inv(a @ s @ a.T)
+    r = -prec / np.sqrt(np.outer(prec.diagonal(), prec.diagonal()))
+    for j, k in itertools.combinations(range(g.p), 2):
+        if (j, k) not in g.undirected and abs(r[j, k]) >= _CI_TOL:
+            raise ValueError(
+                f"covariance is not a distribution of the class's model: the residuals of {g.node_label(j)} "
+                f"and {g.node_label(k)} given their parents have partial correlation {r[j, k]:.3g} "
+                "without an undirected edge"
+            )
 
 
 def _moves(g: ChainGraph):
@@ -208,9 +199,10 @@ def _graph(p: int, parents: tuple, undirected: frozenset) -> ChainGraph:
     return ChainGraph(p, [(j, k) for k, into in enumerate(parents) for j in into], undirected)
 
 
-def _rank(g: ChainGraph) -> tuple:
-    """Tie-break among equal scores: fewer directed edges, then `canonical_key`."""
-    return len(g.directed), canonical_key(g)
+def _rank(parents: tuple, undirected: frozenset) -> tuple:
+    """Tie-break among equal scores: fewer directed edges, then `canonical_key`, read off the state."""
+    directed = tuple(sorted((j, k) for k, into in enumerate(parents) for j in into))
+    return len(directed), (len(parents), directed, tuple(sorted(undirected)))
 
 
 def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
@@ -219,34 +211,19 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
     One chain starts from the empty graph and the remaining restarts from
     random chain graphs; each chain repeatedly moves to the best strictly
     improving single-edge change and stops at a local optimum. Equal
-    scores go to fewer directed edges, then the lower `canonical_key`. The
-    best graph across chains wins. Deterministic given the seed.
+    scores go to fewer directed edges, then the lower `canonical_key`,
+    both read off the state (`_rank`). The best graph across chains wins.
+    Deterministic given the seed.
 
-    A move is scored against the incumbent without building a graph: it
-    edits the incumbent's parent tuples and undirected edges for one node
-    pair, one walk from the pair rules out a semidirected cycle (see
-    `_moves`), and a `ChainGraph` is built only for the winning move and
-    for exact ties. The input is validated once, before any move is
-    scored, and every move is scored by one `EqualVarianceScorer`
-    (`state_loglik`): a move shares most of its components with the graphs
-    already scored, so a DAG costs a few cache lookups, a graph whose only
-    undirected edge joins a component already seen costs one small root
-    solve, and only graphs with two or more undirected edges run a numeric
-    descent. Scores are also cached per graph across chains.
+    A move edits the incumbent's parent tuples and undirected edges for one
+    node pair, one walk from the pair rules out a semidirected cycle (see
+    `_moves`), and one `EqualVarianceScorer` scores the state (`score`), so
+    a `ChainGraph` is built only for the move taken. The input is validated
+    once, before any move is scored.
     """
     cfg = cfg or SearchConfig()
     p = _size(data_or_cov)
-    n_eff = _n_eff(data_or_cov)
     scorer = EqualVarianceScorer(data_or_cov, p)
-    cache: dict[tuple, float] = {}
-
-    def score(parents: tuple, undirected: frozenset) -> float:
-        key = (parents, undirected)
-        if key not in cache:
-            loglik = scorer.state_loglik(parents, undirected)[0]
-            cache[key] = _bic(loglik, sum(map(len, parents)) + len(undirected) + 1, n_eff)
-        return cache[key]
-
     best_graph = None
     best_key = None
     for chain in range(cfg.restarts):
@@ -254,21 +231,20 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
             g = ChainGraph(p)
         else:
             g = random_chain_graph(p, 0.4, 0.3, seed=compose_seed(cfg.seed, chain))
-        current = score(g._parents, g.undirected)
+        current = scorer.score(g._parents, g.undirected)[0]
         for _ in range(_MAX_STEPS):
             improved = None
             improved_score = current
             for move in _moves(g):
-                s = score(*move)
-                if s > improved_score:
+                s = scorer.score(*move)[0]
+                if s > improved_score or (
+                    s == improved_score and improved is not None and _rank(*move) < _rank(*improved)
+                ):
                     improved, improved_score = move, s
-                elif s == improved_score and improved is not None:
-                    if _rank(_graph(p, *move)) < _rank(_graph(p, *improved)):
-                        improved = move
             if improved is None:
                 break
             g, current = _graph(p, *improved), improved_score
-        key = (-current, *_rank(g))
+        key = (-current, *_rank(g._parents, g.undirected))
         if best_key is None or key < best_key:
             best_graph, best_key = g, key
     return best_graph

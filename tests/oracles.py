@@ -265,6 +265,48 @@ def sem_equal_variance_mle_numeric(
     return -float(res.fun)
 
 
+def one_edge_equal_variance_numeric(s: np.ndarray, parent_pairs: list, edge: tuple) -> float:
+    """Equal-variance maximum of the average log-likelihood with one undirected edge, by a 1-D search.
+
+    parent_pairs: (child, parent) coefficient positions; edge: the one
+    undirected pair, every other node a singleton. For a fixed error
+    correlation rho on the edge, the coefficients are weighted least
+    squares under R^-1, written out as one Kronecker-product linear system
+    over the two rows, and sigma2 = T / p; the profiled objective
+    p log(T / p) + log(1 - rho^2) is scanned on a grid and refined by
+    bounded Brent. A check for inputs that defeat the general SLSQP
+    oracle, such as nearly collinear predictors.
+    """
+    p = s.shape[0]
+    parents = {v: sorted(k for j, k in parent_pairs if j == v) for v in range(p)}
+    fixed_t = 0.0
+    for v in set(range(p)) - set(edge):
+        pa = parents[v]
+        fixed_t += s[v, v] - (s[v, pa] @ np.linalg.solve(s[np.ix_(pa, pa)], s[pa, v]) if pa else 0.0)
+    rows = list(edge)
+    preds = sorted(set(parents[rows[0]]) | set(parents[rows[1]]))
+    support = [i * len(preds) + preds.index(z) for i, v in enumerate(rows) for z in parents[v]]
+    syy, syz, szz = s[np.ix_(rows, rows)], s[np.ix_(rows, preds)], s[np.ix_(preds, preds)]
+
+    def objective(rho):
+        w = np.linalg.inv(np.array([[1.0, rho], [rho, 1.0]]))
+        b = np.zeros(2 * len(preds))
+        if support:
+            h = np.kron(w, szz)[np.ix_(support, support)]
+            b[support] = np.linalg.solve(h, (w @ syz).ravel()[support])
+        b = b.reshape(2, len(preds))
+        e = syy - b @ syz.T - syz @ b.T + b @ szz @ b.T
+        return p * np.log((fixed_t + float((w * e).sum())) / p) + np.log(1.0 - rho**2)
+
+    grid = np.linspace(-1.0, 1.0, 4001)[1:-1]
+    start = int(np.argmin([objective(x) for x in grid]))
+    res = optimize.minimize_scalar(
+        objective, bounds=(grid[max(start - 1, 0)], grid[min(start + 1, grid.size - 1)]),
+        method="bounded", options={"xatol": 1e-12},
+    )
+    return -0.5 * (p * np.log(2.0 * np.pi) + p + float(res.fun))
+
+
 def brute_force_separated(g: ChainGraph, q: SeparationQuery, max_len: int | None = None) -> bool:
     """Sweep all routes of up to max_len edges and test openness literally.
 

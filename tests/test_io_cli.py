@@ -277,6 +277,18 @@ class TestCli:
         assert err.startswith("error input_error: node 1 ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_identify_population_outside_the_class_is_input_error(self, tmp_path, capsys):
+        chain = ChainGraph(3, directed={(0, 1), (1, 2)})
+        cpath = tmp_path / "c.json"
+        write_covariance(implied_distribution(random_parameters(chain, seed=2)).cov, cpath)
+        gpath = tmp_path / "g.json"
+        write_graph(ChainGraph(3, directed={(0, 1)}), gpath)
+        out = tmp_path / "ident.json"
+        assert main(["identify", "--class-rep", str(gpath), "--population", str(cpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error input_error: covariance is not a distribution") and err.count("\n") == 1
+        assert "X1 and X2" in err and not out.exists()
+
     def test_conflicting_inputs_rejected(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
         write_graph(ChainGraph(2), gpath)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampcg import (
     CapacityError,
@@ -33,7 +34,7 @@ from ampcg import (
     structural_hamming_distance,
     two_phase,
 )
-from ampcg.graphs import _returns_with_arrow
+from ampcg.graphs import _mark, _returns_with_arrow
 
 from .conftest import chain_graphs
 from .oracles import enumerate_chain_graphs
@@ -187,6 +188,14 @@ class TestIdentifyInClass:
         assert result.class_size > 1
         assert result.chosen == six_node_graph
 
+    def test_population_checks_the_class_reproduces_the_input(self):
+        chain = ChainGraph(3, directed={(0, 1), (1, 2)})
+        cov = implied_distribution(rescale_equal_variances(random_parameters(chain, seed=2), 1.0)).cov
+        with pytest.raises(ValueError, match="residuals of X1 and X2 .* without an undirected edge"):
+            identify_in_class(ChainGraph(3, directed={(0, 1)}), cov)
+        assert identify_in_class(chain, cov).chosen == chain
+        assert identify_in_class(ChainGraph(3, directed={(0, 1), (0, 2), (1, 2)}), cov).class_size > 1  # complete
+
     def test_dataset_path_uses_score(self):
         truth = ChainGraph(2, directed={(0, 1)})
         params = rescale_equal_variances(random_parameters(truth, seed=3), 1.0)
@@ -248,7 +257,7 @@ class TestGreedySearch:
         for a, b in itertools.combinations(range(g.p), 2):
             own = g.edge_between(a, b)
             for state in (None, "->", "<-", "--"):
-                search._mark(children, neighbors, a, b, state)
+                _mark(children, neighbors, a, b, state)
                 h = ChainGraph(
                     g.p,
                     {(j, k) for j in range(g.p) for k in children[j]},
@@ -258,7 +267,7 @@ class TestGreedySearch:
                 assert is_chain_graph(h) == (state is None or not _returns_with_arrow(children, neighbors, a)), h
                 if state != own and is_chain_graph(h):
                     valid.append((h._parents, h.undirected))
-            search._mark(children, neighbors, a, b, own)
+            _mark(children, neighbors, a, b, own)
         assert [set(x) for x in g._children] == children and [set(x) for x in g._neighbors] == neighbors
         assert list(search._moves(g)) == valid
 
@@ -291,7 +300,7 @@ class TestGreedySearch:
         scorer = EqualVarianceScorer(cov, 4)
 
         def score(h):
-            return fit_score(scorer.loglik(h)[0], h, search._POPULATION_N_EFF, equal_variances=True)
+            return fit_score(scorer.loglik(h)[0], h, estimation._POPULATION_N_EFF, equal_variances=True)
 
         g = ChainGraph(4)
         while True:
@@ -302,6 +311,12 @@ class TestGreedySearch:
                 break
             g = best
         assert greedy_search(cov, SearchConfig(restarts=1)) == g
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(chain_graphs(min_p=4, max_p=4), min_size=2, max_size=8))
+    def test_rank_orders_states_as_graphs(self, graphs):
+        by_state = sorted(graphs, key=lambda g: search._rank(g._parents, g.undirected))
+        assert by_state == sorted(graphs, key=lambda g: (len(g.directed), canonical_key(g)))
 
     def test_deterministic_given_seed(self):
         truth = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
