@@ -5,8 +5,10 @@ ordering between blocks of nodes, undirected edges carry dependence
 between the error terms inside a block. This package provides the
 graphical layer (validity, separation, Markov equivalence, equivalence
 class enumeration), the Gaussian model layer (simulation, equal-variance
-rescaling, conditioning), maximum-likelihood fitting by alternating
-regression with iterative proportional fitting, and structure
+rescaling, conditioning), maximum-likelihood fitting (unconstrained: one
+loop whose rounds are a regression step plus one sweep of iterative
+proportional fitting, with `ipf` that loop without predictors; or under
+equal error variances), and structure
 identification: under equal error variances the generating graph itself,
 not just its Markov equivalence class, is recoverable from the
 observational distribution.

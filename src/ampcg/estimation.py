@@ -4,11 +4,13 @@ The likelihood decomposes over chain components. A singleton component's
 maximum likelihood is closed form in either mode: least squares on its
 parents, with the error variance the residual sum of squares per sample
 (the Peters & Bühlmann 2014 DAG case). A multi-node component is fit in
-the unconstrained mode by alternating two steps until the parameters stop
-moving: a generalized-least-squares regression of the component on its
-parents under the current error-covariance estimate (plain least squares
-on the first pass), and iterative proportional fitting of the
-regression-residual covariance to the component's undirected structure.
+the unconstrained mode by one loop (`_alternating_fit`, after Drton &
+Eichler 2006): each round is a generalized-least-squares regression of the
+component on its parents under the current error concentration (plain
+least squares on the first round), then one sweep of iterative
+proportional fitting (IPF) of the regression-residual moment to the
+component's undirected structure, until the parameters stop moving. `ipf`
+is that loop on a component without predictors.
 Inputs may be a dataset or a covariance matrix directly; feeding the exact
 population covariance separates statistical error from algorithmic error.
 Each input is validated once, by `moment_matrix`, at the public entry
@@ -130,9 +132,8 @@ def moment_matrix(data_or_cov, p: int) -> tuple[np.ndarray, int | None]:
 
 
 _EV_GRAD_TOL = 1e-6  # largest objective gradient entry of a converged equal-variance fit
-_TOL = 1e-9  # relative parameter change at which IPF and the alternating fit stop
-_MAX_IPF = 500  # IPF sweeps per call
-_MAX_OUTER = 200  # alternating GLS/IPF rounds per multi-node component
+_TOL = 1e-9  # relative parameter change at which the unconstrained fit stops
+_MAX_ROUNDS = 500  # GLS-plus-IPF-sweep rounds per unconstrained multi-node fit
 _MAX_STEPS = 15000  # descent steps per equal-variance solve
 _MAX_HALVINGS = 20  # trial points per descent step (L-BFGS-B's default line-search limit)
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest correlation below 1
@@ -170,14 +171,16 @@ def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
     """Covariance MLE under a concentration zero pattern, by clique scaling.
 
     `pattern` lists the allowed off-diagonal pairs (the undirected edges of
-    the local graph). Starting from a diagonal concentration matrix, each
-    maximal clique's block is updated so the fitted marginal over the
-    clique matches `s` exactly; updates never touch entries off the
-    pattern, so the zero constraints hold by construction. A complete
-    pattern therefore returns `s` itself after one sweep, and an empty
-    pattern returns its diagonal. Sweeps stop once the fitted covariance
-    moves by less than a relative 1e-9, or after 500 sweeps. The fit runs
-    it only on multi-node components; a singleton's variance is closed form.
+    the local graph). This is the unconstrained fit's loop
+    (`_alternating_fit`) on a component with no predictors, so its GLS step
+    is empty and each round is one sweep: starting from a diagonal
+    concentration matrix, each maximal clique's block is updated so the
+    fitted marginal over the clique matches `s` exactly; updates never
+    touch entries off the pattern, so the zero constraints hold by
+    construction. A complete pattern therefore returns `s` itself after one
+    sweep, and an empty pattern returns its diagonal. Sweeps stop once the
+    fitted covariance moves by less than a relative 1e-9, or after 500
+    sweeps. No library path calls it; `fit` runs the same loop directly.
     """
     s = np.asarray(s, dtype=float)
     m = s.shape[0]
@@ -185,31 +188,11 @@ def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
         raise ValueError("ipf input must be a symmetric matrix")
     if float(np.linalg.eigvalsh(s)[0]) <= 0:
         raise np.linalg.LinAlgError("ipf input is not positive definite")
-    pattern = [(min(a, b), max(a, b)) for a, b in pattern]
-    cliques = _maximal_cliques(m, pattern)
-    conc = np.diag(1.0 / np.diag(s))
-    sigma = np.diag(np.diag(s)).astype(float)
-    all_idx = np.arange(m)
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, _MAX_IPF + 1):
-        prev = sigma
-        for clique in cliques:
-            ci = np.array(clique)
-            bi = np.setdiff1d(all_idx, ci)
-            target = np.linalg.inv(s[np.ix_(ci, ci)])
-            if bi.size:
-                cross = conc[np.ix_(ci, bi)]
-                conc[np.ix_(ci, ci)] = target + cross @ np.linalg.solve(
-                    conc[np.ix_(bi, bi)], cross.T
-                )
-            else:
-                conc = target
-        sigma = np.linalg.inv(conc)
-        if _relative_change(sigma, prev) < _TOL:
-            converged = True
-            break
-    return IpfResult(sigma=0.5 * (sigma + sigma.T), iterations=sweeps, converged=converged)
+    edges = frozenset((min(a, b), max(a, b)) for a, b in pattern)
+    if not all(0 <= a < b < m for a, b in edges):
+        raise ValueError(f"ipf pattern pairs must join two distinct nodes among 0..{m - 1}")
+    res = _alternating_fit(_component(s, ((),) * m, edges, frozenset(range(m))))
+    return IpfResult(sigma=res.sigma, iterations=res.iterations, converged=res.converged)
 
 
 class _OneEdge(NamedTuple):
@@ -283,13 +266,6 @@ def _component(s: np.ndarray, parents: tuple, undirected: frozenset, comp: froze
     )
 
 
-def _check_sample_size(n: int | None, c: _Component) -> None:
-    if n is not None and n < len(c.predictors):
-        raise ValueError(
-            f"{n} samples cannot support {len(c.predictors)} predictors for component {tuple(c.nodes)}"
-        )
-
-
 def _gls_coefficients(c: _Component, omega: np.ndarray) -> np.ndarray:
     """Solve the weighted normal equations for the supported coefficients.
 
@@ -322,9 +298,7 @@ def _least_squares(c: _Component) -> ComponentFit:
     return ComponentFit(tuple(c.nodes), tuple(c.predictors), b, _residual_moment(c, b), 0, True)
 
 
-def _split(
-    s: np.ndarray, n: int | None, parents: tuple, undirected: frozenset, comps: Iterable, cache: dict | None = None
-):
+def _split(s: np.ndarray, parents: tuple, undirected: frozenset, comps: Iterable, cache: dict | None = None):
     """(singleton fits, multi-node `_Component` records) of the chain components `comps`.
 
     The graph is given by its parent tuples (sorted, one per node) and its
@@ -334,8 +308,9 @@ def _split(
     components are left for a numeric fit. With a `cache`, each
     singleton fit is kept by (node, parent set) and each multi-node record
     by (component, its nodes' parent sets, its undirected edges), so a
-    component is built once however many graphs contain it. Every
-    component's sample size is checked when it is built.
+    component is built once however many graphs contain it. The second
+    moment has passed `moment_matrix`, so it is positive definite and every
+    regression in it is well posed.
     """
     cache = {} if cache is None else cache
     singles, multi = [], []
@@ -348,7 +323,6 @@ def _split(
             key = (node, parents[node])
         if key not in cache:
             c = _component(s, parents, undirected, comp)
-            _check_sample_size(n, c)
             cache[key] = c if len(comp) > 1 else _least_squares(c)
         (multi if len(comp) > 1 else singles).append(cache[key])
     return singles, multi
@@ -360,50 +334,50 @@ def _residual_total(singles: list) -> float:
 
 
 def _alternating_fit(c: _Component) -> ComponentFit:
-    """Unconstrained maximum likelihood of a multi-node component by alternating GLS and IPF."""
-    if not c.predictors:
-        res = ipf(c.syy, c.pattern)
-        return ComponentFit(
-            nodes=tuple(c.nodes),
-            predictors=(),
-            beta=np.zeros((len(c.nodes), 0)),
-            sigma=res.sigma,
-            iterations=res.iterations,
-            converged=res.converged,
-        )
-    b = np.zeros((len(c.nodes), len(c.predictors)))
-    sigma = np.eye(len(c.nodes))
-    converged = False
-    rounds = 0
-    for rounds in range(1, _MAX_OUTER + 1):
-        omega = np.linalg.inv(sigma)
-        b_new = _gls_coefficients(c, omega)
-        res = ipf(_residual_moment(c, b_new), c.pattern)
-        change = max(_relative_change(b_new, b), _relative_change(res.sigma, sigma))
-        b, sigma = b_new, res.sigma
-        if change < _TOL and res.converged:
-            converged = True
+    """Unconstrained maximum likelihood of a multi-node component, one GLS solve and one IPF sweep per round.
+
+    Each round solves the weighted normal equations under the current
+    concentration (diagonal at the start, so the first round is least
+    squares), then makes one sweep of clique updates over that solve's
+    residual moment: each maximal clique's concentration block is reset so
+    the fitted marginal over the clique matches the residual moment, and
+    entries off the pattern are never touched. The rounds stop once the
+    coefficients and the fitted covariance both move by less than a
+    relative `_TOL`, or after `_MAX_ROUNDS` rounds. Without predictors the
+    GLS step is empty and the loop is plain IPF, which is what `ipf` runs.
+    """
+    m = len(c.nodes)
+    cliques = [(np.array(q), np.setdiff1d(np.arange(m), q)) for q in _maximal_cliques(m, c.pattern)]
+    b = np.zeros(c.syz.shape)
+    conc = np.diag(1.0 / np.diag(c.syy))
+    sigma = np.diag(np.diag(c.syy))
+    for rounds in range(1, _MAX_ROUNDS + 1):
+        b_new = _gls_coefficients(c, conc)
+        e = _residual_moment(c, b_new)
+        for ci, bi in cliques:
+            target = np.linalg.inv(e[np.ix_(ci, ci)])
+            if bi.size:
+                cross = conc[np.ix_(ci, bi)]
+                conc[np.ix_(ci, ci)] = target + cross @ np.linalg.solve(conc[np.ix_(bi, bi)], cross.T)
+            else:
+                conc = target
+        sigma_new = np.linalg.inv(conc)
+        converged = _relative_change(b_new, b) < _TOL and _relative_change(sigma_new, sigma) < _TOL  # False on NaN
+        b, sigma = b_new, sigma_new
+        if converged:
             break
-    return ComponentFit(
-        nodes=tuple(c.nodes),
-        predictors=tuple(c.predictors),
-        beta=b,
-        sigma=sigma,
-        iterations=rounds,
-        converged=converged,
-    )
+    return ComponentFit(tuple(c.nodes), tuple(c.predictors), b, 0.5 * (sigma + sigma.T), rounds, converged)
 
 
 def fit_component(data_or_cov, g: ChainGraph, comp: Iterable[int]) -> ComponentFit:
     """Unconstrained maximum likelihood of one chain component.
 
-    Least squares for a singleton, alternating GLS/IPF otherwise.
+    Least squares for a singleton, the alternating GLS/IPF loop otherwise.
     """
     comp = frozenset(int(x) for x in comp)
     if comp not in set(chain_components(g)):
         raise ValueError("comp must be a chain component of g")
-    s, n = moment_matrix(data_or_cov, g.p)
-    singles, multi = _split(s, n, g._parents, g.undirected, [comp])
+    singles, multi = _split(moment_matrix(data_or_cov, g.p)[0], g._parents, g.undirected, [comp])
     return singles[0] if singles else _alternating_fit(multi[0])
 
 
@@ -649,21 +623,32 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
 
     Singleton components are closed form in both modes (least squares).
     Unconstrained, each multi-node component is fit separately by
-    alternating GLS/IPF, and iterations count its largest number of rounds.
+    `_alternating_fit`, one GLS solve and one IPF sweep per round, and
+    iterations count the largest number of rounds; a component without
+    parents runs the same loop, whose GLS step is then empty.
     With equal_variances the exact equality-constrained maximum likelihood
     is returned instead (see `_equal_variance_solve`), with coefficients and
     correlations from one `_profile` evaluation at the optimum, and
     iterations count the descent's steps; they are zero when the only
     multi-node component is two nodes joined by one edge, which is solved
-    in closed form. Either way iterations are zero when every component is
-    a singleton. The loops' caps and tolerance are fixed, not settable.
+    in closed form; a closed-form correlation within rounding of +-1 leaves
+    no positive-definite fit and raises `np.linalg.LinAlgError` naming the
+    two nodes. Either way iterations are zero when every component is a
+    singleton. The loops' caps and tolerance are fixed, not settable.
     """
-    s, n = moment_matrix(data_or_cov, g.p)
-    singles, multi = _split(s, n, g._parents, g.undirected, chain_components(g))
+    s = moment_matrix(data_or_cov, g.p)[0]
+    singles, multi = _split(s, g._parents, g.undirected, chain_components(g))
     if equal_variances:
         fixed_t = _residual_total(singles)
         solve = _equal_variance_solve(fixed_t, multi, g.p)
-        _, _, total_t, betas, covs = _profile(fixed_t, multi, g.p, solve.theta)
+        optimum = _profile(fixed_t, multi, g.p, solve.theta)
+        if optimum is None:  # only the closed form reaches a correlation within rounding of +-1
+            a, b = (g.node_label(multi[0].nodes[i]) for i in multi[0].pattern[0])
+            raise np.linalg.LinAlgError(
+                f"the equal-variance optimum puts the error correlation of {a} and {b} at "
+                f"{-solve.theta[0]:.17g}, too close to +-1 for a positive-definite fit"
+            )
+        _, _, total_t, betas, covs = optimum
         sigma2 = total_t / g.p
         pieces = [replace(piece, sigma=np.full((1, 1), sigma2)) for piece in singles]
         for c, b, cov in zip(multi, betas, covs):
@@ -793,7 +778,7 @@ class EqualVarianceScorer:
         """
         known = len(self._records)
         comps = _blocks(self.p, undirected)
-        singles, multi = _split(self.s, self.n, parents, undirected, comps, self._records)
+        singles, multi = _split(self.s, parents, undirected, comps, self._records)
         solve = _equal_variance_solve(_residual_total(singles), multi, self.p)
         built = len(self._records) - known
         self.graphs += 1
@@ -819,5 +804,5 @@ class EqualVarianceScorer:
     def residual_variances(self, parents: tuple) -> np.ndarray:
         """Each node's residual variance given its parents in `parents`, by least squares."""
         nodes = [frozenset({j}) for j in range(self.p)]
-        singles, _ = _split(self.s, self.n, parents, frozenset(), nodes, self._records)
+        singles, _ = _split(self.s, parents, frozenset(), nodes, self._records)
         return np.array([piece.sigma[0, 0] for piece in singles])

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10  # smallest conditional-to-marginal variance ratio accepted
+_COEF_RANGE = (0.3, 1.0)  # coefficient magnitudes of random parameters, bounded away from zero
 _FAITHFUL_DRAWS = 50  # parameter draws faithful_parameters tries before giving up
 _CI_TOL = 1e-8  # |partial correlation| below which a covariance shows an independence
 _CI_LEVEL = 0.01  # level of the two-sided Fisher-z test that decides independence on data
@@ -59,14 +60,19 @@ def _first_dependent(s: np.ndarray) -> int | None:
 
     The squared Cholesky diagonal holds those conditional variances; each
     is compared with its own marginal variance, so the test is scale-free.
+    When the full factorization fails, the leading blocks are factored one
+    by one, and the first whose last pivot fails or falls below the same
+    tolerance is named.
     """
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         for j in range(s.shape[0]):
             try:
-                chol = np.linalg.cholesky(s[: j + 1, : j + 1])
+                pivot = np.linalg.cholesky(s[: j + 1, : j + 1])[j, j]
             except np.linalg.LinAlgError:
+                return j
+            if pivot**2 <= _RANK_TOL * s[j, j]:
                 return j
         raise
     below = chol.diagonal() ** 2 <= _RANK_TOL * s.diagonal()
@@ -193,18 +199,16 @@ def _signed_uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
     return rng.uniform(lo, hi, size=size) * rng.choice((-1.0, 1.0), size=size)
 
 
-def random_parameters(g: ChainGraph, coef_range: tuple = (0.3, 1.0), seed=0) -> SemParameters:
+def random_parameters(g: ChainGraph, seed=0) -> SemParameters:
     """Draw coefficients and a pattern-respecting error covariance.
 
-    Coefficient magnitudes live in `coef_range` (bounded away from zero so
+    Coefficient magnitudes live in `_COEF_RANGE` (bounded away from zero so
     that dependences stay numerically visible) with random signs. Each
     component's concentration block gets random entries on its undirected
     edges and a strictly diagonally dominant diagonal, which guarantees
     positive definiteness; inverting the blocks yields sigma.
     """
-    lo, hi = float(coef_range[0]), float(coef_range[1])
-    if not (0.0 < lo <= hi):
-        raise ValueError(f"coef_range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+    lo, hi = _COEF_RANGE
     if not is_chain_graph(g):
         raise ValueError("parameter generation requires a valid chain graph")
     rng = np.random.default_rng(seed)
@@ -382,12 +386,7 @@ def _mask_bits(p: int) -> np.ndarray:
     return ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
 
 
-def faithful_parameters(
-    g: ChainGraph,
-    coef_range: tuple = (0.3, 1.0),
-    seed=0,
-    sigma2: float | None = None,
-) -> tuple[SemParameters, int]:
+def faithful_parameters(g: ChainGraph, seed=0, sigma2: float | None = None) -> tuple[SemParameters, int]:
     """Random parameters whose population distribution is faithful to g.
 
     Random draws are faithful with probability one, but a finite-precision
@@ -407,7 +406,7 @@ def faithful_parameters(
     masks, js, ks = np.array([(_mask(cond), j, k) for j, k, cond in queries], dtype=int).reshape(-1, 3).T
     wanted = np.array([query in separations for query in queries], dtype=bool)
     for attempt in range(1, _FAITHFUL_DRAWS + 1):
-        params = random_parameters(g, coef_range=coef_range, seed=compose_seed(seed, attempt))
+        params = random_parameters(g, seed=compose_seed(seed, attempt))
         if sigma2 is not None:
             params = rescale_equal_variances(params, sigma2)
         found = _independences(implied_distribution(params).cov)[masks, js, ks]  # cov checked there

@@ -61,6 +61,11 @@ class TestMomentMatrix:
         with pytest.raises(ValueError, match="column X2 is constant"):
             moment_matrix(Dataset(values), 3)
 
+    def test_fewer_rows_than_columns_names_first_dependent_column(self):
+        # X5 fails the factorization; X4 already has a squared pivot of 1.5e-16 of its variance
+        with pytest.raises(ValueError, match="column X4 is a linear combination"):
+            moment_matrix(Dataset(np.random.default_rng(0).normal(size=(3, 5))), 5)
+
     def test_singular_covariance_names_node(self):
         cov = np.array([[1.0, 0.5, 1.5], [0.5, 1.0, 1.5], [1.5, 1.5, 3.0]])
         with pytest.raises(ValueError, match="node 2 is a linear combination"):
@@ -98,6 +103,10 @@ class TestIpf:
         s = np.array([[2.0, 1.0], [1.0, 3.0]])
         res = ipf(s, [])
         assert np.allclose(res.sigma, np.diag([2.0, 3.0]), atol=1e-12)
+
+    def test_pattern_outside_the_nodes_rejected(self):
+        with pytest.raises(ValueError, match="distinct nodes among 0..1"):
+            ipf(np.eye(2), [(0, 2)])
 
     def test_non_pd_input_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
@@ -245,6 +254,27 @@ class TestFit:
             assert np.max(np.abs(implied_distribution(result.params).cov - cov)) < 1e-6
 
         run()
+
+    def test_slow_small_sample_fit_converges(self):
+        # five rows for three nodes: the GLS/IPF rounds creep, and 200 rounds do not reach the tolerance
+        g = ChainGraph(3, directed={(1, 0)}, undirected={(0, 2)})
+        data = Dataset(np.random.default_rng(6801).normal(size=(5, 3)))
+        result = fit(data, g)
+        assert result.converged
+        s = moment_matrix(data, 3)[0]
+        step = 1e-6
+        for j, k in [(0, 1), (0, 0), (1, 1), (2, 2), (0, 2)]:  # the free coefficient, then the free covariances
+            sides = []
+            for sign in (1.0, -1.0):
+                beta, sigma = result.params.beta.copy(), result.params.sigma.copy()
+                if (j, k) == (0, 1):
+                    beta[j, k] += sign * step
+                else:
+                    sigma[j, k] += sign * step
+                    sigma[k, j] = sigma[j, k]
+                a = np.linalg.inv(np.eye(3) - beta)
+                sides.append(gaussian_average_loglik(a @ sigma @ a.T, s))
+            assert abs(sides[0] - sides[1]) / (2.0 * step) < 1e-6
 
     def test_dispersion_scale_invariant(self, six_node_graph):
         params = random_parameters(six_node_graph, seed=13)
@@ -623,12 +653,21 @@ class TestEqualVarianceScorer:
             loglik, converged = EqualVarianceScorer(cov, 5).loglik(g)
             assert converged and loglik >= best - 1e-9
 
+    def test_fit_at_a_correlation_within_rounding_of_one_is_numeric_error(self):
+        # the closed-form correlation is 1 - 6.7e-13, so 1 - rho^2 falls below the rank tolerance
+        g = ChainGraph(5, undirected={(2, 3)})
+        cov = np.diag([1e6, 1e6, 1e-6, 1e-6, 1e6])
+        cov[2, 3] = cov[3, 2] = 0.5e-6
+        with pytest.raises(np.linalg.LinAlgError, match="X3 and X4"):
+            fit(cov, g, equal_variances=True)
+        assert EqualVarianceScorer(cov, 5).loglik(g)[1]
+
     @staticmethod
     def _assert_one_edge_scores_match_fit(data, graphs):
         scorer = EqualVarianceScorer(data, graphs[0].p)
         fixed_totals, singleton_keys = set(), set()
         for g in graphs:
-            singles, _ = estimation._split(scorer.s, scorer.n, g._parents, g.undirected, chain_components(g))
+            singles, _ = estimation._split(scorer.s, g._parents, g.undirected, chain_components(g))
             fixed_totals.add(estimation._residual_total(singles))
             singleton_keys |= {(piece.nodes, piece.predictors) for piece in singles}
             loglik, converged = scorer.loglik(g)

@@ -163,6 +163,29 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["p"] == 8
 
+    def test_generate_writes_parameters_and_data(self, tmp_path, capsys):
+        paths = {name: tmp_path / name for name in ("g.json", "params.json", "d.csv")}
+        code = main([
+            "generate", "--p", "5", "--seed", "1", "--sigma2", "2.5", "--out", str(paths["g.json"]),
+            "--params-out", str(paths["params.json"]), "--data-out", str(paths["d.csv"]), "--n", "40",
+        ])
+        assert code == 0
+        assert "dataset (40 rows)" in capsys.readouterr().out
+        g = read_graph(paths["g.json"])
+        params = read_parameters(paths["params.json"])
+        data = read_dataset(paths["d.csv"])
+        assert params.graph == g and data.n == 40
+        assert data.labels == tuple(g.node_label(j) for j in range(g.p))
+        assert np.allclose(np.diag(params.sigma), 2.5, rtol=1e-12)
+
+    def test_sep_takes_indices_and_rejects_out_of_range(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        write_graph(ChainGraph(3, directed={(0, 1), (1, 2)}), gpath)
+        assert main(["sep", "--graph", str(gpath), "--a", "0", "--b", "2", "--c", "1"]) == 0
+        assert capsys.readouterr().out == "separated: true\n"
+        assert main(["sep", "--graph", str(gpath), "--a", "0", "--b", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error input_error: node index 3 out of range for p=3")
+
     def test_sep_enumerate_csv(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
         write_graph(ChainGraph(3, directed={(0, 1)}), gpath)
@@ -294,6 +317,24 @@ class TestCli:
         write_graph(ChainGraph(2), gpath)
         assert main(["fit", "--graph", str(gpath), "--out", str(tmp_path / "f.json")]) == 2
         assert capsys.readouterr().err.startswith("error input_error:")
+        cpath, dpath = tmp_path / "c.json", tmp_path / "d.csv"
+        write_covariance(np.eye(2), cpath)
+        write_dataset(Dataset(np.random.default_rng(1).normal(size=(10, 2))), dpath)
+        both = ["--data", str(dpath), "--population", str(cpath)]
+        assert main(["fit", "--graph", str(gpath), *both, "--out", str(tmp_path / "f.json")]) == 2
+        assert capsys.readouterr().err.startswith("error input_error: give either --data or --population")
+
+    def test_fit_equal_var_at_a_degenerate_correlation_is_numeric_error(self, tmp_path, capsys):
+        cov = np.diag([1e6, 1e6, 1e-6, 1e-6, 1e6])
+        cov[2, 3] = cov[3, 2] = 0.5e-6
+        cpath, gpath, out = tmp_path / "c.json", tmp_path / "g.json", tmp_path / "f.json"
+        write_covariance(cov, cpath)
+        write_graph(ChainGraph(5, undirected={(2, 3)}), gpath)
+        args = ["fit", "--graph", str(gpath), "--population", str(cpath), "--equal-var", "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error numeric_error: ") and "X3 and X4" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_console_entry_point(self, tmp_path):
         gpath = tmp_path / "g.json"
