@@ -145,15 +145,17 @@ def _cmd_fit(args) -> int:
 def _cmd_identify(args) -> int:
     rep = read_graph(args.class_rep)
     result = identify_in_class(rep, _load_input(args))
+    converged = result.table[0].converged  # all rows share the flag of the covariance they are read off
     payload = {
         "chosen": graph_to_dict(result.chosen),
         "class_size": result.class_size,
         "margin": result.margin,
+        "converged": converged,
         "table": [
             {
                 "graph": graph_to_dict(row.graph),
                 "dispersion": row.dispersion,
-                "score": row.score,
+                "gap": row.gap,
                 "loglik": row.loglik,
                 "converged": row.converged,
             }
@@ -161,7 +163,8 @@ def _cmd_identify(args) -> int:
         ],
     }
     _write_json(payload, args.out)
-    print(f"chosen {graph_hash(result.chosen)} margin={result.margin:.6g} -> {args.out}")
+    flag = "" if converged else " converged=False"
+    print(f"chosen {graph_hash(result.chosen)} margin={result.margin:.6g}{flag} -> {args.out}")
     return 0
 
 

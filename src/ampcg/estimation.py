@@ -9,7 +9,8 @@ Eichler 2006): each round is a generalized-least-squares regression of the
 component on its parents under the current error concentration (plain
 least squares on the first round), then one sweep of iterative
 proportional fitting (IPF) of the regression-residual moment to the
-component's undirected structure, until the parameters stop moving. `ipf`
+component's undirected structure, until the parameters stop moving. The
+loop runs on the correlation scale and scales its result back, and `ipf`
 is that loop on a component without predictors.
 Inputs may be a dataset or a covariance matrix directly; feeding the exact
 population covariance separates statistical error from algorithmic error.
@@ -35,13 +36,14 @@ again from a diagonally dominant start if the identity is stationary.
 split and solve, read off parent tuples and undirected edges, so a search
 scores a state without building its graph. It builds each component once
 (a singleton's least-squares fit per (node, parent set), a multi-node
-component's record per parent sets and edges), keeps each state's
-penalized score, and reads each node's residual variance given its
-parents off the singleton records, which is all population
-identification in `search` needs. A lone one-edge record keeps the part
-of its solve that does not depend on the singletons' residual total T0,
-so each further score of it is one small root solve. The spread of the
-unconstrained fit's log error variances is its `dispersion`.
+component's record per parent sets and edges) and keeps each state's
+penalized score. A lone one-edge record keeps the part of its solve that
+does not depend on the singletons' residual total T0, so each further
+score of it is one small root solve. `_residual_variances` reads each
+node's residual variance given its parents off the same singleton
+records; on one fitted or population covariance that is all
+identification in `search` needs. The spread of the unconstrained fit's
+log error variances is its `dispersion`.
 """
 
 from __future__ import annotations
@@ -177,10 +179,13 @@ def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
     concentration matrix, each maximal clique's block is updated so the
     fitted marginal over the clique matches `s` exactly; updates never
     touch entries off the pattern, so the zero constraints hold by
-    construction. A complete pattern therefore returns `s` itself after one
-    sweep, and an empty pattern returns its diagonal. Sweeps stop once the
-    fitted covariance moves by less than a relative 1e-9, or after 500
-    sweeps. No library path calls it; `fit` runs the same loop directly.
+    construction. A complete pattern therefore returns `s` itself, to
+    rounding, after one sweep, and an empty pattern returns its diagonal.
+    The sweeps run on the correlation matrix of `s` and the result is
+    scaled back, so rescaling the nodes rescales the fit alike. Sweeps stop
+    once the fitted correlation matrix moves by less than a relative 1e-9,
+    or after 500 sweeps. No library path calls it; `fit` runs the same loop
+    directly.
     """
     s = np.asarray(s, dtype=float)
     m = s.shape[0]
@@ -328,6 +333,16 @@ def _split(s: np.ndarray, parents: tuple, undirected: frozenset, comps: Iterable
     return singles, multi
 
 
+def _residual_variances(s: np.ndarray, parents: tuple, cache: dict) -> np.ndarray:
+    """Each node's least-squares residual variance given its parents in `parents`, on the second moment s.
+
+    The fits are `_split`'s singleton records, kept in `cache` by (node,
+    parent set), so a regression shared by many graphs is solved once.
+    """
+    singles, _ = _split(s, parents, frozenset(), [frozenset({j}) for j in range(len(s))], cache)
+    return np.array([piece.sigma[0, 0] for piece in singles])
+
+
 def _residual_total(singles: list) -> float:
     """Summed residual sums of squares of singleton fits: the fixed part of T."""
     return float(sum(piece.sigma[0, 0] for piece in singles))
@@ -336,37 +351,50 @@ def _residual_total(singles: list) -> float:
 def _alternating_fit(c: _Component) -> ComponentFit:
     """Unconstrained maximum likelihood of a multi-node component, one GLS solve and one IPF sweep per round.
 
+    The loop runs on the correlation scale, every node and predictor
+    divided by its root second moment, and the result is scaled back, so
+    the relative stop test means the same for every unit of measurement.
     Each round solves the weighted normal equations under the current
     concentration (diagonal at the start, so the first round is least
     squares), then makes one sweep of clique updates over that solve's
-    residual moment: each maximal clique's concentration block is reset so
-    the fitted marginal over the clique matches the residual moment, and
-    entries off the pattern are never touched. The rounds stop once the
-    coefficients and the fitted covariance both move by less than a
-    relative `_TOL`, or after `_MAX_ROUNDS` rounds. Without predictors the
-    GLS step is empty and the loop is plain IPF, which is what `ipf` runs.
+    residual moment: each maximal clique's concentration block moves by
+    E_cc^-1 - ((K^-1)_cc)^-1, so the fitted marginal over the clique
+    matches the residual moment E, and entries off the pattern are never
+    touched. That additive step shrinks to zero at the optimum; resetting
+    the block to E_cc^-1 plus its Schur term instead compounds rounding
+    from sweep to sweep and can leave a non-positive-definite fit. The
+    rounds stop once the coefficients and the fitted covariance both move
+    by less than a relative `_TOL`, or after `_MAX_ROUNDS` rounds. Without
+    predictors the GLS step is empty and the loop is plain IPF, which is
+    what `ipf` runs.
     """
+    dy, dz = np.sqrt(c.syy.diagonal()), np.sqrt(c.szz.diagonal())
+    cols = c.support[1]
+    c = replace(
+        c,
+        syy=c.syy / np.outer(dy, dy),
+        syz=c.syz / np.outer(dy, dz),
+        szz=c.szz / np.outer(dz, dz),
+        normal=c.normal / np.outer(dz[cols], dz[cols]),
+    )
     m = len(c.nodes)
-    cliques = [(np.array(q), np.setdiff1d(np.arange(m), q)) for q in _maximal_cliques(m, c.pattern)]
+    cliques = [np.array(q) for q in _maximal_cliques(m, c.pattern)]
     b = np.zeros(c.syz.shape)
     conc = np.diag(1.0 / np.diag(c.syy))
     sigma = np.diag(np.diag(c.syy))
     for rounds in range(1, _MAX_ROUNDS + 1):
         b_new = _gls_coefficients(c, conc)
         e = _residual_moment(c, b_new)
-        for ci, bi in cliques:
-            target = np.linalg.inv(e[np.ix_(ci, ci)])
-            if bi.size:
-                cross = conc[np.ix_(ci, bi)]
-                conc[np.ix_(ci, ci)] = target + cross @ np.linalg.solve(conc[np.ix_(bi, bi)], cross.T)
-            else:
-                conc = target
+        for q in cliques:
+            block = q[:, None], q
+            conc[block] += np.linalg.inv(e[block]) - np.linalg.inv(np.linalg.inv(conc)[block])
         sigma_new = np.linalg.inv(conc)
         converged = _relative_change(b_new, b) < _TOL and _relative_change(sigma_new, sigma) < _TOL  # False on NaN
         b, sigma = b_new, sigma_new
         if converged:
             break
-    return ComponentFit(tuple(c.nodes), tuple(c.predictors), b, 0.5 * (sigma + sigma.T), rounds, converged)
+    sigma = 0.5 * (sigma + sigma.T) * np.outer(dy, dy)
+    return ComponentFit(tuple(c.nodes), tuple(c.predictors), b * np.outer(dy, 1.0 / dz), sigma, rounds, converged)
 
 
 def fit_component(data_or_cov, g: ChainGraph, comp: Iterable[int]) -> ComponentFit:
@@ -740,8 +768,6 @@ class EqualVarianceScorer:
     `score` adds the `fit_score` penalty at `n_eff`, the sample size for a
     dataset and `_POPULATION_N_EFF` for a covariance, and keeps each
     state's result, so a search asks for a state as often as it likes.
-    `residual_variances` reads each node's least-squares residual variance
-    given its parents off the same singleton records.
 
     Plain counts of the work done so far: `graphs` scored, component
     records built and reused (`records_built`, `records_reused`; a
@@ -800,9 +826,3 @@ class EqualVarianceScorer:
             k = sum(map(len, parents)) + len(undirected) + 1
             self._scores[key] = (_bic(loglik, k, self.n_eff), loglik, converged)
         return self._scores[key]
-
-    def residual_variances(self, parents: tuple) -> np.ndarray:
-        """Each node's residual variance given its parents in `parents`, by least squares."""
-        nodes = [frozenset({j}) for j in range(self.p)]
-        singles, _ = _split(self.s, parents, frozenset(), nodes, self._records)
-        return np.array([piece.sigma[0, 0] for piece in singles])

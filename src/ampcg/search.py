@@ -2,17 +2,20 @@
 
 Two layers: picking the true graph out of a known Markov equivalence class,
 and full greedy hill climbing over chain-graph space guided by the
-equal-variance penalized score. Both read the input only through one
-`EqualVarianceScorer`, which validates it once, builds each chain
-component once for every graph that contains it and keeps each state's
-score; ties between equal scores are broken on the state itself (`_rank`),
-so a search builds a graph only for the move it takes. Identification on a
-population covariance fits nothing: once `_check_population` has found the
-covariance reproducible by the class's model, each member's error
-variances are its nodes' residual variances given their parents, and the
-member whose variances are flattest wins. A small conditional-independence
-skeleton-plus-triplex recovery is included so the two-phase strategy
-(recover the class, then orient inside it) is runnable end to end; it
+equal-variance penalized score. Markov-equivalent members share one model,
+so identification reads the whole class off one covariance: a population
+covariance itself, once `_check_population` has found it reproducible by
+the class's model, or on data the implied covariance of one unconstrained
+`fit` of the representative. Each member's error variances are its nodes'
+residual variances given their parents on that covariance, and the member
+whose variances are flattest wins; no equal-variance fit runs. Greedy
+search reads the input only through one `EqualVarianceScorer`, which
+validates it once, builds each chain component once for every graph that
+contains it and keeps each state's score. Ties are broken on the state
+itself (`_rank`), so a search builds a graph only for the move it takes.
+A small conditional-independence skeleton-plus-triplex recovery is
+included so the two-phase strategy (recover the class, then orient
+inside it) is runnable end to end; it
 assumes faithful input and is deliberately minimal, and it decides no
 independence itself: it reads `sem._independences`, the same table and
 rule that faithful parameter draws use. Both the class and
@@ -27,10 +30,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .estimation import EqualVarianceScorer, gaussian_average_loglik, moment_matrix
+from .estimation import EqualVarianceScorer, _residual_variances, fit, gaussian_average_loglik, moment_matrix
 from .graphs import (
     CapacityError,
     ChainGraph,
@@ -42,7 +46,7 @@ from .graphs import (
     random_chain_graph,
     triplexes,
 )
-from .sem import _CI_TOL, Dataset, _independences, _mask, compose_seed
+from .sem import _CI_TOL, Dataset, _independences, _mask, compose_seed, implied_distribution
 from .separation import pairwise_queries
 
 __all__ = [
@@ -74,7 +78,7 @@ class SearchConfig:
 class MemberFit:
     graph: ChainGraph
     dispersion: float
-    score: float | None
+    gap: float
     loglik: float
     converged: bool
 
@@ -100,41 +104,46 @@ def _size(data_or_cov) -> int:
 def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     """Pick one member of class_rep's Markov equivalence class.
 
-    Population covariance input must be a distribution of the class's model,
-    or ValueError names the first pair of nodes that shows it is not (see
-    `_check_population`). Then every member reproduces it exactly, so each
-    node's error is independent of its parents and its variance is the
-    node's residual variance given its parents, read off the input in closed
-    form with no fit. The member whose error variances are flattest
-    (smallest `dispersion`, zero only for the generating graph under equal
-    error variances) is chosen. The input is validated once and each (node,
-    parent set) regression is solved once for the whole class, by one
-    `EqualVarianceScorer` (`residual_variances`). Every row's `loglik` is
-    the input's own maximum, which every member attains, and `converged` is
-    True, as no iteration runs. Dataset input: the equal-variance penalized
-    score decides; every member is scored by the same scorer (`score`), and
-    its fitted error variances are equal by construction, so its dispersion
-    is 0. Ties break toward fewer directed edges, then `canonical_key`
-    (`_rank`). Classes are enumerated up to 12 nodes; beyond that
-    `CapacityError` is raised.
+    Markov-equivalent members share one model, so one covariance Σ̂ serves
+    them all: a population covariance itself, or for a dataset the implied
+    covariance of one unconstrained `fit` of class_rep. Population
+    covariance input must be a distribution of the class's model, or
+    ValueError names the first pair of nodes that shows it is not (see
+    `_check_population`). On Σ̂ each member's error variances v are its
+    nodes' residual variances given their parents, read off in closed form,
+    with each (node, parent set) regression solved once for the whole class.
+    Each row carries two spreads of log v: `dispersion`, max minus min, and
+    `gap`, log(mean v) - mean(log v), which for a DAG member is the
+    likelihood-ratio statistic of equal against free error variances
+    divided by n * p. Both are zero only when the member's error variances
+    are equal. A covariance is exact, so the smallest `dispersion` wins
+    (zero only for the generating graph under equal error variances); on a
+    dataset the smallest `gap` wins. Ties break toward fewer directed edges,
+    then `canonical_key` (`_rank`), and `margin` is the runner-up's
+    statistic minus the winner's. Every row's `loglik` and `converged` are
+    Σ̂'s: the input's own maximum and True on a covariance, the
+    representative fit's on a dataset. The input is validated once, and no
+    equal-variance fit runs. Classes are enumerated up to 12 nodes; beyond
+    that `CapacityError` is raised.
     """
     members = equivalence_class(class_rep)
-    scorer = EqualVarianceScorer(data_or_cov, class_rep.p)
-    rows = []
-    if scorer.n is None:
-        _check_population(scorer.s, class_rep)
-        loglik = gaussian_average_loglik(scorer.s, scorer.s)
-        for member in members:
-            logs = np.log(scorer.residual_variances(member._parents))
-            rows.append(MemberFit(member, float(logs.max() - logs.min()), None, loglik, True))
-        rows.sort(key=lambda r: (r.dispersion, *_rank(r.graph._parents, r.graph.undirected)))
-        margin = math.inf if len(rows) == 1 else rows[1].dispersion - rows[0].dispersion
+    if isinstance(data_or_cov, Dataset):
+        rep_fit = fit(data_or_cov, class_rep)
+        s = implied_distribution(rep_fit.params).cov
+        loglik, converged, statistic = rep_fit.loglik, rep_fit.converged, attrgetter("gap")
     else:
-        for member in members:
-            score, loglik, converged = scorer.score(member._parents, member.undirected)
-            rows.append(MemberFit(member, 0.0, score, loglik, converged))
-        rows.sort(key=lambda r: (-r.score, *_rank(r.graph._parents, r.graph.undirected)))
-        margin = math.inf if len(rows) == 1 else rows[0].score - rows[1].score
+        s = moment_matrix(data_or_cov, class_rep.p)[0]
+        _check_population(s, class_rep)
+        loglik, converged, statistic = gaussian_average_loglik(s, s), True, attrgetter("dispersion")
+    records: dict = {}
+    rows = []
+    for member in members:
+        v = _residual_variances(s, member._parents, records)
+        logs = np.log(v)
+        gap = float(np.log(v.mean()) - logs.mean())
+        rows.append(MemberFit(member, float(logs.max() - logs.min()), gap, loglik, converged))
+    rows.sort(key=lambda r: (statistic(r), *_rank(r.graph._parents, r.graph.undirected)))
+    margin = math.inf if len(rows) == 1 else statistic(rows[1]) - statistic(rows[0])
     return IdentifyResult(
         chosen=rows[0].graph,
         class_size=len(members),

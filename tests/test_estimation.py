@@ -92,6 +92,19 @@ class TestScaleFree:
             assert scaled.iterations == ref.iterations == 0
 
 
+# A well-conditioned correlation matrix (smallest eigenvalue 0.037) and a cyclic pattern on which
+# IPF's rounding once grew by about 1.6x per sweep after convergence.
+_CYCLIC_R = np.array([
+    [1, 0.313, 0.154, -0.495, 0.766, 0.445],
+    [0.313, 1, 0.07, -0.898, 0.155, 0.877],
+    [0.154, 0.07, 1, 0.009, -0.327, 0.023],
+    [-0.495, -0.898, 0.009, 1, -0.449, -0.884],
+    [0.766, 0.155, -0.327, -0.449, 1, 0.384],
+    [0.445, 0.877, 0.023, -0.884, 0.384, 1],
+])
+_CYCLIC_PATTERN = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (4, 5)]
+
+
 class TestIpf:
     def test_complete_pattern_returns_input(self):
         s = np.array([[2.0, 1.0, 0.4], [1.0, 2.0, 0.6], [0.4, 0.6, 1.5]])
@@ -133,6 +146,24 @@ class TestIpf:
         for a, b in pattern:
             block = np.ix_([a, b], [a, b])
             assert np.allclose(res.sigma[block], s[block], atol=1e-7)
+
+    def test_converged_fit_stays_positive_definite(self):
+        # resetting each clique block to its Schur form compounds rounding sweep after sweep on this
+        # well-conditioned input, until the fit is no longer positive definite
+        assert np.linalg.eigvalsh(_CYCLIC_R)[0] > 0.03
+        res = ipf(_CYCLIC_R, _CYCLIC_PATTERN)
+        assert res.converged
+        assert np.linalg.eigvalsh(res.sigma)[0] > 0
+        fitted = _CYCLIC_PATTERN + [(j, j) for j in range(6)]
+        assert max(abs(res.sigma[a, b] - _CYCLIC_R[a, b]) for a, b in fitted) < 1e-8
+
+    def test_scale_equivariant(self):
+        # the loop runs on the correlation scale, so units spanning seven decades change nothing
+        d = np.array([4.0e7, 390, 640, 1.2e8, 1.2e6, 46.5])
+        scaled = ipf(_CYCLIC_R * np.outer(d, d), _CYCLIC_PATTERN)
+        res = ipf(_CYCLIC_R, _CYCLIC_PATTERN)
+        assert scaled.converged and res.converged
+        assert np.allclose(scaled.sigma, res.sigma * np.outer(d, d), rtol=1e-12, atol=0)
 
     def test_stationarity_of_fixed_point(self):
         # gradient of the restricted log-likelihood vanishes at the fit
@@ -567,7 +598,7 @@ class TestEqualVarianceScorer:
     def test_residual_variances_are_least_squares(self):
         rng = np.random.default_rng(51)
         data = Dataset(rng.normal(size=(300, 4)) @ rng.normal(size=(4, 4)))
-        scorer = EqualVarianceScorer(data, 4)
+        s, records = moment_matrix(data, 4)[0], {}
         for g in enumerate_chain_graphs(4):
             expected = []
             for node, into in enumerate(g._parents):
@@ -576,7 +607,7 @@ class TestEqualVarianceScorer:
                     design = data.values[:, list(into)]
                     target = target - design @ np.linalg.lstsq(design, target, rcond=None)[0]
                 expected.append(float(target @ target) / data.n)
-            assert np.allclose(scorer.residual_variances(g._parents), expected, rtol=1e-10, atol=0)
+            assert np.allclose(estimation._residual_variances(s, g._parents, records), expected, rtol=1e-10, atol=0)
 
     def test_graph_size_must_match_input(self):
         with pytest.raises(ValueError, match="graph has 2 nodes"):

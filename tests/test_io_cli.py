@@ -233,6 +233,22 @@ class TestCli:
         chosen = graph_from_dict(json.loads(ipath.read_text())["chosen"])
         assert chosen == truth
 
+    def test_identify_flags_a_nonconverged_fit(self, tmp_path, capsys):
+        g = ChainGraph(3, directed={(1, 0)}, undirected={(0, 2)})
+        gpath = tmp_path / "g.json"
+        write_graph(g, gpath)
+        dpath = tmp_path / "d.csv"
+        write_dataset(Dataset(np.random.default_rng(718).normal(size=(5, 3))), dpath)  # stops at the round cap
+        cpath = tmp_path / "c.json"
+        write_covariance(implied_distribution(random_parameters(g, seed=1)).cov, cpath)
+        for source, path, converged in (("--data", dpath, False), ("--population", cpath, True)):
+            out = tmp_path / "ident.json"
+            assert main(["identify", "--class-rep", str(gpath), source, str(path), "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            assert payload["converged"] is converged
+            assert all(row["converged"] is converged and "gap" in row for row in payload["table"])
+            assert ("converged=False" in capsys.readouterr().out) is not converged
+
     def test_learn_greedy(self, tmp_path):
         truth = ChainGraph(2, directed={(0, 1)})
         from ampcg import rescale_equal_variances

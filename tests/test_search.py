@@ -144,7 +144,8 @@ class TestIdentifyInClass:
             else:
                 assert row.dispersion > 1e-6
 
-    def test_covariance_validated_once_per_call(self, six_node_graph, monkeypatch):
+    @pytest.fixture
+    def validations(self, monkeypatch):
         calls = []
         original = estimation.moment_matrix
 
@@ -154,10 +155,19 @@ class TestIdentifyInClass:
 
         monkeypatch.setattr(estimation, "moment_matrix", counting)
         monkeypatch.setattr(search, "moment_matrix", counting)
+        return calls
+
+    def test_covariance_validated_once_per_call(self, six_node_graph, validations):
         params = rescale_equal_variances(random_parameters(six_node_graph, seed=31), 1.0)
         result = identify_in_class(six_node_graph, implied_distribution(params).cov)
         assert result.class_size > 1
-        assert len(calls) == 1
+        assert len(validations) == 1
+
+    def test_dataset_validated_once_per_call(self, six_node_graph, validations):
+        params = rescale_equal_variances(random_parameters(six_node_graph, seed=31), 1.0)
+        result = identify_in_class(six_node_graph, sample(implied_distribution(params), 1000, seed=32))
+        assert result.class_size > 1
+        assert len(validations) == 1
 
     def test_population_rows_match_unconstrained_fit(self):
         # the criterion-7 instances: on every member the closed-form
@@ -196,26 +206,67 @@ class TestIdentifyInClass:
         assert identify_in_class(chain, cov).chosen == chain
         assert identify_in_class(ChainGraph(3, directed={(0, 1), (0, 2), (1, 2)}), cov).class_size > 1  # complete
 
-    def test_dataset_path_uses_score(self):
+    def test_dataset_path_ranks_on_gap(self):
         truth = ChainGraph(2, directed={(0, 1)})
         params = rescale_equal_variances(random_parameters(truth, seed=3), 1.0)
         data = sample(implied_distribution(params), 20_000, seed=4)
         result = identify_in_class(truth, data)
         assert result.chosen == truth
-        assert all(row.score is not None for row in result.table)
-        assert result.margin > 0
+        gaps = [row.gap for row in result.table]
+        assert gaps == sorted(gaps)
+        assert result.margin == gaps[1] - gaps[0] > 0
 
-    def test_dataset_rows_match_equal_variance_fit(self):
-        truth = ChainGraph(4, directed={(0, 1), (0, 2)}, undirected={(1, 2), (2, 3)})
-        params = rescale_equal_variances(random_parameters(truth, seed=8), 1.0)
-        data = sample(implied_distribution(params), 1000, seed=9)
-        result = identify_in_class(truth, data)
+    def test_dataset_rows_match_unconstrained_fit(self):
+        # Markov-equivalent members share one model, so the representative's
+        # fit is every member's: each row's residual variances on it are the
+        # member's own fitted error variances
+        members = 0
+        for trial in range(40):
+            g = random_chain_graph(2 + trial % 5, 0.5, 0.5, seed=trial + 7_000)
+            params = rescale_equal_variances(random_parameters(g, seed=trial + 1), 1.0)
+            data = sample(implied_distribution(params), 500, seed=trial + 2)
+            rep = fit(data, g)
+            for row in identify_in_class(g, data).table:
+                reference = fit(data, row.graph)
+                assert abs(row.dispersion - reference.dispersion) < 1e-9
+                assert row.loglik == rep.loglik and abs(row.loglik - reference.loglik) < 1e-9
+                assert row.converged == rep.converged
+                members += 1
+        assert members > 40
+
+    def test_dag_member_gap_is_the_equal_variance_likelihood_ratio(self):
+        dags = 0
+        for trial in range(40):
+            g = random_chain_graph(2 + trial % 5, 0.5, 0.5, seed=trial + 7_100)
+            params = rescale_equal_variances(random_parameters(g, seed=trial + 1), 1.0)
+            data = sample(implied_distribution(params), 200, seed=trial + 3)
+            for row in identify_in_class(g, data).table:
+                if row.graph.undirected:
+                    continue
+                ratio = fit(data, row.graph).loglik - fit(data, row.graph, equal_variances=True).loglik
+                assert abs(ratio - row.graph.p / 2 * row.gap) < 1e-12
+                dags += 1
+        assert dags > 40
+
+    def test_dataset_runs_no_equal_variance_solve(self, six_node_graph, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("identification on data ran an equal-variance solve")
+
+        for name in ("_equal_variance_solve", "_descend", "_one_edge_correlation"):
+            monkeypatch.setattr(estimation, name, forbidden)
+        params = rescale_equal_variances(random_parameters(six_node_graph, seed=31), 1.0)
+        data = sample(implied_distribution(params), 1000, seed=32)
+        result = identify_in_class(six_node_graph, data)
+        assert result.class_size > 1 and result.chosen == six_node_graph
+
+    def test_nonconverged_representative_fit_is_flagged(self):
+        # five rows leave the GLS/IPF alternation short of its optimum at the round cap
+        g = ChainGraph(3, directed={(1, 0)}, undirected={(0, 2)})
+        data = Dataset(np.random.default_rng(718).normal(size=(5, 3)))
+        assert not fit(data, g).converged
+        result = identify_in_class(g, data)
         assert result.class_size > 1
-        for row in result.table:
-            reference = fit(data, row.graph, equal_variances=True)
-            assert abs(row.loglik - reference.loglik) < 1e-9
-            assert row.converged == reference.converged
-            assert row.dispersion == reference.dispersion == 0.0
+        assert not any(row.converged for row in result.table)
 
 
 class TestGreedySearch:
