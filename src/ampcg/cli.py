@@ -138,7 +138,8 @@ def _cmd_fit(args) -> int:
         "dispersion": result.dispersion,
     }
     _write_json(payload, args.out)
-    print(f"loglik={result.loglik:.6f} dispersion={result.dispersion:.6g} -> {args.out}")
+    flag = "" if result.converged else " converged=False"
+    print(f"loglik={result.loglik:.6f} dispersion={result.dispersion:.6g}{flag} -> {args.out}")
     return 0
 
 

@@ -3,7 +3,10 @@
 The likelihood decomposes over chain components. A singleton component's
 maximum likelihood is closed form in either mode: least squares on its
 parents, with the error variance the residual sum of squares per sample
-(the Peters & Bühlmann 2014 DAG case). A multi-node component is fit in
+(the Peters & Bühlmann 2014 DAG case). That regression of a node on a
+parent set is `_regression`, the library's only one: the singletons of
+`fit` and `fit_component`, the scorer's T0 and every regression in
+`search`'s identification read it. A multi-node component is fit in
 the unconstrained mode by one loop (`_alternating_fit`, after Drton &
 Eichler 2006): each round is a generalized-least-squares regression of the
 component on its parents under the current error concentration (plain
@@ -35,15 +38,12 @@ again from a diagonally dominant start if the identity is stationary.
 `EqualVarianceScorer` scores many graphs on one input with that same
 split and solve, read off parent tuples and undirected edges, so a search
 scores a state without building its graph. It builds each component once
-(a singleton's least-squares fit per (node, parent set), a multi-node
+(a singleton's regression per (node, parent set), a multi-node
 component's record per parent sets and edges) and keeps each state's
 penalized score. A lone one-edge record keeps the part of its solve that
 does not depend on the singletons' residual total T0, so each further
-score of it is one small root solve. `_residual_variances` reads each
-node's residual variance given its parents off the same singleton
-records; on one fitted or population covariance that is all
-identification in `search` needs. The spread of the unconstrained fit's
-log error variances is its `dispersion`.
+score of it is one small root solve. The spread of the unconstrained
+fit's log error variances is its `dispersion`.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ class _OneEdge(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class _Component:
-    """One chain component's regression layout and its slices of the second moment.
+    """The regression layout of a multi-node chain component, or of `ipf`'s input, and its slices of the second moment.
 
     `support` holds the coefficients allowed to be non-zero as (local node,
     local predictor) index arrays, `pattern` the undirected edges as sorted
@@ -293,59 +293,46 @@ def _residual_moment(c: _Component, b: np.ndarray) -> np.ndarray:
     return 0.5 * (e + e.T)
 
 
-def _least_squares(c: _Component) -> ComponentFit:
-    """Closed-form maximum likelihood of a singleton component.
+def _regression(s: np.ndarray, node: int, into: tuple, cache: dict) -> tuple[np.ndarray, float]:
+    """(coefficients, residual variance) of the least-squares regression of `node` on the parent tuple `into`.
 
-    Least squares on the parents, with the error variance the residual sum
-    of squares per sample; no iterations.
+    The residual variance is s[node, node] - s[node, into] @ b, the
+    residual sum of squares per sample. The second moment s has passed
+    `moment_matrix`, so it is positive definite and the regression is well
+    posed. The result is kept in `cache` by (node, into), so a regression
+    shared by many graphs is solved once.
     """
-    b = _gls_coefficients(c, np.ones((1, 1)))
-    return ComponentFit(tuple(c.nodes), tuple(c.predictors), b, _residual_moment(c, b), 0, True)
+    if (node, into) not in cache:
+        b = np.linalg.solve(s[np.ix_(into, into)], s[into, node]) if into else np.zeros(0)
+        cache[node, into] = b, float(s[node, node] - s[node, into] @ b)
+    return cache[node, into]
 
 
 def _split(s: np.ndarray, parents: tuple, undirected: frozenset, comps: Iterable, cache: dict | None = None):
-    """(singleton fits, multi-node `_Component` records) of the chain components `comps`.
+    """(singleton regressions, multi-node `_Component` records) of the chain components `comps`.
 
     The graph is given by its parent tuples (sorted, one per node) and its
     undirected edges, as `ChainGraph._parents` and `ChainGraph.undirected`
     hold them, so a caller can score a graph it never built. A singleton
-    is fit in closed form by `_least_squares`; only the multi-node
-    components are left for a numeric fit. With a `cache`, each
-    singleton fit is kept by (node, parent set) and each multi-node record
-    by (component, its nodes' parent sets, its undirected edges), so a
-    component is built once however many graphs contain it. The second
-    moment has passed `moment_matrix`, so it is positive definite and every
-    regression in it is well posed.
+    is fit in closed form as (node, coefficients, residual variance) from
+    `_regression`; only the multi-node components are left for a numeric
+    fit. With a `cache`, each regression is kept by (node, parent set) and
+    each multi-node record by (component, its nodes' parent sets, its
+    undirected edges), so a component is built once however many graphs
+    contain it.
     """
     cache = {} if cache is None else cache
     singles, multi = [], []
     for comp in comps:
-        if len(comp) > 1:
-            edges = frozenset(e for e in undirected if e[0] in comp)
-            key = (comp, tuple(parents[v] for v in sorted(comp)), edges)
-        else:
+        if len(comp) == 1:
             (node,) = comp
-            key = (node, parents[node])
+            singles.append((node, *_regression(s, node, parents[node], cache)))
+            continue
+        key = (comp, tuple(parents[v] for v in sorted(comp)), frozenset(e for e in undirected if e[0] in comp))
         if key not in cache:
-            c = _component(s, parents, undirected, comp)
-            cache[key] = c if len(comp) > 1 else _least_squares(c)
-        (multi if len(comp) > 1 else singles).append(cache[key])
+            cache[key] = _component(s, parents, undirected, comp)
+        multi.append(cache[key])
     return singles, multi
-
-
-def _residual_variances(s: np.ndarray, parents: tuple, cache: dict) -> np.ndarray:
-    """Each node's least-squares residual variance given its parents in `parents`, on the second moment s.
-
-    The fits are `_split`'s singleton records, kept in `cache` by (node,
-    parent set), so a regression shared by many graphs is solved once.
-    """
-    singles, _ = _split(s, parents, frozenset(), [frozenset({j}) for j in range(len(s))], cache)
-    return np.array([piece.sigma[0, 0] for piece in singles])
-
-
-def _residual_total(singles: list) -> float:
-    """Summed residual sums of squares of singleton fits: the fixed part of T."""
-    return float(sum(piece.sigma[0, 0] for piece in singles))
 
 
 def _alternating_fit(c: _Component) -> ComponentFit:
@@ -406,7 +393,10 @@ def fit_component(data_or_cov, g: ChainGraph, comp: Iterable[int]) -> ComponentF
     if comp not in set(chain_components(g)):
         raise ValueError("comp must be a chain component of g")
     singles, multi = _split(moment_matrix(data_or_cov, g.p)[0], g._parents, g.undirected, [comp])
-    return singles[0] if singles else _alternating_fit(multi[0])
+    if multi:
+        return _alternating_fit(multi[0])
+    ((node, b, variance),) = singles
+    return ComponentFit((node,), g._parents[node], b[None, :], np.full((1, 1), variance), 0, True)
 
 
 def gaussian_average_loglik(model_cov: np.ndarray, s: np.ndarray) -> float:
@@ -649,7 +639,7 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
 def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     """Maximum-likelihood parameters of g's model for the given input.
 
-    Singleton components are closed form in both modes (least squares).
+    Singleton components are closed form in both modes (`_regression`).
     Unconstrained, each multi-node component is fit separately by
     `_alternating_fit`, one GLS solve and one IPF sweep per round, and
     iterations count the largest number of rounds; a component without
@@ -666,8 +656,12 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     """
     s = moment_matrix(data_or_cov, g.p)[0]
     singles, multi = _split(s, g._parents, g.undirected, chain_components(g))
+    beta = np.zeros((g.p, g.p))
+    sigma = np.zeros((g.p, g.p))
+    for node, b, variance in singles:
+        beta[node, g._parents[node]], sigma[node, node] = b, variance
     if equal_variances:
-        fixed_t = _residual_total(singles)
+        fixed_t = sum(variance for *_, variance in singles)
         solve = _equal_variance_solve(fixed_t, multi, g.p)
         optimum = _profile(fixed_t, multi, g.p, solve.theta)
         if optimum is None:  # only the closed form reaches a correlation within rounding of +-1
@@ -678,7 +672,8 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
             )
         _, _, total_t, betas, covs = optimum
         sigma2 = total_t / g.p
-        pieces = [replace(piece, sigma=np.full((1, 1), sigma2)) for piece in singles]
+        np.fill_diagonal(sigma, sigma2)
+        pieces = []
         for c, b, cov in zip(multi, betas, covs):
             sd = np.sqrt(cov.diagonal())
             r = cov / np.outer(sd, sd)
@@ -687,13 +682,9 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
                 ComponentFit(tuple(c.nodes), tuple(c.predictors), b, sigma2 * r, solve.iterations, solve.converged)
             )
     else:
-        pieces = singles + [_alternating_fit(c) for c in multi]
-
-    beta = np.zeros((g.p, g.p))
-    sigma = np.zeros((g.p, g.p))
+        pieces = [_alternating_fit(c) for c in multi]
     for piece in pieces:
-        if piece.predictors:
-            beta[np.ix_(piece.nodes, piece.predictors)] = piece.beta
+        beta[np.ix_(piece.nodes, piece.predictors)] = piece.beta
         sigma[np.ix_(piece.nodes, piece.nodes)] = piece.sigma
     params = SemParameters(graph=g, beta=beta, sigma=sigma)
     loglik = gaussian_average_loglik(implied_distribution(params).cov, s)
@@ -703,7 +694,7 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
         params=params,
         loglik=loglik,
         error_variances=variances,
-        iterations=max(piece.iterations for piece in pieces),
+        iterations=max((piece.iterations for piece in pieces), default=0),
         converged=all(piece.converged for piece in pieces),
         dispersion=spread,
     )
@@ -756,7 +747,7 @@ class EqualVarianceScorer:
     `_equal_variance_solve`). `loglik` takes a `ChainGraph`; `state_loglik`,
     which it calls, takes the same graph as parent tuples and undirected
     edges and gives bitwise the same result and counts. Each component's
-    record, a singleton's least-squares fit or a multi-node `_Component`, is
+    record, a singleton's `_regression` or a multi-node `_Component`, is
     built once and kept for the scorer's life (see `_split`). Between graphs
     that share a lone one-edge component only T0 changes, so its record also
     keeps the T0-free part of its closed-form solve, and each further score
@@ -771,7 +762,7 @@ class EqualVarianceScorer:
 
     Plain counts of the work done so far: `graphs` scored, component
     records built and reused (`records_built`, `records_reused`; a
-    singleton's record is its least-squares fit), `one_edge_solves`,
+    singleton's record is its regression), `one_edge_solves`,
     `descents` and their `descent_steps`, and `nonconverged` solves.
     """
 
@@ -805,7 +796,7 @@ class EqualVarianceScorer:
         known = len(self._records)
         comps = _blocks(self.p, undirected)
         singles, multi = _split(self.s, parents, undirected, comps, self._records)
-        solve = _equal_variance_solve(_residual_total(singles), multi, self.p)
+        solve = _equal_variance_solve(sum(variance for *_, variance in singles), multi, self.p)
         built = len(self._records) - known
         self.graphs += 1
         self.records_built += built

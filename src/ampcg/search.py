@@ -7,8 +7,11 @@ so identification reads the whole class off one covariance: a population
 covariance itself, once `_check_population` has found it reproducible by
 the class's model, or on data the implied covariance of one unconstrained
 `fit` of the representative. Each member's error variances are its nodes'
-residual variances given their parents on that covariance, and the member
-whose variances are flattest wins; no equal-variance fit runs. Greedy
+residual variances given their parents on that covariance, from
+`estimation._regression`, the one least-squares regression the library
+has: each (node, parent set) is solved once per call, shared by the
+members and the population check. The member whose variances are
+flattest wins; no equal-variance fit runs. Greedy
 search reads the input only through one `EqualVarianceScorer`, which
 validates it once, builds each chain component once for every graph that
 contains it and keeps each state's score. Ties are broken on the state
@@ -34,7 +37,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .estimation import EqualVarianceScorer, _residual_variances, fit, gaussian_average_loglik, moment_matrix
+from .estimation import EqualVarianceScorer, _regression, fit, gaussian_average_loglik, moment_matrix
 from .graphs import (
     CapacityError,
     ChainGraph,
@@ -110,8 +113,9 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     covariance input must be a distribution of the class's model, or
     ValueError names the first pair of nodes that shows it is not (see
     `_check_population`). On Σ̂ each member's error variances v are its
-    nodes' residual variances given their parents, read off in closed form,
-    with each (node, parent set) regression solved once for the whole class.
+    nodes' residual variances given their parents, read off in closed form
+    (`estimation._regression`), with each (node, parent set) regression
+    solved once for the whole class and the population check together.
     Each row carries two spreads of log v: `dispersion`, max minus min, and
     `gap`, log(mean v) - mean(log v), which for a DAG member is the
     likelihood-ratio statistic of equal against free error variances
@@ -127,18 +131,18 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     that `CapacityError` is raised.
     """
     members = equivalence_class(class_rep)
+    regressions: dict = {}
     if isinstance(data_or_cov, Dataset):
         rep_fit = fit(data_or_cov, class_rep)
         s = implied_distribution(rep_fit.params).cov
         loglik, converged, statistic = rep_fit.loglik, rep_fit.converged, attrgetter("gap")
     else:
         s = moment_matrix(data_or_cov, class_rep.p)[0]
-        _check_population(s, class_rep)
+        _check_population(s, class_rep, regressions)
         loglik, converged, statistic = gaussian_average_loglik(s, s), True, attrgetter("dispersion")
-    records: dict = {}
     rows = []
     for member in members:
-        v = _residual_variances(s, member._parents, records)
+        v = np.array([_regression(s, node, into, regressions)[1] for node, into in enumerate(member._parents)])
         logs = np.log(v)
         gap = float(np.log(v.mean()) - logs.mean())
         rows.append(MemberFit(member, float(logs.max() - logs.min()), gap, loglik, converged))
@@ -152,18 +156,18 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     )
 
 
-def _check_population(s: np.ndarray, g: ChainGraph) -> None:
+def _check_population(s: np.ndarray, g: ChainGraph, regressions: dict) -> None:
     """Raise ValueError unless g's model can reproduce the covariance s.
 
-    Each node is regressed on its parents in g, and the residuals
+    Each node is regressed on its parents in g (`_regression`, kept in
+    `regressions` for the member loop), and the residuals
     E = (I - B) s (I - B)^T must show every pair of nodes without an
     undirected edge independent given the rest: |partial correlation| below
     `sem._CI_TOL`. The first pair that is not is named.
     """
     a = np.eye(g.p)
     for v, into in enumerate(g._parents):
-        if into:
-            a[v, into] = -np.linalg.solve(s[np.ix_(into, into)], s[into, v])
+        a[v, into] = -_regression(s, v, into, regressions)[0]
     prec = np.linalg.inv(a @ s @ a.T)
     r = -prec / np.sqrt(np.outer(prec.diagonal(), prec.diagonal()))
     for j, k in itertools.combinations(range(g.p), 2):

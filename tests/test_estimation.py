@@ -600,14 +600,18 @@ class TestEqualVarianceScorer:
         data = Dataset(rng.normal(size=(300, 4)) @ rng.normal(size=(4, 4)))
         s, records = moment_matrix(data, 4)[0], {}
         for g in enumerate_chain_graphs(4):
-            expected = []
+            expected, variances = [], []
             for node, into in enumerate(g._parents):
-                target = data.values[:, node]
+                b, variance = estimation._regression(s, node, into, records)
+                target, coef = data.values[:, node], np.zeros(0)
                 if into:
                     design = data.values[:, list(into)]
-                    target = target - design @ np.linalg.lstsq(design, target, rcond=None)[0]
+                    coef = np.linalg.lstsq(design, target, rcond=None)[0]
+                    target = target - design @ coef
+                assert np.allclose(b, coef, rtol=1e-10, atol=0)
                 expected.append(float(target @ target) / data.n)
-            assert np.allclose(estimation._residual_variances(s, g._parents, records), expected, rtol=1e-10, atol=0)
+                variances.append(variance)
+            assert np.allclose(variances, expected, rtol=1e-10, atol=0)
 
     def test_graph_size_must_match_input(self):
         with pytest.raises(ValueError, match="graph has 2 nodes"):
@@ -698,9 +702,9 @@ class TestEqualVarianceScorer:
         scorer = EqualVarianceScorer(data, graphs[0].p)
         fixed_totals, singleton_keys = set(), set()
         for g in graphs:
-            singles, _ = estimation._split(scorer.s, g._parents, g.undirected, chain_components(g))
-            fixed_totals.add(estimation._residual_total(singles))
-            singleton_keys |= {(piece.nodes, piece.predictors) for piece in singles}
+            singles = [(v, g._parents[v]) for comp in chain_components(g) if len(comp) == 1 for v in comp]
+            fixed_totals.add(sum(estimation._regression(scorer.s, v, into, {})[1] for v, into in singles))
+            singleton_keys |= set(singles)
             loglik, converged = scorer.loglik(g)
             reference = fit(data, g, equal_variances=True)
             assert converged and reference.converged and reference.iterations == 0

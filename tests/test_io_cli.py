@@ -248,6 +248,10 @@ class TestCli:
             assert payload["converged"] is converged
             assert all(row["converged"] is converged and "gap" in row for row in payload["table"])
             assert ("converged=False" in capsys.readouterr().out) is not converged
+            # the representative's own fit, as `ampcg fit` reports it
+            assert main(["fit", "--graph", str(gpath), source, str(path), "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["converged"] is converged
+            assert ("converged=False" in capsys.readouterr().out) is not converged
 
     def test_learn_greedy(self, tmp_path):
         truth = ChainGraph(2, directed={(0, 1)})

@@ -198,6 +198,24 @@ class TestIdentifyInClass:
         assert result.class_size > 1
         assert result.chosen == six_node_graph
 
+    def test_population_solves_each_regression_once(self, six_node_graph, monkeypatch):
+        # the population check and the member loop share one solve per (node, parent set)
+        cov = implied_distribution(rescale_equal_variances(random_parameters(six_node_graph, seed=31), 1.0)).cov
+        solves = []
+        original = np.linalg.solve
+
+        def counting(a, b):
+            if np.ndim(b) == 1:  # a regression's normal equations; a log-likelihood solves for a matrix
+                solves.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        result = identify_in_class(six_node_graph, cov)
+        monkeypatch.undo()
+        regressions = {(v, into) for row in result.table for v, into in enumerate(row.graph._parents) if into}
+        assert result.class_size > 1
+        assert len(solves) == len(regressions)
+
     def test_population_checks_the_class_reproduces_the_input(self):
         chain = ChainGraph(3, directed={(0, 1), (1, 2)})
         cov = implied_distribution(rescale_equal_variances(random_parameters(chain, seed=2), 1.0)).cov
