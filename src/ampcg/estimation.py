@@ -42,8 +42,10 @@ scores a state without building its graph. It builds each component once
 component's record per parent sets and edges) and keeps each state's
 penalized score. A lone one-edge record keeps the part of its solve that
 does not depend on the singletons' residual total T0, so each further
-score of it is one small root solve. The spread of the unconstrained
-fit's log error variances is its `dispersion`.
+score of it is one small root solve. A multi-node record also keeps the
+log-determinant of its nodes' residual moment on all its predictors, from
+which the scorer bounds a state's score in closed form. The spread of the
+unconstrained fit's log error variances is its `dispersion`.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def moment_matrix(data_or_cov, p: int) -> tuple[np.ndarray, int | None]:
         raise ValueError(f"dataset has {data_or_cov.p} columns, graph has {p} nodes")
     v = data_or_cov.values
     names = data_or_cov.labels or tuple(f"X{j + 1}" for j in range(p))
-    constant = np.flatnonzero(np.ptp(v, axis=0) == 0)
+    constant = np.flatnonzero(~(v != v[0]).any(axis=0))
     if constant.size:
         raise ValueError(f"column {names[constant[0]]} is constant")
     s = v.T @ v / data_or_cov.n
@@ -236,6 +238,20 @@ class _Component:
     def one_edge(self) -> _OneEdge:
         """The T0-free pieces of the one-edge solve, worked out on first use."""
         return _one_edge_terms(self)
+
+    @cached_property
+    def saturated_logdet(self) -> float:
+        """log det of syy - syz szz^-1 syz^T, worked out on first use; -inf unless positive definite.
+
+        That is the residual moment of the nodes regressed jointly on every
+        predictor of the component, the least any error covariance of the
+        component can leave (see `EqualVarianceScorer.bound`).
+        """
+        try:
+            e = self.syy - self.syz @ np.linalg.solve(self.szz, self.syz.T) if self.predictors else self.syy
+            return 2.0 * float(np.log(np.linalg.cholesky(e).diagonal()).sum())
+        except np.linalg.LinAlgError:
+            return -math.inf
 
 
 def _index_arrays(pairs: list) -> tuple:
@@ -654,7 +670,11 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     two nodes. Either way iterations are zero when every component is a
     singleton. The loops' caps and tolerance are fixed, not settable.
     """
-    s = moment_matrix(data_or_cov, g.p)[0]
+    return _fit_implied(moment_matrix(data_or_cov, g.p)[0], g, equal_variances)[0]
+
+
+def _fit_implied(s: np.ndarray, g: ChainGraph, equal_variances: bool = False) -> tuple[FitResult, np.ndarray]:
+    """(`fit` of g on the validated second moment s, the fit's implied covariance), built and validated once."""
     singles, multi = _split(s, g._parents, g.undirected, chain_components(g))
     beta = np.zeros((g.p, g.p))
     sigma = np.zeros((g.p, g.p))
@@ -687,17 +707,18 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
         beta[np.ix_(piece.nodes, piece.predictors)] = piece.beta
         sigma[np.ix_(piece.nodes, piece.nodes)] = piece.sigma
     params = SemParameters(graph=g, beta=beta, sigma=sigma)
-    loglik = gaussian_average_loglik(implied_distribution(params).cov, s)
+    cov = implied_distribution(params).cov
     variances = np.diag(sigma).copy()
     spread = float(np.max(np.log(variances)) - np.min(np.log(variances)))
-    return FitResult(
+    result = FitResult(
         params=params,
-        loglik=loglik,
+        loglik=gaussian_average_loglik(cov, s),
         error_variances=variances,
         iterations=max((piece.iterations for piece in pieces), default=0),
         converged=all(piece.converged for piece in pieces),
         dispersion=spread,
     )
+    return result, cov
 
 
 def fit_score(loglik: float, g: ChainGraph, n_eff: float, equal_variances: bool) -> float:
@@ -713,6 +734,11 @@ def fit_score(loglik: float, g: ChainGraph, n_eff: float, equal_variances: bool)
 def _bic(loglik: float, k: int, n_eff: float) -> float:
     """n_eff * loglik - (k / 2) * log(n_eff): the score of a fit with k free parameters."""
     return float(n_eff * loglik - 0.5 * k * math.log(n_eff))
+
+
+def _state_bic(loglik: float, parents: tuple, undirected: frozenset, n_eff: float) -> float:
+    """`_bic` of an equal-variance state: every edge plus the one shared error variance is free."""
+    return _bic(loglik, sum(map(len, parents)) + len(undirected) + 1, n_eff)
 
 
 def penalized_score(
@@ -759,11 +785,17 @@ class EqualVarianceScorer:
     `score` adds the `fit_score` penalty at `n_eff`, the sample size for a
     dataset and `_POPULATION_N_EFF` for a covariance, and keeps each
     state's result, so a search asks for a state as often as it likes.
+    `bound` gives, in closed form and with no solve, a score no fit of the
+    state can exceed: the maximum of a relaxed model that contains the
+    equal-variance one, so a search can rule a state out unscored. Each
+    state is split into its components once, for its bound and its score
+    alike, and the components are kept per undirected edge set.
 
-    Plain counts of the work done so far: `graphs` scored, component
-    records built and reused (`records_built`, `records_reused`; a
-    singleton's record is its regression), `one_edge_solves`,
-    `descents` and their `descent_steps`, and `nonconverged` solves.
+    Plain counts of the work done so far: `graphs` scored, `bounds` worked
+    out, component records built and reused by the states split
+    (`records_built`, `records_reused`; a singleton's record is its
+    regression), `one_edge_solves`, `descents` and their `descent_steps`,
+    and `nonconverged` solves.
     """
 
     def __init__(self, data_or_cov, p: int):
@@ -771,8 +803,11 @@ class EqualVarianceScorer:
         self.s, self.n = moment_matrix(data_or_cov, p)
         self.n_eff = _POPULATION_N_EFF if self.n is None else float(self.n)
         self._records: dict = {}
+        self._components: dict = {}
+        self._states: dict = {}
         self._scores: dict = {}
         self.graphs = 0
+        self.bounds = 0
         self.records_built = 0
         self.records_reused = 0
         self.one_edge_solves = 0
@@ -793,27 +828,67 @@ class EqualVarianceScorer:
         edges as (smaller, larger) pairs, as a `ChainGraph` holds them; the
         caller vouches that they form a chain graph on the input's nodes.
         """
-        known = len(self._records)
-        comps = _blocks(self.p, undirected)
-        singles, multi = _split(self.s, parents, undirected, comps, self._records)
-        solve = _equal_variance_solve(sum(variance for *_, variance in singles), multi, self.p)
-        built = len(self._records) - known
+        fixed_t, _, multi = self._split_state(parents, undirected)
+        solve = _equal_variance_solve(fixed_t, multi, self.p)
         self.graphs += 1
-        self.records_built += built
-        self.records_reused += len(comps) - built
         if solve.theta.size == 1:
             self.one_edge_solves += 1
         elif solve.theta.size:
             self.descents += 1
             self.descent_steps += solve.iterations
         self.nonconverged += not solve.converged
-        return -0.5 * (self.p * math.log(2.0 * math.pi) + self.p + solve.objective), solve.converged
+        return self._loglik(solve.objective), solve.converged
 
     def score(self, parents: tuple, undirected: frozenset) -> tuple[float, float, bool]:
         """(penalized score, average log-likelihood, converged) of `state_loglik`'s chain graph, kept per state."""
         key = (parents, undirected)
         if key not in self._scores:
             loglik, converged = self.state_loglik(parents, undirected)
-            k = sum(map(len, parents)) + len(undirected) + 1
-            self._scores[key] = (_bic(loglik, k, self.n_eff), loglik, converged)
+            self._scores[key] = (_state_bic(loglik, parents, undirected, self.n_eff), loglik, converged)
         return self._scores[key]
+
+    def bound(self, parents: tuple, undirected: frozenset) -> float:
+        """An upper bound on `score` of `state_loglik`'s chain graph, in closed form.
+
+        The bound is the score, at the same penalty, of a relaxed model: the
+        singletons share one error variance of their own, and each multi-node
+        component's nodes regress on every predictor of the component with a
+        free error covariance. The relaxed model contains the equal-variance
+        one, so no fit of the state scores above it. Its maximum is closed
+        form, with F' = n0 log(T0 / n0) + sum_K log det S_K in place of the
+        profiled objective, for n0 singletons of residual total T0 and S_K
+        each record's `saturated_logdet` moment; on a state of singletons
+        alone it is the score itself. A state already scored bounds at its
+        score, and one whose saturated moment is not positive definite at
+        +inf. The state is split once for its bound and its score alike.
+        """
+        key = (parents, undirected)
+        if key in self._scores:
+            return self._scores[key][0]
+        fixed_t, singles, multi = self._split_state(parents, undirected)
+        self.bounds += 1
+        relaxed = sum(c.saturated_logdet for c in multi) + (singles * math.log(fixed_t / singles) if singles else 0.0)
+        return _state_bic(self._loglik(relaxed), parents, undirected, self.n_eff)
+
+    def _loglik(self, objective: float) -> float:
+        """The average log-likelihood at a profiled objective F: -(p log 2 pi + p + F) / 2."""
+        return -0.5 * (self.p * math.log(2.0 * math.pi) + self.p + objective)
+
+    def _split_state(self, parents: tuple, undirected: frozenset) -> tuple[float, int, list]:
+        """(singletons' residual total T0, singleton count, multi-node records) of a state, split once and kept.
+
+        The chain components are kept per undirected edge set, so a state
+        that differs from one seen before only in its arrows reuses them.
+        """
+        key = (parents, undirected)
+        if key not in self._states:
+            if undirected not in self._components:
+                self._components[undirected] = _blocks(self.p, undirected)
+            comps = self._components[undirected]
+            known = len(self._records)
+            singles, multi = _split(self.s, parents, undirected, comps, self._records)
+            built = len(self._records) - known
+            self.records_built += built
+            self.records_reused += len(comps) - built
+            self._states[key] = (sum(variance for *_, variance in singles), len(singles), multi)
+        return self._states[key]

@@ -14,8 +14,13 @@ members and the population check. The member whose variances are
 flattest wins; no equal-variance fit runs. Greedy
 search reads the input only through one `EqualVarianceScorer`, which
 validates it once, builds each chain component once for every graph that
-contains it and keeps each state's score. Ties are broken on the state
-itself (`_rank`), so a search builds a graph only for the move it takes.
+contains it and keeps each state's score. Each step bounds every move
+in closed form (`EqualVarianceScorer.bound`, the maximum of a relaxed
+model that contains the equal-variance one) and scores moves exactly in
+decreasing bound, stopping once a bound falls below the best score found;
+the moves left unscored cannot win, so the step takes the move a scan of
+every move takes. Ties are broken on the state itself (`_rank`), so a
+search builds a graph only for the move it takes.
 A small conditional-independence skeleton-plus-triplex recovery is
 included so the two-phase strategy (recover the class, then orient
 inside it) is runnable end to end; it
@@ -33,11 +38,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .estimation import EqualVarianceScorer, _regression, fit, gaussian_average_loglik, moment_matrix
+from .estimation import EqualVarianceScorer, _fit_implied, _regression, gaussian_average_loglik, moment_matrix
 from .graphs import (
     CapacityError,
     ChainGraph,
@@ -49,7 +54,7 @@ from .graphs import (
     random_chain_graph,
     triplexes,
 )
-from .sem import _CI_TOL, Dataset, _independences, _mask, compose_seed, implied_distribution
+from .sem import _CI_TOL, Dataset, _independences, _mask, compose_seed
 from .separation import pairwise_queries
 
 __all__ = [
@@ -64,6 +69,7 @@ __all__ = [
 ]
 
 _MAX_STEPS = 500  # greedy moves per chain
+_BOUND_SLACK = 1e-9  # relative rounding allowance when a move's bound rules it out
 _SKELETON_CAP = 8  # largest node count whose conditioning sets are swept
 
 
@@ -133,8 +139,7 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     members = equivalence_class(class_rep)
     regressions: dict = {}
     if isinstance(data_or_cov, Dataset):
-        rep_fit = fit(data_or_cov, class_rep)
-        s = implied_distribution(rep_fit.params).cov
+        rep_fit, s = _fit_implied(moment_matrix(data_or_cov, class_rep.p)[0], class_rep)
         loglik, converged, statistic = rep_fit.loglik, rep_fit.converged, attrgetter("gap")
     else:
         s = moment_matrix(data_or_cov, class_rep.p)[0]
@@ -233,6 +238,18 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
     `_moves`), and one `EqualVarianceScorer` scores the state (`score`), so
     a `ChainGraph` is built only for the move taken. The input is validated
     once, before any move is scored.
+
+    Each step first bounds every move (`EqualVarianceScorer.bound`): the
+    score of a relaxed model in which the singletons share a variance of
+    their own and each multi-node component has a free error covariance on
+    all its parents. That model contains the equal-variance one, so no
+    move scores above its bound beyond rounding. The step scores moves
+    exactly in decreasing bound and stops at the first bound below the
+    best score so far, the incumbent's to start with, by more than a
+    relative rounding slack of 1e-9 (`_BOUND_SLACK`). Every move left
+    unscored then scores below the best, so it neither wins nor ties, and
+    the step takes the move a scan of every move takes, with the same
+    tie-break.
     """
     cfg = cfg or SearchConfig()
     p = _size(data_or_cov)
@@ -248,7 +265,10 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
         for _ in range(_MAX_STEPS):
             improved = None
             improved_score = current
-            for move in _moves(g):
+            bounded = sorted(((scorer.bound(*move), move) for move in _moves(g)), key=itemgetter(0), reverse=True)
+            for bound, move in bounded:
+                if bound < improved_score - _BOUND_SLACK * max(1.0, abs(improved_score)):
+                    break  # this move and every later one score below the best so far
                 s = scorer.score(*move)[0]
                 if s > improved_score or (
                     s == improved_score and improved is not None and _rank(*move) < _rank(*improved)

@@ -8,7 +8,9 @@ per-step openness rule and vets only the reachability shortcut of
 `separated`; `literal_route_separated` checks the rule itself from raw
 edge sets. `enumerate_chain_graphs`, which lists every chain graph on a
 few nodes for the exhaustive tests, filters its candidates with the
-library's `is_chain_graph`.
+library's `is_chain_graph`. `greedy_full_scan` is greedy search without
+its bounds: it shares the library's scorer, moves and tie-break and vets
+only the pruning.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ import itertools
 import numpy as np
 from scipy import optimize
 
-from ampcg.graphs import CapacityError, ChainGraph, is_chain_graph
+from ampcg import search
+from ampcg.estimation import EqualVarianceScorer
+from ampcg.graphs import CapacityError, ChainGraph, is_chain_graph, random_chain_graph
+from ampcg.sem import compose_seed
 from ampcg.separation import SeparationQuery, _check_query, _incidence, _triplex_step
 
 
@@ -350,3 +355,34 @@ def brute_force_separated(g: ChainGraph, q: SeparationQuery, max_len: int | None
         seen_layers.add(key)
         layer = nxt
     return True
+
+
+def greedy_full_scan(data_or_cov, cfg: search.SearchConfig | None = None) -> ChainGraph:
+    """`greedy_search` as it ran before moves were bounded: every move of every step is scored.
+
+    The chains, their starts, the best strictly improving move with ties to
+    the lower `search._rank` and the choice across chains are the
+    library's; only the scan differs, so a disagreement is the pruning's.
+    """
+    cfg = cfg or search.SearchConfig()
+    p = search._size(data_or_cov)
+    scorer = EqualVarianceScorer(data_or_cov, p)
+    best_graph, best_key = None, None
+    for chain in range(cfg.restarts):
+        g = ChainGraph(p) if chain == 0 else random_chain_graph(p, 0.4, 0.3, seed=compose_seed(cfg.seed, chain))
+        current = scorer.score(g._parents, g.undirected)[0]
+        for _ in range(search._MAX_STEPS):
+            improved, improved_score = None, current
+            for move in search._moves(g):
+                s = scorer.score(*move)[0]
+                if s > improved_score or (
+                    s == improved_score and improved is not None and search._rank(*move) < search._rank(*improved)
+                ):
+                    improved, improved_score = move, s
+            if improved is None:
+                break
+            g, current = search._graph(p, *improved), improved_score
+        key = (-current, *search._rank(g._parents, g.undirected))
+        if best_key is None or key < best_key:
+            best_graph, best_key = g, key
+    return best_graph

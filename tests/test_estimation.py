@@ -22,6 +22,7 @@ from ampcg import (
     ipf,
     moment_matrix,
     penalized_score,
+    random_chain_graph,
     random_parameters,
     rescale_equal_variances,
     sample,
@@ -60,6 +61,14 @@ class TestMomentMatrix:
         values[:, 1] = 2.5
         with pytest.raises(ValueError, match="column X2 is constant"):
             moment_matrix(Dataset(values), 3)
+
+    def test_first_of_several_constant_columns_named(self):
+        values = np.random.default_rng(3).normal(size=(50, 4))
+        values[:, 3] = 0.0
+        values[:, 1] = values[0, 1]
+        values[1:, 0] = 7.0  # constant but for its first row
+        with pytest.raises(ValueError, match="column X2 is constant"):
+            moment_matrix(Dataset(values), 4)
 
     def test_fewer_rows_than_columns_names_first_dependent_column(self):
         # X5 fails the factorization; X4 already has a squared pivot of 1.5e-16 of its variance
@@ -725,6 +734,55 @@ class TestEqualVarianceScorer:
         behind = [backward.loglik(g) for g in reversed(graphs)][::-1]
         alone = [EqualVarianceScorer(data, p).loglik(g) for g in graphs]
         assert ahead == behind == alone
+
+    @staticmethod
+    def _bounds_and_scores(source, p, graphs):
+        scorer = EqualVarianceScorer(source, p)
+        out = []
+        for g in graphs:
+            bound = scorer.bound(g._parents, g.undirected)  # before the state is scored
+            out.append((g, bound, scorer.score(g._parents, g.undirected)[0]))
+        return out
+
+    def test_bound_is_never_below_the_score(self):
+        rng = np.random.default_rng(50)
+        multi = 0
+        for p in (3, 4, 5, 6):
+            values = rng.normal(size=(400, p)) @ rng.normal(size=(p, p))
+            collinear = values.copy()
+            collinear[:, 1] = collinear[:, 0] + 1e-4 * rng.normal(size=400)
+            truth = random_chain_graph(p, 0.5, 0.5, seed=p)
+            population = implied_distribution(rescale_equal_variances(random_parameters(truth, seed=p))).cov
+            graphs = [truth] + [random_chain_graph(p, 0.6, 0.6, seed=seed) for seed in range(25)]
+            for source in (Dataset(values), Dataset(collinear), population):
+                for g, bound, score in self._bounds_and_scores(source, p, graphs):
+                    assert bound >= score - 1e-12 * abs(score), (p, g)
+                    multi += any(len(comp) > 1 for comp in chain_components(g))
+        assert multi > 200
+
+    def test_bound_is_the_score_on_singleton_states(self):
+        rng = np.random.default_rng(51)
+        for p in (3, 5):
+            graphs = [random_chain_graph(p, 0.6, 0.0, seed=seed) for seed in range(15)]
+            for source in (Dataset(rng.normal(size=(300, p)) @ rng.normal(size=(p, p))), _random_pd(rng, p)):
+                for g, bound, score in self._bounds_and_scores(source, p, graphs):
+                    assert abs(bound - score) <= 1e-12 * abs(score), g
+
+    def test_scored_state_bounds_at_its_score_and_is_split_once(self, monkeypatch):
+        g = ChainGraph(4, directed={(0, 2), (1, 3)}, undirected={(2, 3)})
+        scorer = EqualVarianceScorer(_random_pd(np.random.default_rng(52), 4), 4)
+        bound = scorer.bound(g._parents, g.undirected)
+        monkeypatch.setattr(estimation, "_split", None)  # the bound's split serves the score
+        score = scorer.score(g._parents, g.undirected)[0]
+        assert bound > score
+        assert scorer.bound(g._parents, g.undirected) == score
+        assert (scorer.bounds, scorer.graphs, scorer.one_edge_solves) == (1, 1, 1)
+
+    def test_saturated_moment_not_positive_definite_bounds_at_infinity(self):
+        g = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
+        scorer = EqualVarianceScorer(np.eye(3), 3)
+        scorer.s = np.ones((3, 3))  # nodes 1 and 2 share all their variance with node 0
+        assert scorer.bound(g._parents, g.undirected) == math.inf
 
 
 class TestPenalizedScore:

@@ -40,6 +40,7 @@ _SCRIPT = textwrap.dedent(
     data = ampcg.sample(ampcg.implied_distribution(params), 500, seed=6)
     skeleton = ampcg.skeleton_recovery(data)
     ampcg.identify_in_class(skeleton.graph, data)
+    assert ampcg.is_chain_graph(ampcg.greedy_search(data, ampcg.SearchConfig(restarts=2)))
 
     argv = ["experiment", "--method", "two-phase", "--p", "4", "--seeds", "1,2", "--n-list", "500"]
     with contextlib.redirect_stdout(io.StringIO()):

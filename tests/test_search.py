@@ -37,7 +37,7 @@ from ampcg import (
 from ampcg.graphs import _mark, _returns_with_arrow
 
 from .conftest import chain_graphs
-from .oracles import enumerate_chain_graphs
+from .oracles import enumerate_chain_graphs, greedy_full_scan
 
 # Recorded before greedy scoring kept per-component records: (truth, greedy_search with 2 restarts
 # at n=2000, identify_in_class at n=1000) on seeded p=4 problems, as "a>b" arrows and "a-b" edges.
@@ -379,7 +379,33 @@ class TestGreedySearch:
             if score(best) <= score(g):
                 break
             g = best
-        assert greedy_search(cov, SearchConfig(restarts=1)) == g
+        assert greedy_search(cov, SearchConfig(restarts=1)) == greedy_full_scan(cov, SearchConfig(restarts=1)) == g
+
+    def test_bounded_scan_chooses_as_a_full_scan(self):
+        problems = 0
+        for p, count in ((3, 12), (4, 12), (5, 10), (6, 6)):
+            for i in range(count):
+                truth = random_chain_graph(p, 0.4, 0.3, seed=sem.compose_seed(2718, p, i))
+                dist = implied_distribution(rescale_equal_variances(random_parameters(truth, seed=i)))
+                source = dist.cov if i % 2 else sample(dist, 500, seed=sem.compose_seed(2718, p, i, 1))
+                cfg = SearchConfig(restarts=2, seed=i)
+                assert greedy_search(source, cfg) == greedy_full_scan(source, cfg), (p, i)
+                problems += 1
+        assert problems >= 40
+
+    def test_scores_fewer_states_than_it_bounds(self, six_node_graph, monkeypatch):
+        scorers = []
+
+        class Counted(EqualVarianceScorer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                scorers.append(self)
+
+        monkeypatch.setattr(search, "EqualVarianceScorer", Counted)
+        params = rescale_equal_variances(random_parameters(six_node_graph, seed=31), 1.0)
+        greedy_search(sample(implied_distribution(params), 1000, seed=32), SearchConfig(restarts=2))
+        (scorer,) = scorers
+        assert 0 < scorer.graphs < scorer.bounds
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(chain_graphs(min_p=4, max_p=4), min_size=2, max_size=8))
