@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -213,7 +214,14 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Parsing leaves a parser unchanged and no argument has a mutable
+    default, so every `main` call in a process (tests, the benchmark,
+    notebooks) shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="ampcg",
         description="Chain-graph structural models: separation, simulation, fitting, identification.",

@@ -7,6 +7,13 @@ triplexes, Markov equivalence, magnification onto explicit error nodes,
 determination closure, and enumeration of every chain graph with given
 adjacencies and triplexes, which is how a Markov equivalence class is
 listed. Graphs are immutable values; every operation returns a new graph.
+
+The searches that run on every class hold node sets as Python ``int``
+bitmasks, bit v standing for node v: per node a child mask and a
+neighbour mask. `_cycle_through` decides whether a semidirected cycle
+passes through a node by a closure over two masks, and it is the one
+cycle walk that `orientations` and `search._moves` share;
+`separation` reads the same masks, plus parent masks, for its routes.
 """
 
 from __future__ import annotations
@@ -100,6 +107,35 @@ class ChainGraph:
             if len(labels) != self.p:
                 raise GraphStructureError(f"expected {self.p} labels, got {len(labels)}")
             object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _from_masks(cls, p: int, children: list, neighbors: list, labels: tuple | None) -> "ChainGraph":
+        """The graph in which node v points at the nodes of bitmask children[v] and joins those of neighbors[v].
+
+        Trusted: the masks must describe a simple graph on p nodes and
+        `labels` must already be normalised (None or a tuple of p strings),
+        since none of `__post_init__`'s checks runs. The relatives caches
+        are filled straight from the masks. The result is equal to, and
+        hashes like, the graph the public constructor builds from the same
+        edges and labels.
+        """
+        kids = tuple(map(_nodes, children))
+        into: list[list[int]] = [[] for _ in range(p)]
+        for a, out in enumerate(kids):
+            for b in out:
+                into[b].append(a)
+        nbrs = tuple(map(_nodes, neighbors))
+        graph = cls.__new__(cls)
+        graph.__dict__.update(
+            p=p,
+            directed=frozenset((a, b) for a, out in enumerate(kids) for b in out),
+            undirected=frozenset((a, b) for a, out in enumerate(nbrs) for b in out if a < b),
+            labels=labels,
+            _parents=tuple(map(tuple, into)),
+            _children=kids,
+            _neighbors=nbrs,
+        )
+        return graph
 
     # -- cached adjacency structure ------------------------------------
 
@@ -215,6 +251,62 @@ def _validate_nodes(g: ChainGraph, s: Iterable[int]) -> frozenset:
         if not (0 <= x < g.p):
             raise ValueError(f"node index {x} out of range for p={g.p}")
     return out
+
+
+def _mask(nodes: Iterable[int]) -> int:
+    """The bitmask of a node set: bit v is set when node v is in it."""
+    return sum(1 << v for v in nodes)
+
+
+def _nodes(mask: int) -> tuple:
+    """The nodes of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _union(table: list, mask: int) -> int:
+    """The union of the per-node bitmasks table[v] over the nodes v of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _cycle_through(children: list, neighbors: list, start: int) -> bool:
+    """True iff a semidirected cycle passes through start; the graph is per-node child and neighbour bitmasks.
+
+    A closure over two masks, each node taken from a to-do mask once: the
+    nodes a walk from start reaches along undirected edges alone, which is
+    start's undirected block, and the nodes it reaches along undirected
+    edges and forward arrows having taken at least one arrow, which grows
+    from the block's children. The cycle exists iff start joins the
+    second mask.
+    """
+    goal = 1 << start
+    block = todo = goal
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = neighbors[low.bit_length() - 1] & ~block
+        block |= new
+        todo |= new
+    arrowed = todo = _union(children, block)
+    while todo:
+        if arrowed & goal:
+            return True
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        new = (children[v] | neighbors[v]) & ~arrowed
+        arrowed |= new
+        todo |= new
+    return False
 
 
 def find_semidirected_cycle(g: ChainGraph) -> list[int] | None:
@@ -351,38 +443,6 @@ def canonical_key(g: ChainGraph) -> tuple:
     return (g.p, tuple(sorted(g.directed)), tuple(sorted(g.undirected)))
 
 
-def _returns_with_arrow(children: list, neighbors: list, start: int) -> bool:
-    """True iff a walk from start along undirected edges and forward arrows
-    comes back to start having taken at least one arrow."""
-    seen = {(start, False)}
-    stack = [(start, False)]
-    while stack:
-        v, arrow = stack.pop()
-        steps = [(w, arrow) for w in neighbors[v]] + [(w, True) for w in children[v]]
-        for state in steps:
-            if state == (start, True):
-                return True
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    return False
-
-
-def _mark(children: list, neighbors: list, a: int, b: int, state: str | None) -> None:
-    """Put the edge state None, '->', '<-' or '--' on the pair (a, b) of mutable child and neighbour sets."""
-    children[a].discard(b)
-    children[b].discard(a)
-    neighbors[a].discard(b)
-    neighbors[b].discard(a)
-    if state == "->":
-        children[a].add(b)
-    elif state == "<-":
-        children[b].add(a)
-    elif state == "--":
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-
-
 def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> Iterator[ChainGraph]:
     """Every chain graph on p nodes with exactly these adjacencies and triplexes.
 
@@ -393,48 +453,63 @@ def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> 
     semidirected cycle among the edges marked so far is dropped at once, so
     every graph yielded is a chain graph, in a fixed order. Yields nothing
     when no chain graph fits.
+
+    The marks are held as per-node child and neighbour bitmasks: a triplex
+    check is a few bit tests, and the cycle check is one `_cycle_through`
+    walk from a. The pairs and `labels` are checked once per call, by the
+    one `ChainGraph` over the skeleton, and each graph is built once from
+    the masks (`ChainGraph._from_masks`). Lazy: a caller that stops after
+    the first graph pays for no other.
     """
-    edges = sorted({(min(a, b), max(a, b)) for a, b in adjacency})
+    skeleton = ChainGraph(p, undirected=adjacency, labels=labels)  # rejects bad pairs and labels
+    edges = sorted(skeleton.undirected)
     target = frozenset(target)
     index = {e: i for i, e in enumerate(edges)}
-    ends: list[list[int]] = [[] for _ in range(p)]
-    for a, b in edges:
-        ends[a].append(b)
-        ends[b].append(a)
     checks: list[list] = [[] for _ in edges]  # by the later edge of each candidate
     candidates = set()
-    for k in range(p):
-        for j, l in itertools.combinations(sorted(ends[k]), 2):
+    for k, ends in enumerate(skeleton._neighbors):
+        for j, l in itertools.combinations(ends, 2):
             if (j, l) not in index:
                 t = Triplex(j, k, l)
                 candidates.add(t)
                 later = max(index[(min(j, k), max(j, k))], index[(min(k, l), max(k, l))])
-                checks[later].append((t, t in target))
+                checks[later].append((j, k, l, (1 << j) | (1 << l), t in target))
     if not target <= candidates:
         return
-    children: list[set] = [set() for _ in range(p)]
-    neighbors: list[set] = [set() for _ in range(p)]
-
-    def is_triplex(t: Triplex) -> bool:
-        j, k, l = t
-        return not children[k] & {j, l} and (k in children[j] or k in children[l])
-
-    def extend(i: int) -> Iterator[ChainGraph]:
+    children = [0] * p
+    neighbors = [0] * p
+    tried = [0] * len(edges)  # marks tried so far on each pair of the current branch
+    i = 0
+    while i >= 0:
         if i == len(edges):
-            directed = frozenset((a, b) for a in range(p) for b in children[a])
-            undirected = frozenset((a, b) for a in range(p) for b in neighbors[a] if a < b)
-            yield ChainGraph(p, directed, undirected, labels=labels)
-            return
+            yield ChainGraph._from_masks(p, children, neighbors, skeleton.labels)
+            i -= 1
+            continue
         a, b = edges[i]
-        for mark in ("--", "->", "<-"):
-            _mark(children, neighbors, a, b, mark)
-            if all(is_triplex(t) == want for t, want in checks[i]):
-                # the marks before this one close no cycle, so a new one runs through a
-                if not _returns_with_arrow(children, neighbors, a):
-                    yield from extend(i + 1)
-        _mark(children, neighbors, a, b, None)
-
-    yield from extend(0)
+        children[a] &= ~(1 << b)
+        children[b] &= ~(1 << a)
+        neighbors[a] &= ~(1 << b)
+        neighbors[b] &= ~(1 << a)
+        mark = tried[i]
+        if mark == 3:
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = mark + 1
+        if mark == 0:
+            neighbors[a] |= 1 << b
+            neighbors[b] |= 1 << a
+        elif mark == 1:
+            children[a] |= 1 << b
+        else:
+            children[b] |= 1 << a
+        for j, k, l, far, want in checks[i]:
+            if (not children[k] & far and (children[j] | children[l]) >> k & 1 == 1) != want:
+                break
+        else:
+            # the marks before this one close no cycle, so a new one runs through a
+            if not _cycle_through(children, neighbors, a):
+                i += 1
 
 
 def _require_chain_graph(g: ChainGraph) -> None:

@@ -47,15 +47,14 @@ from .graphs import (
     CapacityError,
     ChainGraph,
     Triplex,
-    _mark,
-    _returns_with_arrow,
+    _cycle_through,
+    _mask,
     equivalence_class,
     orientations,
     random_chain_graph,
     triplexes,
 )
-from .sem import _CI_TOL, Dataset, _independences, _mask, compose_seed
-from .separation import pairwise_queries
+from .sem import _CI_TOL, Dataset, _independences, _query_table, compose_seed
 
 __all__ = [
     "IdentifyResult",
@@ -190,27 +189,34 @@ def _moves(g: ChainGraph):
     Pairs (a, b) run in order and each pair's states in the order none,
     a -> b, b -> a, a - b, skipping g's own. Dropping an edge leaves a chain
     graph; any other state can only close a semidirected cycle through the
-    pair, so one `_returns_with_arrow` walk from a decides it. Only the two
-    parent tuples and the undirected edge of the pair are edited; no graph
-    is built.
+    pair, so one `graphs._cycle_through` walk from a over g's child and
+    neighbour bitmasks, with the pair's state put in, decides it. Only the
+    two parent tuples and the undirected edge of the pair are edited; no
+    graph is built.
     """
-    children = [set(x) for x in g._children]
-    neighbors = [set(x) for x in g._neighbors]
+    children = [_mask(x) for x in g._children]
+    neighbors = [_mask(x) for x in g._neighbors]
     for a, b in itertools.combinations(range(g.p), 2):
         own = g.edge_between(a, b)
         into_a = tuple(x for x in g._parents[a] if x != b)
         into_b = tuple(x for x in g._parents[b] if x != a)
         undirected = g.undirected - {(a, b)}
+        kept = children[a], children[b], neighbors[a], neighbors[b]
+        # the four masks with no edge on the pair
+        bare = kept[0] & ~(1 << b), kept[1] & ~(1 << a), kept[2] & ~(1 << b), kept[3] & ~(1 << a)
         for state in (None, "->", "<-", "--"):
             if state == own:
                 continue
-            _mark(children, neighbors, a, b, state)
-            if state is None or not _returns_with_arrow(children, neighbors, a):
+            children[a] = bare[0] | (1 << b if state == "->" else 0)
+            children[b] = bare[1] | (1 << a if state == "<-" else 0)
+            neighbors[a] = bare[2] | (1 << b if state == "--" else 0)
+            neighbors[b] = bare[3] | (1 << a if state == "--" else 0)
+            if state is None or not _cycle_through(children, neighbors, a):
                 parents = list(g._parents)
                 parents[a] = tuple(sorted(into_a + (b,))) if state == "<-" else into_a
                 parents[b] = tuple(sorted(into_b + (a,))) if state == "->" else into_b
                 yield tuple(parents), (undirected | {(a, b)} if state == "--" else undirected)
-        _mark(children, neighbors, a, b, own)
+        children[a], children[b], neighbors[a], neighbors[b] = kept
 
 
 def _graph(p: int, parents: tuple, undirected: frozenset) -> ChainGraph:
@@ -303,11 +309,11 @@ def skeleton_recovery(data_or_cov) -> SkeletonResult:
     s, n = moment_matrix(data_or_cov, p)
     if p > _SKELETON_CAP:
         raise CapacityError(f"skeleton recovery capped at p={_SKELETON_CAP}, got p={p}")
-    indep = _independences(s, n)
+    queries, masks, js, ks = _query_table(p)
     sepset: dict[tuple, tuple] = {}
-    for j, k, cond in pairwise_queries(p):
-        if (j, k) not in sepset and indep[_mask(cond), j, k]:
-            sepset[(j, k)] = cond  # the smallest separating set, first in query order
+    for i in np.flatnonzero(_independences(s, n)[masks, js, ks]):
+        j, k, cond = queries[i]
+        sepset.setdefault((j, k), cond)  # the smallest separating set, first in query order
     adjacency = set(itertools.combinations(range(p), 2)) - set(sepset)
     neighbors: dict[int, set] = {v: set() for v in range(p)}
     for a, b in adjacency:

@@ -20,18 +20,21 @@ every pairwise query given every node subset at once: on a covariance by
 the same `_CI_TOL`, on data by a Fisher-z test at the fixed level
 `_CI_LEVEL`. It is built from one partial-correlation table,
 `_partial_correlations`, of rank-one Schur updates: `faithful_parameters`
-builds one per draw, and skeleton recovery in `search` one per call.
+builds one per draw, and skeleton recovery in `search` one per call. Both
+read their pairwise queries off it through one per-size table of query
+index arrays, `_query_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from statistics import NormalDist
 from typing import Iterable
 
 import numpy as np
 
-from .graphs import ChainGraph, chain_components, is_chain_graph
+from .graphs import ChainGraph, _mask, chain_components, is_chain_graph
 from .separation import all_separations, pairwise_queries
 
 __all__ = [
@@ -376,9 +379,23 @@ def _independences(s: np.ndarray, n: int | None = None) -> np.ndarray:
     return (dof <= 0)[:, None, None] | (root * np.abs(z) <= crit)
 
 
-def _mask(nodes) -> int:
-    """Row of `_partial_correlations` and `_independences` for conditioning on `nodes`."""
-    return sum(1 << x for x in nodes)
+@cache
+def _query_table(p: int) -> tuple:
+    """Every pairwise query over p nodes with the index arrays that read it off an `_independences` table.
+
+    Returns (queries, masks, js, ks): the (j, k, cond) of `pairwise_queries(p)`
+    as a tuple, in that order, and read-only integer arrays with each
+    query's row `_mask(cond)`, j and k, so `table[masks, js, ks]` decides
+    every query in one fancy index. Built once per node count and shared
+    by `faithful_parameters` and `search.skeleton_recovery`.
+    """
+    queries = tuple(pairwise_queries(p))
+    masks = np.array([_mask(cond) for _j, _k, cond in queries], dtype=int)
+    js = np.array([j for j, _k, _cond in queries], dtype=int)
+    ks = np.array([k for _j, k, _cond in queries], dtype=int)
+    for array in (masks, js, ks):
+        array.setflags(write=False)
+    return queries, masks, js, ks
 
 
 def _mask_bits(p: int) -> np.ndarray:
@@ -396,14 +413,14 @@ def faithful_parameters(g: ChainGraph, seed=0, sigma2: float | None = None) -> t
     bad luck, and raises. Returns the parameters and the number of draws
     used. At most `_FAITHFUL_DRAWS` draws are tried. Graphs too large for
     `all_separations` raise `CapacityError`. Each draw reads every pairwise
-    query off one `_independences` table and compares it with g's
-    separations in one array operation; the first query, in
+    query off one `_independences` table through the per-size index
+    arrays of `_query_table` and compares it with g's separations in one
+    array operation; the first query, in
     `pairwise_queries` order, where the two disagree decides: a missing
     independence raises, an extra one redraws.
     """
     separations = all_separations(g)
-    queries = list(pairwise_queries(g.p))
-    masks, js, ks = np.array([(_mask(cond), j, k) for j, k, cond in queries], dtype=int).reshape(-1, 3).T
+    queries, masks, js, ks = _query_table(g.p)
     wanted = np.array([query in separations for query in queries], dtype=bool)
     for attempt in range(1, _FAITHFUL_DRAWS + 1):
         params = random_parameters(g, seed=compose_seed(seed, attempt))

@@ -11,10 +11,14 @@ from B given C when no open route joins a node of A to a node of B.
 
 Because openness is a per-step condition, an open route that revisits a
 (node, entry-edge-kind) state can be spliced down to one that does not, so
-separation is decidable by reachability over at most 3p states. One search,
-`_reachable`, finds every node an open route from A given C reaches;
-:func:`separated` asks whether it meets B, and :func:`all_separations`
-reads every pair (j, k) given C off one search from j.
+separation is decidable by reachability over at most 3p states. Node sets
+are bitmasks, and the graph is held as the children, parents and
+neighbours of each node set (`_masks`, each union worked out once per
+set). One search, `_route_ends`, grows three masks at once, the nodes
+entered by an arrowhead, by a tail and by an undirected edge, until none
+grows; it returns every node an open route from A given C reaches. :func:`separated`
+asks whether that meets B, and :func:`all_separations` reads every pair
+(j, k) given C off one search from j.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import CapacityError, ChainGraph, MagnifiedGraph, determined_closure
+from .graphs import CapacityError, ChainGraph, MagnifiedGraph, _mask, _union, determined_closure
 
 __all__ = [
     "SeparationQuery",
@@ -32,7 +36,6 @@ __all__ = [
     "separated_magnified",
 ]
 
-_HEAD, _TAIL, _UND = 0, 1, 2
 SEPARATION_CAP = 6  # largest node count whose pairwise separations are enumerated
 
 
@@ -57,20 +60,21 @@ class SeparationQuery:
             raise ValueError("query sets a, b, c must be pairwise disjoint")
 
 
-def _incidence(g: ChainGraph):
-    """Per node: tuples (other, kind at this node, kind at other)."""
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.p)]
-    for j, k in g.directed:
-        adj[j].append((k, _TAIL, _HEAD))
-        adj[k].append((j, _HEAD, _TAIL))
-    for j, k in g.undirected:
-        adj[j].append((k, _UND, _UND))
-        adj[k].append((j, _UND, _UND))
-    return [tuple(sorted(x)) for x in adj]
+class _Unions(dict):
+    """The union of per-node bitmasks over a node bitmask, worked out on first lookup of each mask."""
+
+    def __init__(self, per_node: list):
+        super().__init__()
+        self.per_node = per_node
+
+    def __missing__(self, mask: int) -> int:
+        out = self[mask] = _union(self.per_node, mask)
+        return out
 
 
-def _triplex_step(entry: int, exit_at_node: int) -> bool:
-    return (entry == _HEAD and exit_at_node != _TAIL) or (entry == _UND and exit_at_node == _HEAD)
+def _masks(g: ChainGraph) -> tuple:
+    """The children, parents and neighbours of every node set of g, each as a `_Unions` over node bitmasks."""
+    return tuple(_Unions([_mask(x) for x in relatives]) for relatives in (g._children, g._parents, g._neighbors))
 
 
 def _check_query(g: ChainGraph, q: SeparationQuery) -> None:
@@ -79,25 +83,39 @@ def _check_query(g: ChainGraph, q: SeparationQuery) -> None:
             raise ValueError(f"query node {x} out of range for p={g.p}")
 
 
-def _reachable(adj, a, c) -> set:
-    """Every node at which an open route from a node of `a` given `c` ends."""
-    visited = {(other, at_other) for x in a for other, _at_x, at_other in adj[x]}
-    stack = list(visited)
-    while stack:
-        node, entry = stack.pop()
-        node_given = node in c
-        for other, at_node, at_other in adj[node]:
-            state = (other, at_other)
-            if _triplex_step(entry, at_node) == node_given and state not in visited:
-                visited.add(state)
-                stack.append(state)
-    return {node for node, _entry in visited}
+def _route_ends(masks: tuple, sources: int, given: int) -> int:
+    """Bitmask of every node at which an open route from a node of `sources` given `given` ends.
+
+    `masks` are `_masks(g)`; `sources` and `given` are node bitmasks. A
+    route enters a node by an arrowhead (from a parent), by a tail (from a
+    child) or by an undirected edge, and openness at the node decides where
+    it may go on. A node outside `given` passes it on to its children
+    always, to its parents only when entered by a tail, and to its
+    neighbours unless entered by an arrowhead. A node in `given` passes it
+    to no child, to its parents unless entered by a tail, and to its
+    neighbours only when entered by an arrowhead. Going on to a child
+    enters it by an arrowhead, to a parent by a tail. Three masks hold the
+    nodes entered each way and grow by their newly entered nodes until
+    none changes.
+    """
+    children, parents, neighbors = masks
+    head = new_head = children[sources]
+    tail = new_tail = parents[sources]
+    und = new_und = neighbors[sources]
+    free = ~given
+    while new_head | new_tail | new_und:
+        reach_head = children[(new_head | new_tail | new_und) & free]
+        reach_tail = parents[(new_head | new_und) & given | new_tail & free]
+        reach_und = neighbors[new_head & given | (new_tail | new_und) & free]
+        new_head, new_tail, new_und = reach_head & ~head, reach_tail & ~tail, reach_und & ~und
+        head, tail, und = head | new_head, tail | new_tail, und | new_und
+    return head | tail | und
 
 
 def separated(g: ChainGraph, q: SeparationQuery) -> bool:
     """True iff no open route joins q.a to q.b given q.c."""
     _check_query(g, q)
-    return not _reachable(_incidence(g), q.a, q.c) & q.b
+    return not _route_ends(_masks(g), _mask(q.a), _mask(q.c)) & _mask(q.b)
 
 
 def separated_magnified(mg: MagnifiedGraph, q: SeparationQuery) -> bool:
@@ -140,12 +158,14 @@ def all_separations(g: ChainGraph) -> frozenset:
     for the Gaussian use made of it here; set-valued queries remain
     available through :func:`separated`. Queries that share j and C share
     one reachability search from j, so each (node, conditioning set) with a
-    later node outside it is searched once: 129 searches at p=6 for the
-    240 queries. Graphs over `SEPARATION_CAP` nodes raise `CapacityError`.
+    later node outside it is searched once: 129 `_route_ends` searches at
+    p=6 for the 240 queries, sharing one `_masks(g)`, so each union of
+    relatives over a node set is worked out once per call.
+    Graphs over `SEPARATION_CAP` nodes raise `CapacityError`.
     """
     if g.p > SEPARATION_CAP:
         raise CapacityError(f"separation enumeration capped at p={SEPARATION_CAP}, got p={g.p}")
-    adj = _incidence(g)
+    masks = _masks(g)
     out = set()
     for j in range(g.p):
         others = [x for x in range(g.p) if x != j]
@@ -153,6 +173,6 @@ def all_separations(g: ChainGraph) -> frozenset:
             for cond in itertools.combinations(others, r):
                 later = [k for k in range(j + 1, g.p) if k not in cond]
                 if later:
-                    reached = _reachable(adj, (j,), cond)
-                    out.update((j, k, cond) for k in later if k not in reached)
+                    reached = _route_ends(masks, 1 << j, _mask(cond))
+                    out.update((j, k, cond) for k in later if not reached >> k & 1)
     return frozenset(out)

@@ -2,11 +2,11 @@
 
 Everything here works from raw edge sets and plain numeric optimization,
 on purpose: these functions share no code (and as little cleverness as
-possible) with the implementations they vet. The one exception is
-`brute_force_separated`, which reuses the library's edge incidence and
-per-step openness rule and vets only the reachability shortcut of
-`separated`; `literal_route_separated` checks the rule itself from raw
-edge sets. `enumerate_chain_graphs`, which lists every chain graph on a
+possible) with the implementations they vet. `brute_force_separated`
+sweeps routes step by step over its own edge incidence lists and per-step
+openness rule (`_incidence`, `_triplex_step`), so it vets the library's
+bitmask reachability in `separated`; `literal_route_separated` checks the
+rule itself from raw edge sets. `enumerate_chain_graphs`, which lists every chain graph on a
 few nodes for the exhaustive tests, filters its candidates with the
 library's `is_chain_graph`. `greedy_full_scan` is greedy search without
 its bounds: it shares the library's scorer, moves and tie-break and vets
@@ -24,7 +24,9 @@ from ampcg import search
 from ampcg.estimation import EqualVarianceScorer
 from ampcg.graphs import CapacityError, ChainGraph, is_chain_graph, random_chain_graph
 from ampcg.sem import compose_seed
-from ampcg.separation import SeparationQuery, _check_query, _incidence, _triplex_step
+from ampcg.separation import SeparationQuery, _check_query
+
+_HEAD, _TAIL, _UND = 0, 1, 2  # the kind of an edge's end at a node: arrowhead, tail, undirected
 
 
 def edge_mark_at(directed: set, undirected: set, other: int, node: int) -> str:
@@ -310,6 +312,23 @@ def one_edge_equal_variance_numeric(s: np.ndarray, parent_pairs: list, edge: tup
         method="bounded", options={"xatol": 1e-12},
     )
     return -0.5 * (p * np.log(2.0 * np.pi) + p + float(res.fun))
+
+
+def _incidence(g: ChainGraph) -> list:
+    """Per node: tuples (other, kind at this node, kind at other), from the raw edge sets."""
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.p)]
+    for j, k in g.directed:
+        adj[j].append((k, _TAIL, _HEAD))
+        adj[k].append((j, _HEAD, _TAIL))
+    for j, k in g.undirected:
+        adj[j].append((k, _UND, _UND))
+        adj[k].append((j, _UND, _UND))
+    return [tuple(sorted(x)) for x in adj]
+
+
+def _triplex_step(entry: int, exit_at_node: int) -> bool:
+    """Whether a route entering a node by `entry` and leaving by `exit_at_node` makes it a triplex occurrence."""
+    return (entry == _HEAD and exit_at_node != _TAIL) or (entry == _UND and exit_at_node == _HEAD)
 
 
 def brute_force_separated(g: ChainGraph, q: SeparationQuery, max_len: int | None = None) -> bool:

@@ -303,6 +303,22 @@ class TestEquivalenceClass:
         assert found == 4
 
 
+# Recorded with the set-based enumerator that the bitmask one replaced:
+# random_chain_graph(p, 0.5, 0.3, seed) as (p, seed, first graph `orientations`
+# yields over its adjacencies and triplexes as (directed, undirected), and each
+# yielded graph's position in `equivalence_class`, in yield order).
+_PINNED_ORDERS = (
+    (4, 2, ([(3, 0)], [(0, 2), (1, 3)]), [6, 1, 7, 2, 5, 3, 0, 4]),
+    (4, 3, ([(2, 0), (3, 0), (3, 1)], [(0, 1), (2, 3)]), [10, 9, 11, 8, 1, 7, 3, 6, 0, 4, 2, 5]),
+    (5, 7, ([(0, 3), (2, 3), (4, 0), (4, 1)], [(0, 1), (0, 2)]), [4, 2, 3, 1, 0]),
+    (5, 21, ([(4, 2)], [(0, 1), (0, 2), (1, 2)]), [8, 5, 6, 2, 0, 1, 7, 3, 4]),
+    (6, 2, ([(2, 0), (3, 0), (3, 1), (5, 4)], [(0, 4), (1, 2), (3, 5)]), [7, 5, 6, 4, 3, 2, 0, 1]),
+    (6, 3, ([(1, 3), (2, 0), (4, 0), (5, 0)], [(0, 3), (1, 2), (2, 4)]), [5, 4, 0, 3, 1, 2]),
+    (7, 4, ([(0, 3), (0, 6), (1, 5), (1, 6), (2, 4), (4, 3), (4, 6)], [(0, 1), (4, 5)]), [2, 0, 3, 1]),
+    (7, 10, ([(1, 5), (2, 0), (2, 5), (3, 2), (4, 2), (4, 5)], [(0, 6), (1, 2)]), [8, 6, 4, 2, 0, 9, 7, 5, 3, 1]),
+)
+
+
 class TestOrientations:
     def test_order_of_marks(self):
         got = list(orientations(2, {(0, 1)}, frozenset()))
@@ -319,6 +335,35 @@ class TestOrientations:
 
     def test_triplex_off_the_skeleton_yields_nothing(self):
         assert list(orientations(3, {(0, 1)}, {Triplex(0, 1, 2)})) == []
+
+    def test_pairs_and_labels_checked_once_up_front(self):
+        with pytest.raises(GraphStructureError, match="self-loop"):
+            next(orientations(3, {(1, 1)}, ()))
+        with pytest.raises(GraphStructureError, match="out of range"):
+            next(orientations(2, {(0, 2)}, ()))
+        with pytest.raises(GraphStructureError, match="expected 2 labels"):
+            next(orientations(2, {(0, 1)}, (), labels=("a",)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(chain_graphs(max_p=6), st.booleans())
+    def test_members_are_the_graphs_the_constructor_builds(self, g, labelled):
+        labels = range(10, 10 + g.p) if labelled else None  # normalised to strings, as the constructor does
+        for member in orientations(g.p, g._adjacencies, g._triplexes, labels=labels):
+            h = ChainGraph(g.p, member.directed, member.undirected, labels=labels)
+            assert type(member) is ChainGraph and member == h and hash(member) == hash(h)
+            assert member.labels == h.labels == (tuple(str(x) for x in labels) if labelled else None)
+            for cache in ("_parents", "_children", "_neighbors"):
+                assert getattr(member, cache) == getattr(h, cache)
+            assert vars(member) == vars(h)  # fields and the three relatives caches, nothing else
+            assert is_chain_graph(member) and markov_equivalent(member, g)
+
+    @pytest.mark.parametrize("p, seed, first, positions", _PINNED_ORDERS)
+    def test_yield_order_is_pinned(self, p, seed, first, positions):
+        g = random_chain_graph(p, 0.5, 0.3, seed=seed)
+        members = equivalence_class(g)
+        yielded = list(orientations(p, g._adjacencies, g._triplexes))
+        assert (sorted(yielded[0].directed), sorted(yielded[0].undirected)) == first
+        assert [members.index(h) for h in yielded] == positions
 
 
 class TestRandomChainGraph:

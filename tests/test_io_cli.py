@@ -32,6 +32,7 @@ from ampcg import (
     write_graph,
     write_parameters,
 )
+from ampcg import cli
 from ampcg.cli import main
 
 
@@ -355,6 +356,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error numeric_error: ") and "X3 and X4" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_one_parser_serves_back_to_back_calls(self, tmp_path, monkeypatch, capsys):
+        runs = [
+            ["generate", "--p", "4", "--seed", "3", "--out", "g.json", "--params-out", "params.json"],
+            ["generate", "--p", "3", "--out", "h.json"],
+            ["sep", "--graph", "g.json", "--a", "X1", "--b", "X2", "--c", "X3,X4"],
+            ["sep", "--graph", "g.json", "--a", "X1", "--b", "X2"],
+            ["sep", "--graph", "g.json", "--enumerate"],
+            ["magnify", "--graph", "h.json"],
+            ["learn", "--population", "c.json", "--method", "two-phase", "--out", "two.json"],
+            ["learn", "--population", "c.json", "--out", "greedy.json"],
+            ["experiment", "--p", "3", "--seeds", "1,2", "--method", "two-phase"],
+            ["experiment", "--p", "3", "--seeds", "4"],
+            ["sep", "--graph", "missing.json", "--a", "X1", "--b", "X2"],
+            ["sep", "--a", "X1"],  # argparse rejects it: no --graph
+        ]
+
+        def run_all(workdir, fresh):
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            collider = ChainGraph(3, directed={(0, 1), (2, 1)})
+            write_covariance(implied_distribution(random_parameters(collider, seed=2)).cov, "c.json")
+            got = []
+            for argv in runs:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                got.append((code, *capsys.readouterr()))
+            files = {path.name: path.read_text() for path in sorted(workdir.iterdir())}
+            return got, files
+
+        fresh = run_all(tmp_path / "fresh", fresh=True)
+        shared = run_all(tmp_path / "shared", fresh=False)
+        assert shared == fresh
+        assert [code for code, _out, _err in shared[0]] == [0] * 10 + [2, 2]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_console_entry_point(self, tmp_path):
         gpath = tmp_path / "g.json"

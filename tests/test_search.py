@@ -15,6 +15,7 @@ from ampcg import (
     EqualVarianceScorer,
     SearchConfig,
     canonical_key,
+    equivalence_class,
     estimation,
     faithful_parameters,
     fit,
@@ -34,7 +35,9 @@ from ampcg import (
     structural_hamming_distance,
     two_phase,
 )
-from ampcg.graphs import _mark, _returns_with_arrow
+from ampcg.estimation import moment_matrix
+from ampcg.graphs import Triplex, _cycle_through, _mask, orientations
+from ampcg.separation import pairwise_queries
 
 from .conftest import chain_graphs
 from .oracles import enumerate_chain_graphs, greedy_full_scan
@@ -320,24 +323,23 @@ class TestGreedySearch:
     @settings(max_examples=100, deadline=None)
     @given(chain_graphs(max_p=6))
     def test_walk_from_the_pair_decides_every_edge_state(self, g):
-        children = [set(x) for x in g._children]
-        neighbors = [set(x) for x in g._neighbors]
         valid = []
         for a, b in itertools.combinations(range(g.p), 2):
             own = g.edge_between(a, b)
+            directed = {e for e in g.directed if set(e) != {a, b}}
+            undirected = g.undirected - {(a, b)}
             for state in (None, "->", "<-", "--"):
-                _mark(children, neighbors, a, b, state)
                 h = ChainGraph(
                     g.p,
-                    {(j, k) for j in range(g.p) for k in children[j]},
-                    {(j, k) for j in range(g.p) for k in neighbors[j] if j < k},
+                    directed | {"->": {(a, b)}, "<-": {(b, a)}}.get(state, set()),
+                    undirected | ({(a, b)} if state == "--" else set()),
                 )
                 assert h.edge_between(a, b) == state
-                assert is_chain_graph(h) == (state is None or not _returns_with_arrow(children, neighbors, a)), h
+                children = [_mask(x) for x in h._children]
+                neighbors = [_mask(x) for x in h._neighbors]
+                assert is_chain_graph(h) == (state is None or not _cycle_through(children, neighbors, a)), h
                 if state != own and is_chain_graph(h):
                     valid.append((h._parents, h.undirected))
-            _mark(children, neighbors, a, b, own)
-        assert [set(x) for x in g._children] == children and [set(x) for x in g._neighbors] == neighbors
         assert list(search._moves(g)) == valid
 
     def test_scoring_a_move_matches_scoring_its_graph(self):
@@ -478,6 +480,53 @@ class TestSkeletonRecovery:
         result = skeleton_recovery(cov)
         assert not result.consistent
         assert result.graph == ChainGraph(4, undirected={(0, 1), (1, 2), (2, 3), (0, 3)})
+
+    def test_builds_one_graph_of_a_larger_class(self, monkeypatch):
+        truth = ChainGraph(4, directed={(0, 1), (2, 1)}, undirected={(2, 3)})
+        params, _ = faithful_parameters(truth, seed=7)
+        built = []
+        build = ChainGraph._from_masks
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ChainGraph, "_from_masks", counting)
+        members = len(equivalence_class(truth))
+        assert members > 1 and len(built) == members
+        for x in (implied_distribution(params).cov, sample(implied_distribution(params), 1000, seed=8)):
+            built.clear()
+            result = skeleton_recovery(x)
+            assert len(built) == 1 and result.consistent and markov_equivalent(result.graph, truth)
+            assert result.graph == ChainGraph(4, result.graph.directed, result.graph.undirected)
+
+    def test_keeps_each_pairs_first_separating_set_in_query_order(self, monkeypatch):
+        asked = []
+
+        def spy(p, adjacency, target):
+            asked.append((set(adjacency), set(target)))
+            return orientations(p, adjacency, target)
+
+        monkeypatch.setattr(search, "orientations", spy)
+        for p, seed, n in ((5, 3, None), (6, 8, None), (6, 8, 300), (5, 11, 200)):
+            truth = random_chain_graph(p, 0.4, 0.3, seed=seed)
+            dist = implied_distribution(faithful_parameters(truth, seed=seed)[0])
+            x = dist.cov if n is None else sample(dist, n, seed=seed)
+            indep = sem._independences(*moment_matrix(x, p))
+            sepset = {}
+            for j, k, cond in pairwise_queries(p):  # one scalar lookup per query, the first hit kept
+                if (j, k) not in sepset and indep[_mask(cond), j, k]:
+                    sepset[(j, k)] = cond
+            adjacency = set(itertools.combinations(range(p), 2)) - set(sepset)
+            target = {
+                Triplex(j, k, l)
+                for (j, l), cond in sepset.items()
+                for k in range(p)
+                if k not in cond and {(min(j, k), max(j, k)), (min(k, l), max(k, l))} <= adjacency
+            }
+            asked.clear()
+            skeleton_recovery(x)
+            assert asked == [(adjacency, target)]
 
     def test_non_finite_covariance_rejected(self):
         cov = np.eye(3)

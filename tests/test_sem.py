@@ -25,7 +25,7 @@ from ampcg import (
     sample,
 )
 from ampcg.estimation import moment_matrix
-from ampcg.sem import _independences, _mask, _partial_correlation, _partial_correlations
+from ampcg.sem import _independences, _mask, _partial_correlation, _partial_correlations, _query_table
 from ampcg.separation import pairwise_queries
 
 from .conftest import chain_graphs
@@ -290,6 +290,14 @@ class TestPartialCorrelationTable:
         yield moment_matrix(sample(dist, 50, seed=p), p)[0]  # a sample second moment
         yield 1e-11 * dist.cov  # the scale-free rule: no absolute tolerance anywhere
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_query_table_indexes_every_pairwise_query(self, p):
+        queries, masks, js, ks = _query_table(p)
+        assert queries == tuple(pairwise_queries(p))
+        assert list(zip(masks.tolist(), js.tolist(), ks.tolist())) == [(_mask(c), j, k) for j, k, c in queries]
+        assert not any(a.flags.writeable for a in (masks, js, ks))  # shared by every caller
+        assert _query_table(p)[1] is masks
+
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_matches_single_queries(self, p):
         for cov in self._inputs(p):
@@ -336,6 +344,14 @@ class TestIndependenceTable:
         for n in (5, 50, 500):
             if n >= p:
                 yield moment_matrix(sample(dist, n, seed=[p, n]), p)[0], n
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_query_table_indexes_every_pairwise_query(self, p):
+        queries, masks, js, ks = _query_table(p)
+        assert queries == tuple(pairwise_queries(p))
+        assert list(zip(masks.tolist(), js.tolist(), ks.tolist())) == [(_mask(c), j, k) for j, k, c in queries]
+        assert not any(a.flags.writeable for a in (masks, js, ks))  # shared by every caller
+        assert _query_table(p)[1] is masks
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_matches_single_queries(self, p):

@@ -15,6 +15,7 @@ from ampcg import (
     markov_equivalent,
     separated,
     separated_magnified,
+    separation,
 )
 
 from .conftest import chain_graphs
@@ -202,12 +203,30 @@ class TestAllSeparations:
         with pytest.raises(CapacityError):
             all_separations(ChainGraph(7))
 
+    def test_searches_once_per_node_and_set_with_a_later_node_outside(self, six_node_graph, monkeypatch):
+        searches = []
+        route_ends = separation._route_ends
+
+        def counting(masks, sources, given):
+            searches.append((sources, given))
+            return route_ends(masks, sources, given)
+
+        monkeypatch.setattr(separation, "_route_ends", counting)
+        all_separations(six_node_graph)
+        assert len(searches) == len(set(searches)) == 129  # the count the docstring gives, for 240 queries
+
     def test_one_search_per_node_and_set_matches_single_queries(self):
         for p in range(1, 5):
             for g in enumerate_chain_graphs(p):
                 assert all_separations(g) == _separated_triples(g), g
 
     @settings(max_examples=200, deadline=None)
-    @given(chain_graphs(min_p=2, max_p=6))
-    def test_random_graphs_match_single_queries(self, g):
-        assert all_separations(g) == _separated_triples(g)
+    @given(chain_graphs(min_p=2, max_p=6), st.data())
+    def test_random_graphs_match_single_queries(self, g, data):
+        separations = all_separations(g)
+        assert separations == _separated_triples(g)
+        queries = list(_singleton_queries(g.p))
+        for q in data.draw(st.lists(st.sampled_from(queries), min_size=1, max_size=4)):
+            want = brute_force_separated(g, q)
+            assert separated(g, q) == want
+            assert ((min(q.a), min(q.b), tuple(sorted(q.c))) in separations) == want
