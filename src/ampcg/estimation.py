@@ -187,14 +187,12 @@ def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
     scaled back, so rescaling the nodes rescales the fit alike. Sweeps stop
     once the fitted correlation matrix moves by less than a relative 1e-9,
     or after 500 sweeps. No library path calls it; `fit` runs the same loop
-    directly.
+    directly. `s` must pass `sem`'s covariance rule (`_valid_covariance`):
+    a node that is a linear combination of the nodes before it raises
+    `np.linalg.LinAlgError` naming it, any other fault ValueError.
     """
-    s = np.asarray(s, dtype=float)
+    s = _valid_covariance(s, "ipf input", singular=np.linalg.LinAlgError)
     m = s.shape[0]
-    if s.shape != (m, m) or not np.allclose(s, s.T, atol=1e-8):
-        raise ValueError("ipf input must be a symmetric matrix")
-    if float(np.linalg.eigvalsh(s)[0]) <= 0:
-        raise np.linalg.LinAlgError("ipf input is not positive definite")
     edges = frozenset((min(a, b), max(a, b)) for a, b in pattern)
     if not all(0 <= a < b < m for a, b in edges):
         raise ValueError(f"ipf pattern pairs must join two distinct nodes among 0..{m - 1}")

@@ -1,9 +1,11 @@
 """Scripted recovery experiments.
 
 Each seed draws a random chain graph, random parameters rescaled to equal
-error variances, and either the exact population covariance or samples of
-the requested sizes; the chosen method then tries to recover the graph and
-the report records exact matches, structural Hamming distance and margins.
+error variances (checked faithful to the graph up to `graphs.CLASS_CAP`
+nodes, by `sem.faithful_parameters`), and either the exact population
+covariance or samples of the requested sizes; the chosen method then tries
+to recover the graph and the report records exact matches, structural
+Hamming distance and margins.
 Rows are produced in seed order regardless of scheduling, so a config maps
 to one report (timing columns aside).
 """
@@ -17,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .graphs import ChainGraph, random_chain_graph, structural_hamming_distance
+from .graphs import CLASS_CAP, ChainGraph, random_chain_graph, structural_hamming_distance
 from .io import _write_json, graph_hash, graph_to_dict
 from .search import SearchConfig, greedy_search, identify_in_class, two_phase
 from .sem import (
@@ -28,7 +30,6 @@ from .sem import (
     rescale_equal_variances,
     sample,
 )
-from .separation import SEPARATION_CAP
 
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment", "write_report"]
 
@@ -82,7 +83,7 @@ def _apply_method(cfg: ExperimentConfig, truth: ChainGraph, data_or_cov, seed: i
 def _run_seed(cfg: ExperimentConfig, seed: int) -> list:
     rows = []
     truth = random_chain_graph(cfg.p, cfg.edge_prob, cfg.undirected_frac, seed=compose_seed(seed, 0))
-    if cfg.p <= SEPARATION_CAP:  # faithful draws check every separation
+    if cfg.p <= CLASS_CAP:  # faithful draws check every separation, so they stop at the enumeration cap
         params, _draws = faithful_parameters(truth, seed=compose_seed(seed, 1), sigma2=cfg.sigma2)
     else:
         params = rescale_equal_variances(random_parameters(truth, seed=compose_seed(seed, 1)), cfg.sigma2)

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 RELATIVE_KINDS = ("parents", "descendants", "non_descendants", "adjacents")
-CLASS_CAP = 12  # largest node count whose Markov equivalence class is enumerated
+CLASS_CAP = 12  # largest node count of every exhaustive enumeration: classes, separations, CI sweeps
 
 
 class GraphStructureError(ValueError):
@@ -56,7 +56,7 @@ class GraphStructureError(ValueError):
 
 
 class CapacityError(ValueError):
-    """An enumeration would exceed its configured size cap."""
+    """An exhaustive enumeration would run over `CLASS_CAP` nodes."""
 
 
 class Triplex(NamedTuple):

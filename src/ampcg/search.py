@@ -29,8 +29,9 @@ independence itself: it reads `sem._independences`, the same table and
 rule that faithful parameter draws use. Both the class and
 the recovered representative come from one enumerator,
 `graphs.orientations`: the class is all it yields, the representative its
-first graph. Equivalence classes are enumerated up to 12 nodes and
-conditioning sets swept up to 8; larger inputs raise `CapacityError`.
+first graph. Equivalence classes are enumerated and conditioning sets
+swept up to `graphs.CLASS_CAP` (12) nodes, the library's one node-count
+limit; larger inputs raise `CapacityError`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import numpy as np
 
 from .estimation import EqualVarianceScorer, _fit_implied, _regression, gaussian_average_loglik, moment_matrix
 from .graphs import (
+    CLASS_CAP,
     CapacityError,
     ChainGraph,
     Triplex,
@@ -54,7 +56,7 @@ from .graphs import (
     random_chain_graph,
     triplexes,
 )
-from .sem import _CI_TOL, Dataset, _independences, _query_table, compose_seed
+from .sem import Dataset, _independences, _off_pattern_dependence, _query_table, compose_seed
 
 __all__ = [
     "IdentifyResult",
@@ -69,7 +71,6 @@ __all__ = [
 
 _MAX_STEPS = 500  # greedy moves per chain
 _BOUND_SLACK = 1e-9  # relative rounding allowance when a move's bound rules it out
-_SKELETON_CAP = 8  # largest node count whose conditioning sets are swept
 
 
 @dataclass(frozen=True)
@@ -166,21 +167,21 @@ def _check_population(s: np.ndarray, g: ChainGraph, regressions: dict) -> None:
     Each node is regressed on its parents in g (`_regression`, kept in
     `regressions` for the member loop), and the residuals
     E = (I - B) s (I - B)^T must show every pair of nodes without an
-    undirected edge independent given the rest: |partial correlation| below
-    `sem._CI_TOL`. The first pair that is not is named.
+    undirected edge independent given the rest, by the rule that
+    `SemParameters` applies to its error covariance
+    (`sem._off_pattern_dependence`). The first pair that is not is named.
     """
     a = np.eye(g.p)
     for v, into in enumerate(g._parents):
         a[v, into] = -_regression(s, v, into, regressions)[0]
-    prec = np.linalg.inv(a @ s @ a.T)
-    r = -prec / np.sqrt(np.outer(prec.diagonal(), prec.diagonal()))
-    for j, k in itertools.combinations(range(g.p), 2):
-        if (j, k) not in g.undirected and abs(r[j, k]) >= _CI_TOL:
-            raise ValueError(
-                f"covariance is not a distribution of the class's model: the residuals of {g.node_label(j)} "
-                f"and {g.node_label(k)} given their parents have partial correlation {r[j, k]:.3g} "
-                "without an undirected edge"
-            )
+    dependent = _off_pattern_dependence(a @ s @ a.T, g.undirected)
+    if dependent is not None:
+        j, k, r = dependent
+        raise ValueError(
+            f"covariance is not a distribution of the class's model: the residuals of {g.node_label(j)} "
+            f"and {g.node_label(k)} given their parents have partial correlation {r:.3g} "
+            "without an undirected edge"
+        )
 
 
 def _moves(g: ChainGraph):
@@ -302,13 +303,14 @@ def skeleton_recovery(data_or_cov) -> SkeletonResult:
     chain graph fits, fall back to the undirected skeleton, flagged.
     The input is validated, then every independence query is read off one
     `sem._independences` table: |partial correlation| < 1e-8 on a
-    covariance, a two-sided Fisher-z test at level 0.01 on data. Inputs
-    over 8 nodes raise `CapacityError` before that table is built.
+    covariance, a two-sided Fisher-z test at level 0.01 on data. That table
+    covers all 2^p conditioning sets, so inputs over `graphs.CLASS_CAP`
+    (12) nodes raise `CapacityError` before it is built.
     """
     p = _size(data_or_cov)
     s, n = moment_matrix(data_or_cov, p)
-    if p > _SKELETON_CAP:
-        raise CapacityError(f"skeleton recovery capped at p={_SKELETON_CAP}, got p={p}")
+    if p > CLASS_CAP:
+        raise CapacityError(f"skeleton recovery capped at p={CLASS_CAP}, got p={p}")
     queries, masks, js, ks = _query_table(p)
     sepset: dict[tuple, tuple] = {}
     for i in np.flatnonzero(_independences(s, n)[masks, js, ks]):

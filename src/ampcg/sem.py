@@ -9,8 +9,11 @@ sampling and population-level conditional-independence checks live here.
 So does the one rule for a valid covariance, `_valid_covariance`: finite,
 square, symmetric, and positive definite under a scale-free rank test, so
 multiplying a covariance by c > 0 never changes its verdict. It guards
-`GaussianDistribution`, `SemParameters.sigma`, `gaussian_ci` and
-covariance input to `estimation.moment_matrix`.
+`GaussianDistribution`, `SemParameters.sigma`, `gaussian_ci`,
+`estimation.ipf` and covariance input to `estimation.moment_matrix`. One
+scale-free rule, `_off_pattern_dependence`, decides that errors are
+independent off the undirected pattern, for `SemParameters` and for the
+population check of `search.identify_in_class`.
 
 This module is the one place that turns partial correlations into
 conditional-independence decisions. A single query, `gaussian_ci`, inverts
@@ -34,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import ChainGraph, _mask, chain_components, is_chain_graph
+from .graphs import ChainGraph, _mask, _require_chain_graph, chain_components
 from .separation import all_separations, pairwise_queries
 
 __all__ = [
@@ -82,11 +85,12 @@ def _first_dependent(s: np.ndarray) -> int | None:
     return int(below.argmax()) if below.any() else None
 
 
-def _valid_covariance(m, name: str) -> np.ndarray:
+def _valid_covariance(m, name: str, singular: type = ValueError) -> np.ndarray:
     """`m` as a symmetric float matrix, or ValueError naming `name` and the fault.
 
     Finite, square, symmetric within `np.allclose` tolerances, and no node
-    a linear combination of the nodes before it (`_first_dependent`).
+    a linear combination of the nodes before it (`_first_dependent`); that
+    last fault raises `singular` instead, naming the node.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -98,10 +102,28 @@ def _valid_covariance(m, name: str) -> np.ndarray:
     m = 0.5 * (m + m.T)
     j = _first_dependent(m)
     if j is not None:
-        raise ValueError(
-            f"node {j} is a linear combination of the nodes before it ({name} is not positive definite)"
-        )
+        raise singular(f"node {j} is a linear combination of the nodes before it ({name} is not positive definite)")
     return m
+
+
+def _off_pattern_dependence(sigma: np.ndarray, undirected: frozenset) -> tuple | None:
+    """The first pair (j, k, r) without an undirected edge whose errors are dependent, or None.
+
+    r is the partial correlation of j and k given all other nodes,
+    -Ω_jk / sqrt(Ω_jj Ω_kk) with Ω the inverse of the error covariance
+    `sigma`, and the pair is dependent when |r| is not below `_CI_TOL`:
+    the rule `_independences` applies to a covariance, so scaling sigma by
+    c > 0 never changes the verdict. Pairs j < k are tried in
+    `itertools.combinations` order; `undirected` holds sorted pairs.
+    """
+    prec = np.linalg.inv(sigma)
+    d = prec.diagonal()
+    r = -prec / np.sqrt(d[:, None] * d)
+    js, ks = np.nonzero(np.abs(r) >= _CI_TOL)  # row by row
+    for j, k in zip(js.tolist(), ks.tolist()):
+        if j < k and (j, k) not in undirected:
+            return j, k, float(r[j, k])
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +184,9 @@ class SemParameters:
     beta[j, k] is the coefficient of node k in node j's equation and may be
     non-zero only when k is a parent of j. sigma is positive definite and
     its inverse vanishes off the undirected structure, which forces it to
-    be block-diagonal over the chain components.
+    be block-diagonal over the chain components: each pair of errors
+    without an undirected edge has a partial correlation below `_CI_TOL`
+    given the rest (`_off_pattern_dependence`).
     """
 
     graph: ChainGraph
@@ -182,14 +206,9 @@ class SemParameters:
             for k in range(p):
                 if k not in allowed and abs(beta[j, k]) > 1e-12:
                     raise ValueError(f"beta[{j}, {k}] non-zero but {k} is not a parent of {j}")
-        omega = np.linalg.inv(sigma)
-        scale = 1.0 + float(np.max(np.abs(omega)))
-        for j in range(p):
-            for k in range(j + 1, p):
-                if (j, k) not in self.graph.undirected and abs(omega[j, k]) > 1e-6 * scale:
-                    raise ValueError(
-                        f"concentration entry ({j}, {k}) must vanish without an undirected edge"
-                    )
+        dependent = _off_pattern_dependence(sigma, self.graph.undirected)
+        if dependent is not None:
+            raise ValueError(f"concentration entry {dependent[:2]} must vanish without an undirected edge")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma", sigma)
 
@@ -209,11 +228,11 @@ def random_parameters(g: ChainGraph, seed=0) -> SemParameters:
     that dependences stay numerically visible) with random signs. Each
     component's concentration block gets random entries on its undirected
     edges and a strictly diagonally dominant diagonal, which guarantees
-    positive definiteness; inverting the blocks yields sigma.
+    positive definiteness; inverting the blocks yields sigma. A g with a
+    semidirected cycle is rejected with ValueError naming one.
     """
     lo, hi = _COEF_RANGE
-    if not is_chain_graph(g):
-        raise ValueError("parameter generation requires a valid chain graph")
+    _require_chain_graph(g)
     rng = np.random.default_rng(seed)
     p = g.p
     beta = np.zeros((p, p))
@@ -341,7 +360,8 @@ def _partial_correlations(cov: np.ndarray) -> np.ndarray:
     2^m .. 2^(m+1) − 1 are those whose highest node is m, and their C' are
     the masks 0 .. 2^m − 1, so node m's updates are one numpy operation:
     2^p − 1 updates in p operations. `cov` must already be a validated
-    symmetric matrix; the table holds 2^p·p² numbers, so callers cap p.
+    symmetric matrix; the table holds 2^p·p² numbers, so callers cap p at
+    `graphs.CLASS_CAP`.
     """
     p = len(cov)
     given = np.empty((1 << p, p, p))
@@ -411,8 +431,9 @@ def faithful_parameters(g: ChainGraph, seed=0, sigma2: float | None = None) -> t
     discarded and redrawn rather than assumed away. Separations must always
     map to vanishing partial correlations; a violation there is a bug, not
     bad luck, and raises. Returns the parameters and the number of draws
-    used. At most `_FAITHFUL_DRAWS` draws are tried. Graphs too large for
-    `all_separations` raise `CapacityError`. Each draw reads every pairwise
+    used. At most `_FAITHFUL_DRAWS` draws are tried. Graphs over
+    `graphs.CLASS_CAP` (12) nodes, too large for `all_separations`, raise
+    `CapacityError`. Each draw reads every pairwise
     query off one `_independences` table through the per-size index
     arrays of `_query_table` and compares it with g's separations in one
     array operation; the first query, in

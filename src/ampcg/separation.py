@@ -18,7 +18,9 @@ set). One search, `_route_ends`, grows three masks at once, the nodes
 entered by an arrowhead, by a tail and by an undirected edge, until none
 grows; it returns every node an open route from A given C reaches. :func:`separated`
 asks whether that meets B, and :func:`all_separations` reads every pair
-(j, k) given C off one search from j.
+(j, k) given C off one search from j. That enumeration covers all 2^p
+conditioning sets, so it stops where every exhaustive enumeration in the
+library stops, at `graphs.CLASS_CAP` (12) nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import CapacityError, ChainGraph, MagnifiedGraph, _mask, _union, determined_closure
+from .graphs import CLASS_CAP, CapacityError, ChainGraph, MagnifiedGraph, _mask, _union, determined_closure
 
 __all__ = [
     "SeparationQuery",
@@ -35,9 +37,6 @@ __all__ = [
     "separated",
     "separated_magnified",
 ]
-
-SEPARATION_CAP = 6  # largest node count whose pairwise separations are enumerated
-
 
 @dataclass(frozen=True)
 class SeparationQuery:
@@ -161,10 +160,11 @@ def all_separations(g: ChainGraph) -> frozenset:
     later node outside it is searched once: 129 `_route_ends` searches at
     p=6 for the 240 queries, sharing one `_masks(g)`, so each union of
     relatives over a node set is worked out once per call.
-    Graphs over `SEPARATION_CAP` nodes raise `CapacityError`.
+    Graphs over `graphs.CLASS_CAP` (12) nodes, the one node-count limit of
+    every exhaustive enumeration, raise `CapacityError`.
     """
-    if g.p > SEPARATION_CAP:
-        raise CapacityError(f"separation enumeration capped at p={SEPARATION_CAP}, got p={g.p}")
+    if g.p > CLASS_CAP:
+        raise CapacityError(f"separation enumeration capped at p={CLASS_CAP}, got p={g.p}")
     masks = _masks(g)
     out = set()
     for j in range(g.p):

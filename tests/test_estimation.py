@@ -134,6 +134,18 @@ class TestIpf:
         with pytest.raises(np.linalg.LinAlgError):
             ipf(np.array([[1.0, 2.0], [2.0, 1.0]]), [(0, 1)])
 
+    def test_rank_deficient_input_names_the_node(self):
+        # positive eigenvalues, but node 1 given node 0 keeps a 1e-12 share of its variance
+        s = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+        with pytest.raises(ValueError, match="node 1 is a linear combination"):
+            moment_matrix(s, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="node 1 is a linear combination"):
+            ipf(s, [(0, 1)])
+
+    def test_non_finite_input_named(self):
+        with pytest.raises(ValueError, match="ipf input has non-finite entries"):
+            ipf(np.array([[1.0, np.nan], [np.nan, 1.0]]), [(0, 1)])
+
     def test_chain_pattern_against_numeric_oracle(self):
         rng = np.random.default_rng(3)
         s = _random_pd(rng, 3)
@@ -253,7 +265,7 @@ class TestFit:
         def no_ipf(*args, **kwargs):
             raise AssertionError("a singleton component needs no IPF")
 
-        monkeypatch.setattr(estimation, "ipf", no_ipf)
+        monkeypatch.setattr(estimation, "_alternating_fit", no_ipf)
         g = ChainGraph(4, directed={(0, 1), (0, 2), (1, 3), (2, 3)})
         params = random_parameters(g, seed=12)
         data = sample(implied_distribution(params), 3000, seed=13)

@@ -213,7 +213,7 @@ class TestCli:
 
     def test_sep_enumerate_capacity_error(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
-        write_graph(ChainGraph(7, directed={(0, 1)}), gpath)
+        write_graph(ChainGraph(13, directed={(0, 1)}), gpath)
         assert main(["sep", "--graph", str(gpath), "--enumerate"]) == 2
         assert capsys.readouterr().err.startswith("error capacity_error: ")
 

@@ -547,8 +547,8 @@ class TestSkeletonRecovery:
 
         monkeypatch.setattr(sem, "_partial_correlations", forbidden)
         monkeypatch.setattr(search, "_independences", forbidden)
-        with pytest.raises(CapacityError, match="capped at p=8, got p=9"):
-            skeleton_recovery(np.eye(9))
+        with pytest.raises(CapacityError, match="capped at p=12, got p=13"):
+            skeleton_recovery(np.eye(13))
 
     def test_sweeps_run_no_single_query(self, six_node_graph, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -592,6 +592,13 @@ class TestSkeletonRecovery:
 
 
 class TestTwoPhase:
+    @pytest.mark.parametrize("p", [9, 10, 11, 12])
+    def test_population_exact_up_to_the_class_cap(self, p):
+        for seed in range(3):
+            truth = random_chain_graph(p, 0.3, 0.3, seed=seed)
+            params = rescale_equal_variances(random_parameters(truth, seed=seed))
+            assert two_phase(implied_distribution(params).cov).chosen == truth
+
     def test_population_composition_recovers_truth(self, six_node_graph):
         params, _ = faithful_parameters(six_node_graph, seed=51, sigma2=1.0)
         cov = implied_distribution(params).cov

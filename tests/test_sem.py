@@ -25,7 +25,14 @@ from ampcg import (
     sample,
 )
 from ampcg.estimation import moment_matrix
-from ampcg.sem import _independences, _mask, _partial_correlation, _partial_correlations, _query_table
+from ampcg.sem import (
+    _independences,
+    _mask,
+    _off_pattern_dependence,
+    _partial_correlation,
+    _partial_correlations,
+    _query_table,
+)
 from ampcg.separation import pairwise_queries
 
 from .conftest import chain_graphs
@@ -72,6 +79,31 @@ class TestTypes:
         with pytest.raises(ValueError):
             SemParameters(g, np.zeros((2, 2)), np.array([[1.0, 0.8], [0.8, 1.0]]))
 
+    @pytest.mark.parametrize("c", [1e-14, 1.0, 1e7, 1e14])
+    def test_offpattern_concentration_rejected_at_every_scale(self, c):
+        sigma = c * np.array([[1.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError, match=r"concentration entry \(0, 1\) must vanish"):
+            SemParameters(ChainGraph(2), np.zeros((2, 2)), sigma)
+
+    def test_off_pattern_rule_matches_a_pairwise_loop(self):
+        rng = np.random.default_rng(11)
+        for p in (2, 4, 6):
+            for _ in range(20):
+                a = rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.4)
+                sigma = np.linalg.inv(a @ a.T + np.eye(p))
+                undirected = frozenset(pair for pair in itertools.combinations(range(p), 2) if rng.random() < 0.3)
+                prec = np.linalg.inv(sigma)
+                want = next(
+                    (
+                        (j, k)
+                        for j, k in itertools.combinations(range(p), 2)
+                        if (j, k) not in undirected and abs(prec[j, k]) / math.sqrt(prec[j, j] * prec[k, k]) >= 1e-8
+                    ),
+                    None,
+                )
+                got = _off_pattern_dependence(sigma, undirected)
+                assert (None if got is None else got[:2]) == want
+
 
 class TestRandomParameters:
     def test_empty_graph_diagonal(self):
@@ -94,6 +126,11 @@ class TestRandomParameters:
         a = random_parameters(six_node_graph, seed=9)
         b = random_parameters(six_node_graph, seed=9)
         assert np.array_equal(a.beta, b.beta) and np.array_equal(a.sigma, b.sigma)
+
+    def test_cyclic_graph_rejected_naming_the_cycle(self):
+        g = ChainGraph(3, directed={(0, 1), (1, 2)}, undirected={(0, 2)})
+        with pytest.raises(ValueError, match="semidirected cycle: X1 -> X2 -> X3 - X1"):
+            random_parameters(g)
 
     def test_coefficient_magnitudes_respect_range(self, six_node_graph):
         params = random_parameters(six_node_graph, seed=2)
@@ -143,6 +180,17 @@ class TestMarkovAndFaithfulness:
             for r in range(len(rest) + 1):
                 for cond in itertools.combinations(rest, r):
                     assert gaussian_ci(cov, j, k, cond) == ((j, k, cond) in seps)
+
+    def test_faithful_draw_above_six_nodes(self):
+        g = random_chain_graph(8, 0.4, 0.3, seed=8)
+        params, draws = faithful_parameters(g, seed=8, sigma2=1.0)
+        assert 1 <= draws and params.graph == g
+        cov = implied_distribution(params).cov
+        seps = all_separations(g)
+        queries = list(pairwise_queries(8))
+        for i in np.random.default_rng(8).choice(len(queries), 50, replace=False):
+            j, k, cond = queries[i]
+            assert gaussian_ci(cov, j, k, cond) == ((j, k, cond) in seps)
 
 
 class TestRescaling:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from ampcg import (
     all_separations,
     magnify,
     markov_equivalent,
+    random_chain_graph,
     separated,
     separated_magnified,
     separation,
@@ -201,7 +203,18 @@ class TestAllSeparations:
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
-            all_separations(ChainGraph(7))
+            all_separations(ChainGraph(13))
+
+    @pytest.mark.parametrize("p", [7, 8])
+    def test_above_six_nodes_matches_single_queries(self, p):
+        rng = random.Random(p)
+        for seed in range(3):
+            g = random_chain_graph(p, 0.3 + 0.2 * seed, 0.3, seed=(p, seed))
+            separations = all_separations(g)
+            assert separations == _separated_triples(g), g
+            for q in rng.sample(list(_singleton_queries(p)), 5):
+                want = brute_force_separated(g, q)
+                assert ((min(q.a), min(q.b), tuple(sorted(q.c))) in separations) == want
 
     def test_searches_once_per_node_and_set_with_a_later_node_outside(self, six_node_graph, monkeypatch):
         searches = []
