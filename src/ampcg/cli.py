@@ -44,7 +44,7 @@ from .sem import (
     sample,
     compose_seed,
 )
-from .separation import SeparationQuery, all_separations, pairwise_queries, separated
+from .separation import SeparationQuery, _separations, pairwise_queries, separated
 
 __all__ = ["main"]
 
@@ -107,11 +107,11 @@ def _cmd_generate(args) -> int:
 def _cmd_sep(args) -> int:
     g = read_graph(args.graph)
     if args.enumerate:
-        separations = all_separations(g)
+        separations = _separations(g).tolist()
         print("j,k,C,separated")
-        for j, k, cond in pairwise_queries(g.p):
+        for (j, k, cond), sep in zip(pairwise_queries(g.p), separations):
             cell = ";".join(g.node_label(x) for x in cond)
-            print(f"{g.node_label(j)},{g.node_label(k)},{cell},{(j, k, cond) in separations}")
+            print(f"{g.node_label(j)},{g.node_label(k)},{cell},{sep}")
         return 0
     if not args.a or not args.b:
         raise ValueError("--a and --b are required unless --enumerate is given")
@@ -173,11 +173,12 @@ def _cmd_identify(args) -> int:
 def _cmd_learn(args) -> int:
     data_or_cov = _load_input(args)
     if args.method == "greedy":
-        g = greedy_search(data_or_cov, SearchConfig(seed=args.seed))
+        g, flag = greedy_search(data_or_cov, SearchConfig(seed=args.seed)), ""
     else:
-        g = two_phase(data_or_cov).chosen
+        result = two_phase(data_or_cov)  # every row carries the representative fit's flag, as in identify
+        g, flag = result.chosen, "" if result.table[0].converged else " converged=False"
     write_graph(g, args.out)
-    print(f"learned {graph_hash(g)} -> {args.out}")
+    print(f"learned {graph_hash(g)}{flag} -> {args.out}")
     return 0
 
 

@@ -1,11 +1,13 @@
 """Scripted recovery experiments.
 
 Each seed draws a random chain graph, random parameters rescaled to equal
-error variances (checked faithful to the graph up to `graphs.CLASS_CAP`
-nodes, by `sem.faithful_parameters`), and either the exact population
-covariance or samples of the requested sizes; the chosen method then tries
-to recover the graph and the report records exact matches, structural
-Hamming distance and margins.
+error variances, and either the exact population covariance or samples of
+the requested sizes. Up to `graphs.CLASS_CAP` nodes the parameters are
+checked faithful to the graph by `sem.faithful_parameters`: the graph's
+separation table, read once as a vector in pairwise-query order, is
+compared with every pairwise independence of each draw. The chosen
+method then tries to recover the graph and the report records exact
+matches, structural Hamming distance and margins.
 Rows are produced in seed order regardless of scheduling, so a config maps
 to one report (timing columns aside).
 """

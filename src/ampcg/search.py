@@ -56,7 +56,8 @@ from .graphs import (
     random_chain_graph,
     triplexes,
 )
-from .sem import Dataset, _independences, _off_pattern_dependence, _query_table, compose_seed
+from .sem import Dataset, _independences, _off_pattern_dependence, compose_seed
+from .separation import _query_table
 
 __all__ = [
     "IdentifyResult",

@@ -24,21 +24,22 @@ the same `_CI_TOL`, on data by a Fisher-z test at the fixed level
 `_CI_LEVEL`. It is built from one partial-correlation table,
 `_partial_correlations`, of rank-one Schur updates: `faithful_parameters`
 builds one per draw, and skeleton recovery in `search` one per call. Both
-read their pairwise queries off it through one per-size table of query
-index arrays, `_query_table`.
+read their pairwise queries off it through the index arrays of
+`separation._query_table`, in the order in which `separation._separations`
+lists a graph's separations, so a draw is checked against its graph by
+comparing two boolean vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from statistics import NormalDist
 from typing import Iterable
 
 import numpy as np
 
-from .graphs import ChainGraph, _mask, _require_chain_graph, chain_components
-from .separation import all_separations, pairwise_queries
+from .graphs import ChainGraph, _require_chain_graph, chain_components
+from .separation import _query_table, _separations
 
 __all__ = [
     "Dataset",
@@ -399,25 +400,6 @@ def _independences(s: np.ndarray, n: int | None = None) -> np.ndarray:
     return (dof <= 0)[:, None, None] | (root * np.abs(z) <= crit)
 
 
-@cache
-def _query_table(p: int) -> tuple:
-    """Every pairwise query over p nodes with the index arrays that read it off an `_independences` table.
-
-    Returns (queries, masks, js, ks): the (j, k, cond) of `pairwise_queries(p)`
-    as a tuple, in that order, and read-only integer arrays with each
-    query's row `_mask(cond)`, j and k, so `table[masks, js, ks]` decides
-    every query in one fancy index. Built once per node count and shared
-    by `faithful_parameters` and `search.skeleton_recovery`.
-    """
-    queries = tuple(pairwise_queries(p))
-    masks = np.array([_mask(cond) for _j, _k, cond in queries], dtype=int)
-    js = np.array([j for j, _k, _cond in queries], dtype=int)
-    ks = np.array([k for _j, k, _cond in queries], dtype=int)
-    for array in (masks, js, ks):
-        array.setflags(write=False)
-    return queries, masks, js, ks
-
-
 def _mask_bits(p: int) -> np.ndarray:
     """`bits[mask, v]` is True when node v is in `mask`, for every mask over p nodes."""
     return ((np.arange(1 << p)[:, None] >> np.arange(p)) & 1).astype(bool)
@@ -432,17 +414,17 @@ def faithful_parameters(g: ChainGraph, seed=0, sigma2: float | None = None) -> t
     map to vanishing partial correlations; a violation there is a bug, not
     bad luck, and raises. Returns the parameters and the number of draws
     used. At most `_FAITHFUL_DRAWS` draws are tried. Graphs over
-    `graphs.CLASS_CAP` (12) nodes, too large for `all_separations`, raise
-    `CapacityError`. Each draw reads every pairwise
-    query off one `_independences` table through the per-size index
-    arrays of `_query_table` and compares it with g's separations in one
-    array operation; the first query, in
-    `pairwise_queries` order, where the two disagree decides: a missing
-    independence raises, an extra one redraws.
+    `graphs.CLASS_CAP` (12) nodes, too large for `separation._separations`,
+    raise `CapacityError`. g's separations are listed once, as a boolean
+    vector in `separation._query_table` order; each draw reads every
+    pairwise query off one `_independences` table through the same
+    table's index arrays and compares the two vectors in one array
+    operation. The first query, in `separation.pairwise_queries` order,
+    where they disagree decides: a missing independence raises, an extra
+    one redraws.
     """
-    separations = all_separations(g)
+    wanted = _separations(g)
     queries, masks, js, ks = _query_table(g.p)
-    wanted = np.array([query in separations for query in queries], dtype=bool)
     for attempt in range(1, _FAITHFUL_DRAWS + 1):
         params = random_parameters(g, seed=compose_seed(seed, attempt))
         if sigma2 is not None:

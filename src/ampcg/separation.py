@@ -16,17 +16,30 @@ are bitmasks, and the graph is held as the children, parents and
 neighbours of each node set (`_masks`, each union worked out once per
 set). One search, `_route_ends`, grows three masks at once, the nodes
 entered by an arrowhead, by a tail and by an undirected edge, until none
-grows; it returns every node an open route from A given C reaches. :func:`separated`
-asks whether that meets B, and :func:`all_separations` reads every pair
-(j, k) given C off one search from j. That enumeration covers all 2^p
-conditioning sets, so it stops where every exhaustive enumeration in the
-library stops, at `graphs.CLASS_CAP` (12) nodes.
+grows; it returns every node an open route from A given C reaches.
+:func:`separated` asks whether that meets B.
+
+Sweeps over every pairwise query share one order, `_query_table`: the
+queries of :func:`pairwise_queries` with index arrays that read them off
+a table indexed by conditioning mask and nodes. `_separations` fills one
+integer table per graph, `reach[given, j]`, the nodes an open route from
+j reaches given the node set `given`, by one search per (node,
+conditioning set) with a later node outside it, and reads every pairwise
+query off it in that order as a boolean vector. `sem.faithful_parameters`
+compares that vector with a draw's independences, :func:`all_separations`
+keeps the separated queries, and ``ampcg sep --enumerate`` prints it. The
+table covers all 2^p conditioning sets, so it stops where every
+exhaustive enumeration in the library stops, at `graphs.CLASS_CAP` (12)
+nodes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
+
+import numpy as np
 
 from .graphs import CLASS_CAP, CapacityError, ChainGraph, MagnifiedGraph, _mask, _union, determined_closure
 
@@ -136,18 +149,61 @@ def separated_magnified(mg: MagnifiedGraph, q: SeparationQuery) -> bool:
     return separated(mg.base, SeparationQuery(q.a, q.b, frozenset(closed)))
 
 
-def pairwise_queries(p: int):
+def pairwise_queries(p: int) -> tuple:
     """Every (j, k, cond) with j < k and cond a subset of the other nodes.
 
     Pairs come in `itertools.combinations` order; for each pair the
     conditioning sets run by size, each size in combinations order, so the
-    first separating set met for a pair is a smallest one.
+    first separating set met for a pair is a smallest one. The tuple is
+    `_query_table`'s, built once per node count.
     """
+    return _query_table(p)[0]
+
+
+@cache
+def _query_table(p: int) -> tuple:
+    """Every pairwise query over p nodes with the index arrays that read it off a per-mask table.
+
+    Returns (queries, masks, js, ks): the (j, k, cond) of `pairwise_queries`
+    in its order, and read-only integer arrays with each query's
+    `_mask(cond)`, j and k, so `table[masks, js, ks]` (or
+    `table[masks, js] >> ks`) decides every query in one fancy index.
+    Built once per node count and shared by `_separations`,
+    `sem.faithful_parameters` and `search.skeleton_recovery`.
+    """
+    queries = []
     for j, k in itertools.combinations(range(p), 2):
         rest = [x for x in range(p) if x != j and x != k]
         for r in range(len(rest) + 1):
-            for cond in itertools.combinations(rest, r):
-                yield j, k, cond
+            queries.extend((j, k, cond) for cond in itertools.combinations(rest, r))
+    index = np.array([(_mask(cond), j, k) for j, k, cond in queries], dtype=int).reshape(-1, 3).T.copy()
+    index.setflags(write=False)  # its rows are shared by every caller
+    return (tuple(queries), *index)
+
+
+def _separations(g: ChainGraph) -> np.ndarray:
+    """Whether each pairwise query of g is a separation, as a boolean vector in `_query_table` order.
+
+    One integer table, `reach[given, j]`, holds the bitmask of the nodes an
+    open route from j reaches given the node set `given` (`_route_ends`).
+    Only the entries the queries read are filled: j outside `given` with a
+    later node outside it, 129 searches at p=6 for the 240 queries, all
+    sharing one `_masks(g)`. Query (j, k, cond) is a separation when bit k
+    of `reach[_mask(cond), j]` is clear. Graphs over `graphs.CLASS_CAP`
+    (12) nodes, the one node-count limit of every exhaustive enumeration,
+    raise `CapacityError`.
+    """
+    if g.p > CLASS_CAP:
+        raise CapacityError(f"separation enumeration capped at p={CLASS_CAP}, got p={g.p}")
+    masks = _masks(g)
+    reach = np.zeros((1 << g.p, g.p), dtype=int)
+    for given in range(1 << g.p):
+        free = ~given & ((1 << g.p) - 1)
+        for j in range(g.p):
+            if free >> j & 1 and free >> (j + 1):
+                reach[given, j] = _route_ends(masks, 1 << j, given)
+    _queries, givens, js, ks = _query_table(g.p)
+    return (reach[givens, js] >> ks & 1) == 0
 
 
 def all_separations(g: ChainGraph) -> frozenset:
@@ -155,24 +211,9 @@ def all_separations(g: ChainGraph) -> frozenset:
 
     Pairwise queries suffice to pin down the represented independence model
     for the Gaussian use made of it here; set-valued queries remain
-    available through :func:`separated`. Queries that share j and C share
-    one reachability search from j, so each (node, conditioning set) with a
-    later node outside it is searched once: 129 `_route_ends` searches at
-    p=6 for the 240 queries, sharing one `_masks(g)`, so each union of
-    relatives over a node set is worked out once per call.
-    Graphs over `graphs.CLASS_CAP` (12) nodes, the one node-count limit of
-    every exhaustive enumeration, raise `CapacityError`.
+    available through :func:`separated`. The triples are the queries of
+    `pairwise_queries` that `_separations` marks; graphs over
+    `graphs.CLASS_CAP` (12) nodes raise `CapacityError`.
     """
-    if g.p > CLASS_CAP:
-        raise CapacityError(f"separation enumeration capped at p={CLASS_CAP}, got p={g.p}")
-    masks = _masks(g)
-    out = set()
-    for j in range(g.p):
-        others = [x for x in range(g.p) if x != j]
-        for r in range(len(others) + 1):
-            for cond in itertools.combinations(others, r):
-                later = [k for k in range(j + 1, g.p) if k not in cond]
-                if later:
-                    reached = _route_ends(masks, 1 << j, _mask(cond))
-                    out.update((j, k, cond) for k in later if not reached >> k & 1)
-    return frozenset(out)
+    separated_queries = _separations(g)  # checks the cap before the queries are listed
+    return frozenset(itertools.compress(pairwise_queries(g.p), separated_queries))

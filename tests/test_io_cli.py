@@ -20,13 +20,13 @@ from ampcg import (
     graph_from_dict,
     graph_to_dict,
     implied_distribution,
+    random_chain_graph,
     random_parameters,
     read_dataset,
     read_graph,
     read_parameters,
     run_experiment,
     sample,
-    separated,
     write_covariance,
     write_dataset,
     write_graph,
@@ -34,6 +34,8 @@ from ampcg import (
 )
 from ampcg import cli
 from ampcg.cli import main
+
+from .oracles import brute_force_separated
 
 
 class TestGraphJson:
@@ -197,19 +199,24 @@ class TestCli:
         assert any(line.startswith("X1,X2,,False") for line in lines[1:])
 
     def test_sep_enumerate_matches_single_queries(self, tmp_path, capsys, six_node_graph):
-        g = ChainGraph(6, six_node_graph.directed, six_node_graph.undirected, labels=tuple("abcdef"))
-        gpath = tmp_path / "g.json"
-        write_graph(g, gpath)
-        assert main(["sep", "--graph", str(gpath), "--enumerate"]) == 0
-        want = ["j,k,C,separated"]
-        for j, k in itertools.combinations(range(6), 2):
-            rest = [x for x in range(6) if x not in (j, k)]
-            for r in range(len(rest) + 1):
-                for cond in itertools.combinations(rest, r):
-                    q = SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))
-                    cell = ";".join("abcdef"[x] for x in cond)
-                    want.append(f"{'abcdef'[j]},{'abcdef'[k]},{cell},{separated(g, q)}")
-        assert capsys.readouterr().out == "\n".join(want) + "\n"
+        graphs = [
+            ChainGraph(6, six_node_graph.directed, six_node_graph.undirected, labels=tuple("abcdef")),
+            random_chain_graph(7, 0.4, 0.3, seed=7),
+            random_chain_graph(8, 0.4, 0.3, seed=8),
+        ]
+        for g in graphs:
+            gpath = tmp_path / "g.json"
+            write_graph(g, gpath)
+            assert main(["sep", "--graph", str(gpath), "--enumerate"]) == 0
+            want = ["j,k,C,separated"]
+            for j, k in itertools.combinations(range(g.p), 2):
+                rest = [x for x in range(g.p) if x not in (j, k)]
+                for r in range(len(rest) + 1):
+                    for cond in itertools.combinations(rest, r):
+                        q = SeparationQuery(frozenset({j}), frozenset({k}), frozenset(cond))
+                        cell = ";".join(g.node_label(x) for x in cond)
+                        want.append(f"{g.node_label(j)},{g.node_label(k)},{cell},{brute_force_separated(g, q)}")
+            assert capsys.readouterr().out == "\n".join(want) + "\n", g
 
     def test_sep_enumerate_capacity_error(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
@@ -265,6 +272,20 @@ class TestCli:
         opath = tmp_path / "learned.json"
         assert main(["learn", "--data", str(dpath), "--method", "greedy", "--out", str(opath)]) == 0
         assert read_graph(opath).p == 2
+
+    def test_learn_two_phase_flags_a_nonconverged_fit(self, tmp_path, capsys):
+        # the class representative's unconstrained fit stops at the round cap on these 15 rows
+        rng = np.random.default_rng([15, 75])
+        values = rng.normal(size=(15, 4)) @ (np.eye(4) + np.triu(3 * rng.normal(size=(4, 4)), 1))
+        dpath = tmp_path / "d.csv"
+        write_dataset(Dataset(values), dpath)
+        g = ChainGraph(3, directed={(1, 0)}, undirected={(0, 2)})
+        cpath = tmp_path / "c.json"
+        write_covariance(implied_distribution(random_parameters(g, seed=1)).cov, cpath)
+        for source, path, converged in (("--data", dpath, False), ("--population", cpath, True)):
+            out = tmp_path / "learned.json"
+            assert main(["learn", source, str(path), "--method", "two-phase", "--out", str(out)]) == 0
+            assert ("converged=False" in capsys.readouterr().out) is not converged
 
     def test_experiment_subcommand(self, tmp_path, capsys):
         out_dir = tmp_path / "exp"

@@ -25,13 +25,12 @@ from ampcg import (
     sample,
 )
 from ampcg.estimation import moment_matrix
+from ampcg.graphs import _mask
 from ampcg.sem import (
     _independences,
-    _mask,
     _off_pattern_dependence,
     _partial_correlation,
     _partial_correlations,
-    _query_table,
 )
 from ampcg.separation import pairwise_queries
 
@@ -180,6 +179,24 @@ class TestMarkovAndFaithfulness:
             for r in range(len(rest) + 1):
                 for cond in itertools.combinations(rest, r):
                     assert gaussian_ci(cov, j, k, cond) == ((j, k, cond) in seps)
+
+    @pytest.mark.parametrize(
+        "p, seed, draws, beta_sum, beta_abs_sum",
+        [  # recorded before the separations became a table read in query order
+            (6, 0, 1, 0.6280573103787841, 4.877967663524839),
+            (6, 1, 1, 1.1022717125857942, 4.101229671383181),
+            (8, 0, 1, 0.09889373598122653, 7.349411560285637),
+            (8, 1, 1, -0.6799001840361621, 5.883401568005137),
+            (12, 0, 1, -0.9647712898965496, 12.822058448596682),
+            (12, 1, 1, 3.2293316501409226, 10.821628110042242),
+        ],
+    )
+    def test_faithful_draws_pinned(self, p, seed, draws, beta_sum, beta_abs_sum):
+        # a separation vector out of query order would raise or redraw
+        params, got = faithful_parameters(random_chain_graph(p, 0.4, 0.3, seed=seed), seed=seed, sigma2=1.0)
+        assert got == draws
+        assert params.beta.sum() == pytest.approx(beta_sum, rel=1e-12, abs=1e-12)
+        assert np.abs(params.beta).sum() == pytest.approx(beta_abs_sum, rel=1e-12)
 
     def test_faithful_draw_above_six_nodes(self):
         g = random_chain_graph(8, 0.4, 0.3, seed=8)
@@ -338,14 +355,6 @@ class TestPartialCorrelationTable:
         yield moment_matrix(sample(dist, 50, seed=p), p)[0]  # a sample second moment
         yield 1e-11 * dist.cov  # the scale-free rule: no absolute tolerance anywhere
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
-    def test_query_table_indexes_every_pairwise_query(self, p):
-        queries, masks, js, ks = _query_table(p)
-        assert queries == tuple(pairwise_queries(p))
-        assert list(zip(masks.tolist(), js.tolist(), ks.tolist())) == [(_mask(c), j, k) for j, k, c in queries]
-        assert not any(a.flags.writeable for a in (masks, js, ks))  # shared by every caller
-        assert _query_table(p)[1] is masks
-
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_matches_single_queries(self, p):
         for cov in self._inputs(p):
@@ -392,14 +401,6 @@ class TestIndependenceTable:
         for n in (5, 50, 500):
             if n >= p:
                 yield moment_matrix(sample(dist, n, seed=[p, n]), p)[0], n
-
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
-    def test_query_table_indexes_every_pairwise_query(self, p):
-        queries, masks, js, ks = _query_table(p)
-        assert queries == tuple(pairwise_queries(p))
-        assert list(zip(masks.tolist(), js.tolist(), ks.tolist())) == [(_mask(c), j, k) for j, k, c in queries]
-        assert not any(a.flags.writeable for a in (masks, js, ks))  # shared by every caller
-        assert _query_table(p)[1] is masks
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_matches_single_queries(self, p):

@@ -19,6 +19,8 @@ from ampcg import (
     separated_magnified,
     separation,
 )
+from ampcg.graphs import _mask
+from ampcg.separation import pairwise_queries
 
 from .conftest import chain_graphs
 from .oracles import brute_force_separated, enumerate_chain_graphs, literal_route_separated
@@ -38,6 +40,17 @@ def _separated_triples(g):
         for q in _singleton_queries(g.p)
         if separated(g, q)
     }
+
+
+class TestQueryTable:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_query_table_indexes_every_pairwise_query(self, p):
+        queries, masks, js, ks = separation._query_table(p)
+        assert queries == tuple((min(q.a), min(q.b), tuple(sorted(q.c))) for q in _singleton_queries(p))
+        assert pairwise_queries(p) is queries
+        assert list(zip(masks.tolist(), js.tolist(), ks.tolist())) == [(_mask(c), j, k) for j, k, c in queries]
+        assert not any(a.flags.writeable for a in (masks, js, ks))  # shared by every caller
+        assert separation._query_table(p)[1] is masks
 
 
 class TestQueryValidation:
