@@ -35,6 +35,7 @@ from ampcg.sem import (
 from ampcg.separation import pairwise_queries
 
 from .conftest import chain_graphs
+from .test_separation import TestQueryTable as _QueryTableOrder
 
 
 class TestTypes:
@@ -343,7 +344,9 @@ class TestGaussianCi:
         assert not gaussian_ci(cov, 0, 2)
 
 
-class TestPartialCorrelationTable:
+class TestPartialCorrelationTable(_QueryTableOrder):
+    # inherits the query-table check: the table is read in separation._query_table order
+
     @staticmethod
     def _inputs(p: int):
         rng = np.random.default_rng(p)
@@ -374,7 +377,9 @@ class TestPartialCorrelationTable:
                 assert np.isnan(table[mask, j, k]) == bool(conditioned)
 
 
-class TestIndependenceTable:
+class TestIndependenceTable(_QueryTableOrder):
+    # inherits the query-table check: the decisions are read in separation._query_table order
+
     @staticmethod
     def _decision(table, n, j, k, cond) -> bool:
         # one query at a time: |r| < 1e-8 on a covariance, a two-sided
