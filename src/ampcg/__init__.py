@@ -18,10 +18,8 @@ from .estimation import (
     ComponentFit,
     EqualVarianceScorer,
     FitResult,
-    IpfResult,
     fit,
     fit_component,
-    fit_score,
     gaussian_average_loglik,
     ipf,
     moment_matrix,

@@ -25,11 +25,11 @@ from .graphs import (
     random_chain_graph,
 )
 from .io import (
+    _read_labelled_covariance,
     _write_json,
     graph_hash,
     graph_to_dict,
     parameters_to_dict,
-    read_covariance,
     read_dataset,
     read_graph,
     write_dataset,
@@ -71,14 +71,32 @@ def _parse_nodes(arg: str | None, g: ChainGraph) -> frozenset:
     return frozenset(out)
 
 
-def _load_input(args):
+def _load_input(args, g: ChainGraph | None = None):
+    """The --data or --population input; with a graph g, its columns must not be g's nodes reordered.
+
+    Columns are matched to nodes by position. Labels that are g's node
+    labels in another order would fit each column to the wrong node, so
+    they raise ValueError naming the first column out of place; any other
+    labels keep positional matching.
+    """
     if getattr(args, "data", None) and getattr(args, "population", None):
         raise ValueError("give either --data or --population, not both")
     if getattr(args, "data", None):
-        return read_dataset(args.data)
-    if getattr(args, "population", None):
-        return read_covariance(args.population)
-    raise ValueError("one of --data or --population is required")
+        data_or_cov = read_dataset(args.data)
+        labels = data_or_cov.labels
+    elif getattr(args, "population", None):
+        data_or_cov, labels = _read_labelled_covariance(args.population)
+    else:
+        raise ValueError("one of --data or --population is required")
+    if g is not None and labels is not None:
+        nodes = tuple(g.node_label(j) for j in range(g.p))
+        if labels != nodes and sorted(labels) == sorted(nodes):
+            j = next(j for j, (label, node) in enumerate(zip(labels, nodes)) if label != node)
+            raise ValueError(
+                f"column {labels[j]} stands where the graph has node {nodes[j]}: the input's labels are "
+                "the graph's in another order; reorder its columns to match the graph"
+            )
+    return data_or_cov
 
 
 def _cmd_generate(args) -> int:
@@ -128,8 +146,7 @@ def _cmd_magnify(args) -> int:
 
 def _cmd_fit(args) -> int:
     g = read_graph(args.graph)
-    data_or_cov = _load_input(args)
-    result = fit(data_or_cov, g, equal_variances=args.equal_var)
+    result = fit(_load_input(args, g), g, equal_variances=args.equal_var)
     payload = {
         "params": parameters_to_dict(result.params),
         "loglik": result.loglik,
@@ -146,26 +163,25 @@ def _cmd_fit(args) -> int:
 
 def _cmd_identify(args) -> int:
     rep = read_graph(args.class_rep)
-    result = identify_in_class(rep, _load_input(args))
-    converged = result.table[0].converged  # all rows share the flag of the covariance they are read off
+    result = identify_in_class(rep, _load_input(args, rep))
     payload = {
         "chosen": graph_to_dict(result.chosen),
         "class_size": result.class_size,
         "margin": result.margin,
-        "converged": converged,
+        "converged": result.converged,
         "table": [
             {
                 "graph": graph_to_dict(row.graph),
                 "dispersion": row.dispersion,
                 "gap": row.gap,
-                "loglik": row.loglik,
-                "converged": row.converged,
+                "loglik": result.loglik,
+                "converged": result.converged,
             }
             for row in result.table
         ],
     }
     _write_json(payload, args.out)
-    flag = "" if converged else " converged=False"
+    flag = "" if result.converged else " converged=False"
     print(f"chosen {graph_hash(result.chosen)} margin={result.margin:.6g}{flag} -> {args.out}")
     return 0
 
@@ -175,8 +191,8 @@ def _cmd_learn(args) -> int:
     if args.method == "greedy":
         g, flag = greedy_search(data_or_cov, SearchConfig(seed=args.seed)), ""
     else:
-        result = two_phase(data_or_cov)  # every row carries the representative fit's flag, as in identify
-        g, flag = result.chosen, "" if result.table[0].converged else " converged=False"
+        result = two_phase(data_or_cov)
+        g, flag = result.chosen, "" if result.converged else " converged=False"
     write_graph(g, args.out)
     print(f"learned {graph_hash(g)}{flag} -> {args.out}")
     return 0

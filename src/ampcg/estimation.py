@@ -14,12 +14,16 @@ least squares on the first round), then one sweep of iterative
 proportional fitting (IPF) of the regression-residual moment to the
 component's undirected structure, until the parameters stop moving. The
 loop runs on the correlation scale and scales its result back, and `ipf`
-is that loop on a component without predictors.
+is that loop on a component without predictors, returning the loop's own
+`ComponentFit`.
 Inputs may be a dataset or a covariance matrix directly; feeding the exact
 population covariance separates statistical error from algorithmic error.
 Each input is validated once, by `moment_matrix`, at the public entry
 point, under `sem`'s scale-free rule for a valid covariance; the fit core
-works on the validated second moment.
+works on the validated second moment. A `FitResult` states each fact
+once: its implied covariance `cov`, which `search.identify_in_class` reads
+as the covariance of the whole class on data, and the `loglik` of that
+covariance against the input.
 
 The equal-error-variance mode computes the exact equality-constrained
 maximum likelihood. Every component's error covariance is written as
@@ -58,29 +62,20 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .graphs import ChainGraph, _blocks, chain_components
+from .graphs import ChainGraph, _blocks, _default_label, chain_components
 from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
 
 __all__ = [
     "ComponentFit",
     "EqualVarianceScorer",
     "FitResult",
-    "IpfResult",
     "fit",
     "fit_component",
-    "fit_score",
     "gaussian_average_loglik",
     "ipf",
     "moment_matrix",
     "penalized_score",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class IpfResult:
-    sigma: np.ndarray
-    iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +91,7 @@ class ComponentFit:
 @dataclass(frozen=True, eq=False)
 class FitResult:
     params: SemParameters
+    cov: np.ndarray  # the implied covariance of params, at which loglik is evaluated
     loglik: float
     error_variances: np.ndarray
     iterations: int
@@ -121,7 +117,7 @@ def moment_matrix(data_or_cov, p: int) -> tuple[np.ndarray, int | None]:
     if data_or_cov.p != p:
         raise ValueError(f"dataset has {data_or_cov.p} columns, graph has {p} nodes")
     v = data_or_cov.values
-    names = data_or_cov.labels or tuple(f"X{j + 1}" for j in range(p))
+    names = data_or_cov.labels or tuple(map(_default_label, range(p)))
     constant = np.flatnonzero(~(v != v[0]).any(axis=0))
     if constant.size:
         raise ValueError(f"column {names[constant[0]]} is constant")
@@ -171,7 +167,7 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old))) / max(1.0, float(np.max(np.abs(old))))
 
 
-def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
+def ipf(s, pattern: Iterable[tuple]) -> ComponentFit:
     """Covariance MLE under a concentration zero pattern, by clique scaling.
 
     `pattern` lists the allowed off-diagonal pairs (the undirected edges of
@@ -186,18 +182,19 @@ def ipf(s, pattern: Iterable[tuple]) -> IpfResult:
     The sweeps run on the correlation matrix of `s` and the result is
     scaled back, so rescaling the nodes rescales the fit alike. Sweeps stop
     once the fitted correlation matrix moves by less than a relative 1e-9,
-    or after 500 sweeps. No library path calls it; `fit` runs the same loop
-    directly. `s` must pass `sem`'s covariance rule (`_valid_covariance`):
-    a node that is a linear combination of the nodes before it raises
-    `np.linalg.LinAlgError` naming it, any other fault ValueError.
+    or after 500 sweeps. The result is the loop's own `ComponentFit`, with
+    nodes 0..m-1, no predictors and `iterations` counting the sweeps. No
+    library path calls it; `fit` runs the same loop directly. `s` must pass
+    `sem`'s covariance rule (`_valid_covariance`): a node that is a linear
+    combination of the nodes before it raises `np.linalg.LinAlgError`
+    naming it, any other fault ValueError.
     """
     s = _valid_covariance(s, "ipf input", singular=np.linalg.LinAlgError)
     m = s.shape[0]
     edges = frozenset((min(a, b), max(a, b)) for a, b in pattern)
     if not all(0 <= a < b < m for a, b in edges):
         raise ValueError(f"ipf pattern pairs must join two distinct nodes among 0..{m - 1}")
-    res = _alternating_fit(_component(s, ((),) * m, edges, frozenset(range(m))))
-    return IpfResult(sigma=res.sigma, iterations=res.iterations, converged=res.converged)
+    return _alternating_fit(_component(s, ((),) * m, edges, frozenset(range(m))))
 
 
 class _OneEdge(NamedTuple):
@@ -666,13 +663,11 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     in closed form; a closed-form correlation within rounding of +-1 leaves
     no positive-definite fit and raises `np.linalg.LinAlgError` naming the
     two nodes. Either way iterations are zero when every component is a
-    singleton. The loops' caps and tolerance are fixed, not settable.
+    singleton. The loops' caps and tolerance are fixed, not settable. The
+    result carries the fit's implied covariance `cov`, at which `loglik`
+    is evaluated against the input's second moment.
     """
-    return _fit_implied(moment_matrix(data_or_cov, g.p)[0], g, equal_variances)[0]
-
-
-def _fit_implied(s: np.ndarray, g: ChainGraph, equal_variances: bool = False) -> tuple[FitResult, np.ndarray]:
-    """(`fit` of g on the validated second moment s, the fit's implied covariance), built and validated once."""
+    s = moment_matrix(data_or_cov, g.p)[0]
     singles, multi = _split(s, g._parents, g.undirected, chain_components(g))
     beta = np.zeros((g.p, g.p))
     sigma = np.zeros((g.p, g.p))
@@ -707,26 +702,15 @@ def _fit_implied(s: np.ndarray, g: ChainGraph, equal_variances: bool = False) ->
     params = SemParameters(graph=g, beta=beta, sigma=sigma)
     cov = implied_distribution(params).cov
     variances = np.diag(sigma).copy()
-    spread = float(np.max(np.log(variances)) - np.min(np.log(variances)))
-    result = FitResult(
+    return FitResult(
         params=params,
+        cov=cov,
         loglik=gaussian_average_loglik(cov, s),
         error_variances=variances,
         iterations=max((piece.iterations for piece in pieces), default=0),
         converged=all(piece.converged for piece in pieces),
-        dispersion=spread,
+        dispersion=float(np.max(np.log(variances)) - np.min(np.log(variances))),
     )
-    return result, cov
-
-
-def fit_score(loglik: float, g: ChainGraph, n_eff: float, equal_variances: bool) -> float:
-    """Penalized log-likelihood score of g at average log-likelihood `loglik`; higher is better.
-
-    score = n_eff * loglik - (k / 2) * log(n_eff), with k counting every
-    edge plus one shared error variance for an equal-variance fit, or every
-    edge plus p free variances otherwise.
-    """
-    return _bic(loglik, len(g.directed) + len(g.undirected) + (1 if equal_variances else g.p), n_eff)
 
 
 def _bic(loglik: float, k: int, n_eff: float) -> float:
@@ -745,11 +729,13 @@ def penalized_score(
     n_eff: float | None = None,
     equal_variances: bool = False,
 ) -> float:
-    """`fit_score` of g's fit; dataset input supplies n_eff by default.
+    """Penalized log-likelihood score of g's fit; higher is better. Dataset input supplies n_eff by default.
 
-    No search calls it: it is kept as the fit-based reference that
-    `EqualVarianceScorer` is tested against, and `perfbench`'s tracer
-    traces it by this name.
+    score = n_eff * loglik - (k / 2) * log(n_eff) (`_bic`), with k counting
+    every edge plus one shared error variance for an equal-variance fit, or
+    every edge plus p free variances otherwise. No search calls it: it is
+    kept as the fit-based reference that `EqualVarianceScorer` is tested
+    against, and `perfbench`'s tracer traces it by this name.
     """
     if isinstance(data_or_cov, Dataset):
         n_eff = data_or_cov.n if n_eff is None else n_eff
@@ -757,7 +743,8 @@ def penalized_score(
         raise ValueError("covariance input requires an explicit n_eff")
     if n_eff <= 1:
         raise ValueError("n_eff must exceed 1")
-    return fit_score(fit(data_or_cov, g, equal_variances).loglik, g, n_eff, equal_variances)
+    k = len(g.directed) + len(g.undirected) + (1 if equal_variances else g.p)
+    return _bic(fit(data_or_cov, g, equal_variances).loglik, k, n_eff)
 
 
 class EqualVarianceScorer:
@@ -780,8 +767,8 @@ class EqualVarianceScorer:
         -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2
     at the optimum, the same value `fit(..., equal_variances=True)` reaches.
 
-    `score` adds the `fit_score` penalty at `n_eff`, the sample size for a
-    dataset and `_POPULATION_N_EFF` for a covariance, and keeps each
+    `score` adds the `penalized_score` penalty at `n_eff`, the sample size
+    for a dataset and `_POPULATION_N_EFF` for a covariance, and keeps each
     state's result, so a search asks for a state as often as it likes.
     `bound` gives, in closed form and with no solve, a score no fit of the
     state can exceed: the maximum of a relaxed model that contains the

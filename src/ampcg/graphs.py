@@ -51,6 +51,11 @@ RELATIVE_KINDS = ("parents", "descendants", "non_descendants", "adjacents")
 CLASS_CAP = 12  # largest node count of every exhaustive enumeration: classes, separations, CI sweeps
 
 
+def _default_label(j: int) -> str:
+    """The label of node j in a graph or dataset without labels: X1, X2, ..."""
+    return f"X{j + 1}"
+
+
 class GraphStructureError(ValueError):
     """A candidate graph is malformed: bad index, self-loop or duplicate edge."""
 
@@ -196,7 +201,7 @@ class ChainGraph:
         return None
 
     def node_label(self, j: int) -> str:
-        return self.labels[j] if self.labels is not None else f"X{j + 1}"
+        return self.labels[j] if self.labels is not None else _default_label(j)
 
     def n_edges(self) -> int:
         return len(self.directed) + len(self.undirected)
@@ -406,7 +411,7 @@ def magnify(g: ChainGraph) -> MagnifiedGraph:
     directed.update((p + j, j) for j in range(p))
     undirected = {(p + j, p + k) for j, k in g.undirected}
     if g.labels is None:
-        labels = tuple(f"X{j + 1}" for j in range(p)) + tuple(f"N{j + 1}" for j in range(p))
+        labels = tuple(map(_default_label, range(p))) + tuple(f"N{j + 1}" for j in range(p))
     else:
         labels = g.labels + tuple(f"N_{x}" for x in g.labels)
     base = ChainGraph(2 * p, frozenset(directed), frozenset(undirected), labels=labels)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import ChainGraph, _require_chain_graph
+from .graphs import ChainGraph, _default_label, _require_chain_graph
 from .sem import Dataset, SemParameters
 
 __all__ = [
@@ -117,13 +117,23 @@ def write_parameters(params: SemParameters, path) -> None:
 
 
 def read_covariance(path) -> np.ndarray:
+    return _read_labelled_covariance(path)[0]
+
+
+def _read_labelled_covariance(path) -> tuple[np.ndarray, tuple | None]:
+    """(covariance, its labels or None) of a covariance file; the labels name the rows in order."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     _require_keys(payload, {"cov"}, {"labels"}, "covariance")
     cov = np.asarray(payload["cov"], dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"cov must be square, got shape {cov.shape}")
-    return cov
+    labels = payload.get("labels")
+    if labels is None:
+        return cov, None
+    if len(labels) != len(cov):
+        raise ValueError(f"covariance has {len(labels)} labels for {len(cov)} rows")
+    return cov, tuple(str(x) for x in labels)
 
 
 def write_covariance(cov: np.ndarray, path, labels=None) -> None:
@@ -134,23 +144,43 @@ def write_covariance(cov: np.ndarray, path, labels=None) -> None:
 
 
 def read_dataset(path) -> Dataset:
+    """The dataset of a CSV file: a header of column labels, then one sample per non-empty row.
+
+    A row whose width differs from the header's, or a cell that is not a
+    number, raises ValueError naming the column label and the data row
+    (1 for the first sample); so does a non-finite number (see `Dataset`).
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             labels = next(reader)
         except StopIteration:
             raise ValueError("dataset file is empty") from None
-        rows = [[float(x) for x in row] for row in reader if row]
+        if not labels:
+            raise ValueError("dataset header names no columns")
+        rows = [_sample_row(row, labels, i) for i, row in enumerate(filter(None, reader), start=1)]
     if not rows:
         raise ValueError("dataset has a header but no samples")
-    values = np.asarray(rows, dtype=float)
-    if values.shape[1] != len(labels):
-        raise ValueError("row width disagrees with the header")
-    return Dataset(values=values, labels=tuple(labels))
+    return Dataset(values=np.asarray(rows, dtype=float), labels=tuple(labels))
+
+
+def _sample_row(row: list, labels: list, i: int) -> list:
+    """The numbers of data row i, or ValueError naming the column that does not hold one."""
+    if len(row) < len(labels):
+        raise ValueError(f"data row {i} ends before column {labels[len(row)]}: {len(row)} of {len(labels)} entries")
+    if len(row) > len(labels):
+        raise ValueError(f"data row {i} has {len(row)} entries, past the header's last column {labels[-1]}")
+    values = []
+    for label, cell in zip(labels, row):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"column {label}, data row {i}: {cell!r} is not a number") from None
+    return values
 
 
 def write_dataset(data: Dataset, path) -> None:
-    labels = data.labels or tuple(f"X{j + 1}" for j in range(data.p))
+    labels = data.labels or tuple(map(_default_label, range(data.p)))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)

@@ -5,12 +5,12 @@ and full greedy hill climbing over chain-graph space guided by the
 equal-variance penalized score. Markov-equivalent members share one model,
 so identification reads the whole class off one covariance: a population
 covariance itself, once `_check_population` has found it reproducible by
-the class's model, or on data the implied covariance of one unconstrained
-`fit` of the representative. Each member's error variances are its nodes'
-residual variances given their parents on that covariance, from
-`estimation._regression`, the one least-squares regression the library
-has: each (node, parent set) is solved once per call, shared by the
-members and the population check. The member whose variances are
+the class's model, or on data the implied covariance `cov` of one
+unconstrained `fit` of the representative. Each member's error variances
+are its nodes' residual variances given their parents on that covariance,
+from `estimation._regression`, the one least-squares regression the
+library has: each (node, parent set) is solved once per call, shared by
+the members and the population check. The member whose variances are
 flattest wins; no equal-variance fit runs. Greedy
 search reads the input only through one `EqualVarianceScorer`, which
 validates it once, builds each chain component once for every graph that
@@ -43,7 +43,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .estimation import EqualVarianceScorer, _fit_implied, _regression, gaussian_average_loglik, moment_matrix
+from .estimation import EqualVarianceScorer, _regression, fit, gaussian_average_loglik, moment_matrix
 from .graphs import (
     CLASS_CAP,
     CapacityError,
@@ -89,8 +89,6 @@ class MemberFit:
     graph: ChainGraph
     dispersion: float
     gap: float
-    loglik: float
-    converged: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +97,8 @@ class IdentifyResult:
     class_size: int
     table: tuple
     margin: float
+    loglik: float
+    converged: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,17 +131,18 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     (zero only for the generating graph under equal error variances); on a
     dataset the smallest `gap` wins. Ties break toward fewer directed edges,
     then `canonical_key` (`_rank`), and `margin` is the runner-up's
-    statistic minus the winner's. Every row's `loglik` and `converged` are
-    Σ̂'s: the input's own maximum and True on a covariance, the
-    representative fit's on a dataset. The input is validated once, and no
-    equal-variance fit runs. Classes are enumerated up to 12 nodes; beyond
-    that `CapacityError` is raised.
+    statistic minus the winner's. The result's `loglik` and `converged`
+    are Σ̂'s, which every member shares: the input's own maximum and True
+    on a covariance, the representative fit's on a dataset, read off that
+    one `FitResult` with Σ̂ its `cov`. The input is validated once, by
+    `fit` or `moment_matrix`, and no equal-variance fit runs. Classes are
+    enumerated up to 12 nodes; beyond that `CapacityError` is raised.
     """
     members = equivalence_class(class_rep)
     regressions: dict = {}
     if isinstance(data_or_cov, Dataset):
-        rep_fit, s = _fit_implied(moment_matrix(data_or_cov, class_rep.p)[0], class_rep)
-        loglik, converged, statistic = rep_fit.loglik, rep_fit.converged, attrgetter("gap")
+        rep_fit = fit(data_or_cov, class_rep)
+        s, loglik, converged, statistic = rep_fit.cov, rep_fit.loglik, rep_fit.converged, attrgetter("gap")
     else:
         s = moment_matrix(data_or_cov, class_rep.p)[0]
         _check_population(s, class_rep, regressions)
@@ -151,7 +152,7 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
         v = np.array([_regression(s, node, into, regressions)[1] for node, into in enumerate(member._parents)])
         logs = np.log(v)
         gap = float(np.log(v.mean()) - logs.mean())
-        rows.append(MemberFit(member, float(logs.max() - logs.min()), gap, loglik, converged))
+        rows.append(MemberFit(member, float(logs.max() - logs.min()), gap))
     rows.sort(key=lambda r: (statistic(r), *_rank(r.graph._parents, r.graph.undirected)))
     margin = math.inf if len(rows) == 1 else statistic(rows[1]) - statistic(rows[0])
     return IdentifyResult(
@@ -159,6 +160,8 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
         class_size=len(members),
         table=tuple(rows),
         margin=float(margin),
+        loglik=loglik,
+        converged=converged,
     )
 
 

@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import ChainGraph, _require_chain_graph, chain_components
+from .graphs import ChainGraph, _default_label, _require_chain_graph, chain_components
 from .separation import _query_table, _separations
 
 __all__ = [
@@ -149,7 +149,11 @@ class GaussianDistribution:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """n samples of p variables; column j holds node j."""
+    """n samples of p variables; column j holds node j.
+
+    A non-finite entry raises ValueError naming its column label (`X1`,
+    `X2`, ... without labels) and its data row, 1 for the first sample.
+    """
 
     values: np.ndarray
     labels: tuple | None = field(default=None)
@@ -160,14 +164,16 @@ class Dataset:
             raise ValueError(f"values must be 2-D, got shape {values.shape}")
         if values.shape[0] < 1:
             raise ValueError("a dataset needs at least one row")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("dataset contains non-finite entries")
         object.__setattr__(self, "values", values)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != values.shape[1]:
                 raise ValueError("one label per column required")
             object.__setattr__(self, "labels", labels)
+        if not np.all(np.isfinite(values)):
+            i, j = np.argwhere(~np.isfinite(values))[0]
+            label = self.labels[j] if self.labels is not None else _default_label(j)
+            raise ValueError(f"dataset has a non-finite entry {values[i, j]} in column {label}, data row {i + 1}")
 
     @property
     def n(self) -> int:

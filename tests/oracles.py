@@ -10,12 +10,13 @@ rule itself from raw edge sets. `enumerate_chain_graphs`, which lists every chai
 few nodes for the exhaustive tests, filters its candidates with the
 library's `is_chain_graph`. `greedy_full_scan` is greedy search without
 its bounds: it shares the library's scorer, moves and tie-break and vets
-only the pruning.
+only the pruning. `equal_variance_bic` writes the equal-variance score out.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy import optimize
@@ -374,6 +375,11 @@ def brute_force_separated(g: ChainGraph, q: SeparationQuery, max_len: int | None
         seen_layers.add(key)
         layer = nxt
     return True
+
+
+def equal_variance_bic(loglik: float, g: ChainGraph, n_eff: float) -> float:
+    """n_eff * loglik - (k / 2) log(n_eff), with k every edge of g plus the one shared error variance."""
+    return n_eff * loglik - 0.5 * (len(g.directed) + len(g.undirected) + 1) * math.log(n_eff)
 
 
 def greedy_full_scan(data_or_cov, cfg: search.SearchConfig | None = None) -> ChainGraph:

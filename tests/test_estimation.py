@@ -16,7 +16,6 @@ from ampcg import (
     estimation,
     fit,
     fit_component,
-    fit_score,
     gaussian_average_loglik,
     implied_distribution,
     ipf,
@@ -31,6 +30,7 @@ from ampcg import (
 from .conftest import chain_graphs
 from .oracles import (
     enumerate_chain_graphs,
+    equal_variance_bic,
     ggm_mle_numeric,
     one_edge_equal_variance_numeric,
     sem_equal_variance_mle_numeric,
@@ -252,6 +252,14 @@ class TestFit:
         assert result.dispersion < 1e-6
         # entropy-implied maximum
         assert abs(result.loglik - gaussian_average_loglik(cov, cov)) < 1e-9
+
+    def test_cov_is_the_implied_covariance_of_the_params(self, six_node_graph):
+        params = rescale_equal_variances(random_parameters(six_node_graph, seed=2), 1.0)
+        data = sample(implied_distribution(params), 300, seed=3)
+        for equal_variances in (False, True):
+            result = fit(data, six_node_graph, equal_variances=equal_variances)
+            assert np.array_equal(result.cov, implied_distribution(result.params).cov)
+            assert result.loglik == gaussian_average_loglik(result.cov, moment_matrix(data, 6)[0])
 
     def test_wrong_member_hand_values(self):
         cov = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -547,7 +555,7 @@ class TestEqualVarianceScorer:
     def _assert_matches_penalized_score(data_or_cov, graphs, n_eff):
         scorer = EqualVarianceScorer(data_or_cov, graphs[0].p)
         for g in graphs:
-            ours = fit_score(scorer.loglik(g)[0], g, n_eff, equal_variances=True)
+            ours = equal_variance_bic(scorer.loglik(g)[0], g, n_eff)
             reference = penalized_score(data_or_cov, g, n_eff=n_eff, equal_variances=True)
             assert abs(ours - reference) <= 1e-9 * abs(reference), g
 
@@ -612,7 +620,7 @@ class TestEqualVarianceScorer:
             for g in enumerate_chain_graphs(4):
                 loglik, converged = scorer.loglik(g)
                 score = scorer.score(g._parents, g.undirected)
-                assert score == (fit_score(loglik, g, n_eff, equal_variances=True), loglik, converged)
+                assert score == (equal_variance_bic(loglik, g, n_eff), loglik, converged)
             graphs = scorer.graphs
             assert scorer.score(g._parents, g.undirected) == score and scorer.graphs == graphs  # kept per state
 

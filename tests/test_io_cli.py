@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,9 +23,11 @@ from ampcg import (
     implied_distribution,
     random_chain_graph,
     random_parameters,
+    read_covariance,
     read_dataset,
     read_graph,
     read_parameters,
+    rescale_equal_variances,
     run_experiment,
     sample,
     write_covariance,
@@ -36,6 +39,31 @@ from ampcg import cli
 from ampcg.cli import main
 
 from .oracles import brute_force_separated
+
+# `ampcg` runs on the six-node fixture, by name; their output is pinned in data/six_node_cli.json
+_SIX_NODE_RUNS = {
+    "identify-population": ["identify", "--class-rep", "g.json", "--population", "c.json"],
+    "identify-data": ["identify", "--class-rep", "g.json", "--data", "d.csv"],
+    "fit": ["fit", "--graph", "g.json", "--data", "d.csv"],
+    "fit-equal-var": ["fit", "--graph", "g.json", "--data", "d.csv", "--equal-var"],
+    "learn-two-phase": ["learn", "--data", "d.csv", "--method", "two-phase"],
+}
+
+
+def _assert_close(got, want, where="") -> None:
+    """got equals want, floats to a relative 1e-9, everything else exactly."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (where, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_close(a, b, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
 
 
 class TestGraphJson:
@@ -96,6 +124,20 @@ class TestOtherFormats:
         assert back.graph == six_node_graph
         assert np.allclose(back.beta, params.beta)
         assert np.allclose(back.sigma, params.sigma)
+
+    def test_covariance_labels_are_read_and_must_name_every_row(self, tmp_path):
+        path = tmp_path / "c.json"
+        write_covariance(np.eye(2), path, labels=("a", "b"))
+        assert np.array_equal(read_covariance(path), np.eye(2))
+        path.write_text(json.dumps({"cov": np.eye(2).tolist(), "labels": ["a"]}))
+        with pytest.raises(ValueError, match="covariance has 1 labels for 2 rows"):
+            read_covariance(path)
+
+    def test_dataset_names_a_non_finite_entry_by_its_default_label(self):
+        values = np.ones((3, 2))
+        values[2, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite entry inf in column X2, data row 3"):
+            Dataset(values)
 
     def test_empty_dataset_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -260,6 +302,65 @@ class TestCli:
             assert main(["fit", "--graph", str(gpath), source, str(path), "--out", str(out)]) == 0
             assert json.loads(out.read_text())["converged"] is converged
             assert ("converged=False" in capsys.readouterr().out) is not converged
+
+    def test_six_node_outputs_are_pinned(self, tmp_path, monkeypatch, capsys, six_node_graph):
+        params = rescale_equal_variances(random_parameters(six_node_graph, seed=31), 1.0)
+        monkeypatch.chdir(tmp_path)
+        write_graph(six_node_graph, "g.json")
+        write_covariance(implied_distribution(params).cov, "c.json")
+        write_dataset(sample(implied_distribution(params), 400, seed=32), "d.csv")
+        pinned = json.loads((Path(__file__).parent / "data" / "six_node_cli.json").read_text())
+        assert sorted(pinned) == sorted(_SIX_NODE_RUNS)
+        for name, argv in _SIX_NODE_RUNS.items():
+            out = f"{name}.json"
+            assert main([*argv, "--out", out]) == 0, name
+            assert capsys.readouterr().out.replace(out, "<out>") == pinned[name]["stdout"], name
+            _assert_close(json.loads(Path(out).read_text()), pinned[name]["json"], name)
+
+    @pytest.mark.parametrize("command", ["fit", "identify"])
+    @pytest.mark.parametrize("source", ["--data", "--population"])
+    def test_input_labels_in_another_order_are_input_error(self, tmp_path, capsys, command, source):
+        g = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})  # X1 -> X2 - X3
+        params = rescale_equal_variances(random_parameters(g, seed=4), 1.0)
+        swap = [1, 0, 2]
+        dist = implied_distribution(params)
+        gpath, path, out = tmp_path / "g.json", tmp_path / "input", tmp_path / "out.json"
+        write_graph(g, gpath)
+        if source == "--data":
+            data = sample(dist, 200, seed=5)
+            write_dataset(Dataset(data.values[:, swap], labels=("X2", "X1", "X3")), path)
+        else:
+            write_covariance(dist.cov[np.ix_(swap, swap)], path, labels=("X2", "X1", "X3"))
+        flag = "--graph" if command == "fit" else "--class-rep"
+        assert main([command, flag, str(gpath), source, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error input_error: column X2 stands where the graph has node X1")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        # in the graph's order the same input runs
+        if source == "--data":
+            write_dataset(Dataset(data.values, labels=("X1", "X2", "X3")), path)
+        else:
+            write_covariance(dist.cov, path, labels=("X1", "X2", "X3"))
+        assert main([command, flag, str(gpath), source, str(path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (("1.0", "nan", "2.0"), "error input_error: dataset has a non-finite entry nan in column b, data row 2"),
+            (("1.0", "abc", "2.0"), "error input_error: column b, data row 2: 'abc' is not a number"),
+            (("1.0", "2.0"), "error input_error: data row 2 ends before column c"),
+        ],
+        ids=["nan", "not-a-number", "short-row"],
+    )
+    def test_dataset_fault_names_the_cell(self, tmp_path, capsys, cells, message):
+        dpath, gpath, out = tmp_path / "d.csv", tmp_path / "g.json", tmp_path / "f.json"
+        dpath.write_text("a,b,c\n0.5,1.5,-1.0\n" + ",".join(cells) + "\n3.0,1.0,2.0\n")
+        write_graph(ChainGraph(3, directed={(0, 1)}), gpath)
+        assert main(["fit", "--graph", str(gpath), "--data", str(dpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
 
     def test_learn_greedy(self, tmp_path):
         truth = ChainGraph(2, directed={(0, 1)})

@@ -19,7 +19,6 @@ from ampcg import (
     estimation,
     faithful_parameters,
     fit,
-    fit_score,
     greedy_search,
     identify_in_class,
     implied_distribution,
@@ -40,7 +39,7 @@ from ampcg.graphs import Triplex, _cycle_through, _mask, orientations
 from ampcg.separation import pairwise_queries
 
 from .conftest import chain_graphs
-from .oracles import enumerate_chain_graphs, greedy_full_scan
+from .oracles import enumerate_chain_graphs, equal_variance_bic, greedy_full_scan
 
 # Recorded before greedy scoring kept per-component records: (truth, greedy_search with 2 restarts
 # at n=2000, identify_in_class at n=1000) on seeded p=4 problems, as "a>b" arrows and "a-b" edges.
@@ -180,11 +179,12 @@ class TestIdentifyInClass:
             g = random_chain_graph(2 + trial % 5, 0.5, 0.5, seed=trial + 7_000)
             params = rescale_equal_variances(random_parameters(g, seed=trial + 1), 1.0)
             cov = implied_distribution(params).cov
-            for row in identify_in_class(g, cov).table:
+            result = identify_in_class(g, cov)
+            assert result.converged
+            for row in result.table:
                 reference = fit(cov, row.graph)
                 assert abs(row.dispersion - reference.dispersion) < 1e-9
-                assert abs(row.loglik - reference.loglik) < 1e-9
-                assert row.converged
+                assert abs(result.loglik - reference.loglik) < 1e-9
                 members += 1
         assert members > 60
 
@@ -247,11 +247,12 @@ class TestIdentifyInClass:
             params = rescale_equal_variances(random_parameters(g, seed=trial + 1), 1.0)
             data = sample(implied_distribution(params), 500, seed=trial + 2)
             rep = fit(data, g)
-            for row in identify_in_class(g, data).table:
+            result = identify_in_class(g, data)
+            assert result.loglik == rep.loglik and result.converged == rep.converged
+            for row in result.table:
                 reference = fit(data, row.graph)
                 assert abs(row.dispersion - reference.dispersion) < 1e-9
-                assert row.loglik == rep.loglik and abs(row.loglik - reference.loglik) < 1e-9
-                assert row.converged == rep.converged
+                assert abs(result.loglik - reference.loglik) < 1e-9
                 members += 1
         assert members > 40
 
@@ -268,6 +269,23 @@ class TestIdentifyInClass:
                 assert abs(ratio - row.graph.p / 2 * row.gap) < 1e-12
                 dags += 1
         assert dags > 40
+
+    def test_dataset_runs_one_fit(self, six_node_graph, monkeypatch):
+        # the representative's unconstrained fit is the public `fit`, and it runs once per call
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return estimation.fit(*args, **kwargs)
+
+        assert search.fit is estimation.fit
+        monkeypatch.setattr(search, "fit", counting)
+        params = rescale_equal_variances(random_parameters(six_node_graph, seed=31), 1.0)
+        data = sample(implied_distribution(params), 1000, seed=32)
+        result = identify_in_class(six_node_graph, data)
+        assert calls == [six_node_graph] and result.class_size > 1
+        rep = estimation.fit(data, six_node_graph)
+        assert (result.loglik, result.converged) == (rep.loglik, rep.converged)
 
     def test_dataset_runs_no_equal_variance_solve(self, six_node_graph, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -287,7 +305,7 @@ class TestIdentifyInClass:
         assert not fit(data, g).converged
         result = identify_in_class(g, data)
         assert result.class_size > 1
-        assert not any(row.converged for row in result.table)
+        assert not result.converged
 
 
 class TestGreedySearch:
@@ -371,7 +389,7 @@ class TestGreedySearch:
         scorer = EqualVarianceScorer(cov, 4)
 
         def score(h):
-            return fit_score(scorer.loglik(h)[0], h, estimation._POPULATION_N_EFF, equal_variances=True)
+            return equal_variance_bic(scorer.loglik(h)[0], h, estimation._POPULATION_N_EFF)
 
         g = ChainGraph(4)
         while True:
