@@ -3,6 +3,13 @@
 Subcommands: generate, sep, magnify, fit, identify, learn, experiment.
 Every failure path exits non-zero after printing a single machine-parsable
 line of the form ``error <code>: <message>`` to stderr.
+
+Each CLI input has one path. `fit`, `identify` and `learn` read their
+--data or --population input through `_load_input`, which returns the
+input with its labels; `learn` writes those labels onto the graph it
+learns. `experiment` builds one `ExperimentConfig` from the --config file
+(or nothing) with every flag given on the command line laid over it, so
+the config's defaults live only in `ExperimentConfig`.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import sys
 import numpy as np
 
 from .estimation import fit
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import _METHODS, ExperimentConfig, run_experiment
 from .graphs import (
     CapacityError,
     ChainGraph,
@@ -26,6 +33,7 @@ from .graphs import (
 )
 from .io import (
     _read_labelled_covariance,
+    _require_keys,
     _write_json,
     graph_hash,
     graph_to_dict,
@@ -72,19 +80,21 @@ def _parse_nodes(arg: str | None, g: ChainGraph) -> frozenset:
 
 
 def _load_input(args, g: ChainGraph | None = None):
-    """The --data or --population input; with a graph g, its columns must not be g's nodes reordered.
+    """(data_or_cov, labels) of the --data or --population input, checked against a graph g if given.
 
-    Columns are matched to nodes by position. Labels that are g's node
-    labels in another order would fit each column to the wrong node, so
-    they raise ValueError naming the first column out of place; any other
-    labels keep positional matching.
+    `labels` are the dataset's header, or the `labels` field of the
+    covariance file, or None for a covariance file without one. Columns
+    are matched to nodes by position. Labels that are g's node labels in
+    another order would fit each column to the wrong node, so they raise
+    ValueError naming the first column out of place; any other labels keep
+    positional matching.
     """
-    if getattr(args, "data", None) and getattr(args, "population", None):
+    if args.data and args.population:
         raise ValueError("give either --data or --population, not both")
-    if getattr(args, "data", None):
+    if args.data:
         data_or_cov = read_dataset(args.data)
         labels = data_or_cov.labels
-    elif getattr(args, "population", None):
+    elif args.population:
         data_or_cov, labels = _read_labelled_covariance(args.population)
     else:
         raise ValueError("one of --data or --population is required")
@@ -96,7 +106,12 @@ def _load_input(args, g: ChainGraph | None = None):
                 f"column {labels[j]} stands where the graph has node {nodes[j]}: the input's labels are "
                 "the graph's in another order; reorder its columns to match the graph"
             )
-    return data_or_cov
+    return data_or_cov, labels
+
+
+def _converged_flag(result) -> str:
+    """The ` converged=False` suffix of a summary line whose fit stopped at its round cap, else ''."""
+    return "" if result.converged else " converged=False"
 
 
 def _cmd_generate(args) -> int:
@@ -146,7 +161,8 @@ def _cmd_magnify(args) -> int:
 
 def _cmd_fit(args) -> int:
     g = read_graph(args.graph)
-    result = fit(_load_input(args, g), g, equal_variances=args.equal_var)
+    data_or_cov, _ = _load_input(args, g)
+    result = fit(data_or_cov, g, equal_variances=args.equal_var)
     payload = {
         "params": parameters_to_dict(result.params),
         "loglik": result.loglik,
@@ -156,14 +172,14 @@ def _cmd_fit(args) -> int:
         "dispersion": result.dispersion,
     }
     _write_json(payload, args.out)
-    flag = "" if result.converged else " converged=False"
-    print(f"loglik={result.loglik:.6f} dispersion={result.dispersion:.6g}{flag} -> {args.out}")
+    print(f"loglik={result.loglik:.6f} dispersion={result.dispersion:.6g}{_converged_flag(result)} -> {args.out}")
     return 0
 
 
 def _cmd_identify(args) -> int:
     rep = read_graph(args.class_rep)
-    result = identify_in_class(rep, _load_input(args, rep))
+    data_or_cov, _ = _load_input(args, rep)
+    result = identify_in_class(rep, data_or_cov)
     payload = {
         "chosen": graph_to_dict(result.chosen),
         "class_size": result.class_size,
@@ -181,48 +197,46 @@ def _cmd_identify(args) -> int:
         ],
     }
     _write_json(payload, args.out)
-    flag = "" if result.converged else " converged=False"
-    print(f"chosen {graph_hash(result.chosen)} margin={result.margin:.6g}{flag} -> {args.out}")
+    print(f"chosen {graph_hash(result.chosen)} margin={result.margin:.6g}{_converged_flag(result)} -> {args.out}")
     return 0
 
 
 def _cmd_learn(args) -> int:
-    data_or_cov = _load_input(args)
+    data_or_cov, labels = _load_input(args)
     if args.method == "greedy":
         g, flag = greedy_search(data_or_cov, SearchConfig(seed=args.seed)), ""
     else:
         result = two_phase(data_or_cov)
-        g, flag = result.chosen, "" if result.converged else " converged=False"
+        g, flag = result.chosen, _converged_flag(result)
+    g = dataclasses.replace(g, labels=labels)
     write_graph(g, args.out)
     print(f"learned {graph_hash(g)}{flag} -> {args.out}")
     return 0
 
 
 def _cmd_experiment(args) -> int:
+    """Run the experiment of the --config file (or of no file) with the command line's flags laid over it.
+
+    The experiment flags have no defaults of their own: a flag left out
+    is absent from `args`, so the file's value or `ExperimentConfig`'s
+    default stands. --seeds and --n-list are parsed here, not by argparse,
+    so a bad entry is an `input_error` like every other fault.
+    """
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    flags = {name: getattr(args, name) for name in fields if hasattr(args, name)}
+    payload = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown field(s) in experiment config: {sorted(unknown)}")
-        if args.out_dir:
-            payload["out_dir"] = args.out_dir
-        cfg = ExperimentConfig(**payload)
-    else:
-        if args.p is None or not args.seeds:
-            raise ValueError("--p and --seeds are required without --config")
-        cfg = ExperimentConfig(
-            p=args.p,
-            seeds=tuple(int(s) for s in args.seeds.split(",")),
-            edge_prob=args.edge_prob,
-            undirected_frac=args.undirected_frac,
-            sigma2=args.sigma2,
-            n_list=tuple(int(n) for n in args.n_list.split(",")) if args.n_list else (),
-            method=args.method,
-            out_dir=args.out_dir,
-            workers=args.workers,
-        )
+        _require_keys(payload, set(), fields, "experiment config")
+    elif "p" not in flags or not flags.get("seeds"):
+        raise ValueError("--p and --seeds are required without --config")
+    for name in ("seeds", "n_list"):
+        if name in flags:
+            flags[name] = tuple(int(x) for x in flags[name].split(",")) if flags[name] else ()
+    payload = {**payload, **flags}
+    _require_keys(payload, {"p", "seeds"}, fields, "experiment config")
+    cfg = ExperimentConfig(**payload)
     report = run_experiment(cfg)
     for key, rate in report.recovery.items():
         print(f"recovery[{key}] = {rate:.3f}")
@@ -269,10 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
     mag.add_argument("--graph", required=True)
     mag.set_defaults(func=_cmd_magnify)
 
-    fit_p = sub.add_parser("fit", help="maximum-likelihood fit of a hypothesis graph")
+    inputs = argparse.ArgumentParser(add_help=False)  # the one input of fit, identify and learn
+    inputs.add_argument("--data", help="CSV dataset: a header of column labels, then one sample per row")
+    inputs.add_argument("--population", help="covariance JSON, with optional row labels")
+
+    fit_p = sub.add_parser("fit", parents=[inputs], help="maximum-likelihood fit of a hypothesis graph")
     fit_p.add_argument("--graph", required=True)
-    fit_p.add_argument("--data")
-    fit_p.add_argument("--population")
     fit_p.add_argument(
         "--equal-var",
         action="store_true",
@@ -281,31 +297,31 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--out", required=True)
     fit_p.set_defaults(func=_cmd_fit)
 
-    ident = sub.add_parser("identify", help="pick the best member of an equivalence class")
+    ident = sub.add_parser("identify", parents=[inputs], help="pick the best member of an equivalence class")
     ident.add_argument("--class-rep", required=True)
-    ident.add_argument("--data")
-    ident.add_argument("--population")
     ident.add_argument("--out", required=True)
     ident.set_defaults(func=_cmd_identify)
 
-    learn = sub.add_parser("learn", help="structure search from data or a covariance")
-    learn.add_argument("--data")
-    learn.add_argument("--population")
+    learn = sub.add_parser("learn", parents=[inputs], help="structure search from data or a covariance")
     learn.add_argument("--method", choices=("greedy", "two-phase"), default="greedy")
     learn.add_argument("--seed", type=int, default=0)
     learn.add_argument("--out", required=True)
     learn.set_defaults(func=_cmd_learn)
 
-    exp = sub.add_parser("experiment", help="run a seeded recovery experiment")
-    exp.add_argument("--config")
+    exp = sub.add_parser(
+        "experiment",
+        argument_default=argparse.SUPPRESS,  # a flag left out leaves the config file's value or its default
+        help="run a seeded recovery experiment",
+    )
+    exp.add_argument("--config", default=None, help="experiment config JSON; flags given override its fields")
     exp.add_argument("--p", type=int)
-    exp.add_argument("--seeds")
-    exp.add_argument("--edge-prob", type=float, default=0.4)
-    exp.add_argument("--undirected-frac", type=float, default=0.3)
-    exp.add_argument("--sigma2", type=float, default=1.0)
-    exp.add_argument("--n-list")
-    exp.add_argument("--method", choices=("identify", "greedy", "two-phase"), default="identify")
-    exp.add_argument("--workers", type=int, default=1)
+    exp.add_argument("--seeds", help="comma-separated seeds")
+    exp.add_argument("--edge-prob", type=float)
+    exp.add_argument("--undirected-frac", type=float)
+    exp.add_argument("--sigma2", type=float)
+    exp.add_argument("--n-list", help="comma-separated sample sizes")
+    exp.add_argument("--method", choices=_METHODS)
+    exp.add_argument("--workers", type=int)
     exp.add_argument("--out-dir")
     exp.set_defaults(func=_cmd_experiment)
 

@@ -50,6 +50,14 @@ _SIX_NODE_RUNS = {
 }
 
 
+# `ampcg experiment` runs whose report.json is pinned in data/experiment_reports.json, apart from
+# each row's runtime_s and the config's out_dir; the first is the argv the experiment-two-phase benchmark builds
+_EXPERIMENT_RUNS = {
+    "two-phase-p6": ["experiment", "--method", "two-phase", "--p", "6", "--seeds", "1,2,3", "--workers", "1"],
+    "config-file": ["experiment", "--config", "exp.json"],
+}
+
+
 def _assert_close(got, want, where="") -> None:
     """got equals want, floats to a relative 1e-9, everything else exactly."""
     if isinstance(want, float):
@@ -388,6 +396,57 @@ class TestCli:
             assert main(["learn", source, str(path), "--method", "two-phase", "--out", str(out)]) == 0
             assert ("converged=False" in capsys.readouterr().out) is not converged
 
+    @pytest.mark.parametrize("method", ["greedy", "two-phase"])
+    @pytest.mark.parametrize("source", ["--data", "--population"])
+    def test_learn_keeps_the_input_labels(self, tmp_path, capsys, method, source):
+        g = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
+        dist = implied_distribution(rescale_equal_variances(random_parameters(g, seed=4), 1.0))
+        labels = ("rain", "mud", "wet")
+        path, out = tmp_path / "input", tmp_path / "learned.json"
+        if source == "--data":
+            write_dataset(Dataset(sample(dist, 2000, seed=5).values, labels=labels), path)
+        else:
+            write_covariance(dist.cov, path, labels=labels)
+        assert main(["learn", source, str(path), "--method", method, "--out", str(out)]) == 0
+        learned = read_graph(out)
+        assert learned.labels == labels
+        printed = capsys.readouterr().out
+        # labels leave the hash alone, and a covariance without labels keeps X1..Xp
+        write_covariance(dist.cov, path)
+        assert main(["learn", "--population", str(path), "--method", method, "--out", str(out)]) == 0
+        assert read_graph(out).labels == ("X1", "X2", "X3")
+        if source == "--population":
+            assert capsys.readouterr().out == printed
+            assert read_graph(out) == learned
+
+    @pytest.mark.parametrize("method", ["greedy", "two-phase"])
+    def test_learned_graph_fits_its_own_data(self, tmp_path, capsys, method):
+        g = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
+        dist = implied_distribution(rescale_equal_variances(random_parameters(g, seed=4), 1.0))
+        dpath, gpath, out = tmp_path / "d.csv", tmp_path / "learned.json", tmp_path / "fit.json"
+        write_dataset(Dataset(sample(dist, 2000, seed=5).values, labels=("X2", "X1", "X3")), dpath)
+        assert main(["learn", "--data", str(dpath), "--method", method, "--out", str(gpath)]) == 0
+        # a graph labelled X1, X2, X3 would fail fit's check for the graph's labels in another order
+        assert main(["fit", "--graph", str(gpath), "--data", str(dpath), "--out", str(out)]) == 0, capsys.readouterr().err
+        assert json.loads(out.read_text())["params"]["graph"]["labels"] == ["X2", "X1", "X3"]
+
+    @pytest.mark.parametrize("command", ["fit", "identify", "learn"])
+    def test_every_input_command_takes_data_or_population_but_not_both(self, tmp_path, capsys, command):
+        gpath, cpath, dpath = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "d.csv"
+        g = ChainGraph(2, directed={(0, 1)})
+        write_graph(g, gpath)
+        write_covariance(np.array([[1.0, 1.0], [1.0, 2.0]]), cpath)
+        write_dataset(sample(implied_distribution(random_parameters(g, seed=1)), 50, seed=2), dpath)
+        graph = {"fit": ["--graph", str(gpath)], "identify": ["--class-rep", str(gpath)], "learn": []}[command]
+        out = ["--out", str(tmp_path / "out.json")]
+        assert main([command, *graph, "--data", str(dpath), *out]) == 0
+        assert main([command, *graph, "--population", str(cpath), *out]) == 0
+        capsys.readouterr()
+        assert main([command, *graph, "--data", str(dpath), "--population", str(cpath), *out]) == 2
+        assert capsys.readouterr().err == "error input_error: give either --data or --population, not both\n"
+        assert main([command, *graph, *out]) == 2
+        assert capsys.readouterr().err == "error input_error: one of --data or --population is required\n"
+
     def test_experiment_subcommand(self, tmp_path, capsys):
         out_dir = tmp_path / "exp"
         code = main([
@@ -408,6 +467,58 @@ class TestCli:
         bad.write_text(json.dumps({"p": 3, "seeds": [1], "bogus": True}))
         assert main(["experiment", "--config", str(bad)]) == 2
         assert "unknown field" in capsys.readouterr().err
+
+    def test_experiment_flags_override_the_config_file(self, tmp_path, capsys):
+        cfg_path, out_dir = tmp_path / "c.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({"p": 3, "seeds": [1], "sigma2": 2.0}))
+        argv = ["experiment", "--config", str(cfg_path), "--method", "two-phase", "--p", "5", "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        config = report["config"]
+        assert (config["method"], config["p"], config["seeds"], config["sigma2"]) == ("two-phase", 5, [1], 2.0)
+        assert [row["true_graph"]["p"] for row in report["rows"]] == [5]
+
+    def test_experiment_flags_have_no_defaults(self):
+        # a flag left out is absent, so ExperimentConfig's default (or the config file's value) stands
+        args = cli._build_parser().parse_args(["experiment"])
+        assert sorted(vars(args)) == ["command", "config", "func"] and args.config is None
+        args = cli._build_parser().parse_args(["experiment", "--p", "4", "--method", "greedy"])
+        assert (args.p, args.method) == (4, "greedy") and not hasattr(args, "workers")
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["--p", "3", "--seeds", "1,x"], None, "error input_error: invalid literal for int() with base 10: 'x'"),
+            (["--p", "3", "--seeds", "1", "--n-list", "5,y"], None, "error input_error: invalid literal for int() with base 10: 'y'"),
+            (["--seeds", "1,2"], None, "error input_error: --p and --seeds are required without --config"),
+            (["--p", "3"], None, "error input_error: --p and --seeds are required without --config"),
+            ([], {"p": 3, "seeds": [1], "bogus": True}, "error input_error: unknown field(s) in experiment config: ['bogus']"),
+            ([], {"seeds": [1]}, "error input_error: missing field(s) in experiment config: ['p']"),
+        ],
+        ids=["bad-seeds", "bad-n-list", "missing-p", "missing-seeds", "unknown-field", "config-without-p"],
+    )
+    def test_experiment_failure_is_one_error_line(self, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            argv = ["--config", str(tmp_path / "c.json"), *argv]
+        out_dir = tmp_path / "out"
+        assert main(["experiment", *argv, "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+        assert not out_dir.exists()
+
+    def test_experiment_reports_are_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("exp.json").write_text(json.dumps({"p": 3, "seeds": [1, 2], "method": "identify"}))
+        pinned = json.loads((Path(__file__).parent / "data" / "experiment_reports.json").read_text())
+        assert sorted(pinned) == sorted(_EXPERIMENT_RUNS)
+        for name, argv in _EXPERIMENT_RUNS.items():
+            assert main([*argv, "--out-dir", name]) == 0, name
+            report = json.loads(Path(name, "report.json").read_text())
+            assert report["config"].pop("out_dir") == name
+            for row in report["rows"]:
+                assert row.pop("runtime_s") >= 0
+            _assert_close(report, pinned[name], name)
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["sep", "--graph", str(tmp_path / "nope.json"), "--a", "X1", "--b", "X2"]) == 2
