@@ -2,7 +2,8 @@
 
 Subcommands: generate, sep, magnify, fit, identify, learn, experiment.
 Every failure path exits non-zero after printing a single machine-parsable
-line of the form ``error <code>: <message>`` to stderr.
+line of the form ``error <code>: <message>`` to stderr; a command line
+that argparse rejects is an ``input_error`` like any other bad input.
 
 Each CLI input has one path. `fit`, `identify` and `learn` read their
 --data or --population input through `_load_input`, which returns the
@@ -245,6 +246,18 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ValueError where argparse would print its usage block and exit.
+
+    `add_subparsers` builds every subcommand's parser from this class, so
+    a rejected command line of any subcommand reaches `main`'s one-line
+    error; --help still prints and exits 0.
+    """
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use.
@@ -253,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     default, so every `main` call in a process (tests, the benchmark,
     notebooks) shares it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ampcg",
         description="Chain-graph structural models: separation, simulation, fitting, identification.",
     )
@@ -341,9 +354,8 @@ _ERROR_CODES = (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # one parsable line per failure
         for kind, code in _ERROR_CODES:

@@ -6,7 +6,9 @@ parents, with the error variance the residual sum of squares per sample
 (the Peters & Bühlmann 2014 DAG case). That regression of a node on a
 parent set is `_regression`, the library's only one: the singletons of
 `fit` and `fit_component`, the scorer's T0 and every regression in
-`search`'s identification read it. A multi-node component is fit in
+`search`'s identification read it. Blocks of the second moment are cut
+with broadcast index arrays (see `_component`), which cost less per call
+than `np.ix_` on these small matrices. A multi-node component is fit in
 the unconstrained mode by one loop (`_alternating_fit`, after Drton &
 Eichler 2006): each round is a generalized-least-squares regression of the
 component on its parents under the current error concentration (plain
@@ -256,8 +258,10 @@ def _index_arrays(pairs: list) -> tuple:
 def _component(s: np.ndarray, parents: tuple, undirected: frozenset, comp: frozenset) -> _Component:
     """The record of the chain component `comp` of the graph with these parent tuples and undirected edges.
 
-    The second moment is sliced with broadcast index arrays, which give
-    what `np.ix_` gives without its per-call argument handling.
+    The second moment is sliced with broadcast index arrays, a column of
+    row indices against a row of column indices, as every small-matrix
+    slice in the library is: the block `np.ix_` gives, without its
+    per-call argument handling.
     """
     y_nodes = sorted(comp)
     z_nodes = sorted({z for v in comp for z in parents[v]})
@@ -314,8 +318,9 @@ def _regression(s: np.ndarray, node: int, into: tuple, cache: dict) -> tuple[np.
     shared by many graphs is solved once.
     """
     if (node, into) not in cache:
-        b = np.linalg.solve(s[np.ix_(into, into)], s[into, node]) if into else np.zeros(0)
-        cache[node, into] = b, float(s[node, node] - s[node, into] @ b)
+        i = np.array(into, dtype=int)
+        b = np.linalg.solve(s[i[:, None], i], s[i, node]) if into else np.zeros(0)
+        cache[node, into] = b, float(s[node, node] - s[node, i] @ b)
     return cache[node, into]
 
 
@@ -434,13 +439,13 @@ def _one_edge_terms(c: _Component) -> _OneEdge:
     m = np.empty((2 + len(c.predictors),) * 2)  # second moment of (the two nodes, the predictors)
     m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:] = c.syy, c.syz, c.syz.T, c.szz
     if shared:
-        at = [z + 2 for z in shared]
-        m -= m[:, at] @ np.linalg.solve(m[np.ix_(at, at)], m[at])
+        at = np.array(shared) + 2
+        m -= m[:, at] @ np.linalg.solve(m[at[:, None], at], m[at])
     lam = u0 = u1 = np.zeros(0)
     own = [(row, z + 2) for row, z in pairs if z not in shared]
     if own:
         rows, cols = np.array(own).T
-        szz = m[np.ix_(cols, cols)]
+        szz = m[cols[:, None], cols]
         same_row = rows[:, None] == rows
         chol_inv = np.linalg.inv(np.linalg.cholesky(np.where(same_row, szz, 0.0)))
         lam, vecs = np.linalg.eigh(chol_inv @ np.where(same_row, 0.0, szz) @ chol_inv.T)
@@ -697,8 +702,9 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     else:
         pieces = [_alternating_fit(c) for c in multi]
     for piece in pieces:
-        beta[np.ix_(piece.nodes, piece.predictors)] = piece.beta
-        sigma[np.ix_(piece.nodes, piece.nodes)] = piece.sigma
+        rows = np.array(piece.nodes)[:, None]
+        beta[rows, np.array(piece.predictors, dtype=int)] = piece.beta
+        sigma[rows, rows.T] = piece.sigma
     params = SemParameters(graph=g, beta=beta, sigma=sigma)
     cov = implied_distribution(params).cov
     variances = np.diag(sigma).copy()

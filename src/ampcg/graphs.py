@@ -56,6 +56,16 @@ def _default_label(j: int) -> str:
     return f"X{j + 1}"
 
 
+def _repeated_label(labels: tuple) -> str | None:
+    """The first label in `labels` that repeats an earlier one, or None; a label may name one node only."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            return label
+        seen.add(label)
+    return None
+
+
 class GraphStructureError(ValueError):
     """A candidate graph is malformed: bad index, self-loop or duplicate edge."""
 
@@ -79,7 +89,8 @@ class ChainGraph:
     """Simple graph with directed and undirected edges over ``p`` nodes.
 
     The constructor normalizes edge containers and rejects malformed input
-    (self-loops, out-of-range indices, more than one edge per node pair).
+    (self-loops, out-of-range indices, more than one edge per node pair,
+    a label given to two nodes).
     It does *not* reject semidirected cycles, so that :func:`is_chain_graph`
     can classify arbitrary simple candidates; all other operations assume
     the candidate passed that check.
@@ -111,6 +122,8 @@ class ChainGraph:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != self.p:
                 raise GraphStructureError(f"expected {self.p} labels, got {len(labels)}")
+            if (repeated := _repeated_label(labels)) is not None:
+                raise GraphStructureError(f"label {repeated!r} names more than one node")
             object.__setattr__(self, "labels", labels)
 
     @classmethod
@@ -120,9 +133,11 @@ class ChainGraph:
         Trusted: the masks must describe a simple graph on p nodes and
         `labels` must already be normalised (None or a tuple of p strings),
         since none of `__post_init__`'s checks runs. The relatives caches
-        are filled straight from the masks. The result is equal to, and
-        hashes like, the graph the public constructor builds from the same
-        edges and labels.
+        and the `canonical_key` are filled straight from the masks: the
+        per-node child and neighbour tuples come out sorted, so the edges
+        read off them in node order are sorted too. The result is equal
+        to, and hashes like, the graph the public constructor builds from
+        the same edges and labels.
         """
         kids = tuple(map(_nodes, children))
         into: list[list[int]] = [[] for _ in range(p)]
@@ -130,15 +145,18 @@ class ChainGraph:
             for b in out:
                 into[b].append(a)
         nbrs = tuple(map(_nodes, neighbors))
+        directed = tuple([(a, b) for a, out in enumerate(kids) for b in out])
+        undirected = tuple([(a, b) for a, out in enumerate(nbrs) for b in out if a < b])
         graph = cls.__new__(cls)
         graph.__dict__.update(
             p=p,
-            directed=frozenset((a, b) for a, out in enumerate(kids) for b in out),
-            undirected=frozenset((a, b) for a, out in enumerate(nbrs) for b in out if a < b),
+            directed=frozenset(directed),
+            undirected=frozenset(undirected),
             labels=labels,
             _parents=tuple(map(tuple, into)),
             _children=kids,
             _neighbors=nbrs,
+            _key=(p, directed, undirected),
         )
         return graph
 
@@ -165,6 +183,11 @@ class ChainGraph:
             out[j].append(k)
             out[k].append(j)
         return tuple(tuple(sorted(x)) for x in out)
+
+    @cached_property
+    def _key(self) -> tuple:
+        """(p, sorted directed edges, sorted undirected edges): the `canonical_key`."""
+        return (self.p, tuple(sorted(self.directed)), tuple(sorted(self.undirected)))
 
     @cached_property
     def _adjacencies(self) -> frozenset:
@@ -444,8 +467,12 @@ def determined_closure(mg: MagnifiedGraph, c: Iterable[int]) -> frozenset:
 
 
 def canonical_key(g: ChainGraph) -> tuple:
-    """Total order on graphs of equal size; used for deterministic output."""
-    return (g.p, tuple(sorted(g.directed)), tuple(sorted(g.undirected)))
+    """Total order on graphs of equal size; used for deterministic output.
+
+    The key is (p, sorted directed edges, sorted undirected edges), kept
+    on the graph (`ChainGraph._key`).
+    """
+    return g._key
 
 
 def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> Iterator[ChainGraph]:

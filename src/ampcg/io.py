@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import ChainGraph, _default_label, _require_chain_graph
+from .graphs import ChainGraph, _default_label, _repeated_label, _require_chain_graph
 from .sem import Dataset, SemParameters
 
 __all__ = [
@@ -35,6 +35,9 @@ __all__ = [
 
 
 def _require_keys(payload: dict, required: set, optional: set, what: str) -> None:
+    """Raise ValueError unless payload is a JSON object with every required field and no unknown one."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
     keys = set(payload)
     unknown = keys - required - optional
     if unknown:
@@ -133,7 +136,10 @@ def _read_labelled_covariance(path) -> tuple[np.ndarray, tuple | None]:
         return cov, None
     if len(labels) != len(cov):
         raise ValueError(f"covariance has {len(labels)} labels for {len(cov)} rows")
-    return cov, tuple(str(x) for x in labels)
+    labels = tuple(str(x) for x in labels)
+    if (repeated := _repeated_label(labels)) is not None:
+        raise ValueError(f"label {repeated!r} names more than one covariance row")
+    return cov, labels
 
 
 def write_covariance(cov: np.ndarray, path, labels=None) -> None:

@@ -10,8 +10,10 @@ unconstrained `fit` of the representative. Each member's error variances
 are its nodes' residual variances given their parents on that covariance,
 from `estimation._regression`, the one least-squares regression the
 library has: each (node, parent set) is solved once per call, shared by
-the members and the population check. The member whose variances are
-flattest wins; no equal-variance fit runs. Greedy
+the members and the population check. The class is ranked in one array
+pass: the members' residual variances form one members x p array, and
+every member's spreads come from whole-array reductions of it. The member
+whose variances are flattest wins; no equal-variance fit runs. Greedy
 search reads the input only through one `EqualVarianceScorer`, which
 validates it once, builds each chain component once for every graph that
 contains it and keeps each state's score. Each step bounds every move
@@ -39,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -123,8 +125,9 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     nodes' residual variances given their parents, read off in closed form
     (`estimation._regression`), with each (node, parent set) regression
     solved once for the whole class and the population check together.
-    Each row carries two spreads of log v: `dispersion`, max minus min, and
-    `gap`, log(mean v) - mean(log v), which for a DAG member is the
+    The members' v form one members x p array, reduced row by row in one
+    pass. Each row carries two spreads of log v: `dispersion`, max minus
+    min, and `gap`, log(mean v) - mean(log v), which for a DAG member is the
     likelihood-ratio statistic of equal against free error variances
     divided by n * p. Both are zero only when the member's error variances
     are equal. A covariance is exact, so the smallest `dispersion` wins
@@ -140,25 +143,28 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     """
     members = equivalence_class(class_rep)
     regressions: dict = {}
-    if isinstance(data_or_cov, Dataset):
+    on_data = isinstance(data_or_cov, Dataset)
+    if on_data:
         rep_fit = fit(data_or_cov, class_rep)
-        s, loglik, converged, statistic = rep_fit.cov, rep_fit.loglik, rep_fit.converged, attrgetter("gap")
+        s, loglik, converged = rep_fit.cov, rep_fit.loglik, rep_fit.converged
     else:
         s = moment_matrix(data_or_cov, class_rep.p)[0]
         _check_population(s, class_rep, regressions)
-        loglik, converged, statistic = gaussian_average_loglik(s, s), True, attrgetter("dispersion")
-    rows = []
-    for member in members:
-        v = np.array([_regression(s, node, into, regressions)[1] for node, into in enumerate(member._parents)])
-        logs = np.log(v)
-        gap = float(np.log(v.mean()) - logs.mean())
-        rows.append(MemberFit(member, float(logs.max() - logs.min()), gap))
-    rows.sort(key=lambda r: (statistic(r), *_rank(r.graph._parents, r.graph.undirected)))
-    margin = math.inf if len(rows) == 1 else statistic(rows[1]) - statistic(rows[0])
+        loglik, converged = gaussian_average_loglik(s, s), True
+    v = np.array(
+        [[_regression(s, node, into, regressions)[1] for node, into in enumerate(g._parents)] for g in members]
+    )
+    logs = np.log(v)
+    dispersion = (logs.max(axis=1) - logs.min(axis=1)).tolist()
+    gap = (np.log(v.mean(axis=1)) - logs.mean(axis=1)).tolist()
+    statistic = gap if on_data else dispersion
+    # members come sorted by canonical_key, so a stable sort on (statistic, directed edges) keeps `_rank`'s order
+    order = sorted(range(len(members)), key=lambda i: (statistic[i], len(members[i].directed)))
+    margin = math.inf if len(order) == 1 else statistic[order[1]] - statistic[order[0]]
     return IdentifyResult(
-        chosen=rows[0].graph,
+        chosen=members[order[0]],
         class_size=len(members),
-        table=tuple(rows),
+        table=tuple(MemberFit(members[i], dispersion[i], gap[i]) for i in order),
         margin=float(margin),
         loglik=loglik,
         converged=converged,

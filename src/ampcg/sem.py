@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import ChainGraph, _default_label, _require_chain_graph, chain_components
+from .graphs import ChainGraph, _default_label, _repeated_label, _require_chain_graph, chain_components
 from .separation import _query_table, _separations
 
 __all__ = [
@@ -152,7 +152,8 @@ class Dataset:
     """n samples of p variables; column j holds node j.
 
     A non-finite entry raises ValueError naming its column label (`X1`,
-    `X2`, ... without labels) and its data row, 1 for the first sample.
+    `X2`, ... without labels) and its data row, 1 for the first sample. A
+    label given to two columns raises ValueError naming it.
     """
 
     values: np.ndarray
@@ -169,6 +170,8 @@ class Dataset:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != values.shape[1]:
                 raise ValueError("one label per column required")
+            if (repeated := _repeated_label(labels)) is not None:
+                raise ValueError(f"label {repeated!r} names more than one column")
             object.__setattr__(self, "labels", labels)
         if not np.all(np.isfinite(values)):
             i, j = np.argwhere(~np.isfinite(values))[0]
@@ -260,7 +263,8 @@ def random_parameters(g: ChainGraph, seed=0) -> SemParameters:
         for i in range(m):
             omega[i, i] = np.sum(np.abs(omega[i])) + slack[i]
         block = np.linalg.inv(omega)
-        sigma[np.ix_(nodes, nodes)] = 0.5 * (block + block.T)
+        rows = np.array(nodes)[:, None]
+        sigma[rows, rows.T] = 0.5 * (block + block.T)
     return SemParameters(graph=g, beta=beta, sigma=sigma)
 
 
@@ -305,10 +309,11 @@ def condition(dist: GaussianDistribution, b: Iterable[int], b_values) -> Gaussia
     vals = np.asarray(b_values, dtype=float).reshape(-1)
     if vals.shape[0] != len(b_idx):
         raise ValueError("one value per conditioned coordinate required")
-    a_idx = [x for x in range(p) if x not in set(b_idx)]
-    s_aa = dist.cov[np.ix_(a_idx, a_idx)]
-    s_ab = dist.cov[np.ix_(a_idx, b_idx)]
-    s_bb = dist.cov[np.ix_(b_idx, b_idx)]
+    a_idx = np.array([x for x in range(p) if x not in set(b_idx)])
+    b_idx = np.array(b_idx)
+    s_aa = dist.cov[a_idx[:, None], a_idx]
+    s_ab = dist.cov[a_idx[:, None], b_idx]
+    s_bb = dist.cov[b_idx[:, None], b_idx]
     gain = np.linalg.solve(s_bb, s_ab.T).T
     mean = dist.mean[a_idx] + gain @ (vals - dist.mean[b_idx])
     cov = s_aa - gain @ s_ab.T
@@ -351,8 +356,8 @@ def _partial_correlation(cov: np.ndarray, j: int, k: int, cond) -> float:
     must already be a validated symmetric matrix. One query at any node
     count; sweeps read `_independences` instead.
     """
-    idx = [j, k, *cond]
-    prec = np.linalg.inv(cov[np.ix_(idx, idx)])
+    idx = np.array([j, k, *cond])
+    prec = np.linalg.inv(cov[idx[:, None], idx])
     return float(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1]))
 
 

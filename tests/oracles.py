@@ -11,6 +11,9 @@ few nodes for the exhaustive tests, filters its candidates with the
 library's `is_chain_graph`. `greedy_full_scan` is greedy search without
 its bounds: it shares the library's scorer, moves and tie-break and vets
 only the pruning. `equal_variance_bic` writes the equal-variance score out.
+`identify_in_class_loop` is identification as a loop over the members, one
+row at a time; it shares the library's covariance, regressions and
+tie-break and vets only the array ranking.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 from scipy import optimize
 
 from ampcg import search
-from ampcg.estimation import EqualVarianceScorer
-from ampcg.graphs import CapacityError, ChainGraph, is_chain_graph, random_chain_graph
-from ampcg.sem import compose_seed
+from ampcg.estimation import EqualVarianceScorer, _regression, fit, gaussian_average_loglik, moment_matrix
+from ampcg.graphs import CapacityError, ChainGraph, equivalence_class, is_chain_graph, random_chain_graph
+from ampcg.sem import Dataset, compose_seed
 from ampcg.separation import SeparationQuery, _check_query
 
 _HEAD, _TAIL, _UND = 0, 1, 2  # the kind of an edge's end at a node: arrowhead, tail, undirected
@@ -411,3 +414,31 @@ def greedy_full_scan(data_or_cov, cfg: search.SearchConfig | None = None) -> Cha
         if best_key is None or key < best_key:
             best_graph, best_key = g, key
     return best_graph
+
+
+def identify_in_class_loop(class_rep: ChainGraph, data_or_cov) -> search.IdentifyResult:
+    """`identify_in_class` as it ran before the class was ranked in one array pass: one member at a time.
+
+    Each member's residual variances, log spreads and row are worked out in
+    turn, and the rows are sorted on (statistic, `search._rank`). The
+    covariance, the regressions and the tie-break are the library's, so a
+    disagreement is the array ranking's.
+    """
+    members = equivalence_class(class_rep)
+    regressions: dict = {}
+    if isinstance(data_or_cov, Dataset):
+        rep_fit = fit(data_or_cov, class_rep)
+        s, loglik, converged, statistic = rep_fit.cov, rep_fit.loglik, rep_fit.converged, "gap"
+    else:
+        s = moment_matrix(data_or_cov, class_rep.p)[0]
+        search._check_population(s, class_rep, regressions)
+        loglik, converged, statistic = gaussian_average_loglik(s, s), True, "dispersion"
+    rows = []
+    for member in members:
+        v = np.array([_regression(s, node, into, regressions)[1] for node, into in enumerate(member._parents)])
+        logs = np.log(v)
+        gap = float(np.log(v.mean()) - logs.mean())
+        rows.append(search.MemberFit(member, float(logs.max() - logs.min()), gap))
+    rows.sort(key=lambda r: (getattr(r, statistic), *search._rank(r.graph._parents, r.graph.undirected)))
+    margin = math.inf if len(rows) == 1 else getattr(rows[1], statistic) - getattr(rows[0], statistic)
+    return search.IdentifyResult(rows[0].graph, len(members), tuple(rows), float(margin), loglik, converged)

@@ -12,6 +12,7 @@ from ampcg import (
     GraphStructureError,
     Triplex,
     adjacencies,
+    canonical_key,
     chain_components,
     determined_closure,
     equivalence_class,
@@ -53,6 +54,10 @@ class TestConstruction:
     def test_label_count_checked(self):
         with pytest.raises(GraphStructureError):
             ChainGraph(2, labels=("only",))
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(GraphStructureError, match="label 'a' names more than one node"):
+            ChainGraph(3, labels=("a", "b", "a"))
 
     def test_undirected_stored_sorted(self):
         g = ChainGraph(3, undirected={(2, 0)})
@@ -273,6 +278,14 @@ class TestEquivalenceClass:
             assert len(set(cls)) == len(cls)
             assert all(is_chain_graph(h) and markov_equivalent(g, h) for h in cls)
 
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_canonical_key_is_the_sorted_edge_sets(self, p):
+        # on a constructed graph, which sorts its edge sets, and on its class's members, which read the mask-built tuples
+        for seed in range(4):
+            g = random_chain_graph(p, 0.4, 0.3, seed=seed)
+            for h in (g, *itertools.islice(orientations(p, g._adjacencies, g._triplexes), 30)):
+                assert canonical_key(h) == (h.p, tuple(sorted(h.directed)), tuple(sorted(h.undirected)))
+
     @settings(max_examples=60, deadline=None)
     @given(chain_graphs(min_p=2, max_p=4))
     def test_matches_brute_force_enumeration(self, g):
@@ -352,9 +365,9 @@ class TestOrientations:
             h = ChainGraph(g.p, member.directed, member.undirected, labels=labels)
             assert type(member) is ChainGraph and member == h and hash(member) == hash(h)
             assert member.labels == h.labels == (tuple(str(x) for x in labels) if labelled else None)
-            for cache in ("_parents", "_children", "_neighbors"):
+            for cache in ("_parents", "_children", "_neighbors", "_key"):
                 assert getattr(member, cache) == getattr(h, cache)
-            assert vars(member) == vars(h)  # fields and the three relatives caches, nothing else
+            assert vars(member) == vars(h)  # fields, the three relatives caches and the canonical key, nothing else
             assert is_chain_graph(member) and markov_equivalent(member, g)
 
     @pytest.mark.parametrize("p, seed, first, positions", _PINNED_ORDERS)

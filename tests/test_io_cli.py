@@ -141,6 +141,18 @@ class TestOtherFormats:
         with pytest.raises(ValueError, match="covariance has 1 labels for 2 rows"):
             read_covariance(path)
 
+    def test_repeated_labels_are_rejected_by_name(self, tmp_path):
+        with pytest.raises(ValueError, match="label 'a' names more than one column"):
+            Dataset(np.eye(3), labels=("a", "a", "b"))
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,a\n1,2,3\n")
+        with pytest.raises(ValueError, match="label 'a' names more than one column"):
+            read_dataset(path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"cov": np.eye(2).tolist(), "labels": ["u", "u"]}))
+        with pytest.raises(ValueError, match="label 'u' names more than one covariance row"):
+            read_covariance(path)
+
     def test_dataset_names_a_non_finite_entry_by_its_default_label(self):
         values = np.ones((3, 2))
         values[2, 1] = np.inf
@@ -494,8 +506,21 @@ class TestCli:
             (["--p", "3"], None, "error input_error: --p and --seeds are required without --config"),
             ([], {"p": 3, "seeds": [1], "bogus": True}, "error input_error: unknown field(s) in experiment config: ['bogus']"),
             ([], {"seeds": [1]}, "error input_error: missing field(s) in experiment config: ['p']"),
+            ([], 5, "error input_error: experiment config must be a JSON object, got int"),
+            ([], ["p", "seeds"], "error input_error: experiment config must be a JSON object, got list"),
+            (["--p", "x", "--seeds", "1"], None, "error input_error: argument --p: invalid int value: 'x'"),
         ],
-        ids=["bad-seeds", "bad-n-list", "missing-p", "missing-seeds", "unknown-field", "config-without-p"],
+        ids=[
+            "bad-seeds",
+            "bad-n-list",
+            "missing-p",
+            "missing-seeds",
+            "unknown-field",
+            "config-without-p",
+            "config-not-an-object",
+            "config-a-list",
+            "argparse-bad-int",
+        ],
     )
     def test_experiment_failure_is_one_error_line(self, tmp_path, capsys, argv, config, message):
         if config is not None:
@@ -519,6 +544,48 @@ class TestCli:
             for row in report["rows"]:
                 assert row.pop("runtime_s") >= 0
             _assert_close(report, pinned[name], name)
+
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["sep", "--a", "X1"], "error input_error: the following arguments are required: --graph"),
+            (["generate", "--p", "3", "--seed", "y", "--out", "g.json"], "error input_error: argument --seed: "),
+            (["learn", "--data", "d.csv", "--method", "bad", "--out", "o.json"], "error input_error: argument --method: "),
+            (["experiment", "--p", "3", "--seeds", "1", "--method", "bogus"], "error input_error: argument --method: "),
+            (["fit", "--graph", "g.json", "--data", "d.csv", "--out", "f.json", "--bogus"], "error input_error: "),
+            (["bogus"], "error input_error: argument command: "),
+            ([], "error input_error: the following arguments are required: command"),
+        ],
+        ids=[
+            "missing-flag",
+            "bad-type",
+            "learn-choice",
+            "experiment-choice",
+            "unknown-flag",
+            "unknown-command",
+            "no-command",
+        ],
+    )
+    def test_argparse_rejection_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv, start):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(start) and captured.err.count("\n") == 1 and captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ampcg learn")
+
+    def test_learn_on_repeated_labels_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("a,a,b\n1,2,3\n2,1,0.5\n3,3,1\n0.5,1,2\n")
+        out = tmp_path / "learned.json"
+        assert main(["learn", "--data", str(tmp_path / "d.csv"), "--method", "two-phase", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error input_error: label 'a' names more than one column\n" and captured.out == ""
+        assert not out.exists()
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["sep", "--graph", str(tmp_path / "nope.json"), "--a", "X1", "--b", "X2"]) == 2

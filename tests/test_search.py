@@ -39,7 +39,7 @@ from ampcg.graphs import Triplex, _cycle_through, _mask, orientations
 from ampcg.separation import pairwise_queries
 
 from .conftest import chain_graphs
-from .oracles import enumerate_chain_graphs, equal_variance_bic, greedy_full_scan
+from .oracles import enumerate_chain_graphs, equal_variance_bic, greedy_full_scan, identify_in_class_loop
 
 # Recorded before greedy scoring kept per-component records: (truth, greedy_search with 2 restarts
 # at n=2000, identify_in_class at n=1000) on seeded p=4 problems, as "a>b" arrows and "a-b" edges.
@@ -107,7 +107,26 @@ def test_five_node_greedy_choices_are_pinned():
     assert tuple(found) == _PINNED_P5_CHOICES
 
 
+def _bits(result) -> tuple:
+    """Everything an identification result says, floats as their exact hex."""
+    rows = tuple((row.graph, row.dispersion.hex(), row.gap.hex()) for row in result.table)
+    return result.chosen, result.margin.hex(), result.loglik.hex(), result.class_size, result.converged, rows
+
+
 class TestIdentifyInClass:
+    @pytest.mark.parametrize("p", range(2, 10))
+    def test_ranks_the_class_bitwise_as_a_member_loop(self, p):
+        # one array pass over the class gives every row, margin and choice of the one-member-at-a-time loop, to the bit
+        sizes = []
+        for trial in range(3):
+            g = random_chain_graph(p, 0.5, 0.4, seed=sem.compose_seed(2024, p, trial))
+            dist = implied_distribution(rescale_equal_variances(random_parameters(g, seed=trial), 1.0))
+            for data_or_cov in (dist.cov, sample(dist, 30 * p, seed=trial)):
+                result = identify_in_class(g, data_or_cov)
+                assert _bits(result) == _bits(identify_in_class_loop(g, data_or_cov))
+                sizes.append(result.class_size)
+        assert max(sizes) >= 3
+
     def test_two_node_dispersion_table(self):
         cov = np.array([[1.0, 1.0], [1.0, 2.0]])
         truth = ChainGraph(2, directed={(0, 1)})
