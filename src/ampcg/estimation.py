@@ -22,7 +22,12 @@ Inputs may be a dataset or a covariance matrix directly; feeding the exact
 population covariance separates statistical error from algorithmic error.
 Each input is validated once, by `moment_matrix`, at the public entry
 point, under `sem`'s scale-free rule for a valid covariance; the fit core
-works on the validated second moment. A `FitResult` states each fact
+works on the validated second moment. The graph is checked on entry
+too: `fit`, `fit_component` and `EqualVarianceScorer.loglik` reject one
+with a semidirected cycle before any work, by the one walk that decides
+every cycle question (`graphs.is_chain_graph`, over the masks the graph
+keeps from its one build); `state_loglik` leaves that to its caller. A
+`FitResult` states each fact
 once: its implied covariance `cov`, which `search.identify_in_class` reads
 as the covariance of the whole class on data, and the `loglik` of that
 covariance against the input.
@@ -40,7 +45,9 @@ polynomial built as power series, so the optimum is global and closed
 form. Otherwise a BFGS descent (`_descend`) runs over the off-diagonal
 pattern entries of the multi-node components' unit-diagonal concentration
 matrices, on the profiled objective `_profile`, from the identity, and
-again from a diagonally dominant start if the identity is stationary.
+again from a diagonally dominant start if the identity is stationary;
+each descent returns its end point's objective and gradient, so no point
+is evaluated twice.
 `EqualVarianceScorer` scores many graphs on one input with that same
 split and solve, read off parent tuples and undirected edges, so a search
 scores a state without building its graph. It builds each component once
@@ -64,7 +71,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .graphs import ChainGraph, _blocks, _default_label, chain_components
+from .graphs import ChainGraph, _blocks, _default_label, _require_chain_graph, chain_components
 from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
 
 __all__ = [
@@ -404,7 +411,9 @@ def fit_component(data_or_cov, g: ChainGraph, comp: Iterable[int]) -> ComponentF
     """Unconstrained maximum likelihood of one chain component.
 
     Least squares for a singleton, the alternating GLS/IPF loop otherwise.
+    A g with a semidirected cycle is rejected with ValueError naming one.
     """
+    _require_chain_graph(g)
     comp = frozenset(int(x) for x in comp)
     if comp not in set(chain_components(g)):
         raise ValueError("comp must be a chain component of g")
@@ -525,11 +534,12 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float,
 
 
 def _descend(profile, theta: np.ndarray) -> tuple:
-    """(point, steps, stopped on a tolerance) of a BFGS descent on `profile` from the feasible theta.
+    """(point, objective, gradient, steps, stopped on a tolerance) of a BFGS descent on `profile` from theta.
 
     `profile(theta)` returns (objective, gradient, ...) or None outside the
-    feasible region. Until a step shows positive curvature (s.y > 0), each
-    step goes along the unit-length steepest descent direction. The first
+    feasible region, and the start theta must lie inside it. Until a step
+    shows positive curvature (s.y > 0), each step goes along the
+    unit-length steepest descent direction. The first
     such step starts the inverse-Hessian estimate at (s.y / y.y) I, and
     BFGS updates it on every such step. Each step halves its trial length,
     from 1, until the trial point is feasible and meets the Armijo
@@ -538,13 +548,15 @@ def _descend(profile, theta: np.ndarray) -> tuple:
     relative decrease at most 1e-13, counting halvings that end at a
     feasible point no higher than theta to that tolerance (the objective
     is flat to rounding there). It stops off tolerance when the halvings
-    end elsewhere, or after `_MAX_STEPS` steps.
+    end elsewhere, or after `_MAX_STEPS` steps. The objective and
+    gradient returned are the ones `profile` gave at the end point, so no
+    caller evaluates it there again.
     """
     value, grad = profile(theta)[:2]
     inv_hess = None
     for steps in range(_MAX_STEPS):
         if np.max(np.abs(grad)) <= 1e-9:
-            return theta, steps, True
+            return theta, value, grad, steps, True
         direction = -grad / np.linalg.norm(grad) if inv_hess is None else -inv_hess @ grad
         t = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -552,18 +564,18 @@ def _descend(profile, theta: np.ndarray) -> tuple:
                 break
             t *= 0.5
         else:
-            return theta, steps, out is not None and out[0] - value <= 1e-13 * max(abs(value), 1.0)
+            return theta, value, grad, steps, out is not None and out[0] - value <= 1e-13 * max(abs(value), 1.0)
         s, y = t * direction, out[1] - grad
         decrease, theta, value, grad = value - out[0], theta + s, out[0], out[1]
         if decrease <= 1e-13 * max(abs(value + decrease), abs(value), 1.0):
-            return theta, steps + 1, True
+            return theta, value, grad, steps + 1, True
         sy = s @ y
         if sy > 0:
             if inv_hess is None:
                 inv_hess = np.eye(theta.size) * (sy / (y @ y))
             v = np.eye(theta.size) - np.outer(s, y) / sy
             inv_hess = v @ inv_hess @ v.T + np.outer(s, s) / sy
-    return theta, _MAX_STEPS, False
+    return theta, value, grad, _MAX_STEPS, False
 
 
 def _profile(fixed_t: float, comps: list, p: int, theta: np.ndarray):
@@ -632,7 +644,9 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     largest pattern degree) and keeps the lower objective. The objective
     need not be convex, so the descent finds a local optimum. The solve is
     converged when the kept descent stopped on a tolerance or the largest
-    gradient entry at its end point is at most `_EV_GRAD_TOL`.
+    gradient entry at its end point is at most `_EV_GRAD_TOL`. Each point
+    is evaluated once: the starts are compared, and the result is read, on
+    the objective and gradient each descent returns for its end point.
     """
     size = sum(len(c.pattern) for c in comps)
     if size == 0:
@@ -642,13 +656,12 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
         # Omega = [[1, theta], [theta, 1]] has correlation rho = -theta.
         return _Solve(objective, np.array([-rho]), 0, True)
     profile = partial(_profile, fixed_t, comps, p)
-    theta, iterations, success = _descend(profile, np.zeros(size))  # Omega_K = I lies inside the region
+    theta, objective, grad, iterations, success = _descend(profile, np.zeros(size))  # Omega_K = I lies inside
     if iterations == 0:  # I may be a stationary maximum; a diagonally dominant start lies inside too
         degree = max(np.bincount(np.concatenate(c.edges)).max() for c in comps)
         again = _descend(profile, np.full(size, 0.5 / degree))
-        if profile(again[0])[0] < profile(theta)[0]:
-            theta, iterations, success = again
-    objective, grad = profile(theta)[:2]
+        if again[1] < objective:
+            theta, objective, grad, iterations, success = again
     return _Solve(objective, theta, iterations, success or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL)
 
 
@@ -670,8 +683,11 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     two nodes. Either way iterations are zero when every component is a
     singleton. The loops' caps and tolerance are fixed, not settable. The
     result carries the fit's implied covariance `cov`, at which `loglik`
-    is evaluated against the input's second moment.
+    is evaluated against the input's second moment. A g with a
+    semidirected cycle is rejected with ValueError naming one, before the
+    input is read.
     """
+    _require_chain_graph(g)
     s = moment_matrix(data_or_cov, g.p)[0]
     singles, multi = _split(s, g._parents, g.undirected, chain_components(g))
     beta = np.zeros((g.p, g.p))
@@ -807,7 +823,8 @@ class EqualVarianceScorer:
         self.nonconverged = 0
 
     def loglik(self, g: ChainGraph) -> tuple[float, bool]:
-        """(average log-likelihood, converged) of g's equal-variance fit."""
+        """(average log-likelihood, converged) of g's equal-variance fit; a semidirected cycle raises ValueError."""
+        _require_chain_graph(g)
         if g.p != self.p:
             raise ValueError(f"graph has {g.p} nodes, the input has {self.p}")
         return self.state_loglik(g._parents, g.undirected)

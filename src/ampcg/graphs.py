@@ -8,12 +8,17 @@ determination closure, and enumeration of every chain graph with given
 adjacencies and triplexes, which is how a Markov equivalence class is
 listed. Graphs are immutable values; every operation returns a new graph.
 
-The searches that run on every class hold node sets as Python ``int``
-bitmasks, bit v standing for node v: per node a child mask and a
-neighbour mask. `_cycle_through` decides whether a semidirected cycle
-passes through a node by a closure over two masks, and it is the one
-cycle walk that `orientations` and `search._moves` share;
-`separation` reads the same masks, plus parent masks, for its routes.
+A graph's structure is built once, from per-node child and neighbour
+masks, Python ``int`` bitmasks with bit v standing for node v: one fill,
+`ChainGraph._fill`, serves the public constructor and `_from_masks` alike
+and sets the edge sets, each node's sorted parents, children and
+neighbours, the `canonical_key`, and the two mask tuples, which the graph
+keeps. One walk decides every cycle question: `_cycle_through`, a closure
+over the two masks, decides whether a semidirected cycle passes through a
+node, for `is_chain_graph` (and so for every check that rejects a graph
+with such a cycle), `orientations` and `search._moves`;
+`find_semidirected_cycle` only names a cycle for an error message.
+`separation` reads the kept masks, plus parent masks, for its routes.
 """
 
 from __future__ import annotations
@@ -92,8 +97,13 @@ class ChainGraph:
     (self-loops, out-of-range indices, more than one edge per node pair,
     a label given to two nodes).
     It does *not* reject semidirected cycles, so that :func:`is_chain_graph`
-    can classify arbitrary simple candidates; all other operations assume
-    the candidate passed that check.
+    can classify arbitrary simple candidates. Where a class or a model
+    meets a graph (`equivalence_class`, the graph readers,
+    `sem.SemParameters`, `estimation.fit`, `estimation.fit_component`,
+    `EqualVarianceScorer.loglik`), a graph with such a cycle is rejected
+    with ValueError naming one; other operations assume the candidate
+    passed that check. The structure is filled once, on construction
+    (`_fill`).
     """
 
     p: int
@@ -106,18 +116,19 @@ class ChainGraph:
             raise GraphStructureError(f"node count must be a positive integer, got {self.p!r}")
         directed = frozenset((int(j), int(k)) for j, k in self.directed)
         undirected = frozenset((min(int(j), int(k)), max(int(j), int(k))) for j, k in self.undirected)
-        object.__setattr__(self, "directed", directed)
-        object.__setattr__(self, "undirected", undirected)
-        seen: set[tuple[int, int]] = set()
+        children, neighbors = [0] * self.p, [0] * self.p  # the edges checked so far, as `_fill` takes them
         for j, k in itertools.chain(directed, undirected):
             if j == k:
                 raise GraphStructureError(f"self-loop at node {j}")
             if not (0 <= j < self.p and 0 <= k < self.p):
                 raise GraphStructureError(f"edge ({j}, {k}) out of range for p={self.p}")
-            pair = (min(j, k), max(j, k))
-            if pair in seen:
-                raise GraphStructureError(f"more than one edge between nodes {pair[0]} and {pair[1]}")
-            seen.add(pair)
+            if (children[j] >> k | children[k] >> j | neighbors[j] >> k) & 1:
+                raise GraphStructureError(f"more than one edge between nodes {min(j, k)} and {max(j, k)}")
+            if (j, k) in directed:
+                children[j] |= 1 << k
+            else:
+                neighbors[j] |= 1 << k
+                neighbors[k] |= 1 << j
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != self.p:
@@ -125,6 +136,7 @@ class ChainGraph:
             if (repeated := _repeated_label(labels)) is not None:
                 raise GraphStructureError(f"label {repeated!r} names more than one node")
             object.__setattr__(self, "labels", labels)
+        self._fill(children, neighbors)
 
     @classmethod
     def _from_masks(cls, p: int, children: list, neighbors: list, labels: tuple | None) -> "ChainGraph":
@@ -132,62 +144,47 @@ class ChainGraph:
 
         Trusted: the masks must describe a simple graph on p nodes and
         `labels` must already be normalised (None or a tuple of p strings),
-        since none of `__post_init__`'s checks runs. The relatives caches
-        and the `canonical_key` are filled straight from the masks: the
-        per-node child and neighbour tuples come out sorted, so the edges
-        read off them in node order are sorted too. The result is equal
-        to, and hashes like, the graph the public constructor builds from
-        the same edges and labels.
+        since none of `__post_init__`'s checks runs. The result is equal
+        to, hashes like and holds the same attributes as the graph the
+        public constructor builds from the same edges and labels: both are
+        filled by `_fill`.
+        """
+        graph = cls.__new__(cls)
+        graph.__dict__.update(p=p, labels=labels)
+        graph._fill(children, neighbors)
+        return graph
+
+    def _fill(self, children: list, neighbors: list) -> None:
+        """Set the edge sets and every relative of each node from per-node child and neighbour bitmasks.
+
+        The one build path of a graph's structure, run once per graph: the
+        masks themselves are kept (`_child_masks`, `_neighbor_masks`) for
+        the bitmask walks of `is_chain_graph`, `search._moves` and
+        `separation`; the sorted per-node `_parents`, `_children` and
+        `_neighbors` tuples are read off them, the edges read off those in
+        node order come out sorted, and so does the `canonical_key`
+        (`_key`).
         """
         kids = tuple(map(_nodes, children))
-        into: list[list[int]] = [[] for _ in range(p)]
+        into: list[list[int]] = [[] for _ in range(self.p)]
         for a, out in enumerate(kids):
             for b in out:
                 into[b].append(a)
         nbrs = tuple(map(_nodes, neighbors))
         directed = tuple([(a, b) for a, out in enumerate(kids) for b in out])
         undirected = tuple([(a, b) for a, out in enumerate(nbrs) for b in out if a < b])
-        graph = cls.__new__(cls)
-        graph.__dict__.update(
-            p=p,
+        self.__dict__.update(
             directed=frozenset(directed),
             undirected=frozenset(undirected),
-            labels=labels,
             _parents=tuple(map(tuple, into)),
             _children=kids,
             _neighbors=nbrs,
-            _key=(p, directed, undirected),
+            _key=(self.p, directed, undirected),
+            _child_masks=tuple(children),
+            _neighbor_masks=tuple(neighbors),
         )
-        return graph
 
-    # -- cached adjacency structure ------------------------------------
-
-    @cached_property
-    def _parents(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.p)]
-        for j, k in self.directed:
-            out[k].append(j)
-        return tuple(tuple(sorted(x)) for x in out)
-
-    @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.p)]
-        for j, k in self.directed:
-            out[j].append(k)
-        return tuple(tuple(sorted(x)) for x in out)
-
-    @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.p)]
-        for j, k in self.undirected:
-            out[j].append(k)
-            out[k].append(j)
-        return tuple(tuple(sorted(x)) for x in out)
-
-    @cached_property
-    def _key(self) -> tuple:
-        """(p, sorted directed edges, sorted undirected edges): the `canonical_key`."""
-        return (self.p, tuple(sorted(self.directed)), tuple(sorted(self.undirected)))
+    # -- lazy structure ---------------------------------------------------
 
     @cached_property
     def _adjacencies(self) -> frozenset:
@@ -364,8 +361,14 @@ def find_semidirected_cycle(g: ChainGraph) -> list[int] | None:
 
 
 def is_chain_graph(g: ChainGraph) -> bool:
-    """True iff the simple graph has no semidirected cycle."""
-    return find_semidirected_cycle(g) is None
+    """True iff the simple graph has no semidirected cycle.
+
+    A semidirected cycle leaves some node by an arrow, so one
+    `_cycle_through` walk from each node with a child, over the graph's
+    kept masks, decides it.
+    """
+    children, neighbors = g._child_masks, g._neighbor_masks
+    return not any(_cycle_through(children, neighbors, v) for v in range(g.p) if children[v])
 
 
 def relatives(g: ChainGraph, s: Iterable[int], kind: str) -> frozenset:
@@ -427,16 +430,24 @@ def magnify(g: ChainGraph) -> MagnifiedGraph:
     The result has 2p nodes: original node j keeps index j, its error node
     gets index p + j and an edge (p + j) -> j. Directed edges are kept and
     every undirected edge {j, k} is replaced by {p + j, p + k} between the
-    error nodes.
+    error nodes. Error node j is labelled ``N_<label of j>``, or ``N<j+1>``
+    when g has no labels; a label already taken by a node, or by an earlier
+    error node, gets further ``N_`` prefixes until it is free.
     """
     p = g.p
     directed = set(g.directed)
     directed.update((p + j, j) for j in range(p))
     undirected = {(p + j, p + k) for j, k in g.undirected}
-    if g.labels is None:
-        labels = tuple(map(_default_label, range(p))) + tuple(f"N{j + 1}" for j in range(p))
-    else:
-        labels = g.labels + tuple(f"N_{x}" for x in g.labels)
+    names = tuple(map(g.node_label, range(p)))
+    taken = set(names)
+    errors = []
+    for j, name in enumerate(names):
+        label = f"N{j + 1}" if g.labels is None else f"N_{name}"
+        while label in taken:
+            label = f"N_{label}"
+        taken.add(label)
+        errors.append(label)
+    labels = names + tuple(errors)
     base = ChainGraph(2 * p, frozenset(directed), frozenset(undirected), labels=labels)
     return MagnifiedGraph(base=base, error_of=tuple(range(p, 2 * p)))
 
@@ -545,9 +556,13 @@ def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> 
 
 
 def _require_chain_graph(g: ChainGraph) -> None:
-    """Raise ValueError naming a semidirected cycle of g, if it has one."""
-    cycle = find_semidirected_cycle(g)
-    if cycle is not None:
+    """Raise ValueError naming a semidirected cycle of g, if it has one.
+
+    `is_chain_graph` decides; `find_semidirected_cycle` runs only to name
+    the cycle it found.
+    """
+    if not is_chain_graph(g):
+        cycle = find_semidirected_cycle(g)
         parts = [g.node_label(cycle[0])]
         for a, b in zip(cycle, cycle[1:]):
             parts.append(f" {'->' if (a, b) in g.directed else '-'} {g.node_label(b)}")

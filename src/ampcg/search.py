@@ -22,7 +22,10 @@ model that contains the equal-variance one) and scores moves exactly in
 decreasing bound, stopping once a bound falls below the best score found;
 the moves left unscored cannot win, so the step takes the move a scan of
 every move takes. Ties are broken on the state itself (`_rank`), so a
-search builds a graph only for the move it takes.
+search builds a graph only for the move it takes. Whether a move closes a
+semidirected cycle is one `graphs._cycle_through` walk over copies of the
+child and neighbour masks the incumbent keeps from its one build, the
+walk that decides every cycle question in the library.
 A small conditional-independence skeleton-plus-triplex recovery is
 included so the two-phase strategy (recover the class, then orient
 inside it) is runnable end to end; it
@@ -52,7 +55,6 @@ from .graphs import (
     ChainGraph,
     Triplex,
     _cycle_through,
-    _mask,
     equivalence_class,
     orientations,
     random_chain_graph,
@@ -200,13 +202,12 @@ def _moves(g: ChainGraph):
     Pairs (a, b) run in order and each pair's states in the order none,
     a -> b, b -> a, a - b, skipping g's own. Dropping an edge leaves a chain
     graph; any other state can only close a semidirected cycle through the
-    pair, so one `graphs._cycle_through` walk from a over g's child and
-    neighbour bitmasks, with the pair's state put in, decides it. Only the
-    two parent tuples and the undirected edge of the pair are edited; no
-    graph is built.
+    pair, so one `graphs._cycle_through` walk from a over copies of the
+    child and neighbour bitmasks g keeps, with the pair's state put in,
+    decides it. Only the two parent tuples and the undirected edge of the
+    pair are edited; no graph is built.
     """
-    children = [_mask(x) for x in g._children]
-    neighbors = [_mask(x) for x in g._neighbors]
+    children, neighbors = list(g._child_masks), list(g._neighbor_masks)
     for a, b in itertools.combinations(range(g.p), 2):
         own = g.edge_between(a, b)
         into_a = tuple(x for x in g._parents[a] if x != b)

@@ -13,7 +13,10 @@ multiplying a covariance by c > 0 never changes its verdict. It guards
 `estimation.ipf` and covariance input to `estimation.moment_matrix`. One
 scale-free rule, `_off_pattern_dependence`, decides that errors are
 independent off the undirected pattern, for `SemParameters` and for the
-population check of `search.identify_in_class`.
+population check of `search.identify_in_class`. `SemParameters` rejects a
+graph with a semidirected cycle before anything else, by the one walk
+that decides every cycle question (`graphs.is_chain_graph`, over the
+masks the graph keeps from its one build), so no model sits on one.
 
 This module is the one place that turns partial correlations into
 conditional-independence decisions. A single query, `gaussian_ci`, inverts
@@ -196,7 +199,9 @@ class SemParameters:
     its inverse vanishes off the undirected structure, which forces it to
     be block-diagonal over the chain components: each pair of errors
     without an undirected edge has a partial correlation below `_CI_TOL`
-    given the rest (`_off_pattern_dependence`).
+    given the rest (`_off_pattern_dependence`). A graph with a
+    semidirected cycle is rejected first, with ValueError naming one
+    (`graphs._require_chain_graph`), so no model is built on it.
     """
 
     graph: ChainGraph
@@ -204,6 +209,7 @@ class SemParameters:
     sigma: np.ndarray
 
     def __post_init__(self):
+        _require_chain_graph(self.graph)
         p = self.graph.p
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (p, p):
@@ -239,10 +245,10 @@ def random_parameters(g: ChainGraph, seed=0) -> SemParameters:
     component's concentration block gets random entries on its undirected
     edges and a strictly diagonally dominant diagonal, which guarantees
     positive definiteness; inverting the blocks yields sigma. A g with a
-    semidirected cycle is rejected with ValueError naming one.
+    semidirected cycle is rejected by `SemParameters`, with ValueError
+    naming one.
     """
     lo, hi = _COEF_RANGE
-    _require_chain_graph(g)
     rng = np.random.default_rng(seed)
     p = g.p
     beta = np.zeros((p, p))

@@ -14,7 +14,8 @@ Because openness is a per-step condition, an open route that revisits a
 separation is decidable by reachability over at most 3p states. Node sets
 are bitmasks, and the graph is held as the children, parents and
 neighbours of each node set (`_masks`, each union worked out once per
-set). One search, `_route_ends`, grows three masks at once, the nodes
+set), read off the child and neighbour masks the graph keeps from its one
+build (see `graphs`) and parent masks built per call. One search, `_route_ends`, grows three masks at once, the nodes
 entered by an arrowhead, by a tail and by an undirected edge, until none
 grows; it returns every node an open route from A given C reaches.
 :func:`separated` asks whether that meets B.
@@ -85,8 +86,11 @@ class _Unions(dict):
 
 
 def _masks(g: ChainGraph) -> tuple:
-    """The children, parents and neighbours of every node set of g, each as a `_Unions` over node bitmasks."""
-    return tuple(_Unions([_mask(x) for x in relatives]) for relatives in (g._children, g._parents, g._neighbors))
+    """The children, parents and neighbours of every node set of g, each as a `_Unions` over node bitmasks.
+
+    The child and neighbour masks are the ones g keeps; the parent masks are built here.
+    """
+    return _Unions(g._child_masks), _Unions([_mask(x) for x in g._parents]), _Unions(g._neighbor_masks)
 
 
 def _check_query(g: ChainGraph, q: SeparationQuery) -> None:

@@ -37,6 +37,14 @@ from .oracles import (
 )
 
 
+_CYCLIC = ChainGraph(3, directed={(0, 1), (2, 0)}, undirected={(1, 2)})
+_CYCLE_NAMED = "^not a chain graph; semidirected cycle: X1 -> X2 - X3 -> X1$"
+
+
+def _noise(n=200, p=3):
+    return Dataset(np.random.default_rng(0).normal(size=(n, p)))
+
+
 def _random_pd(rng, m):
     a = rng.normal(size=(m, m))
     return a @ a.T + np.eye(m) * (0.5 + rng.uniform())
@@ -200,6 +208,10 @@ class TestIpf:
 
 
 class TestFitComponent:
+    def test_semidirected_cycle_rejected(self):
+        with pytest.raises(ValueError, match=_CYCLE_NAMED):
+            fit_component(_noise(), _CYCLIC, {0})
+
     def test_singleton_without_parents(self):
         g = ChainGraph(2, directed={(0, 1)})
         cov = np.array([[1.5, 0.6], [0.6, 2.0]])
@@ -242,6 +254,12 @@ class TestFitComponent:
 
 
 class TestFit:
+    @pytest.mark.parametrize("equal_variances", [False, True])
+    def test_semidirected_cycle_rejected_before_the_input_is_read(self, equal_variances):
+        for data_or_cov in (_noise(), np.eye(2)):  # a 2x2 covariance would fail the shape check
+            with pytest.raises(ValueError, match=_CYCLE_NAMED):
+                fit(data_or_cov, _CYCLIC, equal_variances=equal_variances)
+
     def test_population_roundtrip_full(self, six_node_graph):
         params = rescale_equal_variances(random_parameters(six_node_graph, seed=2), 1.0)
         cov = implied_distribution(params).cov
@@ -451,10 +469,11 @@ class TestEqualVarianceFit:
             u = 3.0 * (theta[0] - 0.2)
             return math.cosh(u), np.array([3.0 * math.sinh(u)])
 
-        theta, steps, stopped = estimation._descend(profile, np.zeros(1))
+        theta, value, grad, steps, stopped = estimation._descend(profile, np.zeros(1))
         assert trials[1:4] == [1.0, 0.5, 0.25]
         assert stopped and steps > 1
-        assert abs(profile(theta)[1][0]) <= 1e-9
+        assert (value, grad.tolist()) == (profile(theta)[0], profile(theta)[1].tolist())  # the end point's own
+        assert abs(grad[0]) <= 1e-9
         assert abs(theta[0] - 0.2) < 1e-9
 
     def test_descent_scales_on_the_first_positive_curvature_step(self):
@@ -465,7 +484,7 @@ class TestEqualVarianceFit:
             trials.append(float(theta[0]))
             return -20.0 * math.cos(theta[0]), np.array([20.0 * math.sin(theta[0])])
 
-        theta, steps, stopped = estimation._descend(profile, np.array([2.5]))
+        theta, _, _, steps, stopped = estimation._descend(profile, np.array([2.5]))
         # An unscaled step of gradient length from 1.5 would try 1.5 - 20 sin 1.5 = -18.45,
         # in the basin of -6 pi. Unit steps hold until the step 1.5 -> 0.5 shows positive curvature.
         assert trials[1:3] == [1.5, 0.5]
@@ -480,10 +499,10 @@ class TestEqualVarianceFit:
             trials.append(float(theta[0]))
             return 1.0, np.array([1e-6])
 
-        assert estimation._descend(flat, np.zeros(1))[1:] == (0, True)  # flat to rounding: on tolerance
+        assert estimation._descend(flat, np.zeros(1))[3:] == (0, True)  # flat to rounding: on tolerance
         assert len(trials) == 1 + estimation._MAX_HALVINGS
         walled = estimation._descend(lambda theta: flat(theta) if theta[0] == 0 else None, np.zeros(1))
-        assert walled[1:] == (0, False)  # no feasible trial: off tolerance
+        assert walled[3:] == (0, False)  # no feasible trial: off tolerance
 
     def test_stationary_start_reaches_oracle(self):
         # Zero residual cross-moments on the pattern: Omega = I is a stationary maximum of the objective.
@@ -551,6 +570,35 @@ class TestEqualVarianceFit:
 
 
 class TestEqualVarianceScorer:
+    def test_loglik_rejects_a_semidirected_cycle(self):
+        scorer = EqualVarianceScorer(_noise(), 3)
+        with pytest.raises(ValueError, match=_CYCLE_NAMED):
+            scorer.loglik(_CYCLIC)
+        assert scorer.graphs == 0
+        # state_loglik is unchecked: its caller vouches for the state
+        assert math.isfinite(scorer.state_loglik(_CYCLIC._parents, _CYCLIC.undirected)[0])
+
+    def test_solve_objective_is_its_points_profile(self):
+        # each descent returns its end point's objective, so the solve reads it without evaluating again
+        rng = np.random.default_rng(5)
+        cases = [(np.diag([10.0, 10.0, 0.1, 0.1, 0.1]), ChainGraph(5, undirected={(2, 3), (3, 4)}))]  # two descents
+        for seed in range(20):
+            g = random_chain_graph(5, 0.6, 0.7, seed=seed)
+            cases.append((moment_matrix(Dataset(rng.normal(size=(200, 5)) @ rng.normal(size=(5, 5))), 5)[0], g))
+        solved = 0
+        for s, g in cases:
+            singles, multi = estimation._split(s, g._parents, g.undirected, chain_components(g))
+            if sum(len(c.pattern) for c in multi) < 2:
+                continue
+            fixed_t = sum(variance for *_, variance in singles)
+            solve = estimation._equal_variance_solve(fixed_t, multi, 5)
+            objective, grad = estimation._profile(fixed_t, multi, 5, solve.theta)[:2]
+            assert solve.objective == objective
+            if float(np.max(np.abs(grad))) <= estimation._EV_GRAD_TOL:
+                assert solve.converged
+            solved += 1
+        assert solved >= 10
+
     @staticmethod
     def _assert_matches_penalized_score(data_or_cov, graphs, n_eff):
         scorer = EqualVarianceScorer(data_or_cov, graphs[0].p)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -26,6 +27,7 @@ from ampcg import (
     structural_hamming_distance,
     triplexes,
 )
+from ampcg.graphs import _require_chain_graph
 
 from .conftest import chain_graphs
 from .oracles import (
@@ -107,6 +109,33 @@ class TestValidity:
                     undirected.add((a, b))
             g = ChainGraph(3, frozenset(directed), frozenset(undirected))
             assert is_chain_graph(g) == (not has_semidirected_cycle_matrix(3, directed, undirected))
+
+    def test_every_simple_graph_up_to_four_nodes_against_the_oracle(self):
+        # all 4,165 simple mixed graphs on p <= 4: the bitmask walk decides as the closure oracle does, each
+        # rejection names a semidirected cycle, and the per-arrow search's wording is pinned by its digest
+        messages = []
+        for p in range(1, 5):
+            for directed, undirected in _all_assignments(p):
+                g = ChainGraph(p, frozenset(directed), frozenset(undirected))
+                cyclic = has_semidirected_cycle_matrix(p, directed, undirected)
+                assert is_chain_graph(g) == (not cyclic)
+                if not cyclic:
+                    _require_chain_graph(g)
+                    continue
+                with pytest.raises(ValueError) as raised:
+                    _require_chain_graph(g)
+                messages.append(str(raised.value))
+                prefix, named = messages[-1].split(": ")
+                assert prefix == "not a chain graph; semidirected cycle"
+                words = named.split(" ")
+                nodes = [int(label[1:]) - 1 for label in words[::2]]
+                marks = words[1::2]
+                assert nodes[0] == nodes[-1] and marks[0] == "->"
+                for a, mark, b in zip(nodes, marks, nodes[1:]):
+                    assert (a, b) in directed if mark == "->" else (min(a, b), max(a, b)) in undirected
+        assert len(messages) == 2422
+        digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
+        assert digest == "f77cd5d8c9c5b7960c3ee94a3a0bec1a2d57b5d769a4be3889196fc271c5f516"
 
 
 class TestRelatives:
@@ -207,6 +236,13 @@ class TestMagnify:
         mg = magnify(ChainGraph(2, undirected={(0, 1)}))
         assert mg.base.directed == frozenset({(2, 0), (3, 1)})
         assert mg.base.undirected == frozenset({(2, 3)})
+
+    def test_error_labels_are_free(self):
+        # N_<label> where free; a label taken by a node or an earlier error node gets another N_ prefix
+        mg = magnify(ChainGraph(2, directed={(0, 1)}, labels=("a", "N_a")))
+        assert mg.base.labels == ("a", "N_a", "N_N_a", "N_N_N_a")
+        assert magnify(ChainGraph(2, labels=("a", "b"))).base.labels == ("a", "b", "N_a", "N_b")
+        assert magnify(ChainGraph(2)).base.labels == ("X1", "X2", "N1", "N2")
 
     @settings(max_examples=100, deadline=None)
     @given(chain_graphs(max_p=5))
@@ -365,9 +401,14 @@ class TestOrientations:
             h = ChainGraph(g.p, member.directed, member.undirected, labels=labels)
             assert type(member) is ChainGraph and member == h and hash(member) == hash(h)
             assert member.labels == h.labels == (tuple(str(x) for x in labels) if labelled else None)
-            for cache in ("_parents", "_children", "_neighbors", "_key"):
-                assert getattr(member, cache) == getattr(h, cache)
-            assert vars(member) == vars(h)  # fields, the three relatives caches and the canonical key, nothing else
+            # both are filled by one build: fields, relatives, canonical key and kept masks, nothing else
+            assert vars(member) == vars(h)
+            assert set(vars(h)) == {
+                "p", "directed", "undirected", "labels", "_parents", "_children", "_neighbors", "_key",
+                "_child_masks", "_neighbor_masks",
+            }
+            assert h._child_masks == tuple(sum(1 << b for b in out) for out in h._children)
+            assert h._neighbor_masks == tuple(sum(1 << b for b in out) for out in h._neighbors)
             assert is_chain_graph(member) and markov_equivalent(member, g)
 
     @pytest.mark.parametrize("p, seed, first, positions", _PINNED_ORDERS)

@@ -53,6 +53,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), labels=("a",))
 
+    def test_parameters_reject_a_semidirected_cycle(self):
+        g = ChainGraph(3, directed={(0, 1), (2, 0)}, undirected={(1, 2)})
+        with pytest.raises(ValueError, match="^not a chain graph; semidirected cycle: X1 -> X2 - X3 -> X1$"):
+            SemParameters(g, np.zeros((3, 3)), np.eye(3))
+
     def test_parameters_reject_offpattern_beta(self):
         g = ChainGraph(2, directed={(0, 1)})
         bad = np.array([[0.0, 0.5], [0.7, 0.0]])  # (0,1) entry has no parent edge
