@@ -71,7 +71,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .graphs import ChainGraph, _blocks, _default_label, _require_chain_graph, chain_components
+from .graphs import ChainGraph, _blocks, _require_chain_graph, chain_components
 from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
 
 __all__ = [
@@ -126,15 +126,15 @@ def moment_matrix(data_or_cov, p: int) -> tuple[np.ndarray, int | None]:
     if data_or_cov.p != p:
         raise ValueError(f"dataset has {data_or_cov.p} columns, graph has {p} nodes")
     v = data_or_cov.values
-    names = data_or_cov.labels or tuple(map(_default_label, range(p)))
-    constant = np.flatnonzero(~(v != v[0]).any(axis=0))
+    vt = np.ascontiguousarray(v.T)  # one row per column, so each row's test reads contiguous memory
+    constant = np.flatnonzero(~(vt != vt[:, :1]).any(axis=1))
     if constant.size:
-        raise ValueError(f"column {names[constant[0]]} is constant")
+        raise ValueError(f"column {data_or_cov._label(constant[0])} is constant")
     s = v.T @ v / data_or_cov.n
     j = _first_dependent(s)
     if j is not None:
         raise ValueError(
-            f"column {names[j]} is a linear combination of the columns before it "
+            f"column {data_or_cov._label(j)} is a linear combination of the columns before it "
             "(second-moment matrix is not positive definite)"
         )
     return s, data_or_cov.n

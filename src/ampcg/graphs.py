@@ -497,21 +497,27 @@ def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> 
     every graph yielded is a chain graph, in a fixed order. Yields nothing
     when no chain graph fits.
 
-    The marks are held as per-node child and neighbour bitmasks: a triplex
-    check is a few bit tests, and the cycle check is one `_cycle_through`
-    walk from a. The pairs and `labels` are checked once per call, by the
-    one `ChainGraph` over the skeleton, and each graph is built once from
-    the masks (`ChainGraph._from_masks`). Lazy: a caller that stops after
-    the first graph pays for no other.
+    The pairs and `labels` are checked once per call, by one `ChainGraph`
+    over the skeleton; the enumeration itself is `_orientations`. Lazy: a
+    caller that stops after the first graph pays for no other.
     """
     skeleton = ChainGraph(p, undirected=adjacency, labels=labels)  # rejects bad pairs and labels
-    edges = sorted(skeleton.undirected)
-    target = frozenset(target)
+    yield from _orientations(p, sorted(skeleton.undirected), skeleton._neighbors, frozenset(target), skeleton.labels)
+
+
+def _orientations(p: int, edges: list, ends: tuple, target: frozenset, labels: tuple | None) -> Iterator[ChainGraph]:
+    """`orientations` on checked input: the sorted skeleton pairs and each node's sorted skeleton neighbours.
+
+    The marks are held as per-node child and neighbour bitmasks: a triplex
+    check is a few bit tests, and the cycle check is one `_cycle_through`
+    walk from a. Each graph is built once from the masks
+    (`ChainGraph._from_masks`), with `labels` as given.
+    """
     index = {e: i for i, e in enumerate(edges)}
     checks: list[list] = [[] for _ in edges]  # by the later edge of each candidate
     candidates = set()
-    for k, ends in enumerate(skeleton._neighbors):
-        for j, l in itertools.combinations(ends, 2):
+    for k, around in enumerate(ends):
+        for j, l in itertools.combinations(around, 2):
             if (j, l) not in index:
                 t = Triplex(j, k, l)
                 candidates.add(t)
@@ -525,7 +531,7 @@ def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> 
     i = 0
     while i >= 0:
         if i == len(edges):
-            yield ChainGraph._from_masks(p, children, neighbors, skeleton.labels)
+            yield ChainGraph._from_masks(p, children, neighbors, labels)
             i -= 1
             continue
         a, b = edges[i]
@@ -579,7 +585,8 @@ def equivalence_class(g: ChainGraph) -> list:
     if g.p > CLASS_CAP:
         raise CapacityError(f"equivalence-class enumeration capped at p={CLASS_CAP}, got p={g.p}")
     _require_chain_graph(g)
-    return sorted(orientations(g.p, g._adjacencies, g._triplexes, labels=g.labels), key=canonical_key)
+    ends = tuple(tuple(sorted(g._parents[v] + g._children[v] + g._neighbors[v])) for v in range(g.p))
+    return sorted(_orientations(g.p, sorted(g._adjacencies), ends, g._triplexes, g.labels), key=canonical_key)
 
 
 def random_chain_graph(p: int, edge_prob: float, undirected_frac: float, seed) -> ChainGraph:

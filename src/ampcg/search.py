@@ -6,7 +6,8 @@ equal-variance penalized score. Markov-equivalent members share one model,
 so identification reads the whole class off one covariance: a population
 covariance itself, once `_check_population` has found it reproducible by
 the class's model, or on data the implied covariance `cov` of one
-unconstrained `fit` of the representative. Each member's error variances
+unconstrained `fit` of the member with the fewest undirected edges, a DAG
+fit in closed form whenever the class has one. Each member's error variances
 are its nodes' residual variances given their parents on that covariance,
 from `estimation._regression`, the one least-squares regression the
 library has: each (node, parent set) is solved once per call, shared by
@@ -120,7 +121,10 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
 
     Markov-equivalent members share one model, so one covariance Σ̂ serves
     them all: a population covariance itself, or for a dataset the implied
-    covariance of one unconstrained `fit` of class_rep. Population
+    covariance of one unconstrained `fit` of the member with the fewest
+    undirected edges, the first in canonical order on a tie. That member is
+    a DAG whenever the class has one, whose fit is per-node least squares
+    in closed form with `converged` True. Population
     covariance input must be a distribution of the class's model, or
     ValueError names the first pair of nodes that shows it is not (see
     `_check_population`). On Σ̂ each member's error variances v are its
@@ -138,8 +142,11 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     then `canonical_key` (`_rank`), and `margin` is the runner-up's
     statistic minus the winner's. The result's `loglik` and `converged`
     are Σ̂'s, which every member shares: the input's own maximum and True
-    on a covariance, the representative fit's on a dataset, read off that
-    one `FitResult` with Σ̂ its `cov`. The input is validated once, by
+    on a covariance, that member fit's on a dataset, read off that one
+    `FitResult` with Σ̂ its `cov`; any member's converged fit gives the same
+    Σ̂ and `loglik` up to rounding, and `converged` is False only when the
+    class has no DAG member and that member's loop stopped at its round
+    cap. The input is validated once, by
     `fit` or `moment_matrix`, and no equal-variance fit runs. Classes are
     enumerated up to 12 nodes; beyond that `CapacityError` is raised.
     """
@@ -147,8 +154,9 @@ def identify_in_class(class_rep: ChainGraph, data_or_cov) -> IdentifyResult:
     regressions: dict = {}
     on_data = isinstance(data_or_cov, Dataset)
     if on_data:
-        rep_fit = fit(data_or_cov, class_rep)
-        s, loglik, converged = rep_fit.cov, rep_fit.loglik, rep_fit.converged
+        # the member with the fewest undirected edges: a DAG whenever the class has one, fit in closed form
+        member_fit = fit(data_or_cov, min(members, key=lambda g: len(g.undirected)))
+        s, loglik, converged = member_fit.cov, member_fit.loglik, member_fit.converged
     else:
         s = moment_matrix(data_or_cov, class_rep.p)[0]
         _check_population(s, class_rep, regressions)

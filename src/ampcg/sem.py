@@ -178,8 +178,13 @@ class Dataset:
             object.__setattr__(self, "labels", labels)
         if not np.all(np.isfinite(values)):
             i, j = np.argwhere(~np.isfinite(values))[0]
-            label = self.labels[j] if self.labels is not None else _default_label(j)
-            raise ValueError(f"dataset has a non-finite entry {values[i, j]} in column {label}, data row {i + 1}")
+            raise ValueError(
+                f"dataset has a non-finite entry {values[i, j]} in column {self._label(j)}, data row {i + 1}"
+            )
+
+    def _label(self, j: int) -> str:
+        """Column j's label: its own, or X1, X2, ... without labels."""
+        return self.labels[j] if self.labels is not None else _default_label(j)
 
     @property
     def n(self) -> int:
@@ -217,11 +222,12 @@ class SemParameters:
         sigma = _valid_covariance(self.sigma, "sigma")
         if sigma.shape != (p, p):
             raise ValueError(f"sigma must be {p}x{p}, got {sigma.shape}")
-        for j in range(p):
-            allowed = set(self.graph._parents[j])
-            for k in range(p):
-                if k not in allowed and abs(beta[j, k]) > 1e-12:
-                    raise ValueError(f"beta[{j}, {k}] non-zero but {k} is not a parent of {j}")
+        off_support = np.abs(beta) > 1e-12
+        for parent, child in self.graph.directed:
+            off_support[child, parent] = False
+        if off_support.any():
+            j, k = np.argwhere(off_support)[0]  # the first in row-major order
+            raise ValueError(f"beta[{j}, {k}] non-zero but {k} is not a parent of {j}")
         dependent = _off_pattern_dependence(sigma, self.graph.undirected)
         if dependent is not None:
             raise ValueError(f"concentration entry {dependent[:2]} must vanish without an undirected edge")

@@ -427,8 +427,8 @@ def identify_in_class_loop(class_rep: ChainGraph, data_or_cov) -> search.Identif
     members = equivalence_class(class_rep)
     regressions: dict = {}
     if isinstance(data_or_cov, Dataset):
-        rep_fit = fit(data_or_cov, class_rep)
-        s, loglik, converged, statistic = rep_fit.cov, rep_fit.loglik, rep_fit.converged, "gap"
+        member_fit = fit(data_or_cov, min(members, key=lambda g: len(g.undirected)))
+        s, loglik, converged, statistic = member_fit.cov, member_fit.loglik, member_fit.converged, "gap"
     else:
         s = moment_matrix(data_or_cov, class_rep.p)[0]
         search._check_population(s, class_rep, regressions)

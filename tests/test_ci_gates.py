@@ -15,11 +15,13 @@ _SPEC.loader.exec_module(ci_gates)
 _LAYERS = ("search.identify_in_class", "estimation.fit", "graphs.equivalence_class", "graphs.is_chain_graph")
 
 
-def _result(exact_rate=1.0, failed=0, **calls):
+def _result(exact_rate=1.0, failed=0, outer_rounds=0, nonconverged=0, **calls):
     metrics = {"exact_rate": {"value": exact_rate, "unit": "share"}}
     for layer in _LAYERS:
         value = calls.get(layer.split(".")[1], 48 * (3 if layer == "graphs.is_chain_graph" else 1))
         metrics[f"{layer}.calls"] = {"value": value, "unit": "count"}
+    metrics["estimation.fit.outer_rounds"] = {"value": outer_rounds, "unit": "count"}
+    metrics["estimation.fit.nonconverged"] = {"value": nonconverged, "unit": "count"}
     return {"correct": failed == 0, "attempted": 48, "failed": failed, "metrics": metrics}
 
 
@@ -48,6 +50,8 @@ def test_the_gates_are_the_workflows_with_one_added():
         "identify-data 1 True: estimation.fit.calls 48 == search.identify_in_class.calls 48",
         "identify-data 1 True: graphs.equivalence_class.calls 48 == search.identify_in_class.calls 48",
         "identify-data 1 True: graphs.is_chain_graph.calls 144 >= search.identify_in_class.calls 48",
+        "identify-data 1 True: estimation.fit.outer_rounds 0 == 0",
+        "identify-data 1 True: estimation.fit.nonconverged 0 == 0",
         "greedy-data 1 True: correct True",
         "experiment-two-phase 1 True: correct True",
         "experiment-two-phase 1 True: graphs.equivalence_class.calls 48 == search.identify_in_class.calls 48",
@@ -66,6 +70,9 @@ def test_the_gates_are_the_workflows_with_one_added():
         (("identify-data", 1, True), _result(equivalence_class=47)),
         (("experiment-two-phase", 1, True), _result(is_chain_graph=0)),
         (("identify-data", 1, True), "run exited 1"),
+        # the representatives' GLS/IPF rounds at seed 1 before a DAG member was fit instead
+        (("identify-data", 1, True), _result(outer_rounds=46)),
+        (("identify-data", 1, True), _result(nonconverged=1)),
     ],
 )
 def test_a_planted_regression_fails_a_gate(run, result):
@@ -77,4 +84,4 @@ def test_a_missing_metric_fails_its_gate():
     result = _result()
     del result["metrics"]["graphs.is_chain_graph.calls"]
     outcomes = ci_gates.check(_gates("identify-data", 1, True), result)
-    assert [ok for ok, _ in outcomes] == [True, True, True, False]
+    assert [ok for ok, _ in outcomes] == [True, True, True, False, True, True]

@@ -75,8 +75,11 @@ class TestMomentMatrix:
         values[:, 3] = 0.0
         values[:, 1] = values[0, 1]
         values[1:, 0] = 7.0  # constant but for its first row
-        with pytest.raises(ValueError, match="column X2 is constant"):
-            moment_matrix(Dataset(values), 4)
+        for layout in (values, np.asfortranarray(values)):
+            with pytest.raises(ValueError, match="^column X2 is constant$"):
+                moment_matrix(Dataset(layout), 4)
+            with pytest.raises(ValueError, match="^column wet is constant$"):
+                moment_matrix(Dataset(layout, labels=("rain", "wet", "mud", "sun")), 4)
 
     def test_fewer_rows_than_columns_names_first_dependent_column(self):
         # X5 fails the factorization; X4 already has a squared pivot of 1.5e-16 of its variance

@@ -304,11 +304,12 @@ class TestCli:
         assert chosen == truth
 
     def test_identify_flags_a_nonconverged_fit(self, tmp_path, capsys):
-        g = ChainGraph(3, directed={(1, 0)}, undirected={(0, 2)})
+        g = random_chain_graph(5, 0.6, 0.6, seed=99)  # no member of its class is a DAG
         gpath = tmp_path / "g.json"
         write_graph(g, gpath)
         dpath = tmp_path / "d.csv"
-        write_dataset(Dataset(np.random.default_rng(718).normal(size=(5, 3))), dpath)  # stops at the round cap
+        # every member's fit, the representative's too, stops at the round cap on these six rows
+        write_dataset(Dataset(np.random.default_rng(595).normal(size=(6, 5))), dpath)
         cpath = tmp_path / "c.json"
         write_covariance(implied_distribution(random_parameters(g, seed=1)).cov, cpath)
         for source, path, converged in (("--data", dpath, False), ("--population", cpath, True)):
@@ -395,7 +396,8 @@ class TestCli:
         assert read_graph(opath).p == 2
 
     def test_learn_two_phase_flags_a_nonconverged_fit(self, tmp_path, capsys):
-        # the class representative's unconstrained fit stops at the round cap on these 15 rows
+        # the recovered class has one member, with an undirected edge, and its fit stops at the
+        # round cap on these 15 rows
         rng = np.random.default_rng([15, 75])
         values = rng.normal(size=(15, 4)) @ (np.eye(4) + np.triu(3 * rng.normal(size=(4, 4)), 1))
         dpath = tmp_path / "d.csv"

@@ -257,15 +257,15 @@ class TestIdentifyInClass:
         assert result.margin == gaps[1] - gaps[0] > 0
 
     def test_dataset_rows_match_unconstrained_fit(self):
-        # Markov-equivalent members share one model, so the representative's
-        # fit is every member's: each row's residual variances on it are the
-        # member's own fitted error variances
+        # Markov-equivalent members share one model, so the fit of the member
+        # with the fewest undirected edges is every member's: each row's
+        # residual variances on it are the member's own fitted error variances
         members = 0
         for trial in range(40):
             g = random_chain_graph(2 + trial % 5, 0.5, 0.5, seed=trial + 7_000)
             params = rescale_equal_variances(random_parameters(g, seed=trial + 1), 1.0)
             data = sample(implied_distribution(params), 500, seed=trial + 2)
-            rep = fit(data, g)
+            rep = fit(data, min(equivalence_class(g), key=lambda h: len(h.undirected)))
             result = identify_in_class(g, data)
             assert result.loglik == rep.loglik and result.converged == rep.converged
             for row in result.table:
@@ -274,6 +274,24 @@ class TestIdentifyInClass:
                 assert abs(result.loglik - reference.loglik) < 1e-9
                 members += 1
         assert members > 40
+
+    @pytest.mark.parametrize("p", range(3, 8))
+    def test_every_member_fit_gives_one_covariance(self, p):
+        # why any one member's fit serves the class: Markov-equivalent members share one model,
+        # so every member's converged unconstrained fit reaches the same maximum
+        members = 0
+        for trial in range(6):
+            g = random_chain_graph(p, 0.5, 0.4, seed=sem.compose_seed(27, p, trial))
+            params = rescale_equal_variances(random_parameters(g, seed=trial), 1.0)
+            data = sample(implied_distribution(params), 40 * p, seed=trial)
+            fits = [fit(data, h) for h in equivalence_class(g)]
+            assert all(f.converged for f in fits)
+            first = fits[0]
+            for f in fits[1:]:
+                assert np.max(np.abs(f.cov - first.cov)) <= 1e-9 * np.max(np.abs(first.cov))
+                assert abs(f.loglik - first.loglik) <= 1e-9 * abs(first.loglik)
+                members += 1
+        assert members > 0
 
     def test_dag_member_gap_is_the_equal_variance_likelihood_ratio(self):
         dags = 0
@@ -290,7 +308,8 @@ class TestIdentifyInClass:
         assert dags > 40
 
     def test_dataset_runs_one_fit(self, six_node_graph, monkeypatch):
-        # the representative's unconstrained fit is the public `fit`, and it runs once per call
+        # the unconstrained fit is the public `fit` of the member with the fewest undirected edges,
+        # the first in canonical order on a tie, and it runs once per call
         calls = []
 
         def counting(*args, **kwargs):
@@ -302,8 +321,12 @@ class TestIdentifyInClass:
         params = rescale_equal_variances(random_parameters(six_node_graph, seed=31), 1.0)
         data = sample(implied_distribution(params), 1000, seed=32)
         result = identify_in_class(six_node_graph, data)
-        assert calls == [six_node_graph] and result.class_size > 1
-        rep = estimation.fit(data, six_node_graph)
+        members = equivalence_class(six_node_graph)
+        fewest = min(len(h.undirected) for h in members)
+        member = next(h for h in members if len(h.undirected) == fewest)
+        assert calls == [member] and result.class_size > 1
+        assert len(member.undirected) < len(six_node_graph.undirected)  # not the representative
+        rep = estimation.fit(data, member)
         assert (result.loglik, result.converged) == (rep.loglik, rep.converged)
 
     def test_dataset_runs_no_equal_variance_solve(self, six_node_graph, monkeypatch):
@@ -318,9 +341,13 @@ class TestIdentifyInClass:
         assert result.class_size > 1 and result.chosen == six_node_graph
 
     def test_nonconverged_representative_fit_is_flagged(self):
-        # five rows leave the GLS/IPF alternation short of its optimum at the round cap
-        g = ChainGraph(3, directed={(1, 0)}, undirected={(0, 2)})
-        data = Dataset(np.random.default_rng(718).normal(size=(5, 3)))
+        # no member of this class is a DAG, and on six rows the GLS/IPF alternation of every
+        # member, the one with the fewest undirected edges included, stops short at the round cap
+        g = random_chain_graph(5, 0.6, 0.6, seed=99)
+        data = Dataset(np.random.default_rng(595).normal(size=(6, 5)))
+        members = equivalence_class(g)
+        assert all(h.undirected for h in members)
+        assert not fit(data, min(members, key=lambda h: len(h.undirected))).converged
         assert not fit(data, g).converged
         result = identify_in_class(g, data)
         assert result.class_size > 1

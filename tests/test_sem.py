@@ -64,6 +64,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             SemParameters(g, bad, np.eye(2))
 
+    def test_first_of_two_offpattern_betas_named(self):
+        # row-major order: (1, 2) comes before (2, 0), and each has a non-zero entry off the support
+        g = ChainGraph(3, directed={(0, 1), (1, 2)})
+        beta = np.zeros((3, 3))
+        beta[1, 0], beta[2, 1] = 0.9, -0.7  # on the support
+        beta[2, 0], beta[1, 2] = 0.3, -1e-9
+        with pytest.raises(ValueError, match=r"^beta\[1, 2\] non-zero but 2 is not a parent of 1$"):
+            SemParameters(g, beta, np.eye(3))
+        beta[1, 2] = 1e-13  # within the zero tolerance
+        with pytest.raises(ValueError, match=r"^beta\[2, 0\] non-zero but 0 is not a parent of 2$"):
+            SemParameters(g, beta, np.eye(3))
+
     def test_singular_matrices_rejected_naming_node(self):
         singular = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])  # node 2 = node 0 + node 1
         with pytest.raises(ValueError, match=r"node 2 is a linear combination .*\(cov is not"):

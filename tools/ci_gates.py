@@ -46,6 +46,14 @@ def _exact_rate(op: str, bound: float):
     return gate
 
 
+def _zero(metric: str):
+    def gate(result: dict) -> tuple[bool, str]:
+        value = _value(result, metric)
+        return value == 0, f"{metric} {value} == 0"
+
+    return gate
+
+
 def _calls(layer: str, op: str, other: str):
     def gate(result: dict) -> tuple[bool, str]:
         a, b = _value(result, f"{layer}.calls"), _value(result, f"{other}.calls")
@@ -67,9 +75,10 @@ RUNS = (
     ("greedy-data", 2, False, (_correct, _exact_rate(">=", 0.8))),
     # more class shapes through the bitmask class enumeration and route search: exact at population
     ("experiment-two-phase", 2, False, (_correct, _exact_rate("==", 1.0))),
-    # the representative's fit is the public estimation.fit, traced once per identification; every
-    # identification lists its class once through graphs.equivalence_class, which checks its graph
-    # through graphs.is_chain_graph
+    # each identification fits one member through the public estimation.fit; every identification
+    # lists its class once through graphs.equivalence_class, which checks its graph through
+    # graphs.is_chain_graph; every class here has a DAG member, the one fit, so the fit is closed
+    # form: no GLS/IPF round runs and none stops at its cap
     (
         "identify-data",
         1,
@@ -79,6 +88,8 @@ RUNS = (
             _calls("estimation.fit", "==", IDENTIFY),
             _calls("graphs.equivalence_class", "==", IDENTIFY),
             _calls("graphs.is_chain_graph", ">=", IDENTIFY),
+            _zero("estimation.fit.outer_rounds"),
+            _zero("estimation.fit.nonconverged"),
         ),
     ),
     ("greedy-data", 1, True, (_traced_correct,)),
