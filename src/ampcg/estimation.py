@@ -26,8 +26,9 @@ works on the validated second moment. The graph is checked on entry
 too: `fit`, `fit_component` and `EqualVarianceScorer.loglik` reject one
 with a semidirected cycle before any work, by the one walk that decides
 every cycle question (`graphs.is_chain_graph`, over the masks the graph
-keeps from its one build); `state_loglik` leaves that to its caller. A
-`FitResult` states each fact
+keeps from its one build); `state_loglik` leaves that to its caller.
+Nothing `fit` builds from checked input is checked again, save its
+implied covariance (see `fit`). A `FitResult` states each fact
 once: its implied covariance `cov`, which `search.identify_in_class` reads
 as the covariance of the whole class on data, and the `loglik` of that
 covariance against the input.
@@ -71,7 +72,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .graphs import ChainGraph, _blocks, _require_chain_graph, chain_components
+from .graphs import ChainGraph, _blocks, _require_chain_graph, _trusted, chain_components
 from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
 
 __all__ = [
@@ -685,7 +686,15 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     result carries the fit's implied covariance `cov`, at which `loglik`
     is evaluated against the input's second moment. A g with a
     semidirected cycle is rejected with ValueError naming one, before the
-    input is read.
+    input is read. That entry check is the graph's only one: beta is
+    written on parents alone and sigma block by block, off-pattern
+    concentration entries untouched, so the params are built on the
+    trusted path (`graphs._trusted`) with sigma stored as ½(sigma +
+    sigmaᵀ), as the public `SemParameters` constructor stores it. The
+    implied covariance keeps its `GaussianDistribution` check, which sigma
+    passes exactly when it is positive definite: a non-finite or singular
+    fit raises ValueError there, naming the node (`cov is not positive
+    definite`).
     """
     _require_chain_graph(g)
     s = moment_matrix(data_or_cov, g.p)[0]
@@ -721,7 +730,7 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
         rows = np.array(piece.nodes)[:, None]
         beta[rows, np.array(piece.predictors, dtype=int)] = piece.beta
         sigma[rows, rows.T] = piece.sigma
-    params = SemParameters(graph=g, beta=beta, sigma=sigma)
+    params = _trusted(SemParameters, graph=g, beta=beta, sigma=0.5 * (sigma + sigma.T))
     cov = implied_distribution(params).cov
     variances = np.diag(sigma).copy()
     return FitResult(

@@ -71,6 +71,20 @@ def _repeated_label(labels: tuple) -> str | None:
     return None
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields` as given, without running `__post_init__`.
+
+    The library's one way to build a value from input it has already
+    checked (`ChainGraph._from_masks`, `estimation.fit`,
+    `sem.random_parameters`, `sem.rescale_equal_variances`): the caller
+    vouches that `fields` are what the public constructor would store for
+    the same input, so none of its checks runs again.
+    """
+    value = cls.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 class GraphStructureError(ValueError):
     """A candidate graph is malformed: bad index, self-loop or duplicate edge."""
 
@@ -98,12 +112,14 @@ class ChainGraph:
     a label given to two nodes).
     It does *not* reject semidirected cycles, so that :func:`is_chain_graph`
     can classify arbitrary simple candidates. Where a class or a model
-    meets a graph (`equivalence_class`, the graph readers,
-    `sem.SemParameters`, `estimation.fit`, `estimation.fit_component`,
+    meets a graph from outside the library (`equivalence_class`, the graph
+    readers, the public `sem.SemParameters` constructor,
+    `sem.random_parameters`, `estimation.fit`, `estimation.fit_component`,
     `EqualVarianceScorer.loglik`), a graph with such a cycle is rejected
-    with ValueError naming one; other operations assume the candidate
-    passed that check. The structure is filled once, on construction
-    (`_fill`).
+    with ValueError naming one, once per call; other operations, and the
+    values the library builds from a checked graph (`_trusted`), assume
+    the candidate passed that check. The structure is filled once, on
+    construction (`_fill`).
     """
 
     p: int
@@ -142,15 +158,14 @@ class ChainGraph:
     def _from_masks(cls, p: int, children: list, neighbors: list, labels: tuple | None) -> "ChainGraph":
         """The graph in which node v points at the nodes of bitmask children[v] and joins those of neighbors[v].
 
-        Trusted: the masks must describe a simple graph on p nodes and
-        `labels` must already be normalised (None or a tuple of p strings),
-        since none of `__post_init__`'s checks runs. The result is equal
-        to, hashes like and holds the same attributes as the graph the
+        Trusted (`_trusted`): the masks must describe a simple graph on p
+        nodes and `labels` must already be normalised (None or a tuple of p
+        strings), since none of `__post_init__`'s checks runs. The result is
+        equal to, hashes like and holds the same attributes as the graph the
         public constructor builds from the same edges and labels: both are
         filled by `_fill`.
         """
-        graph = cls.__new__(cls)
-        graph.__dict__.update(p=p, labels=labels)
+        graph = _trusted(cls, p=p, labels=labels)
         graph._fill(children, neighbors)
         return graph
 

@@ -9,14 +9,19 @@ sampling and population-level conditional-independence checks live here.
 So does the one rule for a valid covariance, `_valid_covariance`: finite,
 square, symmetric, and positive definite under a scale-free rank test, so
 multiplying a covariance by c > 0 never changes its verdict. It guards
-`GaussianDistribution`, `SemParameters.sigma`, `gaussian_ci`,
+`GaussianDistribution` (so every implied covariance, a fitted one too),
+`sigma` in the public `SemParameters` constructor, `gaussian_ci`,
 `estimation.ipf` and covariance input to `estimation.moment_matrix`. One
 scale-free rule, `_off_pattern_dependence`, decides that errors are
-independent off the undirected pattern, for `SemParameters` and for the
-population check of `search.identify_in_class`. `SemParameters` rejects a
-graph with a semidirected cycle before anything else, by the one walk
-that decides every cycle question (`graphs.is_chain_graph`, over the
-masks the graph keeps from its one build), so no model sits on one.
+independent off the undirected pattern, for the public `SemParameters`
+constructor and for the population check of `search.identify_in_class`.
+That constructor rejects a graph with a semidirected cycle before
+anything else, by the one walk that decides every cycle question
+(`graphs.is_chain_graph`, over the masks the graph keeps from its one
+build), so no model sits on one. Parameters the library builds itself on
+a graph it has checked (`random_parameters`, `rescale_equal_variances`,
+`estimation.fit`) are valid by construction and take the trusted path,
+`graphs._trusted`, so they are validated once, at the boundary.
 
 This module is the one place that turns partial correlations into
 conditional-independence decisions. A single query, `gaussian_ci`, inverts
@@ -41,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import ChainGraph, _default_label, _repeated_label, _require_chain_graph, chain_components
+from .graphs import ChainGraph, _default_label, _repeated_label, _require_chain_graph, _trusted, chain_components
 from .separation import _query_table, _separations
 
 __all__ = [
@@ -207,6 +212,13 @@ class SemParameters:
     given the rest (`_off_pattern_dependence`). A graph with a
     semidirected cycle is rejected first, with ValueError naming one
     (`graphs._require_chain_graph`), so no model is built on it.
+
+    The public constructor runs every one of these checks. The library's
+    own builders (`random_parameters`, `rescale_equal_variances`,
+    `estimation.fit`) check their graph on entry and build beta and sigma
+    on the pattern, so they take the trusted path (`graphs._trusted`)
+    and store what this constructor would: beta as a float array and
+    sigma as the symmetric ½(sigma + sigmaᵀ).
     """
 
     graph: ChainGraph
@@ -250,10 +262,12 @@ def random_parameters(g: ChainGraph, seed=0) -> SemParameters:
     that dependences stay numerically visible) with random signs. Each
     component's concentration block gets random entries on its undirected
     edges and a strictly diagonally dominant diagonal, which guarantees
-    positive definiteness; inverting the blocks yields sigma. A g with a
-    semidirected cycle is rejected by `SemParameters`, with ValueError
-    naming one.
+    positive definiteness; inverting the blocks yields sigma, which is
+    block-diagonal over the components and so valid by construction. A g
+    with a semidirected cycle is rejected on entry, with ValueError naming
+    one; the result is built on the trusted path (`graphs._trusted`).
     """
+    _require_chain_graph(g)
     lo, hi = _COEF_RANGE
     rng = np.random.default_rng(seed)
     p = g.p
@@ -277,7 +291,7 @@ def random_parameters(g: ChainGraph, seed=0) -> SemParameters:
         block = np.linalg.inv(omega)
         rows = np.array(nodes)[:, None]
         sigma[rows, rows.T] = 0.5 * (block + block.T)
-    return SemParameters(graph=g, beta=beta, sigma=sigma)
+    return _trusted(SemParameters, graph=g, beta=beta, sigma=sigma)
 
 
 def implied_distribution(params: SemParameters) -> GaussianDistribution:
@@ -295,14 +309,17 @@ def rescale_equal_variances(params: SemParameters, sigma2: float = 1.0) -> SemPa
     Error j is scaled by sqrt(sigma2)/sd(error j); the coefficients are
     untouched. A diagonal congruence cannot create or destroy zeros of the
     concentration matrix, so the undirected structure is preserved, and
-    positive definiteness survives in both directions.
+    positive definiteness survives in both directions: both scale-free
+    verdicts, `_valid_covariance` and `_off_pattern_dependence`, are those
+    of params.sigma, so the result is built on the trusted path
+    (`graphs._trusted`). sigma2 must be positive and finite.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < np.inf:  # NaN fails too
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     d = np.sqrt(sigma2 / np.diag(params.sigma))
     sigma = params.sigma * np.outer(d, d)
     np.fill_diagonal(sigma, sigma2)
-    return SemParameters(graph=params.graph, beta=params.beta.copy(), sigma=sigma)
+    return _trusted(SemParameters, graph=params.graph, beta=params.beta.copy(), sigma=sigma)
 
 
 def condition(dist: GaussianDistribution, b: Iterable[int], b_values) -> GaussianDistribution:

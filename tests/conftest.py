@@ -3,11 +3,12 @@ from __future__ import annotations
 import itertools
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from ampcg import ChainGraph
+from ampcg import ChainGraph, Dataset, random_chain_graph
 
 # CI runs replay the same examples, so a red run reproduces locally with CI=1;
 # local runs keep drawing fresh examples.
@@ -45,3 +46,21 @@ def chain_graphs(draw, min_p: int = 1, max_p: int = 5):
     directed = {(a, b) for a, b in edges if block[a] != block[b]}
     undirected = {(a, b) for a, b in edges if block[a] == block[b]}
     return ChainGraph(p, directed, undirected)
+
+
+def near_collinear_input(seed) -> tuple[ChainGraph, Dataset]:
+    """(graph, dataset) of one near-collinear input, drawn from `seed` alone.
+
+    A `random_chain_graph(p, 0.7, 0.6)` on 2-6 nodes and p + 1 to 59 rows
+    of standard normal data, one column of which is another plus normal
+    noise of standard deviation 10^-u, u uniform in [2, 5.5]: data that
+    passes `moment_matrix` and fits with an ill-conditioned error
+    covariance.
+    """
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, 7))
+    g = random_chain_graph(p, 0.7, 0.6, seed=seed)
+    x = rng.normal(size=(int(rng.integers(p + 1, 60)), p))
+    a, b = rng.choice(p, 2, replace=False)
+    x[:, b] = x[:, a] + 10 ** -rng.uniform(2, 5.5) * rng.normal(size=len(x))
+    return g, Dataset(x)

@@ -18,7 +18,7 @@ _LAYERS = ("search.identify_in_class", "estimation.fit", "graphs.equivalence_cla
 def _result(exact_rate=1.0, failed=0, outer_rounds=0, nonconverged=0, **calls):
     metrics = {"exact_rate": {"value": exact_rate, "unit": "share"}}
     for layer in _LAYERS:
-        value = calls.get(layer.split(".")[1], 48 * (3 if layer == "graphs.is_chain_graph" else 1))
+        value = calls.get(layer.split(".")[1], 48 * (2 if layer == "graphs.is_chain_graph" else 1))
         metrics[f"{layer}.calls"] = {"value": value, "unit": "count"}
     metrics["estimation.fit.outer_rounds"] = {"value": outer_rounds, "unit": "count"}
     metrics["estimation.fit.nonconverged"] = {"value": nonconverged, "unit": "count"}
@@ -49,13 +49,14 @@ def test_the_gates_are_the_workflows_with_one_added():
         "identify-data 1 True: correct True",
         "identify-data 1 True: estimation.fit.calls 48 == search.identify_in_class.calls 48",
         "identify-data 1 True: graphs.equivalence_class.calls 48 == search.identify_in_class.calls 48",
-        "identify-data 1 True: graphs.is_chain_graph.calls 144 >= search.identify_in_class.calls 48",
+        "identify-data 1 True: graphs.is_chain_graph.calls 96 >= search.identify_in_class.calls 48",
+        "identify-data 1 True: graphs.is_chain_graph.calls 96 == estimation.fit.calls + graphs.equivalence_class.calls 96",
         "identify-data 1 True: estimation.fit.outer_rounds 0 == 0",
         "identify-data 1 True: estimation.fit.nonconverged 0 == 0",
         "greedy-data 1 True: correct True",
         "experiment-two-phase 1 True: correct True",
         "experiment-two-phase 1 True: graphs.equivalence_class.calls 48 == search.identify_in_class.calls 48",
-        "experiment-two-phase 1 True: graphs.is_chain_graph.calls 144 >= search.identify_in_class.calls 48",
+        "experiment-two-phase 1 True: graphs.is_chain_graph.calls 96 >= search.identify_in_class.calls 48",
     ]
 
 
@@ -73,6 +74,8 @@ def test_the_gates_are_the_workflows_with_one_added():
         # the representatives' GLS/IPF rounds at seed 1 before a DAG member was fit instead
         (("identify-data", 1, True), _result(outer_rounds=46)),
         (("identify-data", 1, True), _result(nonconverged=1)),
+        # fit's params checked their graph again, as before they were built on the trusted path
+        (("identify-data", 1, True), _result(is_chain_graph=144)),
     ],
 )
 def test_a_planted_regression_fails_a_gate(run, result):
@@ -84,4 +87,4 @@ def test_a_missing_metric_fails_its_gate():
     result = _result()
     del result["metrics"]["graphs.is_chain_graph.calls"]
     outcomes = ci_gates.check(_gates("identify-data", 1, True), result)
-    assert [ok for ok, _ in outcomes] == [True, True, True, False, True, True]
+    assert [ok for ok, _ in outcomes] == [True, True, True, False, False, True, True]

@@ -17,6 +17,8 @@ from ampcg import (
     fit,
     fit_component,
     gaussian_average_loglik,
+    graphs,
+    identify_in_class,
     implied_distribution,
     ipf,
     moment_matrix,
@@ -27,7 +29,7 @@ from ampcg import (
     sample,
 )
 
-from .conftest import chain_graphs
+from .conftest import chain_graphs, near_collinear_input
 from .oracles import (
     enumerate_chain_graphs,
     equal_variance_bic,
@@ -365,6 +367,70 @@ class TestFit:
         d1 = fit(cov, wrong).dispersion
         d2 = fit(cov * 7.3, wrong).dispersion
         assert abs(d1 - d2) < 1e-7
+
+
+class TestValidatedOnce:
+    """Values the library builds from checked input are not checked again; public constructors keep every check."""
+
+    def test_near_collinear_fit_completes(self):
+        # cond(sigma) is about 1.6e9: inverting the fitted sigma once more read an off-pattern
+        # partial correlation above 1e-8, and the fit raised on its own output
+        g, data = near_collinear_input(87)
+        result = fit(data, g)
+        assert result.converged and math.isfinite(result.loglik)
+
+    def test_singular_fit_raises_naming_the_node(self):
+        rng = np.random.default_rng(949)
+        rng.integers(2, 7)
+        x = rng.normal(size=(50, 3))
+        k = rng.integers(3, 7)
+        x[:, 2] = x[:, 0] + 10.0**-k * rng.normal(size=50)
+        g = ChainGraph(3, undirected={(0, 1), (0, 2), (1, 2)})
+        # the implied covariance's check: sigma is positive definite exactly when it is
+        with pytest.raises(ValueError, match=r"^node 2 is a linear combination of the nodes before it \(cov "):
+            fit(Dataset(x), g, equal_variances=True)
+
+    def test_implied_distribution_keeps_its_check(self):
+        # valid parameters whose implied covariance fails the scale-free rank test
+        params = SemParameters(ChainGraph(2, directed={(0, 1)}), np.array([[0.0, 0.0], [1e6, 0.0]]), np.eye(2))
+        with pytest.raises(ValueError, match="cov is not positive definite"):
+            implied_distribution(params)
+
+    def test_each_graph_is_checked_once_at_the_boundary(self, six_node_graph, monkeypatch):
+        calls = []
+        original = graphs.is_chain_graph
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "is_chain_graph", counting)
+
+        def checks(run):
+            calls.clear()
+            out = run()
+            return len(calls), out
+
+        assert checks(lambda: random_parameters(six_node_graph, seed=3))[0] == 1
+        count, params = checks(lambda: rescale_equal_variances(random_parameters(six_node_graph, seed=3)))
+        assert count == 1  # random_parameters' own
+        data = sample(implied_distribution(params), 500, seed=4)
+        assert checks(lambda: fit(data, six_node_graph))[0] == 1
+        assert checks(lambda: identify_in_class(six_node_graph, data))[0] == 2  # equivalence_class, then fit
+        assert checks(lambda: rescale_equal_variances(params, 2.0))[0] == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g: fit(_noise(), g),
+            lambda g: random_parameters(g),
+            lambda g: SemParameters(g, np.zeros((3, 3)), np.eye(3)),
+        ],
+        ids=["fit", "random_parameters", "SemParameters"],
+    )
+    def test_a_cyclic_graph_is_rejected_naming_its_cycle(self, build):
+        with pytest.raises(ValueError, match=_CYCLE_NAMED):
+            build(_CYCLIC)
 
 
 def _strong_correlation_sample():

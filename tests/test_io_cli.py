@@ -38,6 +38,7 @@ from ampcg import (
 from ampcg import cli
 from ampcg.cli import main
 
+from .conftest import near_collinear_input
 from .oracles import brute_force_separated
 
 # `ampcg` runs on the six-node fixture, by name; their output is pinned in data/six_node_cli.json
@@ -382,6 +383,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
         assert not out.exists()
+
+    def test_fit_of_a_near_collinear_dataset(self, tmp_path, capsys):
+        g, data = near_collinear_input(87)
+        dpath, gpath, out = tmp_path / "d.csv", tmp_path / "g.json", tmp_path / "f.json"
+        write_dataset(data, dpath)
+        write_graph(g, gpath)
+        assert main(["fit", "--graph", str(gpath), "--data", str(dpath), "--out", str(out)]) == 0, capsys.readouterr().err
+        assert json.loads(out.read_text())["converged"] is True
 
     def test_learn_greedy(self, tmp_path):
         truth = ChainGraph(2, directed={(0, 1)})

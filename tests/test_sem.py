@@ -267,6 +267,11 @@ class TestRescaling:
         with pytest.raises(ValueError):
             rescale_equal_variances(random_parameters(six_node_graph, seed=0), 0.0)
 
+    @pytest.mark.parametrize("sigma2", [-1.0, math.inf, math.nan])
+    def test_sigma2_must_be_positive_and_finite(self, six_node_graph, sigma2):
+        with pytest.raises(ValueError, match="^sigma2 must be positive and finite"):
+            rescale_equal_variances(random_parameters(six_node_graph, seed=0), sigma2)
+
 
 class TestConditioning:
     def test_hand_value(self):
