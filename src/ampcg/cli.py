@@ -116,7 +116,7 @@ def _converged_flag(result) -> str:
 
 
 def _cmd_generate(args) -> int:
-    g = random_chain_graph(args.p, args.edge_prob, args.undirected_frac, seed=args.seed)
+    g = random_chain_graph(args.p, args.edge_prob, args.undirected_frac, seed=compose_seed(args.seed))
     write_graph(g, args.out)
     print(f"graph {graph_hash(g)} -> {args.out}")
     if args.params_out or args.data_out:

@@ -41,9 +41,13 @@ GLS solve and sigma2 profiles out as the mean weighted residual moment.
 Singletons have R_K = 1 and enter only through their residual sums of
 squares, so a DAG is closed form (sigma2 the mean residual sum of
 squares). When the only multi-node component is two nodes joined by one
-undirected edge, the one free correlation is the best real root of a
-polynomial built as power series, so the optimum is global and closed
-form. Otherwise a BFGS descent (`_descend`) runs over the off-diagonal
+undirected edge, the one free correlation is the best real root of its
+stationarity polynomial, so the optimum is global and closed form. When
+the component's own predictors (those only one of its nodes regresses on)
+all sit on one node, or there are none, that polynomial is a cubic,
+solved in closed form in plain floats; otherwise it is built as power
+series and solved by its companion eigenvalues. With more undirected
+structure a BFGS descent (`_descend`) runs over the off-diagonal
 pattern entries of the multi-node components' unit-diagonal concentration
 matrices, on the profiled objective `_profile`, from the identity, and
 again from a diagonally dominant start if the identity is stationary;
@@ -56,7 +60,8 @@ scores a state without building its graph. It builds each component once
 component's record per parent sets and edges) and keeps each state's
 penalized score. A lone one-edge record keeps the part of its solve that
 does not depend on the singletons' residual total T0, so each further
-score of it is one small root solve. A multi-node record also keeps the
+score of it is a closed-form cubic, or one small root solve when both its
+nodes have own predictors. A multi-node record also keeps the
 log-determinant of its nodes' residual moment on all its predictors, from
 which the scorer bounds a state's score in closed form. The spread of the
 unconstrained fit's log error variances is its `dispersion`.
@@ -147,6 +152,7 @@ _MAX_ROUNDS = 500  # GLS-plus-IPF-sweep rounds per unconstrained multi-node fit
 _MAX_STEPS = 15000  # descent steps per equal-variance solve
 _MAX_HALVINGS = 20  # trial points per descent step (L-BFGS-B's default line-search limit)
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest correlation below 1
+_HORNER_SLACK = 8.0 * float(np.finfo(float).eps)  # relative rounding of a cubic evaluated at a point by Horner's rule
 _POPULATION_N_EFF = 1e5  # sample size the scorer's penalty assumes for covariance input
 
 
@@ -207,8 +213,16 @@ def ipf(s, pattern: Iterable[tuple]) -> ComponentFit:
     return _alternating_fit(_component(s, ((),) * m, edges, frozenset(range(m))))
 
 
+class _Quadratic(NamedTuple):
+    """g(rho) = g0 + g1 rho + g2 rho^2 of a one-edge component whose own predictors sit on at most one row."""
+
+    g0: float
+    g1: float
+    g2: float
+
+
 class _OneEdge(NamedTuple):
-    """The T0-free pieces of a one-edge component's solve (see `_one_edge_correlation`)."""
+    """The T0-free pieces of the power-series solve of a one-edge component with own predictors on both rows."""
 
     lam: np.ndarray
     u0: np.ndarray
@@ -240,7 +254,7 @@ class _Component:
     normal: np.ndarray
 
     @cached_property
-    def one_edge(self) -> _OneEdge:
+    def one_edge(self) -> _Quadratic | _OneEdge:
         """The T0-free pieces of the one-edge solve, worked out on first use."""
         return _one_edge_terms(self)
 
@@ -442,25 +456,30 @@ class _Solve(NamedTuple):
     converged: bool
 
 
-def _one_edge_terms(c: _Component) -> _OneEdge:
+def _one_edge_terms(c: _Component) -> _Quadratic | _OneEdge:
     """The T0-free pieces of the one-edge solve of c (see `_one_edge_correlation`)."""
     pairs = list(zip(*(index.tolist() for index in c.support)))
     shared = sorted({z for row, z in pairs if row == 0} & {z for row, z in pairs if row == 1})
+    own = [(row, z + 2) for row, z in pairs if z not in shared]
     m = np.empty((2 + len(c.predictors),) * 2)  # second moment of (the two nodes, the predictors)
     m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:] = c.syy, c.syz, c.syz.T, c.szz
+    if len({row for row, _ in own}) < 2:
+        k = own[0][0] if own else 0  # the row with own predictors, if any
+        at = np.array([z + 2 for z in shared] + [z for _, z in own] + [k, 1 - k])
+        factor = np.linalg.cholesky(m[at[:, None], at])
+        (*w, l_ok, l_oo), l_kk = factor[-1, len(shared) :].tolist(), float(factor[-2, -2])
+        g2 = sum(x * x for x in w)
+        return _Quadratic(l_kk * l_kk + g2 + l_ok * l_ok + l_oo * l_oo, -2.0 * l_ok * l_kk, -g2)
     if shared:
         at = np.array(shared) + 2
         m -= m[:, at] @ np.linalg.solve(m[at[:, None], at], m[at])
-    lam = u0 = u1 = np.zeros(0)
-    own = [(row, z + 2) for row, z in pairs if z not in shared]
-    if own:
-        rows, cols = np.array(own).T
-        szz = m[cols[:, None], cols]
-        same_row = rows[:, None] == rows
-        chol_inv = np.linalg.inv(np.linalg.cholesky(np.where(same_row, szz, 0.0)))
-        lam, vecs = np.linalg.eigh(chol_inv @ np.where(same_row, 0.0, szz) @ chol_inv.T)
-        rotate = vecs.T @ chol_inv
-        u0, u1 = rotate @ m[rows, cols], rotate @ m[1 - rows, cols]
+    rows, cols = np.array(own).T
+    szz = m[cols[:, None], cols]
+    same_row = rows[:, None] == rows
+    chol_inv = np.linalg.inv(np.linalg.cholesky(np.where(same_row, szz, 0.0)))
+    lam, vecs = np.linalg.eigh(chol_inv @ np.where(same_row, 0.0, szz) @ chol_inv.T)
+    rotate = vecs.T @ chol_inv
+    u0, u1 = rotate @ m[rows, cols], rotate @ m[1 - rows, cols]
     trace, cross = m[0, 0] + m[1, 1], m[0, 1]
     # D and g D = (trace - 2 rho cross) D - sum_i (u0_i - rho u1_i)^2 prod_{j != i} (1 - rho lam_j),
     # as power series in rho, lowest degree first, so a product is a convolution
@@ -478,6 +497,44 @@ def _one_edge_terms(c: _Component) -> _OneEdge:
     return _OneEdge(lam, u0, u1, float(trace), float(cross), series)
 
 
+def _cubic_roots(a: float, b: float, c: float, d: float) -> list:
+    """Real roots of a x^3 + b x^2 + c x + d in increasing order, in closed form.
+
+    Zero leading coefficients lower the degree, and a quadratic takes the
+    form of its roots free of cancellation. A cubic takes the forms of
+    Numerical Recipes (3rd ed., section 5.6): the trigonometric one when it
+    has three real roots, Cardano's otherwise, A + B for its real root with
+    the complex pair -(A + B) / 2 +- i sqrt(3) (A - B) / 2. When the cubic
+    vanishes at the pair's real part to within the rounding of its
+    evaluation there (`_HORNER_SLACK` of the sum of its terms' magnitudes),
+    the pair is a double real root that rounding split, and it counts
+    twice. The roots are not polished.
+    """
+    if a == 0.0:
+        if b == 0.0:
+            return [] if c == 0.0 else [-d / c]
+        disc = c * c - 4.0 * b * d
+        if disc < 0.0:
+            return []
+        q = -0.5 * (c + math.copysign(math.sqrt(disc), c))
+        return sorted((q / b, d / q)) if q != 0.0 else [0.0, 0.0]
+    b, c, d = b / a, c / a, d / a
+    q = (b * b - 3.0 * c) / 9.0
+    r = (b * (2.0 * b * b - 9.0 * c) + 27.0 * d) / 54.0
+    shift = b / 3.0
+    if r * r < q**3:
+        theta = math.acos(max(-1.0, min(1.0, r / (q * math.sqrt(q)))))
+        scale = -2.0 * math.sqrt(q)
+        return sorted(scale * math.cos((theta + turn) / 3.0) - shift for turn in (0.0, 2.0 * math.pi, -2.0 * math.pi))
+    big = -math.copysign((abs(r) + math.sqrt(r * r - q**3)) ** (1.0 / 3.0), r)
+    small = q / big if big != 0.0 else 0.0
+    x = -0.5 * (big + small) - shift
+    size = ((abs(x) + abs(b)) * abs(x) + abs(c)) * abs(x) + abs(d)
+    if abs(((x + b) * x + c) * x + d) <= _HORNER_SLACK * size:
+        return sorted((big + small - shift, x, x))
+    return [big + small - shift]
+
+
 def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float, float]:
     """(rho, objective) at the global minimum of the profiled objective when c is one two-node component with one edge.
 
@@ -485,30 +542,50 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float,
     rho, so the GLS normal matrix is A0 - rho A1 and its right side
     r0 - rho r1. Predictors that both rows regress on enter without
     restriction, so GLS on them is least squares and they are partialled
-    out of the second moment first. On the rest, A0 = L L^T and the
-    eigenvalues lam of L^-1 A1 L^-T (canonical correlations between the
-    two rows' own predictors, so inside (-1, 1)) give, with u0 and u1 the
-    right sides rotated alike,
+    out of the second moment first. On the rest, each row's own
+    predictors, A0 = L L^T and the eigenvalues lam of L^-1 A1 L^-T
+    (canonical correlations between the two rows' own predictors, so
+    inside (-1, 1)) give, with u0 and u1 the right sides rotated alike,
         g(rho) = (1 - rho^2)(T - T0) = a - 2 rho c - sum_i (u0_i - rho u1_i)^2 / (1 - rho lam_i)
     for a, c the trace and off-diagonal entry of the partialled residual
     moment and T0 = fixed_t. The objective p log(T / p) + log(1 - rho^2)
     tends to +inf at rho = +-1, so its minimum is a real root in (-1, 1) of
         h(rho) = p (1 - rho^2) g' + 2 (p - 1) rho g - 2 rho T0 (1 - rho^2).
-    With D = prod_i (1 - rho lam_i) for k own coefficients, g D is a
-    polynomial, and h D^2 = P - T0 Q with
-        P = p (1 - rho^2) g' D^2 + 2 (p - 1) rho g D^2,  Q = 2 rho (1 - rho^2) D^2,
-    of degree at most 2k + 3; with identical parent sets (k = 0) it is
-    twice the cubic T0 rho^3 + (2 - p) c rho^2 + ((p - 1) a - T0) rho - p c.
     Nothing but T0 changes between graphs that share the component, so the
-    partialling, the reduction and the power series of P's two terms and
-    Q, whose products are convolutions, are worked out once per record
-    (`_Component.one_edge`). Each call finds the real roots of P - T0 Q in
-    (-1, 1) and adds +-`_BELOW_ONE`, where the objective is least when its
-    minimum lies within rounding of +-1 (a component whose residual total
-    is many orders below T0). It takes one Newton step on h itself from
-    each and returns the one with the smallest objective.
+    T0-free part is worked out once per record (`_Component.one_edge`),
+    and the record's own structure picks one of two routes.
+
+    When the own predictors all sit on one row, or there are none, A1 = 0
+    and every lam_i is zero, so g = g0 + g1 rho + g2 rho^2 is a quadratic
+    and h the cubic
+        2 (T0 - g2) rho^3 + (p - 2) g1 rho^2 + (2 p g2 + 2 (p - 1) g0 - 2 T0) rho + p g1,
+    of lower degree when T0 = 0, as at p = 2. The record keeps g's three
+    floats (`_Quadratic`), read off one Cholesky factor of the second moment
+    of (shared predictors, own predictors, the row with them, the other
+    row) as sums of squares: g0 is the residual variance of the row with
+    the own predictors on all its predictors plus the other row's on the
+    shared ones, g1 is -2 times the rows' residual covariance on all
+    predictors, and -g2 is what the own predictors take off the other
+    row's residual variance. Each call solves the cubic in closed form
+    (`_cubic_roots`) in plain floats.
+
+    With own predictors on both rows, D = prod_i (1 - rho lam_i) over the k
+    own coefficients makes g D a polynomial, and h D^2 = P - T0 Q with
+        P = p (1 - rho^2) g' D^2 + 2 (p - 1) rho g D^2,  Q = 2 rho (1 - rho^2) D^2,
+    of degree at most 2k + 3. The record keeps the partialling, the
+    reduction and the power series of P's two terms and Q, whose products
+    are convolutions (`_OneEdge`), and each call finds the roots of
+    P - T0 Q as companion-matrix eigenvalues (`polyroots`).
+
+    Either route takes the real roots in (-1, 1) and adds +-`_BELOW_ONE`,
+    where the objective is least when its minimum lies within rounding of
+    +-1 (a component whose residual total is many orders below T0). It
+    takes one Newton step on h itself from each and returns the one with
+    the smallest objective.
     """
     t = c.one_edge
+    if isinstance(t, _Quadratic):
+        return _quadratic_correlation(fixed_t, t, p)
 
     def g_parts(x: np.ndarray):
         """1 - rho lam_i, u0_i - rho u1_i and g at the points x."""
@@ -532,6 +609,24 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float,
     objective = p * np.log((fixed_t + g_parts(x)[2] / s) / p) + np.log(s)
     best = np.argmin(objective)
     return float(x[best]), float(objective[best])
+
+
+def _quadratic_correlation(fixed_t: float, q: _Quadratic, p: int) -> tuple[float, float]:
+    """`_one_edge_correlation` of a record whose g is the quadratic q: the cubic route, in plain floats."""
+    g0, g1, g2 = q
+    roots = _cubic_roots(2.0 * (fixed_t - g2), (p - 2) * g1, 2.0 * (p * g2 + (p - 1) * g0 - fixed_t), p * g1)
+    best = (0.0, math.inf)
+    for x in [x for x in roots if abs(x) < 1.0] + [-_BELOW_ONE, _BELOW_ONE]:
+        g, dg, s = g0 + x * (g1 + x * g2), g1 + 2.0 * g2 * x, 1.0 - x * x
+        h = p * s * dg + 2.0 * (p - 1) * x * g - 2.0 * fixed_t * x * s
+        dh = 2.0 * p * s * g2 - 2.0 * x * dg + 2.0 * (p - 1) * g - 2.0 * fixed_t * (1.0 - 3.0 * x * x)
+        if dh != 0.0 and abs(step := x - h / dh) < 1.0:
+            x = step
+        s = 1.0 - x * x
+        objective = p * math.log((fixed_t + (g0 + x * (g1 + x * g2)) / s) / p) + math.log(s)
+        if objective < best[1]:
+            best = (x, objective)
+    return best
 
 
 def _descend(profile, theta: np.ndarray) -> tuple:
@@ -792,9 +887,12 @@ class EqualVarianceScorer:
     record, a singleton's `_regression` or a multi-node `_Component`, is
     built once and kept for the scorer's life (see `_split`). Between graphs
     that share a lone one-edge component only T0 changes, so its record also
-    keeps the T0-free part of its closed-form solve, and each further score
-    of it costs one small polynomial root solve. B and sigma2 are profiled
-    out, so the average log-likelihood is
+    keeps the T0-free part of its closed-form solve. When the component's
+    own predictors sit on at most one of its nodes that part is three
+    floats and each further score a closed-form cubic in plain floats;
+    otherwise it is a set of power series and each further score one
+    small polynomial root solve (see `_one_edge_correlation`). B and
+    sigma2 are profiled out, so the average log-likelihood is
         -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2
     at the optimum, the same value `fit(..., equal_variances=True)` reaches.
 

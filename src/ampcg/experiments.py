@@ -55,6 +55,9 @@ class ExperimentConfig:
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        negative = [seed for seed in self.seeds if seed < 0]
+        if negative:
+            raise ValueError(f"seeds must be non-negative, got {negative[0]}")
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.sigma2 <= 0:

@@ -87,6 +87,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
+        compose_seed(self.seed)  # a negative seed raises here, before any search
 
 
 @dataclass(frozen=True, eq=False)

@@ -483,6 +483,12 @@ def faithful_parameters(g: ChainGraph, seed=0, sigma2: float | None = None) -> t
 
 
 def compose_seed(seed, *extra) -> list:
-    """Derive an independent child seed deterministically from `seed`."""
+    """Derive an independent child seed deterministically from `seed`, a non-negative integer or a sequence of them.
+
+    A negative entry raises ValueError naming the seed. The one-entry
+    result [seed] draws the same stream as the bare integer seed.
+    """
     base = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(x) for x in seed]
+    if any(x < 0 for x in base):
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return base + [int(x) for x in extra]

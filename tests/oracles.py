@@ -13,19 +13,25 @@ its bounds: it shares the library's scorer, moves and tie-break and vets
 only the pruning. `equal_variance_bic` writes the equal-variance score out.
 `identify_in_class_loop` is identification as a loop over the members, one
 row at a time; it shares the library's covariance, regressions and
-tie-break and vets only the array ranking.
+tie-break and vets only the array ranking. `one_edge_series_correlation`
+is the power-series route of the one-edge equal-variance solve run on
+every record, as it ran before records with own predictors on at most one
+row took the closed-form cubic; it shares only the record's slices of the
+second moment, so it vets the cubic route.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 from scipy import optimize
 
 from ampcg import search
-from ampcg.estimation import EqualVarianceScorer, _regression, fit, gaussian_average_loglik, moment_matrix
+from ampcg.estimation import _BELOW_ONE, EqualVarianceScorer, _regression, fit, gaussian_average_loglik, moment_matrix
 from ampcg.graphs import CapacityError, ChainGraph, equivalence_class, is_chain_graph, random_chain_graph
 from ampcg.sem import Dataset, compose_seed
 from ampcg.separation import SeparationQuery, _check_query
@@ -442,3 +448,66 @@ def identify_in_class_loop(class_rep: ChainGraph, data_or_cov) -> search.Identif
     rows.sort(key=lambda r: (getattr(r, statistic), *search._rank(r.graph._parents, r.graph.undirected)))
     margin = math.inf if len(rows) == 1 else getattr(rows[1], statistic) - getattr(rows[0], statistic)
     return search.IdentifyResult(rows[0].graph, len(members), tuple(rows), float(margin), loglik, converged)
+
+
+def one_edge_series_correlation(fixed_t: float, c, p: int) -> tuple[float, float]:
+    """(rho, objective) of the one-edge equal-variance solve of the record c by power series, on any record.
+
+    The shared predictors are partialled out of the second moment, the own
+    ones reduced to canonical correlations lam (all zero when the own
+    predictors sit on at most one row), and the stationarity condition
+    h D^2 = P - T0 Q built as power series and solved by `polyroots`; the
+    real roots in (-1, 1) and +-`_BELOW_ONE` each take one Newton step on h,
+    and the smallest objective wins (see `estimation._one_edge_correlation`).
+    """
+    pairs = list(zip(*(index.tolist() for index in c.support)))
+    shared = sorted({z for row, z in pairs if row == 0} & {z for row, z in pairs if row == 1})
+    m = np.empty((2 + len(c.predictors),) * 2)
+    m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:] = c.syy, c.syz, c.syz.T, c.szz
+    if shared:
+        at = np.array(shared) + 2
+        m -= m[:, at] @ np.linalg.solve(m[at[:, None], at], m[at])
+    lam = u0 = u1 = np.zeros(0)
+    own = [(row, z + 2) for row, z in pairs if z not in shared]
+    if own:
+        rows, cols = np.array(own).T
+        szz = m[cols[:, None], cols]
+        same_row = rows[:, None] == rows
+        chol_inv = np.linalg.inv(np.linalg.cholesky(np.where(same_row, szz, 0.0)))
+        lam, vecs = np.linalg.eigh(chol_inv @ np.where(same_row, 0.0, szz) @ chol_inv.T)
+        rotate = vecs.T @ chol_inv
+        u0, u1 = rotate @ m[rows, cols], rotate @ m[1 - rows, cols]
+    trace, cross = m[0, 0] + m[1, 1], m[0, 1]
+    factors = [np.array([1.0, -x]) for x in lam]
+    d = reduce(np.convolve, factors, np.ones(1))
+    g_d = np.convolve([trace, -2.0 * cross], d)
+    for i in range(lam.size):
+        residual = np.array([u0[i], -u1[i]])
+        g_d -= reduce(np.convolve, factors[:i] + factors[i + 1 :], np.convolve(residual, residual))
+    d_der, g_d_der = (np.roll(q * np.arange(q.size), -1) for q in (d, g_d))
+    series = np.zeros((3, 2 * lam.size + 4))
+    series[0] = np.convolve([1.0, 0.0, -1.0], np.convolve(g_d_der, d) - np.convolve(g_d, d_der))
+    series[1, 1:-1] = np.convolve(g_d, d)
+    series[2] = np.convolve([0.0, 2.0, 0.0, -2.0], np.convolve(d, d))
+
+    def g_parts(x: np.ndarray):
+        d = 1.0 - x[:, None] * lam
+        res = u0 - x[:, None] * u1
+        return d, res, trace - 2.0 * x * cross - (res**2 / d).sum(axis=1)
+
+    poly = np.array([p, 2.0 * (p - 1), -fixed_t]) @ series
+    roots = polyroots(poly[: np.flatnonzero(poly)[-1] + 1])
+    x = np.append(roots.real[np.isreal(roots) & (np.abs(roots.real) < 1.0)], (-_BELOW_ONE, _BELOW_ONE))
+    d, res, g = g_parts(x)
+    dn = (-2.0 * u1 * res) * d + lam * res**2
+    dg = -2.0 * cross - (dn / d**2).sum(axis=1)
+    ddg = -(2.0 * u1**2 / d + 2.0 * lam * dn / d**3).sum(axis=1)
+    s = 1.0 - x**2
+    h = p * s * dg + 2.0 * (p - 1) * x * g - 2.0 * fixed_t * x * s
+    dh = p * s * ddg - 2.0 * x * dg + 2.0 * (p - 1) * g - 2.0 * fixed_t * (1.0 - 3.0 * x**2)
+    step = x - h / dh
+    x = np.where(np.abs(step) < 1.0, step, x)
+    s = 1.0 - x**2
+    objective = p * np.log((fixed_t + g_parts(x)[2] / s) / p) + np.log(s)
+    best = np.argmin(objective)
+    return float(x[best]), float(objective[best])

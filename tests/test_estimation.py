@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyfromroots, polyroots
 
 from ampcg import (
     ChainGraph,
@@ -35,6 +36,7 @@ from .oracles import (
     equal_variance_bic,
     ggm_mle_numeric,
     one_edge_equal_variance_numeric,
+    one_edge_series_correlation,
     sem_equal_variance_mle_numeric,
 )
 
@@ -630,6 +632,19 @@ class TestEqualVarianceFit:
         assert result.converged and result.iterations == 0
         assert abs(result.loglik - _equal_variance_oracle(moment_matrix(data, 4)[0], g)) < 1e-8
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_edge_without_predictors_matches_oracle(self, p):
+        # at p = 2 no singleton is left, so T0 = 0 and the stationarity cubic drops to its linear term
+        g = ChainGraph(p, undirected={(0, 1)})
+        rng = np.random.default_rng(60 + p)
+        data, cov = Dataset(rng.normal(size=(300, p)) @ rng.normal(size=(p, p))), _random_pd(rng, p)
+        for data_or_cov, s in ((data, moment_matrix(data, p)[0]), (cov, cov)):
+            (record,) = estimation._split(s, g._parents, g.undirected, chain_components(g))[1]
+            assert isinstance(record.one_edge, estimation._Quadratic)
+            result = fit(data_or_cov, g, equal_variances=True)
+            assert result.converged and result.iterations == 0
+            assert abs(result.loglik - one_edge_equal_variance_numeric(s, [], (0, 1))) < 1e-8
+
     def test_true_graph_reaches_entropy_bound(self):
         g = ChainGraph(2, directed={(0, 1)})
         cov = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -920,6 +935,113 @@ class TestEqualVarianceScorer:
         scorer = EqualVarianceScorer(np.eye(3), 3)
         scorer.s = np.ones((3, 3))  # nodes 1 and 2 share all their variance with node 0
         assert scorer.bound(g._parents, g.undirected) == math.inf
+
+
+def _one_row_records(count: int, seed: int) -> list:
+    """(T0, record, p) of random one-edge components 0 - 1 whose own predictors sit on at most one row, p = 2-6.
+
+    Nodes 2.. are singletons; each is a parent of both rows, of one row or
+    of neither. Odd draws read a sample of correlated noise, even ones the
+    population covariance of random equal-variance parameters on the graph.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        p = int(rng.integers(2, 7))
+        others = range(2, p)
+        shared = {z for z in others if rng.random() < 0.4}
+        row = int(rng.integers(2))
+        directed = {(z, r) for z in shared for r in (0, 1)}
+        directed |= {(z, row) for z in others if z not in shared and rng.random() < 0.6}
+        directed |= {(w, v) for v in others for w in range(2, v) if rng.random() < 0.5}
+        g = ChainGraph(p, directed=directed, undirected={(0, 1)})
+        if i % 2:
+            mix = np.linalg.cholesky(_random_pd(rng, p)).T
+            s = moment_matrix(Dataset(rng.normal(size=(int(rng.integers(p + 2, 300)), p)) @ mix), p)[0]
+        else:
+            s = implied_distribution(rescale_equal_variances(random_parameters(g, seed=[seed, i]))).cov
+        singles, (record,) = estimation._split(s, g._parents, g.undirected, chain_components(g))
+        out.append((sum(variance for *_, variance in singles), record, p))
+    return out
+
+
+class TestOneEdgeCubic:
+    @staticmethod
+    def _assert_roots_match_polyroots(coefficients, atol):
+        ours = estimation._cubic_roots(*coefficients)
+        ascending = np.array(coefficients[::-1], dtype=float)
+        reference = polyroots(ascending[: np.flatnonzero(ascending)[-1] + 1])
+        real = np.sort(reference.real[np.abs(reference.imag) <= atol])
+        assert ours == sorted(ours)
+        assert len(ours) == real.size and np.allclose(ours, real, rtol=0.0, atol=atol), (coefficients, ours, reference)
+
+    @staticmethod
+    def _cubic(roots, scale):
+        """(a, b, c, d), highest degree first, of scale * prod (x - root) over the given roots."""
+        return tuple(scale * polyfromroots(roots).real[::-1])
+
+    def test_cubic_roots_match_polyroots(self):
+        rng = np.random.default_rng(70)
+        below = estimation._BELOW_ONE
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            while np.min(np.diff(three := np.sort(rng.uniform(-1.0, 1.0, 3)))) < 0.05:
+                pass
+            pair = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.05, 2.0))
+            r, s = three[:2]
+            self._assert_roots_match_polyroots(self._cubic(three, scale), 1e-9)  # three real roots
+            self._assert_roots_match_polyroots(self._cubic([r, pair, pair.conjugate()], scale), 1e-9)  # one
+            self._assert_roots_match_polyroots(self._cubic([r, r, s], scale), 1e-6)  # a double root
+            # roots within rounding of +-1; 1 and the largest double below it are a double root to rounding
+            for ends, atol in (([1.0, -1.0], 1e-9), ([below, -below], 1e-9), ([1.0, below], 1e-6)):
+                self._assert_roots_match_polyroots(self._cubic([*ends, r], scale), atol)
+            # a zero leading coefficient: two real roots, none, or the linear case
+            self._assert_roots_match_polyroots((0.0, *self._cubic([r, s], scale)), 1e-9)
+            self._assert_roots_match_polyroots((0.0, *self._cubic([pair, pair.conjugate()], scale)), 1e-9)
+            self._assert_roots_match_polyroots((0.0, 0.0, *self._cubic([r], scale)), 1e-12)
+            # a zero quadratic coefficient: the roots sum to zero, three real or one
+            balanced = [r / 2.0, s / 2.0, -(r + s) / 2.0]
+            centred = [r, complex(-r / 2.0, pair.imag), complex(-r / 2.0, -pair.imag)]
+            for roots in (balanced, centred):
+                a, _, c, d = self._cubic(roots, scale)
+                self._assert_roots_match_polyroots((a, 0.0, c, d), 1e-9)
+
+    def test_records_pick_their_route(self):
+        s = _random_pd(np.random.default_rng(71), 5)
+        for directed, route in (
+            (set(), estimation._Quadratic),  # no predictors
+            ({(2, 0), (2, 1), (3, 0), (3, 1)}, estimation._Quadratic),  # identical parent sets
+            ({(2, 0), (2, 1), (3, 1), (4, 1)}, estimation._Quadratic),  # own predictors on one row
+            ({(2, 0), (3, 1)}, estimation._OneEdge),  # own predictors on both rows
+            ({(2, 0), (2, 1), (3, 0), (4, 1)}, estimation._OneEdge),
+        ):
+            g = ChainGraph(5, directed=directed, undirected={(0, 1)})
+            singles, (record,) = estimation._split(s, g._parents, g.undirected, chain_components(g))
+            assert type(record.one_edge) is route
+            fixed_t = sum(variance for *_, variance in singles)
+            self._assert_routes_agree(fixed_t, record, 5)
+
+    def test_cubic_route_matches_the_series_route(self):
+        # the series route, as it ran on every one-edge record, solves the same stationarity condition
+        records = _one_row_records(600, 72)
+        assert {p for *_, p in records} == {2, 3, 4, 5, 6}
+        for fixed_t, record, p in records:
+            assert isinstance(record.one_edge, estimation._Quadratic)
+            self._assert_routes_agree(fixed_t, record, p)
+
+    @staticmethod
+    def _assert_routes_agree(fixed_t, record, p):
+        """rho within 1e-12 and the objective within 1e-12 of its terms' size, p |log(T / p)| + |log(1 - rho^2)|.
+
+        The two terms can cancel to an objective near zero, whose rounding
+        is still that of the terms.
+        """
+        rho, objective = estimation._one_edge_correlation(fixed_t, record, p)
+        rho_ref, objective_ref = one_edge_series_correlation(fixed_t, record, p)
+        log_s = math.log((1.0 - rho_ref) * (1.0 + rho_ref))
+        assert abs(rho - rho_ref) <= 1e-12, (p, rho, rho_ref)
+        terms = abs(objective_ref - log_s) + abs(log_s)
+        assert abs(objective - objective_ref) <= 1e-12 * terms, (p, objective, objective_ref)
 
 
 class TestPenalizedScore:

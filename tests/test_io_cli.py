@@ -197,6 +197,10 @@ class TestExperiments:
         with pytest.raises(ValueError):
             ExperimentConfig(p=3, seeds=())
 
+    def test_negative_seed_rejected_by_name_before_any_run(self):
+        with pytest.raises(ValueError, match=r"^seeds must be non-negative, got -3$"):
+            ExperimentConfig(p=4, seeds=(1, -3, -5))
+
     def test_worker_pool_matches_sequential(self):
         strip = lambda rows: [{k: v for k, v in r.items() if k != "runtime_s"} for r in rows]
         # the two-phase config runs faithful draws and skeleton recovery in the workers
@@ -228,6 +232,33 @@ class TestCli:
         assert main(["magnify", "--graph", str(gpath)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["p"] == 8
+
+    def test_generate_draws_the_graph_of_its_seed(self, tmp_path, capsys):
+        # the graph's seed goes through compose_seed, whose one-entry seed draws the bare seed's stream
+        for seed in (0, 3, 2**40 + 1):
+            gpath = tmp_path / f"g{seed}.json"
+            assert main(["generate", "--p", "7", "--seed", str(seed), "--out", str(gpath)]) == 0
+            assert read_graph(gpath) == random_chain_graph(7, 0.4, 0.3, seed=seed)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["experiment", "--p", "4", "--seeds", "1,-3"], "error input_error: seeds must be non-negative, got -3"),
+            (["generate", "--p", "3", "--seed", "-2"], "error input_error: seed must be non-negative, got -2"),
+            (["learn", "--method", "greedy", "--seed", "-1"], "error input_error: seed must be non-negative, got -1"),
+        ],
+        ids=["experiment", "generate", "learn-greedy"],
+    )
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, argv, message):
+        data = tmp_path / "d.csv"
+        write_dataset(Dataset(np.random.default_rng(1).normal(size=(40, 3))), data)
+        out = tmp_path / "out"
+        flags = {"experiment": ["--out-dir", str(out)], "generate": ["--out", str(out)]}
+        argv = argv + flags.get(argv[0], ["--data", str(data), "--out", str(out)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+        assert not out.exists()  # nothing solved, nothing written
 
     def test_generate_writes_parameters_and_data(self, tmp_path, capsys):
         paths = {name: tmp_path / name for name in ("g.json", "params.json", "d.csv")}
