@@ -153,6 +153,7 @@ _MAX_STEPS = 15000  # descent steps per equal-variance solve
 _MAX_HALVINGS = 20  # trial points per descent step (L-BFGS-B's default line-search limit)
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest correlation below 1
 _HORNER_SLACK = 8.0 * float(np.finfo(float).eps)  # relative rounding of a cubic evaluated at a point by Horner's rule
+_CLOSED_FORM_SPREAD = 100.0  # largest ratio of a cubic's other coefficients to its leading one that `_cubic_roots` solves in closed form
 _POPULATION_N_EFF = 1e5  # sample size the scorer's penalty assumes for covariance input
 
 
@@ -498,26 +499,29 @@ def _one_edge_terms(c: _Component) -> _Quadratic | _OneEdge:
 
 
 def _cubic_roots(a: float, b: float, c: float, d: float) -> list:
-    """Real roots of a x^3 + b x^2 + c x + d in increasing order, in closed form.
+    """Real roots of a x^3 + b x^2 + c x + d in increasing order.
 
-    Zero leading coefficients lower the degree, and a quadratic takes the
-    form of its roots free of cancellation. A cubic takes the forms of
-    Numerical Recipes (3rd ed., section 5.6): the trigonometric one when it
-    has three real roots, Cardano's otherwise, A + B for its real root with
-    the complex pair -(A + B) / 2 +- i sqrt(3) (A - B) / 2. When the cubic
-    vanishes at the pair's real part to within the rounding of its
-    evaluation there (`_HORNER_SLACK` of the sum of its terms' magnitudes),
-    the pair is a double real root that rounding split, and it counts
-    twice. The roots are not polished.
+    A cubic whose other coefficients are at most `_CLOSED_FORM_SPREAD`
+    times its leading one has its roots within about that ratio of zero,
+    and takes the closed forms of Numerical Recipes (3rd ed., section 5.6):
+    the trigonometric one when it has three real roots, Cardano's
+    otherwise, A + B for its real root with the complex pair
+    -(A + B) / 2 +- i sqrt(3) (A - B) / 2. When the cubic vanishes at the
+    pair's real part to within the rounding of its evaluation there
+    (`_HORNER_SLACK` of the sum of its terms' magnitudes), the pair is a
+    double real root that rounding split, and it counts twice. The roots
+    are not polished.
+
+    A smaller leading coefficient, zero included, puts a root far out. The
+    forms would then reach the roots near zero by subtracting terms of
+    that root's size (the shift b / 3a and the scale 2 sqrt(q)) and lose
+    them to cancellation, so such a cubic's roots are the eigenvalues of
+    its balanced companion matrix (`polyroots`), and only the exactly real
+    ones count.
     """
-    if a == 0.0:
-        if b == 0.0:
-            return [] if c == 0.0 else [-d / c]
-        disc = c * c - 4.0 * b * d
-        if disc < 0.0:
-            return []
-        q = -0.5 * (c + math.copysign(math.sqrt(disc), c))
-        return sorted((q / b, d / q)) if q != 0.0 else [0.0, 0.0]
+    if abs(a) * _CLOSED_FORM_SPREAD < max(abs(b), abs(c), abs(d)):
+        roots = polyroots(np.trim_zeros([d, c, b, a], "b"))
+        return sorted(float(x.real) for x in roots if x.imag == 0.0)
     b, c, d = b / a, c / a, d / a
     q = (b * b - 3.0 * c) / 9.0
     r = (b * (2.0 * b * b - 9.0 * c) + 27.0 * d) / 54.0
@@ -567,7 +571,9 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float,
     shared ones, g1 is -2 times the rows' residual covariance on all
     predictors, and -g2 is what the own predictors take off the other
     row's residual variance. Each call solves the cubic in closed form
-    (`_cubic_roots`) in plain floats.
+    (`_cubic_roots`) in plain floats, or by companion eigenvalues when its
+    leading coefficient is small next to the others (singletons whose
+    residual total is small next to the two rows', as in other units).
 
     With own predictors on both rows, D = prod_i (1 - rho lam_i) over the k
     own coefficients makes g D a polynomial, and h D^2 = P - T0 Q with

@@ -645,6 +645,18 @@ class TestEqualVarianceFit:
             assert result.converged and result.iterations == 0
             assert abs(result.loglik - one_edge_equal_variance_numeric(s, [], (0, 1))) < 1e-8
 
+    @pytest.mark.parametrize("units", [1e-3, 1e-5, 1e-8])
+    def test_one_edge_beside_a_singleton_in_other_units_matches_oracle(self, units):
+        # the singleton's small residual total leaves the stationarity cubic one root far out beside the optimum
+        g = ChainGraph(3, undirected={(0, 1)})
+        rng = np.random.default_rng(62)
+        x = rng.normal(size=(300, 3)) @ rng.normal(size=(3, 3))
+        x[:, 2] *= units
+        data = Dataset(x)
+        result = fit(data, g, equal_variances=True)
+        assert result.converged and result.iterations == 0
+        assert abs(result.loglik - one_edge_equal_variance_numeric(moment_matrix(data, 3)[0], [], (0, 1))) < 1e-8
+
     def test_true_graph_reaches_entropy_bound(self):
         g = ChainGraph(2, directed={(0, 1)})
         cov = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -937,12 +949,14 @@ class TestEqualVarianceScorer:
         assert scorer.bound(g._parents, g.undirected) == math.inf
 
 
-def _one_row_records(count: int, seed: int) -> list:
+def _one_row_records(count: int, seed: int, shrink: tuple = (0.0, 0.0)) -> list:
     """(T0, record, p) of random one-edge components 0 - 1 whose own predictors sit on at most one row, p = 2-6.
 
     Nodes 2.. are singletons; each is a parent of both rows, of one row or
     of neither. Odd draws read a sample of correlated noise, even ones the
     population covariance of random equal-variance parameters on the graph.
+    Each singleton's column is then scaled by 10^-u, u uniform on shrink,
+    as a change of its units.
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -960,6 +974,9 @@ def _one_row_records(count: int, seed: int) -> list:
             s = moment_matrix(Dataset(rng.normal(size=(int(rng.integers(p + 2, 300)), p)) @ mix), p)[0]
         else:
             s = implied_distribution(rescale_equal_variances(random_parameters(g, seed=[seed, i]))).cov
+        units = 10.0 ** -np.random.default_rng([seed, i, 1]).uniform(*shrink, size=p)
+        units[:2] = 1.0
+        s = units[:, None] * s * units
         singles, (record,) = estimation._split(s, g._parents, g.undirected, chain_components(g))
         out.append((sum(variance for *_, variance in singles), record, p))
     return out
@@ -999,6 +1016,10 @@ class TestOneEdgeCubic:
             self._assert_roots_match_polyroots((0.0, *self._cubic([r, s], scale)), 1e-9)
             self._assert_roots_match_polyroots((0.0, *self._cubic([pair, pair.conjugate()], scale)), 1e-9)
             self._assert_roots_match_polyroots((0.0, 0.0, *self._cubic([r], scale)), 1e-12)
+            # one root far out, on either side of the spread the closed form takes
+            far = math.copysign(10.0 ** rng.uniform(0.5, 8.0), rng.uniform(-1.0, 1.0))
+            self._assert_roots_match_polyroots(self._cubic([r, s, far], scale), 1e-9)
+            self._assert_roots_match_polyroots(self._cubic([r, far * pair, far * pair.conjugate()], scale), 1e-9)
             # a zero quadratic coefficient: the roots sum to zero, three real or one
             balanced = [r / 2.0, s / 2.0, -(r + s) / 2.0]
             centred = [r, complex(-r / 2.0, pair.imag), complex(-r / 2.0, -pair.imag)]
@@ -1023,7 +1044,8 @@ class TestOneEdgeCubic:
 
     def test_cubic_route_matches_the_series_route(self):
         # the series route, as it ran on every one-edge record, solves the same stationarity condition
-        records = _one_row_records(600, 72)
+        # singletons in other units (columns scaled by 1e-3 to 1e-6) put one root of the cubic far out
+        records = _one_row_records(600, 72) + _one_row_records(300, 73, (3.0, 6.0))
         assert {p for *_, p in records} == {2, 3, 4, 5, 6}
         for fixed_t, record, p in records:
             assert isinstance(record.one_edge, estimation._Quadratic)
