@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -116,7 +117,7 @@ def _converged_flag(result) -> str:
 
 
 def _cmd_generate(args) -> int:
-    g = random_chain_graph(args.p, args.edge_prob, args.undirected_frac, seed=compose_seed(args.seed))
+    g = random_chain_graph(args.p, args.edge_prob, args.undirected_frac, seed=args.seed)
     write_graph(g, args.out)
     print(f"graph {graph_hash(g)} -> {args.out}")
     if args.params_out or args.data_out:
@@ -184,7 +185,7 @@ def _cmd_identify(args) -> int:
     payload = {
         "chosen": graph_to_dict(result.chosen),
         "class_size": result.class_size,
-        "margin": result.margin,
+        "margin": result.margin if math.isfinite(result.margin) else None,  # no runner-up
         "converged": result.converged,
         "table": [
             {

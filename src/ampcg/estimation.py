@@ -42,11 +42,14 @@ Singletons have R_K = 1 and enter only through their residual sums of
 squares, so a DAG is closed form (sigma2 the mean residual sum of
 squares). When the only multi-node component is two nodes joined by one
 undirected edge, the one free correlation is the best real root of its
-stationarity polynomial, so the optimum is global and closed form. When
-the component's own predictors (those only one of its nodes regresses on)
-all sit on one node, or there are none, that polynomial is a cubic,
-solved in closed form in plain floats; otherwise it is built as power
-series and solved by its companion eigenvalues. With more undirected
+stationarity polynomial, so the optimum is global and closed form. One
+record type serves every such component: the polynomial's T0-free power
+series in plain floats, read off one Cholesky factor when the
+component's own predictors (those only one of its nodes regresses on)
+sit on at most one node, and built from their canonical correlations
+otherwise. One solve finds its real roots (`_real_roots`), in closed
+form when it is a cubic, as in the first case, and by companion
+eigenvalues otherwise. With more undirected
 structure a BFGS descent (`_descend`) runs over the off-diagonal
 pattern entries of the multi-node components' unit-diagonal concentration
 matrices, on the profiled objective `_profile`, from the identity, and
@@ -60,11 +63,11 @@ scores a state without building its graph. It builds each component once
 component's record per parent sets and edges) and keeps each state's
 penalized score. A lone one-edge record keeps the part of its solve that
 does not depend on the singletons' residual total T0, so each further
-score of it is a closed-form cubic, or one small root solve when both its
-nodes have own predictors. A multi-node record also keeps the
-log-determinant of its nodes' residual moment on all its predictors, from
-which the scorer bounds a state's score in closed form. The spread of the
-unconstrained fit's log error variances is its `dispersion`.
+score of it is one small root solve in plain floats. A multi-node record
+also keeps the log-determinant of its nodes' residual moment on all its
+predictors, from which the scorer bounds a state's score in closed form.
+The spread of the unconstrained fit's log error variances is its
+`dispersion`.
 """
 
 from __future__ import annotations
@@ -153,7 +156,8 @@ _MAX_STEPS = 15000  # descent steps per equal-variance solve
 _MAX_HALVINGS = 20  # trial points per descent step (L-BFGS-B's default line-search limit)
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest correlation below 1
 _HORNER_SLACK = 8.0 * float(np.finfo(float).eps)  # relative rounding of a cubic evaluated at a point by Horner's rule
-_CLOSED_FORM_SPREAD = 100.0  # largest ratio of a cubic's other coefficients to its leading one that `_cubic_roots` solves in closed form
+_ZERO_CORRELATION = 8.0 * float(np.finfo(float).eps)  # canonical correlations this small are zero to rounding
+_CLOSED_FORM_SPREAD = 100.0  # largest ratio of a cubic's other coefficients to its leading one that `_real_roots` solves in closed form
 _POPULATION_N_EFF = 1e5  # sample size the scorer's penalty assumes for covariance input
 
 
@@ -214,23 +218,15 @@ def ipf(s, pattern: Iterable[tuple]) -> ComponentFit:
     return _alternating_fit(_component(s, ((),) * m, edges, frozenset(range(m))))
 
 
-class _Quadratic(NamedTuple):
-    """g(rho) = g0 + g1 rho + g2 rho^2 of a one-edge component whose own predictors sit on at most one row."""
-
-    g0: float
-    g1: float
-    g2: float
-
-
 class _OneEdge(NamedTuple):
-    """The T0-free pieces of the power-series solve of a one-edge component with own predictors on both rows."""
+    """The T0-free pieces of a one-edge component's solve, as power-basis floats, lowest degree first.
 
-    lam: np.ndarray
-    u0: np.ndarray
-    u1: np.ndarray
-    trace: float
-    cross: float
-    series: np.ndarray  # power-series rows of (1 - rho^2) g' D^2, rho g D^2 and 2 rho (1 - rho^2) D^2
+    See `_one_edge_correlation` for g, D, P and Q.
+    """
+
+    g_d: tuple  # g D
+    d: tuple  # D
+    series: tuple  # per degree of h D^2: the coefficients of (1 - rho^2) g' D^2, rho g D^2 and Q
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +251,7 @@ class _Component:
     normal: np.ndarray
 
     @cached_property
-    def one_edge(self) -> _Quadratic | _OneEdge:
+    def one_edge(self) -> _OneEdge:
         """The T0-free pieces of the one-edge solve, worked out on first use."""
         return _one_edge_terms(self)
 
@@ -457,7 +453,29 @@ class _Solve(NamedTuple):
     converged: bool
 
 
-def _one_edge_terms(c: _Component) -> _Quadratic | _OneEdge:
+def _times(a: list, b: list) -> list:
+    """The product of two polynomials in the power basis, lowest degree first; an empty factor reads as zero."""
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _derivative(a: list) -> list:
+    return [i * x for i, x in enumerate(a)][1:]
+
+
+def _horner(a, x: float) -> tuple[float, float]:
+    """(value, derivative) at x of the polynomial with power-basis coefficients a, lowest degree first."""
+    value = slope = 0.0
+    for coefficient in reversed(a):
+        slope = slope * x + value
+        value = value * x + coefficient
+    return value, slope
+
+
+def _one_edge_terms(c: _Component) -> _OneEdge:
     """The T0-free pieces of the one-edge solve of c (see `_one_edge_correlation`)."""
     pairs = list(zip(*(index.tolist() for index in c.support)))
     shared = sorted({z for row, z in pairs if row == 0} & {z for row, z in pairs if row == 1})
@@ -469,8 +487,10 @@ def _one_edge_terms(c: _Component) -> _Quadratic | _OneEdge:
         at = np.array([z + 2 for z in shared] + [z for _, z in own] + [k, 1 - k])
         factor = np.linalg.cholesky(m[at[:, None], at])
         (*w, l_ok, l_oo), l_kk = factor[-1, len(shared) :].tolist(), float(factor[-2, -2])
-        g2 = sum(x * x for x in w)
-        return _Quadratic(l_kk * l_kk + g2 + l_ok * l_ok + l_oo * l_oo, -2.0 * l_ok * l_kk, -g2)
+        g2 = -sum(x * x for x in w)
+        g0, g1 = l_kk * l_kk - g2 + l_ok * l_ok + l_oo * l_oo, -2.0 * l_ok * l_kk
+        # `_series` of g D = g0 + g1 rho + g2 rho^2 and D = 1, written out, so this build stays one Cholesky read
+        return _OneEdge((g0, g1, g2), (1.0,), ((g1, 0.0, 0.0), (2.0 * g2, g0, 2.0), (-g1, g1, 0.0), (-2.0 * g2, g2, -2.0)))
     if shared:
         at = np.array(shared) + 2
         m -= m[:, at] @ np.linalg.solve(m[at[:, None], at], m[at])
@@ -480,49 +500,52 @@ def _one_edge_terms(c: _Component) -> _Quadratic | _OneEdge:
     chol_inv = np.linalg.inv(np.linalg.cholesky(np.where(same_row, szz, 0.0)))
     lam, vecs = np.linalg.eigh(chol_inv @ np.where(same_row, 0.0, szz) @ chol_inv.T)
     rotate = vecs.T @ chol_inv
-    u0, u1 = rotate @ m[rows, cols], rotate @ m[1 - rows, cols]
-    trace, cross = m[0, 0] + m[1, 1], m[0, 1]
-    # D and g D = (trace - 2 rho cross) D - sum_i (u0_i - rho u1_i)^2 prod_{j != i} (1 - rho lam_j),
-    # as power series in rho, lowest degree first, so a product is a convolution
-    factors = [np.array([1.0, -x]) for x in lam]
-    d = reduce(np.convolve, factors, np.ones(1))
-    g_d = np.convolve([trace, -2.0 * cross], d)
+    u0, u1 = (rotate @ m[rows, cols]).tolist(), (rotate @ m[1 - rows, cols]).tolist()
+    # g D = (trace - 2 rho cross) D - sum_i (u0_i - rho u1_i)^2 prod_{j != i} (1 - rho lam_j)
+    factors = [[1.0, -x if abs(x) > _ZERO_CORRELATION else 0.0] for x in lam.tolist()]
+    d = reduce(_times, factors, [1.0])
+    g_d = _times([float(m[0, 0] + m[1, 1]), -2.0 * float(m[0, 1])], d)
     for i in range(lam.size):
-        residual = np.array([u0[i], -u1[i]])
-        g_d -= reduce(np.convolve, factors[:i] + factors[i + 1 :], np.convolve(residual, residual))
-    d_der, g_d_der = (np.roll(q * np.arange(q.size), -1) for q in (d, g_d))  # derivatives, padded with a zero
-    series = np.zeros((3, 2 * lam.size + 4))
-    series[0] = np.convolve([1.0, 0.0, -1.0], np.convolve(g_d_der, d) - np.convolve(g_d, d_der))
-    series[1, 1:-1] = np.convolve(g_d, d)
-    series[2] = np.convolve([0.0, 2.0, 0.0, -2.0], np.convolve(d, d))
-    return _OneEdge(lam, u0, u1, float(trace), float(cross), series)
+        residual = [u0[i], -u1[i]]
+        term = reduce(_times, factors[:i] + factors[i + 1 :], _times(residual, residual))
+        g_d = [x - y for x, y in zip(g_d, term)]
+    return _OneEdge(tuple(g_d), tuple(d), _series(g_d, d))
 
 
-def _cubic_roots(a: float, b: float, c: float, d: float) -> list:
-    """Real roots of a x^3 + b x^2 + c x + d in increasing order.
+def _series(g_d: list, d: list) -> tuple:
+    """Per degree of h D^2, lowest first: the coefficients of (1 - rho^2) g' D^2, rho g D^2 and Q (see `_OneEdge`)."""
+    g_der_d2 = [x - y for x, y in zip(_times(_derivative(g_d), d), _times(g_d, _derivative(d)))]
+    rows = [_times([1.0, 0.0, -1.0], g_der_d2), [0.0, *_times(g_d, d)], _times([0.0, 2.0, 0.0, -2.0], _times(d, d))]
+    return tuple(zip(*(row + [0.0] * (len(rows[2]) - len(row)) for row in rows)))  # Q has the highest degree
 
-    A cubic whose other coefficients are at most `_CLOSED_FORM_SPREAD`
-    times its leading one has its roots within about that ratio of zero,
-    and takes the closed forms of Numerical Recipes (3rd ed., section 5.6):
-    the trigonometric one when it has three real roots, Cardano's
-    otherwise, A + B for its real root with the complex pair
-    -(A + B) / 2 +- i sqrt(3) (A - B) / 2. When the cubic vanishes at the
-    pair's real part to within the rounding of its evaluation there
-    (`_HORNER_SLACK` of the sum of its terms' magnitudes), the pair is a
-    double real root that rounding split, and it counts twice. The roots
-    are not polished.
 
-    A smaller leading coefficient, zero included, puts a root far out. The
-    forms would then reach the roots near zero by subtracting terms of
-    that root's size (the shift b / 3a and the scale 2 sqrt(q)) and lose
-    them to cancellation, so such a cubic's roots are the eigenvalues of
-    its balanced companion matrix (`polyroots`), and only the exactly real
-    ones count.
+def _real_roots(coefficients: list) -> list:
+    """Real roots, in increasing order, of the polynomial with these power-basis coefficients, lowest degree first.
+
+    Zero leading coefficients are dropped first. A cubic whose other
+    coefficients are at most `_CLOSED_FORM_SPREAD` times its leading one
+    has its roots within about that ratio of zero, and takes the closed
+    forms of Numerical Recipes (3rd ed., section 5.6): the trigonometric
+    one when it has three real roots, Cardano's otherwise, A + B for its
+    real root with the complex pair -(A + B) / 2 +- i sqrt(3) (A - B) / 2.
+    When the cubic vanishes at the pair's real part to within the rounding
+    of its evaluation there (`_HORNER_SLACK` of the sum of its terms'
+    magnitudes), the pair is a double real root that rounding split, and
+    it counts twice. The roots are not polished.
+
+    A cubic with a smaller leading coefficient has a root far out, and the
+    forms would reach the roots near zero by subtracting terms of that
+    root's size (the shift b / 3a and the scale 2 sqrt(q)) and lose them to
+    cancellation. Its roots, and those of a polynomial of any other degree,
+    are the eigenvalues of its balanced companion matrix (`polyroots`), and
+    only the exactly real ones count.
     """
-    if abs(a) * _CLOSED_FORM_SPREAD < max(abs(b), abs(c), abs(d)):
-        roots = polyroots(np.trim_zeros([d, c, b, a], "b"))
-        return sorted(float(x.real) for x in roots if x.imag == 0.0)
-    b, c, d = b / a, c / a, d / a
+    while coefficients[-1] == 0.0:
+        coefficients = coefficients[:-1]
+    *rest, a = coefficients
+    if len(rest) != 3 or abs(a) * _CLOSED_FORM_SPREAD < max(map(abs, rest)):
+        return sorted(float(x.real) for x in polyroots(coefficients) if x.imag == 0.0)
+    d, c, b = (x / a for x in rest)
     q = (b * b - 3.0 * c) / 9.0
     r = (b * (2.0 * b * b - 9.0 * c) + 27.0 * d) / 54.0
     shift = b / 3.0
@@ -555,81 +578,53 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float,
     moment and T0 = fixed_t. The objective p log(T / p) + log(1 - rho^2)
     tends to +inf at rho = +-1, so its minimum is a real root in (-1, 1) of
         h(rho) = p (1 - rho^2) g' + 2 (p - 1) rho g - 2 rho T0 (1 - rho^2).
-    Nothing but T0 changes between graphs that share the component, so the
-    T0-free part is worked out once per record (`_Component.one_edge`),
-    and the record's own structure picks one of two routes.
+    D = prod_i (1 - rho lam_i) over the k own coefficients makes g D a
+    polynomial, and h D^2 = P - T0 Q with
+        P = p (1 - rho^2) ((g D)' D - g D D') + 2 (p - 1) rho g D D,  Q = 2 rho (1 - rho^2) D^2,
+    of degree at most 2k + 3. Nothing but T0 changes between graphs that
+    share the component, so each record keeps g D, D and the power series
+    of P's two terms and Q, worked out once (`_Component.one_edge`).
 
     When the own predictors all sit on one row, or there are none, A1 = 0
-    and every lam_i is zero, so g = g0 + g1 rho + g2 rho^2 is a quadratic
-    and h the cubic
+    and every lam_i is zero, so D = 1, g D = g0 + g1 rho + g2 rho^2 and
+    h D^2 is the cubic
         2 (T0 - g2) rho^3 + (p - 2) g1 rho^2 + (2 p g2 + 2 (p - 1) g0 - 2 T0) rho + p g1,
-    of lower degree when T0 = 0, as at p = 2. The record keeps g's three
-    floats (`_Quadratic`), read off one Cholesky factor of the second moment
-    of (shared predictors, own predictors, the row with them, the other
-    row) as sums of squares: g0 is the residual variance of the row with
-    the own predictors on all its predictors plus the other row's on the
+    of lower degree when T0 = 0, as at p = 2. The record then reads g's
+    three coefficients off one Cholesky factor of the second moment of
+    (shared predictors, own predictors, the row with them, the other row)
+    as sums of squares: g0 is the residual variance of the row with the
+    own predictors on all its predictors plus the other row's on the
     shared ones, g1 is -2 times the rows' residual covariance on all
     predictors, and -g2 is what the own predictors take off the other
-    row's residual variance. Each call solves the cubic in closed form
-    (`_cubic_roots`) in plain floats, or by companion eigenvalues when its
-    leading coefficient is small next to the others (singletons whose
-    residual total is small next to the two rows', as in other units).
+    row's residual variance; the series for D = 1 are written out.
+    Otherwise the record partials out the shared predictors, reduces the
+    own ones to lam, u0 and u1, and multiplies out D, g D and the series
+    (`_series`). A lam_i within `_ZERO_CORRELATION` of zero counts as zero,
+    so its factor of D is 1. With k0 and k1 own coefficients on the two
+    rows, |k0 - k1| of the lam are zero in exact arithmetic, and rounding
+    leaves them near 1e-17, where they would add roots near 1e17 whose
+    companion eigenvalues cost the roots in (-1, 1) their accuracy.
 
-    With own predictors on both rows, D = prod_i (1 - rho lam_i) over the k
-    own coefficients makes g D a polynomial, and h D^2 = P - T0 Q with
-        P = p (1 - rho^2) g' D^2 + 2 (p - 1) rho g D^2,  Q = 2 rho (1 - rho^2) D^2,
-    of degree at most 2k + 3. The record keeps the partialling, the
-    reduction and the power series of P's two terms and Q, whose products
-    are convolutions (`_OneEdge`), and each call finds the roots of
-    P - T0 Q as companion-matrix eigenvalues (`polyroots`).
-
-    Either route takes the real roots in (-1, 1) and adds +-`_BELOW_ONE`,
-    where the objective is least when its minimum lies within rounding of
-    +-1 (a component whose residual total is many orders below T0). It
-    takes one Newton step on h itself from each and returns the one with
-    the smallest objective.
+    Each call works in plain floats: it finds the real roots of P - T0 Q
+    (`_real_roots`: in closed form for a cubic, by companion eigenvalues
+    for a higher degree or a cubic whose leading coefficient is small next
+    to the others, as for singletons whose residual total is small next to
+    the two rows', in other units), takes those in (-1, 1) and adds
+    +-`_BELOW_ONE`, where the objective is least when its minimum lies
+    within rounding of +-1 (a component whose residual total is many
+    orders below T0). It takes one Newton step on P - T0 Q from each and
+    returns the one with the smallest objective.
     """
     t = c.one_edge
-    if isinstance(t, _Quadratic):
-        return _quadratic_correlation(fixed_t, t, p)
-
-    def g_parts(x: np.ndarray):
-        """1 - rho lam_i, u0_i - rho u1_i and g at the points x."""
-        d = 1.0 - x[:, None] * t.lam
-        res = t.u0 - x[:, None] * t.u1
-        return d, res, t.trace - 2.0 * x * t.cross - (res**2 / d).sum(axis=1)
-
-    series = np.array([p, 2.0 * (p - 1), -fixed_t]) @ t.series
-    roots = polyroots(series[: np.flatnonzero(series)[-1] + 1])  # lam_i = 0 lowers the degree
-    x = np.append(roots.real[np.isreal(roots) & (np.abs(roots.real) < 1.0)], (-_BELOW_ONE, _BELOW_ONE))
-    d, res, g = g_parts(x)
-    dn = (-2.0 * t.u1 * res) * d + t.lam * res**2  # d((u0_i - rho u1_i)^2 / (1 - rho lam_i))/drho times its d^2
-    dg = -2.0 * t.cross - (dn / d**2).sum(axis=1)
-    ddg = -(2.0 * t.u1**2 / d + 2.0 * t.lam * dn / d**3).sum(axis=1)
-    s = 1.0 - x**2
-    h = p * s * dg + 2.0 * (p - 1) * x * g - 2.0 * fixed_t * x * s
-    dh = p * s * ddg - 2.0 * x * dg + 2.0 * (p - 1) * g - 2.0 * fixed_t * (1.0 - 3.0 * x**2)
-    step = x - h / dh
-    x = np.where(np.abs(step) < 1.0, step, x)
-    s = 1.0 - x**2
-    objective = p * np.log((fixed_t + g_parts(x)[2] / s) / p) + np.log(s)
-    best = np.argmin(objective)
-    return float(x[best]), float(objective[best])
-
-
-def _quadratic_correlation(fixed_t: float, q: _Quadratic, p: int) -> tuple[float, float]:
-    """`_one_edge_correlation` of a record whose g is the quadratic q: the cubic route, in plain floats."""
-    g0, g1, g2 = q
-    roots = _cubic_roots(2.0 * (fixed_t - g2), (p - 2) * g1, 2.0 * (p * g2 + (p - 1) * g0 - fixed_t), p * g1)
+    weight = 2.0 * (p - 1)
+    poly = [p * a + weight * b - fixed_t * q for a, b, q in t.series]
     best = (0.0, math.inf)
-    for x in [x for x in roots if abs(x) < 1.0] + [-_BELOW_ONE, _BELOW_ONE]:
-        g, dg, s = g0 + x * (g1 + x * g2), g1 + 2.0 * g2 * x, 1.0 - x * x
-        h = p * s * dg + 2.0 * (p - 1) * x * g - 2.0 * fixed_t * x * s
-        dh = 2.0 * p * s * g2 - 2.0 * x * dg + 2.0 * (p - 1) * g - 2.0 * fixed_t * (1.0 - 3.0 * x * x)
+    for x in [x for x in _real_roots(poly) if abs(x) < 1.0] + [-_BELOW_ONE, _BELOW_ONE]:
+        h, dh = _horner(poly, x)
         if dh != 0.0 and abs(step := x - h / dh) < 1.0:
             x = step
         s = 1.0 - x * x
-        objective = p * math.log((fixed_t + (g0 + x * (g1 + x * g2)) / s) / p) + math.log(s)
+        objective = p * math.log((fixed_t + _horner(t.g_d, x)[0] / (_horner(t.d, x)[0] * s)) / p) + math.log(s)
         if objective < best[1]:
             best = (x, objective)
     return best
@@ -893,12 +888,12 @@ class EqualVarianceScorer:
     record, a singleton's `_regression` or a multi-node `_Component`, is
     built once and kept for the scorer's life (see `_split`). Between graphs
     that share a lone one-edge component only T0 changes, so its record also
-    keeps the T0-free part of its closed-form solve. When the component's
-    own predictors sit on at most one of its nodes that part is three
-    floats and each further score a closed-form cubic in plain floats;
-    otherwise it is a set of power series and each further score one
-    small polynomial root solve (see `_one_edge_correlation`). B and
-    sigma2 are profiled out, so the average log-likelihood is
+    keeps the T0-free part of its closed-form solve, the power series of
+    its stationarity polynomial, and each further score is one small root
+    solve in plain floats, a closed-form cubic when the component's own
+    predictors sit on at most one of its nodes (see
+    `_one_edge_correlation`). B and sigma2 are profiled out, so the
+    average log-likelihood is
         -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2
     at the optimum, the same value `fit(..., equal_variances=True)` reaches.
 

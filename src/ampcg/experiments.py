@@ -115,7 +115,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> list:
                 recovered_hash=graph_hash(chosen),
                 exact=chosen == truth,
                 shd=structural_hamming_distance(truth, chosen),
-                margin="" if math.isnan(margin) else margin,
+                margin=margin if math.isfinite(margin) else "",  # greedy has no class, identify may have no runner-up
                 recovered_graph=graph_to_dict(chosen),
             )
         except Exception as exc:  # recorded per row; the sweep continues

@@ -30,6 +30,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from .seeds import compose_seed
+
 __all__ = [
     "CapacityError",
     "ChainGraph",
@@ -611,14 +613,16 @@ def random_chain_graph(p: int, edge_prob: float, undirected_frac: float, seed) -
     grouped into consecutive blocks (each node joins the previous block
     with probability `undirected_frac`). Pairs inside a block become
     undirected edges with probability `edge_prob`; pairs across blocks
-    become directed edges pointing from the earlier block.
+    become directed edges pointing from the earlier block. The seed goes
+    through `seeds.compose_seed`, so a negative one raises ValueError
+    naming it.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     for name, value in (("edge_prob", edge_prob), ("undirected_frac", undirected_frac)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(compose_seed(seed))
     order = rng.permutation(p)
     block_of = np.zeros(p, dtype=int)
     block = 0

@@ -74,11 +74,15 @@ def read_graph(path) -> ChainGraph:
 
 
 def _write_json(payload, path) -> None:
-    """Write payload as indented, key-sorted JSON plus a newline, creating parent directories."""
+    """Write payload as indented, key-sorted JSON plus a newline, creating parent directories.
+
+    The JSON is strict: a non-finite float raises ValueError, before
+    anything is written, rather than being written as Infinity or NaN,
+    which strict parsers reject.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_graph(g: ChainGraph, path) -> None:

@@ -47,6 +47,7 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import ChainGraph, _default_label, _repeated_label, _require_chain_graph, _trusted, chain_components
+from .seeds import compose_seed
 from .separation import _query_table, _separations
 
 __all__ = [
@@ -265,11 +266,13 @@ def random_parameters(g: ChainGraph, seed=0) -> SemParameters:
     positive definiteness; inverting the blocks yields sigma, which is
     block-diagonal over the components and so valid by construction. A g
     with a semidirected cycle is rejected on entry, with ValueError naming
-    one; the result is built on the trusted path (`graphs._trusted`).
+    one; the result is built on the trusted path (`graphs._trusted`). The
+    seed goes through `seeds.compose_seed`, so a negative one raises
+    ValueError naming it.
     """
     _require_chain_graph(g)
     lo, hi = _COEF_RANGE
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(compose_seed(seed))
     p = g.p
     beta = np.zeros((p, p))
     for j, k in sorted(g.directed):
@@ -350,11 +353,11 @@ def condition(dist: GaussianDistribution, b: Iterable[int], b_values) -> Gaussia
 
 
 def sample(dist: GaussianDistribution, n: int, seed, labels: tuple | None = None) -> Dataset:
-    """n independent draws through a Cholesky factor; deterministic per seed."""
+    """n independent draws through a Cholesky factor; deterministic per seed, which must be non-negative."""
     if n < 1:
         raise ValueError("n must be >= 1")
     chol = np.linalg.cholesky(dist.cov)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(compose_seed(seed))
     z = rng.standard_normal((n, dist.p))
     return Dataset(values=dist.mean + z @ chol.T, labels=labels)
 
@@ -480,15 +483,3 @@ def faithful_parameters(g: ChainGraph, seed=0, sigma2: float | None = None) -> t
                 "distribution; the model construction is broken"
             )
     raise RuntimeError(f"no faithful draw found in {_FAITHFUL_DRAWS} attempts")
-
-
-def compose_seed(seed, *extra) -> list:
-    """Derive an independent child seed deterministically from `seed`, a non-negative integer or a sequence of them.
-
-    A negative entry raises ValueError naming the seed. The one-entry
-    result [seed] draws the same stream as the bare integer seed.
-    """
-    base = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(x) for x in seed]
-    if any(x < 0 for x in base):
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return base + [int(x) for x in extra]

@@ -31,7 +31,7 @@ from numpy.polynomial.polynomial import polyroots
 from scipy import optimize
 
 from ampcg import search
-from ampcg.estimation import _BELOW_ONE, EqualVarianceScorer, _regression, fit, gaussian_average_loglik, moment_matrix
+from ampcg.estimation import _BELOW_ONE, EqualVarianceScorer, _profile, _regression, fit, gaussian_average_loglik, moment_matrix
 from ampcg.graphs import CapacityError, ChainGraph, equivalence_class, is_chain_graph, random_chain_graph
 from ampcg.sem import Dataset, compose_seed
 from ampcg.separation import SeparationQuery, _check_query
@@ -448,6 +448,28 @@ def identify_in_class_loop(class_rep: ChainGraph, data_or_cov) -> search.Identif
     rows.sort(key=lambda r: (getattr(r, statistic), *search._rank(r.graph._parents, r.graph.undirected)))
     margin = math.inf if len(rows) == 1 else getattr(rows[1], statistic) - getattr(rows[0], statistic)
     return search.IdentifyResult(rows[0].graph, len(members), tuple(rows), float(margin), loglik, converged)
+
+
+def one_edge_record_numeric(fixed_t: float, c, p: int) -> float:
+    """The least profiled objective p log(T / p) + log(1 - rho^2) of the one-edge record c, by a 1-D search.
+
+    Each rho is scored by the descent's objective (`estimation._profile`,
+    a GLS solve under R^-1 with no power series or root): a grid of 201
+    points, tanh-spaced so it reaches within 1e-8 of +-1, is refined by
+    bounded Brent around its least point.
+    """
+
+    def objective(rho):
+        out = _profile(fixed_t, [c], p, np.array([-rho]))
+        return math.inf if out is None else out[0]
+
+    grid = np.tanh(np.linspace(-10.0, 10.0, 201))
+    start = int(np.argmin([objective(x) for x in grid]))
+    res = optimize.minimize_scalar(
+        objective, bounds=(grid[max(start - 1, 0)], grid[min(start + 1, grid.size - 1)]),
+        method="bounded", options={"xatol": 1e-14},
+    )
+    return min(float(res.fun), objective(grid[start]))
 
 
 def one_edge_series_correlation(fixed_t: float, c, p: int) -> tuple[float, float]:

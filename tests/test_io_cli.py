@@ -35,7 +35,7 @@ from ampcg import (
     write_graph,
     write_parameters,
 )
-from ampcg import cli
+from ampcg import cli, io
 from ampcg.cli import main
 
 from .conftest import near_collinear_input
@@ -73,6 +73,15 @@ def _assert_close(got, want, where="") -> None:
             _assert_close(a, b, f"{where}[{i}]")
     else:
         assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def _strict_json(path: Path):
+    """The JSON at path, read by a parser that rejects Infinity and NaN as strict JSON parsers do."""
+
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestGraphJson:
@@ -165,6 +174,29 @@ class TestOtherFormats:
         path.write_text("")
         with pytest.raises(ValueError):
             read_dataset(path)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_raises_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "out" / "x.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            io._write_json({"x": [1.0, value]}, path)
+        assert not path.exists()
+
+    def test_one_member_class_writes_strict_json(self, tmp_path, capsys):
+        # a one-node graph's class has one member, so there is no runner-up and the margin is infinite
+        gpath, dpath = tmp_path / "g.json", tmp_path / "d.csv"
+        assert main(["generate", "--p", "1", "--seed", "1", "--out", str(gpath), "--data-out", str(dpath)]) == 0
+        assert ampcg.identify_in_class(read_graph(gpath), read_dataset(dpath)).margin == math.inf
+        ipath = tmp_path / "ident.json"
+        assert main(["identify", "--class-rep", str(gpath), "--data", str(dpath), "--out", str(ipath)]) == 0
+        payload = _strict_json(ipath)
+        assert payload["class_size"] == 1 and payload["margin"] is None
+        out_dir = tmp_path / "exp"
+        assert main(["experiment", "--p", "1", "--seeds", "1", "--out-dir", str(out_dir)]) == 0
+        rows = _strict_json(out_dir / "report.json")["rows"]
+        assert [row["margin"] for row in rows] == [""] and rows[0]["error"] == ""
 
 
 class TestExperiments:

@@ -26,11 +26,13 @@ from ampcg import (
 )
 from ampcg.estimation import moment_matrix
 from ampcg.graphs import _mask
+from ampcg import seeds
 from ampcg.sem import (
     _independences,
     _off_pattern_dependence,
     _partial_correlation,
     _partial_correlations,
+    compose_seed,
 )
 from ampcg.separation import pairwise_queries
 
@@ -329,6 +331,29 @@ class TestSampling:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             sample(GaussianDistribution(np.zeros(2), np.eye(2)), 0, seed=0)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize(
+        "draw, named",
+        [
+            (lambda: random_chain_graph(3, 0.4, 0.3, seed=-1), "-1"),
+            (lambda: random_parameters(ChainGraph(2, directed={(0, 1)}), seed=-2), "-2"),
+            (lambda: sample(GaussianDistribution(np.zeros(2), np.eye(2)), 5, seed=-3), "-3"),
+            (lambda: sample(GaussianDistribution(np.zeros(2), np.eye(2)), 5, seed=(4, -5)), r"\(4, -5\)"),
+        ],
+        ids=["random_chain_graph", "random_parameters", "sample", "sample-sequence"],
+    )
+    def test_negative_seed_is_named(self, draw, named):
+        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {named}$"):
+            draw()
+
+    def test_checked_seed_draws_the_bare_seed_stream(self):
+        # the entry points draw from compose_seed(seed), and [seed] gives the same stream as seed
+        for seed in (0, 3, 2**40 + 1, (4, 5)):
+            ours, bare = (np.random.default_rng(s).random(4) for s in (compose_seed(seed), seed))
+            assert np.array_equal(ours, bare)
+        assert compose_seed is seeds.compose_seed  # still importable from sem, where it was
 
 
 class TestGaussianCi:
