@@ -117,25 +117,27 @@ def _converged_flag(result) -> str:
 
 
 def _cmd_generate(args) -> int:
+    """Draw the graph, then its parameters and data if asked for, and write them only once all are drawn."""
     g = random_chain_graph(args.p, args.edge_prob, args.undirected_frac, seed=args.seed)
-    write_graph(g, args.out)
-    print(f"graph {graph_hash(g)} -> {args.out}")
     if args.params_out or args.data_out:
         params = rescale_equal_variances(
             random_parameters(g, seed=compose_seed(args.seed, 1)), args.sigma2
         )
-        if args.params_out:
-            write_parameters(params, args.params_out)
-            print(f"parameters -> {args.params_out}")
-        if args.data_out:
-            data = sample(
-                implied_distribution(params),
-                args.n,
-                seed=compose_seed(args.seed, 2),
-                labels=tuple(g.node_label(j) for j in range(g.p)),
-            )
-            write_dataset(data, args.data_out)
-            print(f"dataset ({args.n} rows) -> {args.data_out}")
+    if args.data_out:
+        data = sample(
+            implied_distribution(params),
+            args.n,
+            seed=compose_seed(args.seed, 2),
+            labels=tuple(g.node_label(j) for j in range(g.p)),
+        )
+    write_graph(g, args.out)
+    print(f"graph {graph_hash(g)} -> {args.out}")
+    if args.params_out:
+        write_parameters(params, args.params_out)
+        print(f"parameters -> {args.params_out}")
+    if args.data_out:
+        write_dataset(data, args.data_out)
+        print(f"dataset ({args.n} rows) -> {args.data_out}")
     return 0
 
 

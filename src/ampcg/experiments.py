@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -51,21 +52,40 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        """Reject a field of the wrong type or range by name, before any run.
+
+        No value of the wrong type is converted: "3" is not p = 3, and 1.5
+        is not a worker count. seeds and n_list are kept as tuples of ints.
+        """
+        _require_integer("p", self.p, 1, ">= 1")
+        _require_integer("workers", self.workers, 1, ">= 1")
+        for name, least, bound in (("seeds", 0, "non-negative"), ("n_list", 1, ">= 1")):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list of integers, got {type(values).__name__}")
+            for value in values:
+                _require_integer(name, value, least, bound)
+            object.__setattr__(self, name, tuple(int(value) for value in values))
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        negative = [seed for seed in self.seeds if seed < 0]
-        if negative:
-            raise ValueError(f"seeds must be non-negative, got {negative[0]}")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        for name in ("edge_prob", "undirected_frac", "sigma2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+
+
+def _require_integer(name: str, value, least: int, bound: str) -> None:
+    """Raise ValueError naming `name` unless value is an integer (a bool is not one) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
 """File formats: graph JSON, parameter JSON, covariance JSON, dataset CSV.
 
 All JSON readers are strict: unknown fields are rejected so that stored
-experiment inputs stay honest, and graphs that fail validity are rejected
+experiment inputs stay honest, a graph's edge or label field of the wrong
+shape is rejected by name, and graphs that fail validity are rejected
 with a diagnostic naming one offending cycle.
 """
 
@@ -56,13 +57,30 @@ def graph_to_dict(g: ChainGraph) -> dict:
     }
 
 
+def _edges(payload: dict, name: str) -> frozenset:
+    """The edges of graph field `name`, or ValueError naming it unless it lists pairs of integer node indices."""
+    edges = payload[name]
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(f"graph field {name!r} must be a list of node pairs, got {type(edges).__name__}")
+    for edge in edges:
+        if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
+            raise ValueError(f"graph field {name!r} must be a list of node pairs, got entry {edge!r}")
+        for node in edge:
+            if isinstance(node, bool) or not isinstance(node, int):
+                raise ValueError(f"graph field {name!r}: node index {node!r} in {edge!r} is not an integer")
+    return frozenset(map(tuple, edges))
+
+
 def graph_from_dict(payload: dict) -> ChainGraph:
     _require_keys(payload, {"p", "directed", "undirected"}, {"labels"}, "graph")
+    labels = payload.get("labels")
+    if labels is not None and not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
+        raise ValueError(f"graph field 'labels' must be a list of strings, got {labels!r}")
     g = ChainGraph(
         p=payload["p"],
-        directed=frozenset(tuple(e) for e in payload["directed"]),
-        undirected=frozenset(tuple(e) for e in payload["undirected"]),
-        labels=tuple(payload["labels"]) if payload.get("labels") is not None else None,
+        directed=_edges(payload, "directed"),
+        undirected=_edges(payload, "undirected"),
+        labels=None if labels is None else tuple(labels),
     )
     _require_chain_graph(g)
     return g

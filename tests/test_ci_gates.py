@@ -88,3 +88,14 @@ def test_a_missing_metric_fails_its_gate():
     del result["metrics"]["graphs.is_chain_graph.calls"]
     outcomes = ci_gates.check(_gates("identify-data", 1, True), result)
     assert [ok for ok, _ in outcomes] == [True, True, True, False, False, True, True]
+
+
+def test_the_workflow_runs_only_the_local_commands():
+    # every CI check runs locally too: a step of its own in the workflow would be a check tier-1 lacks
+    workflow = _PATH.parent.parent / ".github" / "workflows" / "tests.yml"
+    runs = [line.split("run:", 1)[1].strip() for line in workflow.read_text().splitlines() if "run:" in line]
+    assert runs == [
+        'python -m pip install -e ".[test]"',
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=10",
+        "python3 tools/ci_gates.py",
+    ]

@@ -119,6 +119,27 @@ class TestGraphJson:
         except ValueError as exc:
             assert "X" in str(exc) and "->" in str(exc)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"directed": [[0, 1.5]]}, "graph field 'directed': node index 1.5 in [0, 1.5] is not an integer"),
+            ({"directed": [[True, 1]]}, "graph field 'directed': node index True in [True, 1] is not an integer"),
+            ({"directed": 5}, "graph field 'directed' must be a list of node pairs, got int"),
+            ({"undirected": [[0, 1, 1]]}, "graph field 'undirected' must be a list of node pairs, got entry [0, 1, 1]"),
+            ({"labels": "ab"}, "graph field 'labels' must be a list of strings, got 'ab'"),
+        ],
+        ids=["node-a-float", "node-a-bool", "edges-an-int", "edge-not-a-pair", "labels-a-string"],
+    )
+    def test_malformed_field_rejected_by_name(self, tmp_path, capsys, fields, message):
+        payload = {"p": 2, "directed": [], "undirected": [], **fields}
+        with pytest.raises(ValueError) as exc:
+            graph_from_dict(payload)
+        assert str(exc.value) == message
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        assert main(["sep", "--graph", str(path), "--a", "0", "--b", "1"]) == 2
+        assert capsys.readouterr().err == f"error input_error: {message}\n"
+
     def test_dict_shape(self, six_node_graph):
         payload = graph_to_dict(six_node_graph)
         assert set(payload) == {"p", "labels", "directed", "undirected"}
@@ -188,6 +209,7 @@ class TestStrictJson:
         # a one-node graph's class has one member, so there is no runner-up and the margin is infinite
         gpath, dpath = tmp_path / "g.json", tmp_path / "d.csv"
         assert main(["generate", "--p", "1", "--seed", "1", "--out", str(gpath), "--data-out", str(dpath)]) == 0
+        assert _strict_json(gpath)["p"] == 1
         assert ampcg.identify_in_class(read_graph(gpath), read_dataset(dpath)).margin == math.inf
         ipath = tmp_path / "ident.json"
         assert main(["identify", "--class-rep", str(gpath), "--data", str(dpath), "--out", str(ipath)]) == 0
@@ -242,14 +264,18 @@ class TestExperiments:
             assert strip(run_experiment(cfg_seq).rows) == strip(run_experiment(cfg_par).rows)
 
     def test_two_phase_method(self):
-        cfg = ExperimentConfig(p=4, seeds=(11, 12), method="two-phase")
-        assert run_experiment(cfg).recovery == {"population": 1.0}
+        # p=12 is the class cap, up to which faithful draws check every separation and skeleton recovery runs
+        for p, seeds in ((4, (11, 12)), (10, (1, 2, 3)), (12, (1, 2, 3))):
+            cfg = ExperimentConfig(p=p, seeds=seeds, method="two-phase")
+            assert run_experiment(cfg).recovery == {"population": 1.0}, p
 
     def test_greedy_method(self):
-        cfg = ExperimentConfig(p=3, seeds=(13,), method="greedy")
-        report = run_experiment(cfg)
-        assert report.rows[0]["error"] == ""
-        assert report.rows[0]["margin"] == ""  # greedy reports no margin
+        # at p=5 some states have own predictors on both nodes of a one-edge component
+        for p, seeds in ((3, (13,)), (5, (1, 2, 3))):
+            cfg = ExperimentConfig(p=p, seeds=seeds, method="greedy")
+            report = run_experiment(cfg)
+            assert report.rows[0]["error"] == "", p
+            assert report.rows[0]["margin"] == "", p  # greedy reports no margin
 
 
 class TestCli:
@@ -306,6 +332,21 @@ class TestCli:
         assert params.graph == g and data.n == 40
         assert data.labels == tuple(g.node_label(j) for j in range(g.p))
         assert np.allclose(np.diag(params.sigma), 2.5, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "0"], "error input_error: n must be >= 1\n"),
+            (["--sigma2", "-1"], "error input_error: sigma2 must be positive and finite, got -1.0\n"),
+        ],
+        ids=["no-rows", "negative-sigma2"],
+    )
+    def test_failing_generate_writes_nothing(self, tmp_path, monkeypatch, capsys, flags, message):
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "--p", "3", "--out", "g.json", "--params-out", "p.json", "--data-out", "d.csv"]
+        assert main([*argv, *flags]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert not list(tmp_path.iterdir())
 
     def test_sep_takes_indices_and_rejects_out_of_range(self, tmp_path, capsys):
         gpath = tmp_path / "g.json"
@@ -583,6 +624,12 @@ class TestCli:
             ([], 5, "error input_error: experiment config must be a JSON object, got int"),
             ([], ["p", "seeds"], "error input_error: experiment config must be a JSON object, got list"),
             (["--p", "x", "--seeds", "1"], None, "error input_error: argument --p: invalid int value: 'x'"),
+            ([], {"p": "3", "seeds": [1]}, "error input_error: p must be an integer, got '3'"),
+            ([], {"p": 2.5, "seeds": [1]}, "error input_error: p must be an integer, got 2.5"),
+            ([], {"p": 3, "seeds": [1], "sigma2": "2"}, "error input_error: sigma2 must be a number, got '2'"),
+            ([], {"p": 3, "seeds": [1], "workers": 1.5}, "error input_error: workers must be an integer, got 1.5"),
+            ([], {"p": 3, "seeds": 7}, "error input_error: seeds must be a list of integers, got int"),
+            ([], {"p": 3, "seeds": [1], "n_list": [0]}, "error input_error: n_list must be >= 1, got 0"),
         ],
         ids=[
             "bad-seeds",
@@ -594,6 +641,12 @@ class TestCli:
             "config-not-an-object",
             "config-a-list",
             "argparse-bad-int",
+            "config-p-a-string",
+            "config-p-a-float",
+            "config-sigma2-a-string",
+            "config-workers-a-float",
+            "config-seeds-an-int",
+            "config-n-list-zero",
         ],
     )
     def test_experiment_failure_is_one_error_line(self, tmp_path, capsys, argv, config, message):
@@ -776,11 +829,11 @@ class TestCli:
         # the child finds the package where this process did, installed or not
         source = str(Path(ampcg.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "ampcg", "sep", "--graph", str(gpath), "--a", "0", "--b", "1"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        run = lambda *argv: subprocess.run([sys.executable, "-m", "ampcg", *argv], capture_output=True, text=True, env=env)
+        proc = run("sep", "--graph", str(gpath), "--a", "0", "--b", "1")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "separated: false"
+        # a command line argparse rejects is one error line and exit code 2 from the process too
+        proc = run("experiment", "--p", "x", "--seeds", "1")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error input_error:")
