@@ -49,7 +49,12 @@ component's own predictors (those only one of its nodes regresses on)
 sit on at most one node, and built from their canonical correlations
 otherwise. One solve finds its real roots (`_real_roots`), in closed
 form when it is a cubic, as in the first case, and by companion
-eigenvalues otherwise. With more undirected
+eigenvalues otherwise. When every multi-node component is one edge, or a
+tree whose nodes all regress on the same predictors, the objective
+separates over the edges but for the shared T: a tree's GLS is least
+squares for every R_K and R_K is Markov on the tree, so each edge's share
+of T and of log det R_K is a one-edge record's. Sweeps of exact one-edge
+steps (`_sweep`) then solve the state. With other undirected
 structure a BFGS descent (`_descend`) runs over the off-diagonal
 pattern entries of the multi-node components' unit-diagonal concentration
 matrices, on the profiled objective `_profile`, from the identity, and
@@ -60,12 +65,14 @@ is evaluated twice.
 split and solve, read off parent tuples and undirected edges, so a search
 scores a state without building its graph. It builds each component once
 (a singleton's regression per (node, parent set), a multi-node
-component's record per parent sets and edges) and keeps each state's
-penalized score. A lone one-edge record keeps the part of its solve that
-does not depend on the singletons' residual total T0, so each further
-score of it is one small root solve in plain floats. A multi-node record
-also keeps the log-determinant of its nodes' residual moment on all its
-predictors, from which the scorer bounds a state's score in closed form.
+component's record per parent sets and edges, and a record's per-edge
+records for the sweeps) and keeps each state's penalized score. A
+one-edge record keeps the part of its solve that does not depend on the
+rest of T, so each further solve of it is one small root solve in plain
+floats. The scorer bounds a state's score in closed form from the
+singletons' regressions and the log-determinant of each multi-node
+component's residual moment on all its predictors, kept per component
+and predictors, and builds no record for a state it only bounds.
 The spread of the unconstrained fit's log error variances is its
 `dispersion`.
 """
@@ -153,6 +160,7 @@ _EV_GRAD_TOL = 1e-6  # largest objective gradient entry of a converged equal-var
 _TOL = 1e-9  # relative parameter change at which the unconstrained fit stops
 _MAX_ROUNDS = 500  # GLS-plus-IPF-sweep rounds per unconstrained multi-node fit
 _MAX_STEPS = 15000  # descent steps per equal-variance solve
+_MAX_SWEEPS = 100  # edge sweeps per equal-variance solve on the separable route
 _MAX_HALVINGS = 20  # trial points per descent step (L-BFGS-B's default line-search limit)
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))  # the largest correlation below 1
 _HORNER_SLACK = 8.0 * float(np.finfo(float).eps)  # relative rounding of a cubic evaluated at a point by Horner's rule
@@ -256,18 +264,31 @@ class _Component:
         return _one_edge_terms(self)
 
     @cached_property
-    def saturated_logdet(self) -> float:
-        """log det of syy - syz szz^-1 syz^T, worked out on first use; -inf unless positive definite.
+    def separable(self) -> tuple | None:
+        """(offset, per-edge two-node records) of the edge sweep (`_sweep`), worked out on first use; None off it.
 
-        That is the residual moment of the nodes regressed jointly on every
-        predictor of the component, the least any error covariance of the
-        component can leave (see `EqualVarianceScorer.bound`).
+        A two-node component is its own one record, with offset 0: its
+        share of T is the record's g / (1 - rho^2) (see
+        `_one_edge_correlation`). A tree whose nodes all regress on the
+        same predictors has the least-squares residual moment E for every
+        R_K (GLS with the same predictors on every row is least squares),
+        and R_K is Markov on the tree, so
+            trace(R_K^-1 E) = sum_v E_vv + sum_e [(E_uu - 2 rho_e E_uw + E_ww) / (1 - rho_e^2) - E_uu - E_ww]:
+        one record per edge on the 2x2 block of E, in `pattern` order,
+        and the offset -sum_v (degree(v) - 1) E_vv. Any other component
+        is None.
         """
-        try:
-            e = self.syy - self.syz @ np.linalg.solve(self.szz, self.syz.T) if self.predictors else self.syy
-            return 2.0 * float(np.log(np.linalg.cholesky(e).diagonal()).sum())
-        except np.linalg.LinAlgError:
-            return -math.inf
+        m = len(self.nodes)
+        if m == 2:
+            return 0.0, (self,)
+        if len(self.pattern) != m - 1 or self.support[0].size != m * len(self.predictors):
+            return None
+        e = self.syy - self.syz @ np.linalg.solve(self.szz, self.syz.T) if self.predictors else self.syy
+        e = 0.5 * (e + e.T)
+        no_parents = ((),) * m
+        records = tuple(_component(e, no_parents, frozenset([edge]), frozenset(edge)) for edge in self.pattern)
+        degree = np.bincount(np.concatenate(self.edges), minlength=m)
+        return -float((degree - 1) @ e.diagonal()), records
 
 
 def _index_arrays(pairs: list) -> tuple:
@@ -449,8 +470,9 @@ def gaussian_average_loglik(model_cov: np.ndarray, s: np.ndarray) -> float:
 class _Solve(NamedTuple):
     objective: float  # p * log(T / p) + sum_K log det R_K at the optimum
     theta: np.ndarray  # off-diagonal pattern entries of the unit-diagonal Omega_K at the optimum
-    iterations: int
+    iterations: int  # sweeps that lowered the objective, or descent steps
     converged: bool
+    route: str  # "closed form", "one edge", "sweep" or "descent"
 
 
 def _times(a: list, b: list) -> list:
@@ -623,11 +645,71 @@ def _one_edge_correlation(fixed_t: float, c: _Component, p: int) -> tuple[float,
         h, dh = _horner(poly, x)
         if dh != 0.0 and abs(step := x - h / dh) < 1.0:
             x = step
-        s = 1.0 - x * x
-        objective = p * math.log((fixed_t + _horner(t.g_d, x)[0] / (_horner(t.d, x)[0] * s)) / p) + math.log(s)
+        objective = p * math.log((fixed_t + _one_edge_share(t, x)) / p) + math.log(1.0 - x * x)
         if objective < best[1]:
             best = (x, objective)
     return best
+
+
+def _one_edge_share(t: _OneEdge, rho: float) -> float:
+    """g(rho) / (1 - rho^2), the one-edge record's share of T at the correlation rho (see `_one_edge_correlation`)."""
+    return _horner(t.g_d, rho)[0] / (_horner(t.d, rho)[0] * (1.0 - rho * rho))
+
+
+def _sweep(fixed_t: float, comps: list, p: int) -> _Solve | None:
+    """The separable route of `_equal_variance_solve`: exact edge steps in sweeps, or None off it.
+
+    The route applies when every component has a `_Component.separable`
+    split: T is then T0 plus the components' offsets plus each edge's
+    record share g_e(rho_e) / (1 - rho_e^2), and sum_K log det R_K is
+    sum_e log(1 - rho_e^2), so the edges are coupled only through T. Given
+    the others, an edge's exact global minimum is `_one_edge_correlation`
+    of its record with the rest of T as its T0. Each sweep takes that step
+    on every edge in turn, from rho = 0 (Omega_K = I), so no step raises
+    the objective: block coordinate descent with exact block minimizers
+    (Grippo & Sciandrone 2000). The sweeps stop once one lowers the
+    objective by a relative 1e-13 or less, or after `_MAX_SWEEPS`, and
+    iterations count the sweeps that lowered it by more, so an optimal
+    start counts 0. The correlations are returned as the unit-diagonal
+    Omega_K entries, -rho_e / ((1 - rho_e^2) sqrt(d_u d_w)) with
+    d_v = 1 + sum over v's edges of rho_e^2 / (1 - rho_e^2) the diagonal
+    of R_K^-1, and the objective and gradient are `_profile`'s at that
+    point. None also when `_profile` finds the point outside its region
+    (a correlation within rounding of +-1), for the descent to take over.
+    """
+    parts = [c.separable for c in comps]
+    if None in parts:
+        return None
+    base = fixed_t + sum(offset for offset, _ in parts)
+    records = [r for _, edge_records in parts for r in edge_records]
+    rho = [0.0] * len(records)
+    shares = [_one_edge_share(r.one_edge, 0.0) for r in records]
+    logs = [0.0] * len(records)
+    value = p * math.log((base + sum(shares)) / p)
+    sweeps, stopped = 0, False
+    while sweeps < _MAX_SWEEPS and not stopped:
+        for i, r in enumerate(records):
+            rho[i] = x = _one_edge_correlation(base + sum(shares[:i]) + sum(shares[i + 1 :]), r, p)[0]
+            shares[i], logs[i] = _one_edge_share(r.one_edge, x), math.log(1.0 - x * x)
+        new = p * math.log((base + sum(shares)) / p) + sum(logs)
+        stopped = value - new <= 1e-13 * max(abs(value), abs(new), 1.0)
+        sweeps += not stopped
+        value = new
+    theta, lo = np.empty(len(records)), 0
+    for c in comps:
+        rows, cols = c.edges
+        hi = lo + len(c.pattern)
+        r = np.array(rho[lo:hi])
+        s = 1.0 - r * r
+        m = len(c.nodes)
+        d = 1.0 + np.bincount(rows, r * r / s, m) + np.bincount(cols, r * r / s, m)
+        theta[lo:hi] = -r / (s * np.sqrt(d[rows] * d[cols]))
+        lo = hi
+    out = _profile(fixed_t, comps, p, theta)
+    if out is None:
+        return None
+    objective, grad = out[:2]
+    return _Solve(objective, theta, sweeps, stopped or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL, "sweep")
 
 
 def _descend(profile, theta: np.ndarray) -> tuple:
@@ -732,6 +814,10 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     with D = diag(Omega_K^-1) keeps that pattern. With one free entry (one
     component, two nodes, one edge) the global optimum and its objective
     are closed form (see `_one_edge_correlation`) and iterations are 0.
+    When every component is one edge or a tree whose nodes share their
+    parent tuple, sweeps of exact one-edge steps solve it (`_sweep`), and
+    iterations count the sweeps that lowered the objective. The route is
+    chosen by the components' structure alone.
     Otherwise one `_descend` from Omega_K = I runs over those entries on
     `_profile`; B and sigma2 are optimal at every point, so by the envelope
     theorem the gradient only differentiates R_K. The gradient at I is
@@ -747,11 +833,13 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
     """
     size = sum(len(c.pattern) for c in comps)
     if size == 0:
-        return _Solve(p * math.log(fixed_t / p), np.zeros(0), 0, True)
+        return _Solve(p * math.log(fixed_t / p), np.zeros(0), 0, True, "closed form")
     if size == 1:
         rho, objective = _one_edge_correlation(fixed_t, comps[0], p)
         # Omega = [[1, theta], [theta, 1]] has correlation rho = -theta.
-        return _Solve(objective, np.array([-rho]), 0, True)
+        return _Solve(objective, np.array([-rho]), 0, True, "one edge")
+    if (swept := _sweep(fixed_t, comps, p)) is not None:
+        return swept
     profile = partial(_profile, fixed_t, comps, p)
     theta, objective, grad, iterations, success = _descend(profile, np.zeros(size))  # Omega_K = I lies inside
     if iterations == 0:  # I may be a stationary maximum; a diagonally dominant start lies inside too
@@ -759,7 +847,7 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
         again = _descend(profile, np.full(size, 0.5 / degree))
         if again[1] < objective:
             theta, objective, grad, iterations, success = again
-    return _Solve(objective, theta, iterations, success or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL)
+    return _Solve(objective, theta, iterations, success or float(np.max(np.abs(grad))) <= _EV_GRAD_TOL, "descent")
 
 
 def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
@@ -773,7 +861,9 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     With equal_variances the exact equality-constrained maximum likelihood
     is returned instead (see `_equal_variance_solve`), with coefficients and
     correlations from one `_profile` evaluation at the optimum, and
-    iterations count the descent's steps; they are zero when the only
+    iterations count the descent's steps, or the edge sweeps that lowered
+    the objective when every multi-node component is one edge or a tree
+    whose nodes share their parents; they are zero when the only
     multi-node component is two nodes joined by one edge, which is solved
     in closed form; a closed-form correlation within rounding of +-1 leaves
     no positive-definite fit and raises `np.linalg.LinAlgError` naming the
@@ -874,6 +964,25 @@ def penalized_score(
     return _bic(fit(data_or_cov, g, equal_variances).loglik, k, n_eff)
 
 
+def _saturated_logdet(s: np.ndarray, nodes: list, predictors: tuple) -> float:
+    """log det of the residual moment of `nodes` regressed jointly on all `predictors`; -inf unless positive definite.
+
+    That is the least residual moment any error covariance of a component
+    with these nodes and predictors can leave (see
+    `EqualVarianceScorer.bound`). The blocks of s are cut as `_component`
+    cuts them.
+    """
+    y, z = np.array(nodes)[:, None], np.array(predictors, dtype=int)
+    syy = s[y, y.T]
+    try:
+        if predictors:
+            syz = s[y, z]
+            syy = syy - syz @ np.linalg.solve(s[z[:, None], z], syz.T)
+        return 2.0 * float(np.log(np.linalg.cholesky(syy).diagonal()).sum())
+    except np.linalg.LinAlgError:
+        return -math.inf
+
+
 class EqualVarianceScorer:
     """Exact equal-variance log-likelihoods of many graphs on one input.
 
@@ -892,7 +1001,10 @@ class EqualVarianceScorer:
     its stationarity polynomial, and each further score is one small root
     solve in plain floats, a closed-form cubic when the component's own
     predictors sit on at most one of its nodes (see
-    `_one_edge_correlation`). B and sigma2 are profiled out, so the
+    `_one_edge_correlation`). A state whose components are all single
+    edges or trees whose nodes share their parents is solved by sweeps of
+    those one-edge solves, and each component keeps its per-edge records
+    (`_Component.separable`). B and sigma2 are profiled out, so the
     average log-likelihood is
         -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2
     at the optimum, the same value `fit(..., equal_variances=True)` reaches.
@@ -902,15 +1014,16 @@ class EqualVarianceScorer:
     state's result, so a search asks for a state as often as it likes.
     `bound` gives, in closed form and with no solve, a score no fit of the
     state can exceed: the maximum of a relaxed model that contains the
-    equal-variance one, so a search can rule a state out unscored. Each
-    state is split into its components once, for its bound and its score
-    alike, and the components are kept per undirected edge set.
+    equal-variance one, so a search can rule a state out unscored. A bound
+    builds no component record, so records are built only for states that
+    get scored, and the chain components are kept per undirected edge set.
 
     Plain counts of the work done so far: `graphs` scored, `bounds` worked
-    out, component records built and reused by the states split
-    (`records_built`, `records_reused`; a singleton's record is its
-    regression), `one_edge_solves`, `descents` and their `descent_steps`,
-    and `nonconverged` solves.
+    out, records built (`records_built`: a singleton's record is its
+    regression, which a bound may build too) and reused by the states
+    scored (`records_reused`), `one_edge_solves`, `sweep_solves` and their
+    `sweeps` (those that lowered the objective), `descents` and their
+    `descent_steps`, and `nonconverged` solves.
     """
 
     def __init__(self, data_or_cov, p: int):
@@ -919,13 +1032,16 @@ class EqualVarianceScorer:
         self.n_eff = _POPULATION_N_EFF if self.n is None else float(self.n)
         self._records: dict = {}
         self._components: dict = {}
-        self._states: dict = {}
+        self._saturated: dict = {}
+        self._bounds: dict = {}
         self._scores: dict = {}
         self.graphs = 0
         self.bounds = 0
         self.records_built = 0
         self.records_reused = 0
         self.one_edge_solves = 0
+        self.sweep_solves = 0
+        self.sweeps = 0
         self.descents = 0
         self.descent_steps = 0
         self.nonconverged = 0
@@ -944,12 +1060,20 @@ class EqualVarianceScorer:
         edges as (smaller, larger) pairs, as a `ChainGraph` holds them; the
         caller vouches that they form a chain graph on the input's nodes.
         """
-        fixed_t, _, multi = self._split_state(parents, undirected)
-        solve = _equal_variance_solve(fixed_t, multi, self.p)
+        comps = self._chain_components(undirected)
+        known = len(self._records)
+        singles, multi = _split(self.s, parents, undirected, comps, self._records)
+        built = len(self._records) - known
+        self.records_built += built
+        self.records_reused += len(comps) - built
+        solve = _equal_variance_solve(sum(variance for *_, variance in singles), multi, self.p)
         self.graphs += 1
-        if solve.theta.size == 1:
+        if solve.route == "one edge":
             self.one_edge_solves += 1
-        elif solve.theta.size:
+        elif solve.route == "sweep":
+            self.sweep_solves += 1
+            self.sweeps += solve.iterations
+        elif solve.route == "descent":
             self.descents += 1
             self.descent_steps += solve.iterations
         self.nonconverged += not solve.converged
@@ -973,38 +1097,42 @@ class EqualVarianceScorer:
         one, so no fit of the state scores above it. Its maximum is closed
         form, with F' = n0 log(T0 / n0) + sum_K log det S_K in place of the
         profiled objective, for n0 singletons of residual total T0 and S_K
-        each record's `saturated_logdet` moment; on a state of singletons
-        alone it is the score itself. A state already scored bounds at its
-        score, and one whose saturated moment is not positive definite at
-        +inf. The state is split once for its bound and its score alike.
+        each multi-node component's saturated residual moment
+        (`_saturated_logdet`); on a state of singletons alone it is the
+        score itself. A state already scored bounds at its score, and one
+        whose saturated moment is not positive definite at +inf. The bound
+        builds no component record: T0 reads the singletons' `_regression`,
+        which the scores share, and each log-determinant is kept per
+        (component, predictors). A state's bound is kept once worked out.
         """
         key = (parents, undirected)
         if key in self._scores:
             return self._scores[key][0]
-        fixed_t, singles, multi = self._split_state(parents, undirected)
-        self.bounds += 1
-        relaxed = sum(c.saturated_logdet for c in multi) + (singles * math.log(fixed_t / singles) if singles else 0.0)
-        return _state_bic(self._loglik(relaxed), parents, undirected, self.n_eff)
+        if key not in self._bounds:
+            known = len(self._records)
+            variances, logdets = [], []
+            for comp in self._chain_components(undirected):
+                if len(comp) == 1:
+                    (node,) = comp
+                    variances.append(_regression(self.s, node, parents[node], self._records)[1])
+                    continue
+                predictors = tuple(sorted({z for v in comp for z in parents[v]}))
+                if (comp, predictors) not in self._saturated:
+                    self._saturated[comp, predictors] = _saturated_logdet(self.s, sorted(comp), predictors)
+                logdets.append(self._saturated[comp, predictors])
+            self.records_built += len(self._records) - known
+            self.bounds += 1
+            singles, fixed_t = len(variances), sum(variances)
+            relaxed = sum(logdets) + (singles * math.log(fixed_t / singles) if singles else 0.0)
+            self._bounds[key] = _state_bic(self._loglik(relaxed), parents, undirected, self.n_eff)
+        return self._bounds[key]
 
     def _loglik(self, objective: float) -> float:
         """The average log-likelihood at a profiled objective F: -(p log 2 pi + p + F) / 2."""
         return -0.5 * (self.p * math.log(2.0 * math.pi) + self.p + objective)
 
-    def _split_state(self, parents: tuple, undirected: frozenset) -> tuple[float, int, list]:
-        """(singletons' residual total T0, singleton count, multi-node records) of a state, split once and kept.
-
-        The chain components are kept per undirected edge set, so a state
-        that differs from one seen before only in its arrows reuses them.
-        """
-        key = (parents, undirected)
-        if key not in self._states:
-            if undirected not in self._components:
-                self._components[undirected] = _blocks(self.p, undirected)
-            comps = self._components[undirected]
-            known = len(self._records)
-            singles, multi = _split(self.s, parents, undirected, comps, self._records)
-            built = len(self._records) - known
-            self.records_built += built
-            self.records_reused += len(comps) - built
-            self._states[key] = (sum(variance for *_, variance in singles), len(singles), multi)
-        return self._states[key]
+    def _chain_components(self, undirected: frozenset) -> list:
+        """The chain components of the states with these undirected edges, kept per edge set."""
+        if undirected not in self._components:
+            self._components[undirected] = _blocks(self.p, undirected)
+        return self._components[undirected]

@@ -130,7 +130,7 @@ class ChainGraph:
     labels: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
+        if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 1:
             raise GraphStructureError(f"node count must be a positive integer, got {self.p!r}")
         directed = frozenset((int(j), int(k)) for j, k in self.directed)
         undirected = frozenset((min(int(j), int(k)), max(int(j), int(k))) for j, k in self.undirected)

@@ -71,16 +71,21 @@ def _edges(payload: dict, name: str) -> frozenset:
     return frozenset(map(tuple, edges))
 
 
-def graph_from_dict(payload: dict) -> ChainGraph:
-    _require_keys(payload, {"p", "directed", "undirected"}, {"labels"}, "graph")
+def _labels(payload: dict, what: str) -> tuple | None:
+    """The `labels` field of a `what` object as a tuple, None when absent, or ValueError unless it lists strings."""
     labels = payload.get("labels")
     if labels is not None and not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
-        raise ValueError(f"graph field 'labels' must be a list of strings, got {labels!r}")
+        raise ValueError(f"{what} field 'labels' must be a list of strings, got {labels!r}")
+    return None if labels is None else tuple(labels)
+
+
+def graph_from_dict(payload: dict) -> ChainGraph:
+    _require_keys(payload, {"p", "directed", "undirected"}, {"labels"}, "graph")
     g = ChainGraph(
         p=payload["p"],
         directed=_edges(payload, "directed"),
         undirected=_edges(payload, "undirected"),
-        labels=None if labels is None else tuple(labels),
+        labels=_labels(payload, "graph"),
     )
     _require_chain_graph(g)
     return g
@@ -153,12 +158,11 @@ def _read_labelled_covariance(path) -> tuple[np.ndarray, tuple | None]:
     cov = np.asarray(payload["cov"], dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"cov must be square, got shape {cov.shape}")
-    labels = payload.get("labels")
+    labels = _labels(payload, "covariance")
     if labels is None:
         return cov, None
     if len(labels) != len(cov):
         raise ValueError(f"covariance has {len(labels)} labels for {len(cov)} rows")
-    labels = tuple(str(x) for x in labels)
     if (repeated := _repeated_label(labels)) is not None:
         raise ValueError(f"label {repeated!r} names more than one covariance row")
     return cov, labels

@@ -17,7 +17,10 @@ tie-break and vets only the array ranking. `one_edge_series_correlation`
 is the power-series route of the one-edge equal-variance solve run on
 every record, as it ran before records with own predictors on at most one
 row took the closed-form cubic; it shares only the record's slices of the
-second moment, so it vets the cubic route.
+second moment, so it vets the cubic route. `tree_equal_variance_numeric`
+searches the edge correlations of states whose components are trees,
+building each error correlation densely from them, so it vets the edge
+sweeps' closed-form split of the objective.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from scipy import optimize
 
 from ampcg import search
 from ampcg.estimation import _BELOW_ONE, EqualVarianceScorer, _profile, _regression, fit, gaussian_average_loglik, moment_matrix
-from ampcg.graphs import CapacityError, ChainGraph, equivalence_class, is_chain_graph, random_chain_graph
+from ampcg.graphs import CapacityError, ChainGraph, chain_components, equivalence_class, is_chain_graph, random_chain_graph
 from ampcg.sem import Dataset, compose_seed
 from ampcg.separation import SeparationQuery, _check_query
 
@@ -533,3 +536,66 @@ def one_edge_series_correlation(fixed_t: float, c, p: int) -> tuple[float, float
     objective = p * np.log((fixed_t + g_parts(x)[2] / s) / p) + np.log(s)
     best = np.argmin(objective)
     return float(x[best]), float(objective[best])
+
+
+def tree_equal_variance_numeric(s: np.ndarray, g: ChainGraph, starts: int = 2) -> float:
+    """Equal-variance maximum of the average log-likelihood when every multi-node component of g is a tree.
+
+    Such a component's error correlation R_K is Markov on its tree, so it
+    is set by one correlation per edge, R_uw the product of the edge
+    correlations on the tree path from u to w, and every rho_e in (-1, 1)
+    gives a positive definite R_K. With rho_e = tanh(x_e) the search is
+    unconstrained: for each x the coefficients are the GLS solve under the
+    block-diagonal R^-1 over all rows at once, written out as one
+    Kronecker-product linear system, sigma2 = T / p, and the profiled
+    objective p log(T / p) + log det R is minimized by BFGS with numeric
+    gradients from x = 0 and from `starts` - 1 seeded random points.
+    Nothing is read off the tree but R itself: R^-1, T and log det R are
+    computed densely.
+    """
+    p = s.shape[0]
+    edges = sorted(g.undirected)
+    for comp in chain_components(g):
+        if len(comp) > 1 and sum(a in comp for a, _ in edges) != len(comp) - 1:
+            raise ValueError(f"component {sorted(comp)} is not a tree")
+    pairs = sorted((child, parent) for parent, child in g.directed)
+    rows = np.array([j for j, _ in pairs], dtype=int)
+    cols = np.array([k for _, k in pairs], dtype=int)
+    adjacent = {v: [] for v in range(p)}
+    for i, (a, b) in enumerate(edges):
+        adjacent[a].append((b, i))
+        adjacent[b].append((a, i))
+    on_path = np.zeros((p, p, len(edges)), dtype=bool)  # on_path[u, w, e]: edge e lies on the tree path u ... w
+    joined = np.eye(p, dtype=bool)  # u and w lie in one component
+    for root in range(p):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w, i in adjacent[v]:
+                if not joined[root, w]:
+                    joined[root, w] = True
+                    on_path[root, w] = on_path[root, v]
+                    on_path[root, w, i] = True
+                    stack.append(w)
+
+    def correlation(rho):
+        return np.where(joined, np.where(on_path, rho, 1.0).prod(axis=2), 0.0)
+
+    def objective(x):
+        r = correlation(np.tanh(x))
+        w = np.linalg.inv(r)
+        ws = w @ s
+        t = float(np.trace(ws))
+        if pairs:
+            q = w[rows[:, None], rows] * s[cols[:, None], cols]
+            rhs = ws[rows, cols]
+            t -= float(rhs @ np.linalg.solve(q, rhs))
+        return p * math.log(t / p) + float(np.linalg.slogdet(r)[1])
+
+    rng = np.random.default_rng(0)
+    best = math.inf
+    for k in range(starts):
+        x0 = np.zeros(len(edges)) if k == 0 else rng.uniform(-1.0, 1.0, len(edges))
+        res = optimize.minimize(objective, x0, method="BFGS", options={"gtol": 1e-8})
+        best = min(best, float(res.fun))
+    return -0.5 * (p * math.log(2.0 * math.pi) + p + best)

@@ -44,6 +44,8 @@ def test_the_gates_are_the_workflows_with_one_added():
         "experiment-two-phase 1 False: exact_rate 1.0 == 1.0",
         "greedy-data 2 False: correct True and failed 0 == 0",
         "greedy-data 2 False: exact_rate 1.0 >= 0.8",
+        "greedy-data 3 False: correct True and failed 0 == 0",
+        "greedy-data 3 False: exact_rate 1.0 >= 0.85",
         "experiment-two-phase 2 False: correct True and failed 0 == 0",
         "experiment-two-phase 2 False: exact_rate 1.0 == 1.0",
         "identify-data 1 True: correct True",
@@ -76,6 +78,8 @@ def test_the_gates_are_the_workflows_with_one_added():
         (("identify-data", 1, True), _result(nonconverged=1)),
         # fit's params checked their graph again, as before they were built on the trusted path
         (("identify-data", 1, True), _result(is_chain_graph=144)),
+        # one more miss at seed 3 than the 17 of 20 the descent and the edge sweeps both reach
+        (("greedy-data", 3, False), _result(exact_rate=0.8)),
     ],
 )
 def test_a_planted_regression_fails_a_gate(run, result):

@@ -39,6 +39,7 @@ from .oracles import (
     one_edge_record_numeric,
     one_edge_series_correlation,
     sem_equal_variance_mle_numeric,
+    tree_equal_variance_numeric,
 )
 
 
@@ -578,8 +579,10 @@ class TestEqualVarianceFit:
 
     def test_stationary_start_reaches_oracle(self):
         # Zero residual cross-moments on the pattern: Omega = I is a stationary maximum of the objective.
-        # One edge is solved in closed form; two edges descend again from a diagonally dominant start.
-        for p, undirected, steps in ((4, {(2, 3)}, 0), (5, {(2, 3), (3, 4)}, 11)):
+        # One edge is solved in closed form and a path by edge sweeps, which leave the start on their
+        # first step; a cycle descends again from a diagonally dominant start.
+        cases = ((4, {(2, 3)}, 0), (5, {(2, 3), (3, 4)}, 6), (6, {(2, 3), (3, 4), (4, 5), (2, 5)}, 12))
+        for p, undirected, steps in cases:
             cov = np.diag([10.0, 10.0] + [0.1] * (p - 2))
             g = ChainGraph(p, undirected=undirected)
             result = fit(cov, g, equal_variances=True)
@@ -590,8 +593,9 @@ class TestEqualVarianceFit:
             assert converged and abs(loglik - result.loglik) < 1e-12
 
     def test_restart_keeps_an_identity_optimum(self):
-        # Independent errors of equal variance: R_K = I is the optimum, and the restart returns to it.
-        for undirected in ({(0, 1), (1, 2), (0, 2)}, {(0, 1), (1, 2), (2, 3)}):
+        # Independent errors of equal variance: R_K = I is the optimum. The cycles' descents restart and
+        # return to it; the path's first sweep leaves it where it is.
+        for undirected in ({(0, 1), (1, 2), (0, 2)}, {(0, 1), (1, 2), (2, 3), (0, 3)}, {(0, 1), (1, 2), (2, 3)}):
             g = ChainGraph(4, undirected=undirected)
             result = fit(2.0 * np.eye(4), g, equal_variances=True)
             assert result.converged and result.iterations == 0
@@ -676,13 +680,18 @@ class TestEqualVarianceScorer:
         assert math.isfinite(scorer.state_loglik(_CYCLIC._parents, _CYCLIC.undirected)[0])
 
     def test_solve_objective_is_its_points_profile(self):
-        # each descent returns its end point's objective, so the solve reads it without evaluating again
+        # each descent returns its end point's objective, and the edge sweeps evaluate their end point
+        # once, so the solve reads it without evaluating again
         rng = np.random.default_rng(5)
-        cases = [(np.diag([10.0, 10.0, 0.1, 0.1, 0.1]), ChainGraph(5, undirected={(2, 3), (3, 4)}))]  # two descents
+        stationary = np.diag([10.0, 10.0, 0.1, 0.1, 0.1])
+        cases = [
+            (stationary, ChainGraph(5, undirected={(2, 3), (3, 4)})),  # edge sweeps
+            (stationary, ChainGraph(5, undirected={(2, 3), (3, 4), (2, 4)})),  # two descents
+        ]
         for seed in range(20):
             g = random_chain_graph(5, 0.6, 0.7, seed=seed)
             cases.append((moment_matrix(Dataset(rng.normal(size=(200, 5)) @ rng.normal(size=(5, 5))), 5)[0], g))
-        solved = 0
+        solved, routes = 0, set()
         for s, g in cases:
             singles, multi = estimation._split(s, g._parents, g.undirected, chain_components(g))
             if sum(len(c.pattern) for c in multi) < 2:
@@ -693,8 +702,9 @@ class TestEqualVarianceScorer:
             assert solve.objective == objective
             if float(np.max(np.abs(grad))) <= estimation._EV_GRAD_TOL:
                 assert solve.converged
+            routes.add(solve.route)
             solved += 1
-        assert solved >= 10
+        assert solved >= 10 and routes == {"sweep", "descent"}
 
     @staticmethod
     def _assert_matches_penalized_score(data_or_cov, graphs, n_eff):
@@ -936,12 +946,17 @@ class TestEqualVarianceScorer:
     def test_scored_state_bounds_at_its_score_and_is_split_once(self, monkeypatch):
         g = ChainGraph(4, directed={(0, 2), (1, 3)}, undirected={(2, 3)})
         scorer = EqualVarianceScorer(_random_pd(np.random.default_rng(52), 4), 4)
+        monkeypatch.setattr(estimation, "_component", None)  # a bound builds no component record
         bound = scorer.bound(g._parents, g.undirected)
-        monkeypatch.setattr(estimation, "_split", None)  # the bound's split serves the score
+        assert scorer.bound(g._parents, g.undirected) == bound and scorer.bounds == 1  # kept once worked out
+        monkeypatch.undo()
+        splits = []
+        split = estimation._split
+        monkeypatch.setattr(estimation, "_split", lambda *args: splits.append(1) or split(*args))
         score = scorer.score(g._parents, g.undirected)[0]
         assert bound > score
         assert scorer.bound(g._parents, g.undirected) == score
-        assert (scorer.bounds, scorer.graphs, scorer.one_edge_solves) == (1, 1, 1)
+        assert (splits, scorer.bounds, scorer.graphs, scorer.one_edge_solves) == ([1], 1, 1, 1)
 
     def test_saturated_moment_not_positive_definite_bounds_at_infinity(self):
         g = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
@@ -1100,6 +1115,139 @@ class TestOneEdgeCubic:
         assert abs(rho - rho_ref) <= 1e-12, (p, rho, rho_ref)
         terms = abs(objective_ref - log_s) + abs(log_s)
         assert abs(objective - objective_ref) <= 1e-12 * terms, (p, objective, objective_ref)
+
+
+def _separable_states(count: int, seed: int) -> list:
+    """(second moment, graph, kinds) of random states on 4-7 nodes whose components the edge sweeps solve.
+
+    The nodes, in a random order, are cut into blocks of 1-4, each
+    regressing on a random subset of the nodes before it. A two-node block
+    is one edge whose nodes draw their parents apart, so both rows may
+    have own predictors; a block of 3 or 4 is a star, a path or a random
+    tree whose nodes share one parent tuple. Every state has at least two
+    edges. A third of the moments are samples of correlated noise, a third
+    random positive definite matrices and a third the population
+    covariance of random equal-variance parameters on the graph.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        p = int(rng.integers(4, 8))
+        order, blocks = rng.permutation(p).tolist(), []
+        while order:
+            size = int(rng.choice([1, 2, 3, 4], p=[0.3, 0.3, 0.2, 0.2]))
+            blocks.append(order[:size])
+            order = order[size:]
+        directed, undirected, earlier, kinds = set(), set(), [], set()
+        for block in blocks:
+            shared = {z for z in earlier if rng.random() < 0.4}
+            for v in block:
+                own = {z for z in earlier if rng.random() < 0.4} if len(block) == 2 else shared
+                directed |= {(z, v) for z in own}
+            if len(block) == 2:
+                first, second = ({z for z, w in directed if w == v} for v in block)
+                if first - second and second - first:
+                    kinds.add("own predictors on both rows")
+            shape = int(rng.integers(3))
+            for j in range(1, len(block)):
+                k = (0, j - 1, int(rng.integers(j)))[shape]
+                undirected.add((min(block[j], block[k]), max(block[j], block[k])))
+            if len(block) > 2:
+                kinds.add(("star", "path", "tree")[shape] + (" with parents" if shared else ""))
+            earlier += block
+        if len(undirected) < 2:
+            continue
+        kinds.add("mix" if sum(len(block) > 1 for block in blocks) > 1 else "one component")
+        g = ChainGraph(p, directed=directed, undirected=undirected)
+        if len(out) % 3 == 0:
+            s = moment_matrix(Dataset(rng.normal(size=(int(rng.integers(p + 5, 300)), p)) @ rng.normal(size=(p, p))), p)[0]
+        elif len(out) % 3 == 1:
+            s = _random_pd(rng, p)
+        else:
+            s = implied_distribution(rescale_equal_variances(random_parameters(g, seed=[seed, len(out)]))).cov
+        out.append((s, g, kinds))
+    return out
+
+
+class TestEdgeSweeps:
+    def test_separable_states_match_the_tree_oracle(self):
+        states = _separable_states(320, 70)
+        kinds = [kind for *_, state_kinds in states for kind in state_kinds]
+        for kind in ("star", "path", "tree with parents", "own predictors on both rows", "mix"):
+            assert kinds.count(kind) >= 20, kind
+        for s, g, _ in states:
+            scorer = EqualVarianceScorer(s, g.p)
+            loglik, converged = scorer.loglik(g)
+            assert converged and scorer.sweep_solves == 1 and scorer.descents == 0, g
+            assert abs(loglik - tree_equal_variance_numeric(s, g)) < 1e-8, g
+            result = fit(s, g, equal_variances=True)
+            assert result.converged and abs(result.loglik - loglik) < 1e-9
+
+    def test_separable_states_match_the_constrained_oracle(self):
+        rng = np.random.default_rng(71)
+        graphs = [
+            ChainGraph(4, undirected={(1, 2), (2, 3)}),  # a path
+            ChainGraph(4, directed={(0, 1), (0, 2), (0, 3)}, undirected={(1, 2), (1, 3)}),  # a star with a parent
+            ChainGraph(4, undirected={(0, 1), (0, 2), (0, 3)}),  # a four-node star
+            ChainGraph(4, directed={(0, 2), (1, 3)}, undirected={(0, 1), (2, 3)}),  # own predictors on both rows
+            ChainGraph(5, directed={(0, 2), (0, 3), (0, 4)}, undirected={(2, 3), (3, 4)}),  # a path with a parent
+        ]
+        for g in graphs:
+            cov = _random_pd(rng, g.p)
+            scorer = EqualVarianceScorer(cov, g.p)
+            loglik, converged = scorer.loglik(g)
+            assert converged and scorer.sweep_solves == 1
+            assert abs(loglik - _equal_variance_oracle(cov, g)) < 1e-8, g
+
+    @pytest.mark.parametrize(
+        "directed",
+        [
+            {(0, 2), (0, 3), (1, 2), (1, 3)},  # same parents: GLS is least squares
+            {(0, 2), (1, 2), (1, 3), (4, 3)},  # different parents, one shared
+            {(0, 2), (1, 3), (4, 3)},  # own predictors on both rows
+        ],
+    )
+    def test_one_edge_sweep_on_collinear_predictors_matches_the_line_search(self, directed):
+        # nearly collinear predictors defeat SLSQP, so the sweeps on one edge are checked by a 1-D search
+        g = ChainGraph(5, directed=directed, undirected={(2, 3)})
+        rng = np.random.default_rng(72)
+        for _ in range(4):
+            cov = _random_pd(rng, 5)
+            mix = np.eye(5)
+            mix[1, 0], mix[1, 1] = 1.0 - 1e-4, 1e-4  # X1 becomes X0 plus 1e-4 of itself
+            cov = mix @ cov @ mix.T
+            singles, multi = estimation._split(cov, g._parents, g.undirected, chain_components(g))
+            solve = estimation._sweep(sum(variance for *_, variance in singles), multi, 5)
+            assert solve.converged and solve.route == "sweep"
+            oracle = one_edge_equal_variance_numeric(cov, sorted((k, j) for j, k in directed), (2, 3))
+            assert abs(-0.5 * (5.0 * math.log(2.0 * math.pi) + 5.0 + solve.objective) - oracle) < 1e-8
+
+    def test_only_separable_states_skip_the_descent(self, monkeypatch):
+        calls = []
+        descend = estimation._descend
+        monkeypatch.setattr(estimation, "_descend", lambda *args: calls.append(1) or descend(*args))
+        cov = _random_pd(np.random.default_rng(73), 5)
+        for g in (
+            ChainGraph(5, undirected={(0, 1), (1, 2), (3, 4)}),  # a path beside an edge
+            ChainGraph(5, directed={(0, 2), (0, 3), (0, 4)}, undirected={(2, 3), (2, 4)}),  # a star sharing a parent
+            ChainGraph(5, directed={(0, 1), (4, 2), (4, 3)}, undirected={(0, 4), (2, 3)}),  # own predictors on both
+        ):
+            result = fit(cov, g, equal_variances=True)
+            assert result.converged and not calls, g
+        for g in (
+            ChainGraph(5, undirected={(0, 1), (1, 2), (0, 2)}),  # a cycle
+            ChainGraph(5, directed={(0, 2), (1, 3)}, undirected={(2, 3), (3, 4)}),  # a tree with own predictors
+        ):
+            calls.clear()
+            assert fit(cov, g, equal_variances=True).converged and calls, g
+        # an edge whose best correlation lies within rounding of 1 leaves no positive-definite point to sweep to
+        cov = np.diag([1e6, 1e6, 1e-6, 1e-6, 1e6])
+        cov[2, 3] = cov[3, 2] = 0.5e-6
+        cov[0, 1] = cov[1, 0] = 0.3e6
+        calls.clear()
+        scorer = EqualVarianceScorer(cov, 5)
+        assert scorer.loglik(ChainGraph(5, undirected={(0, 1), (2, 3)}))[1] and calls
+        assert (scorer.sweep_solves, scorer.descents) == (0, 1)
 
 
 class TestPenalizedScore:

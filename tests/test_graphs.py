@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from ampcg import (
     structural_hamming_distance,
     triplexes,
 )
+from ampcg.cli import main
 from ampcg.graphs import _require_chain_graph
 
 from .conftest import chain_graphs
@@ -52,6 +54,15 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphStructureError):
             ChainGraph(2, directed={(0, 2)})
+
+    @pytest.mark.parametrize("p", [True, 2.0], ids=["a-bool", "a-float"])
+    def test_node_count_must_be_an_integer(self, tmp_path, capsys, p):
+        with pytest.raises(GraphStructureError, match=f"node count must be a positive integer, got {p!r}"):
+            ChainGraph(p)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"p": p, "directed": [], "undirected": []}))
+        assert main(["sep", "--graph", str(path), "--enumerate"]) == 2
+        assert capsys.readouterr().err == f"error structure_error: node count must be a positive integer, got {p!r}\n"
 
     def test_label_count_checked(self):
         with pytest.raises(GraphStructureError):

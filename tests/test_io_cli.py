@@ -172,6 +172,19 @@ class TestOtherFormats:
         with pytest.raises(ValueError, match="covariance has 1 labels for 2 rows"):
             read_covariance(path)
 
+    @pytest.mark.parametrize("labels", ["ab", [1, 2]], ids=["a-string", "integers"])
+    def test_covariance_labels_must_be_strings(self, tmp_path, capsys, labels):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"cov": [[1.0, 0.5], [0.5, 1.0]], "labels": labels}))
+        message = f"covariance field 'labels' must be a list of strings, got {labels!r}"
+        with pytest.raises(ValueError) as exc:
+            read_covariance(path)
+        assert str(exc.value) == message
+        out = tmp_path / "g.json"
+        assert main(["learn", "--population", str(path), "--method", "two-phase", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error input_error: {message}\n"
+        assert not out.exists()
+
     def test_repeated_labels_are_rejected_by_name(self, tmp_path):
         with pytest.raises(ValueError, match="label 'a' names more than one column"):
             Dataset(np.eye(3), labels=("a", "a", "b"))

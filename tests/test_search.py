@@ -410,13 +410,23 @@ class TestGreedySearch:
         rng = np.random.default_rng(12)
         data = Dataset(rng.normal(size=(300, 4)) @ rng.normal(size=(4, 4)))
         by_move, by_graph = EqualVarianceScorer(data, 4), EqualVarianceScorer(data, 4)
-        names = ("graphs", "records_built", "records_reused", "one_edge_solves", "descents", "descent_steps", "nonconverged")
+        names = (
+            "graphs",
+            "records_built",
+            "records_reused",
+            "one_edge_solves",
+            "sweep_solves",
+            "sweeps",
+            "descents",
+            "descent_steps",
+            "nonconverged",
+        )
         starts = [ChainGraph(4, undirected={(0, 1), (1, 2)}), ChainGraph(4, {(0, 1), (2, 1)}, {(2, 3)})]
         for g in starts + [random_chain_graph(4, 0.5, 0.5, seed=seed) for seed in range(6)]:
             for move in search._moves(g):
                 assert by_move.state_loglik(*move) == by_graph.loglik(search._graph(4, *move))
                 assert [getattr(by_move, name) for name in names] == [getattr(by_graph, name) for name in names]
-        assert by_move.descents > 0 and by_move.one_edge_solves > 0
+        assert by_move.descents > 0 and by_move.sweep_solves > 0 and by_move.one_edge_solves > 0
 
     @pytest.mark.parametrize(
         "offdiagonal",
