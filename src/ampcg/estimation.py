@@ -3,10 +3,12 @@
 The likelihood decomposes over chain components. A singleton component's
 maximum likelihood is closed form in either mode: least squares on its
 parents, with the error variance the residual sum of squares per sample
-(the Peters & Bühlmann 2014 DAG case). That regression of a node on a
-parent set is `_regression`, the library's only one: the singletons of
-`fit` and `fit_component`, the scorer's T0 and every regression in
-`search`'s identification read it. Blocks of the second moment are cut
+(the Peters & Bühlmann 2014 DAG case). That regression of one node on a
+parent set is `_regression`: the singletons of `fit` and
+`fit_component`, the scorer's T0 and every regression in `search`'s
+identification read it. The scorer's bound (`_saturated_logdet`) and its
+edge sweeps (`_Component.separable`) regress a component's node set on
+its predictors jointly, on their own. Blocks of the second moment are cut
 with broadcast index arrays (see `_component`), which cost less per call
 than `np.ix_` on these small matrices. A multi-node component is fit in
 the unconstrained mode by one loop (`_alternating_fit`, after Drton &
@@ -87,7 +89,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .graphs import ChainGraph, _blocks, _require_chain_graph, _trusted, chain_components
+from .graphs import ChainGraph, _blocks, _node_indices, _require_chain_graph, _trusted, chain_components
+from .seeds import _integer
 from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
 
 __all__ = [
@@ -134,6 +137,7 @@ def moment_matrix(data_or_cov, p: int) -> tuple[np.ndarray, int | None]:
     scale-free rank test. Degenerate input raises ValueError naming the
     offending column or node.
     """
+    p = _integer(p, "node count")
     if not isinstance(data_or_cov, Dataset):
         s = _valid_covariance(data_or_cov, "covariance")
         if s.shape != (p, p):
@@ -220,9 +224,10 @@ def ipf(s, pattern: Iterable[tuple]) -> ComponentFit:
     """
     s = _valid_covariance(s, "ipf input", singular=np.linalg.LinAlgError)
     m = s.shape[0]
-    edges = frozenset((min(a, b), max(a, b)) for a, b in pattern)
-    if not all(0 <= a < b < m for a, b in edges):
-        raise ValueError(f"ipf pattern pairs must join two distinct nodes among 0..{m - 1}")
+    fault = f"ipf pattern pairs must join two distinct nodes among 0..{m - 1}"
+    edges = frozenset(tuple(sorted(_node_indices(pair, m, f"{fault}: node"))) for pair in pattern)
+    if not all(a < b for a, b in edges):
+        raise ValueError(fault)
     return _alternating_fit(_component(s, ((),) * m, edges, frozenset(range(m))))
 
 
@@ -447,7 +452,7 @@ def fit_component(data_or_cov, g: ChainGraph, comp: Iterable[int]) -> ComponentF
     A g with a semidirected cycle is rejected with ValueError naming one.
     """
     _require_chain_graph(g)
-    comp = frozenset(int(x) for x in comp)
+    comp = frozenset(_node_indices(comp, g.p))
     if comp not in set(chain_components(g)):
         raise ValueError("comp must be a chain component of g")
     singles, multi = _split(moment_matrix(data_or_cov, g.p)[0], g._parents, g.undirected, [comp])

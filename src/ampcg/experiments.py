@@ -25,8 +25,8 @@ from pathlib import Path
 from .graphs import CLASS_CAP, ChainGraph, random_chain_graph, structural_hamming_distance
 from .io import _write_json, graph_hash, graph_to_dict
 from .search import SearchConfig, greedy_search, identify_in_class, two_phase
+from .seeds import _integer, compose_seed
 from .sem import (
-    compose_seed,
     faithful_parameters,
     implied_distribution,
     random_parameters,
@@ -55,17 +55,16 @@ class ExperimentConfig:
         """Reject a field of the wrong type or range by name, before any run.
 
         No value of the wrong type is converted: "3" is not p = 3, and 1.5
-        is not a worker count. seeds and n_list are kept as tuples of ints.
+        is not a worker count (`seeds._integer`). p and workers are kept as
+        ints, seeds and n_list as tuples of ints.
         """
-        _require_integer("p", self.p, 1, ">= 1")
-        _require_integer("workers", self.workers, 1, ">= 1")
+        object.__setattr__(self, "p", _at_least("p", self.p, 1, ">= 1"))
+        object.__setattr__(self, "workers", _at_least("workers", self.workers, 1, ">= 1"))
         for name, least, bound in (("seeds", 0, "non-negative"), ("n_list", 1, ">= 1")):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list of integers, got {type(values).__name__}")
-            for value in values:
-                _require_integer(name, value, least, bound)
-            object.__setattr__(self, name, tuple(int(value) for value in values))
+            object.__setattr__(self, name, tuple(_at_least(name, value, least, bound) for value in values))
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         for name in ("edge_prob", "undirected_frac", "sigma2"):
@@ -80,12 +79,12 @@ class ExperimentConfig:
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
 
 
-def _require_integer(name: str, value, least: int, bound: str) -> None:
-    """Raise ValueError naming `name` unless value is an integer (a bool is not one) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _at_least(name: str, value, least: int, bound: str) -> int:
+    """value as an int, or ValueError naming `name` unless it is an integer (`seeds._integer`) of at least `least`."""
+    value = _integer(value, name)
     if value < least:
         raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)

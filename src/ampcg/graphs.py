@@ -19,6 +19,13 @@ node, for `is_chain_graph` (and so for every check that rejects a graph
 with such a cycle), `orientations` and `search._moves`;
 `find_semidirected_cycle` only names a cycle for an error message.
 `separation` reads the kept masks, plus parent masks, for its routes.
+
+Three input rules live here, one function each, and every entry point that
+takes the input calls its rule: `_node_indices` for a node set (integers
+by `seeds._integer`, in 0..p-1), `_node_labels` for labels (a list or
+tuple of distinct strings, one per node, column or covariance row), and
+`_capped` for the node-count limit `CLASS_CAP` of every exhaustive
+enumeration. Each caller passes the noun its message names.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .seeds import compose_seed
+from .seeds import _integer, compose_seed
 
 __all__ = [
     "CapacityError",
@@ -63,14 +70,45 @@ def _default_label(j: int) -> str:
     return f"X{j + 1}"
 
 
-def _repeated_label(labels: tuple) -> str | None:
-    """The first label in `labels` that repeats an earlier one, or None; a label may name one node only."""
+def _node_indices(nodes: Iterable, p: int, noun: str = "node", error: type = ValueError) -> tuple:
+    """The nodes of `nodes` as a tuple of ints, in order, or `error` naming the first that is not a node of a p-node graph.
+
+    The library's one rule for caller-supplied nodes: each an integer
+    (`seeds._integer`, so 1.5 and True are rejected, not truncated) in
+    0..p-1; "<noun> <value> is out of range for p=<p>" otherwise.
+    """
+    out = tuple([_integer(x, noun, error=error) for x in nodes])
+    for x in out:
+        if not 0 <= x < p:
+            raise error(f"{noun} {x} is out of range for p={p}")
+    return out
+
+
+def _node_labels(labels, p: int | None, noun: str, error: type = ValueError, field: str = "labels") -> tuple:
+    """`labels` as a tuple, or `error` unless it is a list or tuple of distinct strings, p of them unless p is None.
+
+    The library's one rule for labels: a bare string is not a list of
+    labels and a number is not a label, so neither is split or converted.
+    Each `noun` (node, column, covariance row) has one label, and a label
+    names one `noun` only. A file reader passes its `field` to name it and
+    p None to leave the count to the caller.
+    """
+    if not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
+        raise error(f"{field} must be a list of strings, got {labels!r}")
+    if p is not None and len(labels) != p:
+        raise error(f"expected {p} labels, one per {noun}, got {len(labels)}")
     seen = set()
     for label in labels:
         if label in seen:
-            return label
+            raise error(f"label {label!r} names more than one {noun}")
         seen.add(label)
-    return None
+    return tuple(labels)
+
+
+def _capped(p: int, what: str) -> None:
+    """Raise `CapacityError` naming `what` if p is over `CLASS_CAP`, the one node-count limit of every exhaustive enumeration."""
+    if p > CLASS_CAP:
+        raise CapacityError(f"{what} capped at p={CLASS_CAP}, got p={p}")
 
 
 def _trusted(cls, **fields):
@@ -110,8 +148,10 @@ class ChainGraph:
     """Simple graph with directed and undirected edges over ``p`` nodes.
 
     The constructor normalizes edge containers and rejects malformed input
-    (self-loops, out-of-range indices, more than one edge per node pair,
-    a label given to two nodes).
+    by the library's input rules (a node count that is not a positive
+    integer, a node that is not an integer in 0..p-1, labels that are not
+    p distinct strings) and self-loops and more than one edge per node
+    pair, each with `GraphStructureError`.
     It does *not* reject semidirected cycles, so that :func:`is_chain_graph`
     can classify arbitrary simple candidates. Where a class or a model
     meets a graph from outside the library (`equivalence_class`, the graph
@@ -130,16 +170,13 @@ class ChainGraph:
     labels: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.p, bool) or not isinstance(self.p, int) or self.p < 1:
-            raise GraphStructureError(f"node count must be a positive integer, got {self.p!r}")
-        directed = frozenset((int(j), int(k)) for j, k in self.directed)
-        undirected = frozenset((min(int(j), int(k)), max(int(j), int(k))) for j, k in self.undirected)
-        children, neighbors = [0] * self.p, [0] * self.p  # the edges checked so far, as `_fill` takes them
+        p = _integer(self.p, "node count", positive=True, error=GraphStructureError)
+        directed = frozenset(_node_indices(e, p, error=GraphStructureError) for e in self.directed)
+        undirected = frozenset(tuple(sorted(_node_indices(e, p, error=GraphStructureError))) for e in self.undirected)
+        children, neighbors = [0] * p, [0] * p  # the edges checked so far, as `_fill` takes them
         for j, k in itertools.chain(directed, undirected):
             if j == k:
                 raise GraphStructureError(f"self-loop at node {j}")
-            if not (0 <= j < self.p and 0 <= k < self.p):
-                raise GraphStructureError(f"edge ({j}, {k}) out of range for p={self.p}")
             if (children[j] >> k | children[k] >> j | neighbors[j] >> k) & 1:
                 raise GraphStructureError(f"more than one edge between nodes {min(j, k)} and {max(j, k)}")
             if (j, k) in directed:
@@ -148,12 +185,8 @@ class ChainGraph:
                 neighbors[j] |= 1 << k
                 neighbors[k] |= 1 << j
         if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != self.p:
-                raise GraphStructureError(f"expected {self.p} labels, got {len(labels)}")
-            if (repeated := _repeated_label(labels)) is not None:
-                raise GraphStructureError(f"label {repeated!r} names more than one node")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _node_labels(self.labels, p, "node", GraphStructureError))
+        object.__setattr__(self, "p", p)
         self._fill(children, neighbors)
 
     @classmethod
@@ -257,7 +290,7 @@ class MagnifiedGraph:
     error_of: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "error_of", tuple(int(x) for x in self.error_of))
+        object.__setattr__(self, "error_of", _node_indices(self.error_of, self.base.p, "error node", GraphStructureError))
         p = len(self.error_of)
         if self.base.p != 2 * p:
             raise GraphStructureError("magnified graph must have exactly 2p nodes")
@@ -285,14 +318,6 @@ def _blocks(p: int, undirected: Iterable) -> tuple:
             for v in merged:
                 block[v] = merged
     return tuple(sorted(set(block), key=min))
-
-
-def _validate_nodes(g: ChainGraph, s: Iterable[int]) -> frozenset:
-    out = frozenset(int(x) for x in s)
-    for x in out:
-        if not (0 <= x < g.p):
-            raise ValueError(f"node index {x} out of range for p={g.p}")
-    return out
 
 
 def _mask(nodes: Iterable[int]) -> int:
@@ -395,7 +420,7 @@ def relatives(g: ChainGraph, s: Iterable[int], kind: str) -> frozenset:
     edge never extends descent, and a node is not its own descendant unless
     a directed path loops back to it (impossible in a valid chain graph).
     """
-    s = _validate_nodes(g, s)
+    s = frozenset(_node_indices(s, g.p))
     if kind not in RELATIVE_KINDS:
         raise ValueError(f"unknown relative kind {kind!r}; expected one of {RELATIVE_KINDS}")
     if kind == "parents":
@@ -476,7 +501,7 @@ def determined_closure(mg: MagnifiedGraph, c: Iterable[int]) -> frozenset:
     error node is determined once node j and j's parents all are. Computed
     by fixed-point iteration, so it is monotone and idempotent.
     """
-    closed = set(_validate_nodes(mg.base, c))
+    closed = set(_node_indices(c, mg.base.p))
     p = mg.original_p
     parents0 = [tuple(x for x in mg.base._parents[j] if x != mg.error_of[j]) for j in range(p)]
     changed = True
@@ -515,11 +540,13 @@ def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> 
     when no chain graph fits.
 
     The pairs and `labels` are checked once per call, by one `ChainGraph`
-    over the skeleton; the enumeration itself is `_orientations`. Lazy: a
+    over the skeleton, and the triplexes' nodes by the node-set rule
+    (`_node_indices`); the enumeration itself is `_orientations`. Lazy: a
     caller that stops after the first graph pays for no other.
     """
     skeleton = ChainGraph(p, undirected=adjacency, labels=labels)  # rejects bad pairs and labels
-    yield from _orientations(p, sorted(skeleton.undirected), skeleton._neighbors, frozenset(target), skeleton.labels)
+    target = frozenset(Triplex(*_node_indices(t, skeleton.p, "triplex node")) for t in target)
+    yield from _orientations(skeleton.p, sorted(skeleton.undirected), skeleton._neighbors, target, skeleton.labels)
 
 
 def _orientations(p: int, edges: list, ends: tuple, target: frozenset, labels: tuple | None) -> Iterator[ChainGraph]:
@@ -599,8 +626,7 @@ def equivalence_class(g: ChainGraph) -> list:
     each carrying g's labels. A g with a semidirected cycle is rejected
     with ValueError, and one over `CLASS_CAP` nodes with `CapacityError`.
     """
-    if g.p > CLASS_CAP:
-        raise CapacityError(f"equivalence-class enumeration capped at p={CLASS_CAP}, got p={g.p}")
+    _capped(g.p, "equivalence-class enumeration")
     _require_chain_graph(g)
     ends = tuple(tuple(sorted(g._parents[v] + g._children[v] + g._neighbors[v])) for v in range(g.p))
     return sorted(_orientations(g.p, sorted(g._adjacencies), ends, g._triplexes, g.labels), key=canonical_key)
@@ -617,8 +643,7 @@ def random_chain_graph(p: int, edge_prob: float, undirected_frac: float, seed) -
     through `seeds.compose_seed`, so a negative one raises ValueError
     naming it.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _integer(p, "p", positive=True)
     for name, value in (("edge_prob", edge_prob), ("undirected_frac", undirected_frac)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")

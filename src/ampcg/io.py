@@ -3,7 +3,9 @@
 All JSON readers are strict: unknown fields are rejected so that stored
 experiment inputs stay honest, a graph's edge or label field of the wrong
 shape is rejected by name, and graphs that fail validity are rejected
-with a diagnostic naming one offending cycle.
+with a diagnostic naming one offending cycle. Labels, read or written,
+follow the library's one labels rule (`graphs._node_labels`), and node
+counts and indices its integer and node-set rules, through `ChainGraph`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import ChainGraph, _default_label, _repeated_label, _require_chain_graph
+from .graphs import ChainGraph, _default_label, _node_labels, _require_chain_graph
 from .sem import Dataset, SemParameters
 
 __all__ = [
@@ -71,12 +73,14 @@ def _edges(payload: dict, name: str) -> frozenset:
     return frozenset(map(tuple, edges))
 
 
-def _labels(payload: dict, what: str) -> tuple | None:
-    """The `labels` field of a `what` object as a tuple, None when absent, or ValueError unless it lists strings."""
+def _labels(payload: dict, what: str, noun: str) -> tuple | None:
+    """The `labels` field of a `what` object as a tuple, None when absent, or ValueError naming the field.
+
+    The labels rule (`graphs._node_labels`) decides, save the count, which
+    the caller checks against the rows or nodes the object holds.
+    """
     labels = payload.get("labels")
-    if labels is not None and not (isinstance(labels, (list, tuple)) and all(isinstance(x, str) for x in labels)):
-        raise ValueError(f"{what} field 'labels' must be a list of strings, got {labels!r}")
-    return None if labels is None else tuple(labels)
+    return None if labels is None else _node_labels(labels, None, noun, field=f"{what} field 'labels'")
 
 
 def graph_from_dict(payload: dict) -> ChainGraph:
@@ -85,7 +89,7 @@ def graph_from_dict(payload: dict) -> ChainGraph:
         p=payload["p"],
         directed=_edges(payload, "directed"),
         undirected=_edges(payload, "undirected"),
-        labels=_labels(payload, "graph"),
+        labels=_labels(payload, "graph", "node"),
     )
     _require_chain_graph(g)
     return g
@@ -158,20 +162,16 @@ def _read_labelled_covariance(path) -> tuple[np.ndarray, tuple | None]:
     cov = np.asarray(payload["cov"], dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"cov must be square, got shape {cov.shape}")
-    labels = _labels(payload, "covariance")
-    if labels is None:
-        return cov, None
-    if len(labels) != len(cov):
+    labels = _labels(payload, "covariance", "covariance row")
+    if labels is not None and len(labels) != len(cov):
         raise ValueError(f"covariance has {len(labels)} labels for {len(cov)} rows")
-    if (repeated := _repeated_label(labels)) is not None:
-        raise ValueError(f"label {repeated!r} names more than one covariance row")
     return cov, labels
 
 
 def write_covariance(cov: np.ndarray, path, labels=None) -> None:
     payload = {"cov": np.asarray(cov, dtype=float).tolist()}
     if labels is not None:
-        payload["labels"] = list(labels)
+        payload["labels"] = list(_node_labels(labels, len(payload["cov"]), "covariance row"))
     _write_json(payload, path)
 
 

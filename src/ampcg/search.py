@@ -51,17 +51,17 @@ import numpy as np
 
 from .estimation import EqualVarianceScorer, _regression, fit, gaussian_average_loglik, moment_matrix
 from .graphs import (
-    CLASS_CAP,
-    CapacityError,
     ChainGraph,
     Triplex,
+    _capped,
     _cycle_through,
     equivalence_class,
     orientations,
     random_chain_graph,
     triplexes,
 )
-from .sem import Dataset, _independences, _off_pattern_dependence, compose_seed
+from .seeds import _integer, compose_seed
+from .sem import Dataset, _independences, _off_pattern_dependence
 from .separation import _query_table
 
 __all__ = [
@@ -85,8 +85,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+        _integer(self.restarts, "restarts", positive=True)
         compose_seed(self.seed)  # a negative seed raises here, before any search
 
 
@@ -329,8 +328,7 @@ def skeleton_recovery(data_or_cov) -> SkeletonResult:
     """
     p = _size(data_or_cov)
     s, n = moment_matrix(data_or_cov, p)
-    if p > CLASS_CAP:
-        raise CapacityError(f"skeleton recovery capped at p={CLASS_CAP}, got p={p}")
+    _capped(p, "skeleton recovery")
     queries, masks, js, ks = _query_table(p)
     sepset: dict[tuple, tuple] = {}
     for i in np.flatnonzero(_independences(s, n)[masks, js, ks]):

@@ -21,7 +21,11 @@ anything else, by the one walk that decides every cycle question
 build), so no model sits on one. Parameters the library builds itself on
 a graph it has checked (`random_parameters`, `rescale_equal_variances`,
 `estimation.fit`) are valid by construction and take the trusted path,
-`graphs._trusted`, so they are validated once, at the boundary.
+`graphs._trusted`, so they are validated once, at the boundary. Node
+sets (`condition`, `gaussian_ci`) pass the library's node-set rule
+(`graphs._node_indices`), `Dataset` labels its labels rule
+(`graphs._node_labels`), and `sample`'s n its integer rule
+(`seeds._integer`).
 
 This module is the one place that turns partial correlations into
 conditional-independence decisions. A single query, `gaussian_ci`, inverts
@@ -46,8 +50,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import ChainGraph, _default_label, _repeated_label, _require_chain_graph, _trusted, chain_components
-from .seeds import compose_seed
+from .graphs import ChainGraph, _default_label, _node_indices, _node_labels, _require_chain_graph, _trusted, chain_components
+from .seeds import _integer, compose_seed
 from .separation import _query_table, _separations
 
 __all__ = [
@@ -69,6 +73,8 @@ _COEF_RANGE = (0.3, 1.0)  # coefficient magnitudes of random parameters, bounded
 _FAITHFUL_DRAWS = 50  # parameter draws faithful_parameters tries before giving up
 _CI_TOL = 1e-8  # |partial correlation| below which a covariance shows an independence
 _CI_LEVEL = 0.01  # level of the two-sided Fisher-z test that decides independence on data
+_EPS = float(np.finfo(float).eps)  # machine epsilon of a float, 2^-52
+_INVERSE_SLACK = 16.0  # multiple of _EPS·κ(sigma) below which an off-pattern partial correlation is rounding
 
 
 def _first_dependent(s: np.ndarray) -> int | None:
@@ -120,16 +126,22 @@ def _off_pattern_dependence(sigma: np.ndarray, undirected: frozenset) -> tuple |
     """The first pair (j, k, r) without an undirected edge whose errors are dependent, or None.
 
     r is the partial correlation of j and k given all other nodes,
-    -Ω_jk / sqrt(Ω_jj Ω_kk) with Ω the inverse of the error covariance
-    `sigma`, and the pair is dependent when |r| is not below `_CI_TOL`:
-    the rule `_independences` applies to a covariance, so scaling sigma by
-    c > 0 never changes the verdict. Pairs j < k are tried in
-    `itertools.combinations` order; `undirected` holds sorted pairs.
+    -Ω_jk / sqrt(Ω_jj Ω_kk) with Ω the computed inverse of the error
+    covariance `sigma`, and the pair is dependent when |r| is not below
+    max(`_CI_TOL`, `_INVERSE_SLACK`·ε·κ(sigma)): the rule `_independences`
+    applies to a covariance, widened to the rounding error of a computed
+    inverse, about ε·κ relative to its norm (Higham 2002, ch. 14), with ε
+    the machine epsilon and κ the 1-norm condition number read off Ω. So a
+    fitted sigma with zeros on the pattern reads back however
+    ill-conditioned, and scaling sigma by c > 0 never changes the verdict.
+    Pairs j < k are tried in `itertools.combinations` order; `undirected`
+    holds sorted pairs.
     """
     prec = np.linalg.inv(sigma)
     d = prec.diagonal()
     r = -prec / np.sqrt(d[:, None] * d)
-    js, ks = np.nonzero(np.abs(r) >= _CI_TOL)  # row by row
+    kappa = np.abs(sigma).sum(axis=0).max() * np.abs(prec).sum(axis=0).max()
+    js, ks = np.nonzero(np.abs(r) >= max(_CI_TOL, _INVERSE_SLACK * _EPS * kappa))  # row by row
     for j, k in zip(js.tolist(), ks.tolist()):
         if j < k and (j, k) not in undirected:
             return j, k, float(r[j, k])
@@ -176,12 +188,7 @@ class Dataset:
             raise ValueError("a dataset needs at least one row")
         object.__setattr__(self, "values", values)
         if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != values.shape[1]:
-                raise ValueError("one label per column required")
-            if (repeated := _repeated_label(labels)) is not None:
-                raise ValueError(f"label {repeated!r} names more than one column")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _node_labels(self.labels, values.shape[1], "column"))
         if not np.all(np.isfinite(values)):
             i, j = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(
@@ -209,8 +216,9 @@ class SemParameters:
     non-zero only when k is a parent of j. sigma is positive definite and
     its inverse vanishes off the undirected structure, which forces it to
     be block-diagonal over the chain components: each pair of errors
-    without an undirected edge has a partial correlation below `_CI_TOL`
-    given the rest (`_off_pattern_dependence`). A graph with a
+    without an undirected edge has a partial correlation below `_CI_TOL`,
+    or below the rounding of an ill-conditioned inverse, given the rest
+    (`_off_pattern_dependence`). A graph with a
     semidirected cycle is rejected first, with ValueError naming one
     (`graphs._require_chain_graph`), so no model is built on it.
 
@@ -312,10 +320,11 @@ def rescale_equal_variances(params: SemParameters, sigma2: float = 1.0) -> SemPa
     Error j is scaled by sqrt(sigma2)/sd(error j); the coefficients are
     untouched. A diagonal congruence cannot create or destroy zeros of the
     concentration matrix, so the undirected structure is preserved, and
-    positive definiteness survives in both directions: both scale-free
-    verdicts, `_valid_covariance` and `_off_pattern_dependence`, are those
-    of params.sigma, so the result is built on the trusted path
-    (`graphs._trusted`). sigma2 must be positive and finite.
+    positive definiteness survives in both directions: the scale-free
+    verdict of `_valid_covariance` is that of params.sigma, and no partial
+    correlation that `_off_pattern_dependence` reads moves, so the result
+    is built on the trusted path (`graphs._trusted`). sigma2 must be
+    positive and finite.
     """
     if not 0.0 < sigma2 < np.inf:  # NaN fails too
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
@@ -332,12 +341,10 @@ def condition(dist: GaussianDistribution, b: Iterable[int], b_values) -> Gaussia
     conditional covariance does not depend on the observed values, and no
     conditional variance can exceed its marginal counterpart.
     """
-    b_idx = sorted({int(x) for x in b})
     p = dist.p
+    b_idx = sorted(set(_node_indices(b, p, "conditioning index")))
     if not b_idx or len(b_idx) >= p:
         raise ValueError("b must be a non-trivial subset of the coordinates")
-    if any(x < 0 or x >= p for x in b_idx):
-        raise ValueError("conditioning index out of range")
     vals = np.asarray(b_values, dtype=float).reshape(-1)
     if vals.shape[0] != len(b_idx):
         raise ValueError("one value per conditioned coordinate required")
@@ -354,7 +361,7 @@ def condition(dist: GaussianDistribution, b: Iterable[int], b_values) -> Gaussia
 
 def sample(dist: GaussianDistribution, n: int, seed, labels: tuple | None = None) -> Dataset:
     """n independent draws through a Cholesky factor; deterministic per seed, which must be non-negative."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError("n must be >= 1")
     chol = np.linalg.cholesky(dist.cov)
     rng = np.random.default_rng(compose_seed(seed))
@@ -372,10 +379,8 @@ def gaussian_ci(cov, j: int, k: int, given: Iterable[int] = ()) -> bool:
     decided by the Fisher-z test of `_independences`.
     """
     cov = _valid_covariance(cov, "cov")
-    cond = sorted({int(x) for x in given})
-    for node in (j, k, *cond):
-        if not 0 <= node < len(cov):
-            raise ValueError(f"node {node} is out of range for a {len(cov)}-node covariance")
+    j, k, *cond = _node_indices((j, k, *given), len(cov))
+    cond = sorted(set(cond))
     if j == k or j in cond or k in cond:
         raise ValueError("query nodes and conditioning set must be disjoint")
     return abs(_partial_correlation(cov, j, k, cond)) < _CI_TOL

@@ -32,6 +32,10 @@ keeps the separated queries, and ``ampcg sep --enumerate`` prints it. The
 table covers all 2^p conditioning sets, so it stops where every
 exhaustive enumeration in the library stops, at `graphs.CLASS_CAP` (12)
 nodes.
+
+A query's nodes are integers by the library's one rule (`seeds._integer`)
+when a `SeparationQuery` is built, and nodes of the graph by its node-set
+rule (`graphs._node_indices`) when it is asked.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from functools import cache
 
 import numpy as np
 
-from .graphs import CLASS_CAP, CapacityError, ChainGraph, MagnifiedGraph, _mask, _union, determined_closure
+from .graphs import ChainGraph, MagnifiedGraph, _capped, _mask, _node_indices, _union, determined_closure
+from .seeds import _integer
 
 __all__ = [
     "SeparationQuery",
@@ -61,9 +66,7 @@ class SeparationQuery:
     c: frozenset = frozenset()
 
     def __post_init__(self):
-        a = frozenset(int(x) for x in self.a)
-        b = frozenset(int(x) for x in self.b)
-        c = frozenset(int(x) for x in self.c)
+        a, b, c = (frozenset(_integer(x, "query node") for x in nodes) for nodes in (self.a, self.b, self.c))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
@@ -91,12 +94,6 @@ def _masks(g: ChainGraph) -> tuple:
     The child and neighbour masks are the ones g keeps; the parent masks are built here.
     """
     return _Unions(g._child_masks), _Unions([_mask(x) for x in g._parents]), _Unions(g._neighbor_masks)
-
-
-def _check_query(g: ChainGraph, q: SeparationQuery) -> None:
-    for x in itertools.chain(q.a, q.b, q.c):
-        if not (0 <= x < g.p):
-            raise ValueError(f"query node {x} out of range for p={g.p}")
 
 
 def _route_ends(masks: tuple, sources: int, given: int) -> int:
@@ -130,7 +127,7 @@ def _route_ends(masks: tuple, sources: int, given: int) -> int:
 
 def separated(g: ChainGraph, q: SeparationQuery) -> bool:
     """True iff no open route joins q.a to q.b given q.c."""
-    _check_query(g, q)
+    _node_indices(itertools.chain(q.a, q.b, q.c), g.p, "query node")
     return not _route_ends(_masks(g), _mask(q.a), _mask(q.c)) & _mask(q.b)
 
 
@@ -145,10 +142,7 @@ def separated_magnified(mg: MagnifiedGraph, q: SeparationQuery) -> bool:
     :func:`separated` on the original graph for every query over the
     original nodes.
     """
-    p = mg.original_p
-    for x in itertools.chain(q.a, q.b, q.c):
-        if not (0 <= x < p):
-            raise ValueError(f"query node {x} must be an original node (0..{p - 1})")
+    _node_indices(itertools.chain(q.a, q.b, q.c), mg.original_p, "query node")
     closed = determined_closure(mg, q.c)
     return separated(mg.base, SeparationQuery(q.a, q.b, frozenset(closed)))
 
@@ -197,8 +191,7 @@ def _separations(g: ChainGraph) -> np.ndarray:
     (12) nodes, the one node-count limit of every exhaustive enumeration,
     raise `CapacityError`.
     """
-    if g.p > CLASS_CAP:
-        raise CapacityError(f"separation enumeration capped at p={CLASS_CAP}, got p={g.p}")
+    _capped(g.p, "separation enumeration")
     masks = _masks(g)
     reach = np.zeros((1 << g.p, g.p), dtype=int)
     for given in range(1 << g.p):

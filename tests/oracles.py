@@ -35,9 +35,17 @@ from scipy import optimize
 
 from ampcg import search
 from ampcg.estimation import _BELOW_ONE, EqualVarianceScorer, _profile, _regression, fit, gaussian_average_loglik, moment_matrix
-from ampcg.graphs import CapacityError, ChainGraph, chain_components, equivalence_class, is_chain_graph, random_chain_graph
+from ampcg.graphs import (
+    CapacityError,
+    ChainGraph,
+    _node_indices,
+    chain_components,
+    equivalence_class,
+    is_chain_graph,
+    random_chain_graph,
+)
 from ampcg.sem import Dataset, compose_seed
-from ampcg.separation import SeparationQuery, _check_query
+from ampcg.separation import SeparationQuery
 
 _HEAD, _TAIL, _UND = 0, 1, 2  # the kind of an edge's end at a node: arrowhead, tail, undirected
 
@@ -356,7 +364,7 @@ def brute_force_separated(g: ChainGraph, q: SeparationQuery, max_len: int | None
     Exponentially dumb on purpose: this is the testing ground truth for
     `ampcg.separated`.
     """
-    _check_query(g, q)
+    _node_indices(itertools.chain(q.a, q.b, q.c), g.p, "query node")
     if max_len is None:
         max_len = 9 * g.p
     if max_len < 1:

@@ -1309,3 +1309,25 @@ class TestIdentityWeightingIsOls:
         # singleton component: the weighting matrix is scalar, so every
         # round reduces to ordinary least squares
         assert np.max(np.abs(piece.beta.ravel() - expected)) < 1e-9
+
+
+class TestEstimationRejections:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: moment_matrix(np.eye(3), 2), "covariance must be 2x2, got (3, 3)"),
+            (
+                lambda: moment_matrix(Dataset(np.random.default_rng(3).normal(size=(5, 3))), 2),
+                "dataset has 3 columns, graph has 2 nodes",
+            ),
+            (lambda: penalized_score(np.eye(2), ChainGraph(2), n_eff=1), "n_eff must exceed 1"),
+            (lambda: penalized_score(np.eye(2), ChainGraph(2), n_eff=0.5), "n_eff must exceed 1"),
+            (lambda: penalized_score(Dataset(np.array([[1.0, 2.0]])), ChainGraph(2)), "n_eff must exceed 1"),
+            (lambda: penalized_score(np.eye(2), ChainGraph(2)), "covariance input requires an explicit n_eff"),
+        ],
+        ids=["covariance-size", "dataset-columns", "n_eff-one", "n_eff-below-one", "one-row-dataset", "no-n_eff"],
+    )
+    def test_malformed_input_is_rejected(self, call, message):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message

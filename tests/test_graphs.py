@@ -12,6 +12,7 @@ from ampcg import (
     CapacityError,
     ChainGraph,
     GraphStructureError,
+    MagnifiedGraph,
     Triplex,
     adjacencies,
     canonical_key,
@@ -407,7 +408,7 @@ class TestOrientations:
     @settings(max_examples=80, deadline=None)
     @given(chain_graphs(max_p=6), st.booleans())
     def test_members_are_the_graphs_the_constructor_builds(self, g, labelled):
-        labels = range(10, 10 + g.p) if labelled else None  # normalised to strings, as the constructor does
+        labels = tuple(map(str, range(10, 10 + g.p))) if labelled else None  # the labels rule takes strings only
         for member in orientations(g.p, g._adjacencies, g._triplexes, labels=labels):
             h = ChainGraph(g.p, member.directed, member.undirected, labels=labels)
             assert type(member) is ChainGraph and member == h and hash(member) == hash(h)
@@ -494,3 +495,33 @@ def _all_assignments(p):
             elif state == 3:
                 undirected.add((a, b))
         yield directed, undirected
+
+
+class TestGraphRejections:
+    @pytest.mark.parametrize(
+        "build, kind, message",
+        [
+            (lambda: MagnifiedGraph(ChainGraph(3), (1,)), GraphStructureError, "magnified graph must have exactly 2p nodes"),
+            (lambda: MagnifiedGraph(ChainGraph(2), (1,)), GraphStructureError, "missing error edge 1 -> 0"),
+            (
+                lambda: MagnifiedGraph(ChainGraph(4, directed={(2, 0), (3, 1), (1, 2)}), (2, 3)),
+                GraphStructureError,
+                "error node 2 must have no parents",
+            ),
+            (
+                lambda: MagnifiedGraph(ChainGraph(4, directed={(2, 0), (3, 1)}, undirected={(0, 1)}), (2, 3)),
+                GraphStructureError,
+                "undirected edges may only join error nodes",
+            ),
+            (
+                lambda: structural_hamming_distance(ChainGraph(2), ChainGraph(3)),
+                ValueError,
+                "node count mismatch: 2 vs 3",
+            ),
+        ],
+        ids=["magnified-size", "magnified-error-edge", "magnified-error-parent", "magnified-undirected", "shd-sizes"],
+    )
+    def test_malformed_input_is_rejected(self, build, kind, message):
+        with pytest.raises(kind) as raised:
+            build()
+        assert str(raised.value) == message

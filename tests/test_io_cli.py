@@ -18,6 +18,7 @@ from ampcg import (
     Dataset,
     ExperimentConfig,
     SeparationQuery,
+    fit,
     graph_from_dict,
     graph_to_dict,
     implied_distribution,
@@ -850,3 +851,97 @@ class TestCli:
         proc = run("experiment", "--p", "x", "--seeds", "1")
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error input_error:")
+
+
+# near-collinear inputs, fitted in either mode, whose parameters the public constructor refused on reading
+# back: cond(sigma) 1.7e8 to 2.3e10, and off-pattern partial correlations of the computed inverse above 1e-8
+_ILL_CONDITIONED_FITS = [(12, False), (87, False), (99, False), (204, False), (404, False), (404, True), (536, False), (981, False)]
+
+
+class TestFittedParametersReadBack:
+    @pytest.mark.parametrize("seed, equal_variances", _ILL_CONDITIONED_FITS)
+    def test_ill_conditioned_fit_reads_back(self, seed, equal_variances):
+        g, data = near_collinear_input(seed)
+        params = fit(data, g, equal_variances=equal_variances).params
+        back = io.parameters_from_dict(json.loads(json.dumps(io.parameters_to_dict(params))))
+        assert back.graph == g
+        assert np.array_equal(back.beta, params.beta) and np.array_equal(back.sigma, params.sigma)
+
+
+def _covariance_file(tmp_path, payload) -> Path:
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _dataset_file(tmp_path, text) -> Path:
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    return path
+
+
+class TestIoRejections:
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda t: read_covariance(_covariance_file(t, {"cov": [[1.0, 0.0]]})), "cov must be square, got shape (1, 2)"),
+            (lambda t: read_covariance(_covariance_file(t, {"cov": [1.0, 2.0]})), "cov must be square, got shape (2,)"),
+            (lambda t: read_dataset(_dataset_file(t, "\n1,2\n")), "dataset header names no columns"),
+            (lambda t: read_dataset(_dataset_file(t, "a,b\n\n")), "dataset has a header but no samples"),
+            (
+                lambda t: read_dataset(_dataset_file(t, "a,b\n1,2,3\n")),
+                "data row 1 has 3 entries, past the header's last column b",
+            ),
+        ],
+        ids=["cov-a-row", "cov-a-vector", "empty-header", "no-samples", "row-past-the-header"],
+    )
+    def test_malformed_file_is_rejected(self, tmp_path, read, message):
+        with pytest.raises(ValueError) as raised:
+            read(tmp_path)
+        assert str(raised.value) == message
+
+
+class TestExperimentConfigRejections:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"sigma2": 0}, "sigma2 must be positive and finite, got 0"),
+            ({"sigma2": -1.5}, "sigma2 must be positive and finite, got -1.5"),
+            ({"sigma2": math.inf}, "sigma2 must be positive and finite, got inf"),
+            ({"sigma2": math.nan}, "sigma2 must be positive and finite, got nan"),
+            ({"method": "bogus"}, "method must be one of ('identify', 'greedy', 'two-phase'), got 'bogus'"),
+            ({"out_dir": 5}, "out_dir must be a string, got 5"),
+            ({"out_dir": Path("out")}, f"out_dir must be a string, got {Path('out')!r}"),
+        ],
+        ids=["sigma2-zero", "sigma2-negative", "sigma2-inf", "sigma2-nan", "method", "out_dir-int", "out_dir-path"],
+    )
+    def test_bad_field_is_rejected_by_name(self, fields, message):
+        with pytest.raises(ValueError) as raised:
+            ExperimentConfig(p=3, seeds=(1,), **fields)
+        assert str(raised.value) == message
+
+
+class TestCliRejections:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sep", "--graph", "g.json", "--a", "Q", "--b", "X2"], "error input_error: unknown node 'Q'\n"),
+            (["sep", "--graph", "g.json", "--a", "X1,", "--b", "1.5"], "error input_error: unknown node '1.5'\n"),
+            (["sep", "--graph", "g.json", "--a", "X1"], "error input_error: --a and --b are required unless --enumerate is given\n"),
+            (["sep", "--graph", "g.json"], "error input_error: --a and --b are required unless --enumerate is given\n"),
+        ],
+        ids=["unknown-label", "not-an-index", "sep-without-b", "sep-without-a-and-b"],
+    )
+    def test_bad_sep_query_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        write_graph(ChainGraph(3, directed={(0, 1)}), tmp_path / "g.json")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", message)
+
+    def test_an_unmapped_exception_is_an_internal_error(self, monkeypatch, capsys):
+        def broken(path):
+            raise RuntimeError("boom\nat two lines")
+
+        monkeypatch.setattr(cli, "read_graph", broken)
+        assert main(["sep", "--graph", "g.json", "--enumerate"]) == 2
+        assert capsys.readouterr() == ("", "error internal_error: boom at two lines\n")

@@ -26,7 +26,7 @@ from ampcg import (
 )
 from ampcg.estimation import moment_matrix
 from ampcg.graphs import _mask
-from ampcg import seeds
+from ampcg import seeds, sem
 from ampcg.sem import (
     _independences,
     _off_pattern_dependence,
@@ -472,3 +472,82 @@ class TestIndependenceTable(_QueryTableOrder):
         got = _independences(s, 5)
         assert got[_mask((2, 3)), 0, 1] and got[_mask((0, 1)), 2, 3]
         assert not _independences(dist.cov)[_mask((2, 3)), 0, 1]
+
+
+class TestFaithfulRedraws:
+    """The branches of `faithful_parameters` that a faithful draw never reaches, forced by a patched independence table."""
+
+    _G = ChainGraph(3, directed={(0, 1), (1, 2)})  # separates 0 and 2 given 1, and nothing else
+
+    @staticmethod
+    def _fill_first_tables(monkeypatch, fill: bool, count) -> list:
+        """Set every entry of the first `count` independence tables to `fill`; return the list of tables built."""
+        real, built = sem._independences, []
+
+        def table(s, n=None):
+            out = real(s, n)
+            built.append(out)
+            if len(built) <= count:
+                out[...] = fill
+            return out
+
+        monkeypatch.setattr(sem, "_independences", table)
+        return built
+
+    def test_an_extra_independence_redraws(self, monkeypatch):
+        built = self._fill_first_tables(monkeypatch, True, 2)
+        params, draws = faithful_parameters(self._G, seed=5)
+        assert draws == 3 and len(built) == 3
+        third = random_parameters(self._G, seed=compose_seed(5, 3))
+        assert np.array_equal(params.beta, third.beta) and np.array_equal(params.sigma, third.sigma)
+
+    def test_a_missing_separation_raises(self, monkeypatch):
+        built = self._fill_first_tables(monkeypatch, False, 1)
+        message = r"^separation \(0, 2 \| \(1,\)\) violated by the implied distribution; the model construction is broken$"
+        with pytest.raises(RuntimeError, match=message):
+            faithful_parameters(self._G, seed=5)
+        assert len(built) == 1
+
+    def test_it_gives_up_after_fifty_draws(self, monkeypatch):
+        built = self._fill_first_tables(monkeypatch, True, math.inf)
+        with pytest.raises(RuntimeError, match="^no faithful draw found in 50 attempts$"):
+            faithful_parameters(self._G, seed=5, sigma2=2.0)
+        assert len(built) == 50
+
+
+class TestSemRejections:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Dataset(np.zeros(3)), "values must be 2-D, got shape (3,)"),
+            (lambda: Dataset(np.zeros((2, 2, 2))), "values must be 2-D, got shape (2, 2, 2)"),
+            (lambda: Dataset(np.zeros((0, 2))), "a dataset needs at least one row"),
+            (lambda: GaussianDistribution(np.zeros(2), np.eye(3)), "mean and cov dimensions disagree"),
+            (lambda: SemParameters(ChainGraph(2), np.zeros((3, 3)), np.eye(2)), "beta must be 2x2, got (3, 3)"),
+            (lambda: SemParameters(ChainGraph(2), np.zeros(2), np.eye(2)), "beta must be 2x2, got (2,)"),
+            (lambda: SemParameters(ChainGraph(2), np.zeros((2, 2)), np.eye(3)), "sigma must be 2x2, got (3, 3)"),
+            (
+                lambda: condition(GaussianDistribution(np.zeros(3), np.eye(3)), [0], [1.0, 2.0]),
+                "one value per conditioned coordinate required",
+            ),
+            (
+                lambda: condition(GaussianDistribution(np.zeros(3), np.eye(3)), [0, 1], [1.0]),
+                "one value per conditioned coordinate required",
+            ),
+        ],
+        ids=[
+            "dataset-a-vector",
+            "dataset-three-axes",
+            "dataset-no-rows",
+            "distribution-dimensions",
+            "beta-too-large",
+            "beta-a-vector",
+            "sigma-too-large",
+            "condition-too-many-values",
+            "condition-too-few-values",
+        ],
+    )
+    def test_malformed_value_is_rejected(self, build, message):
+        with pytest.raises(ValueError) as raised:
+            build()
+        assert str(raised.value) == message
