@@ -12,7 +12,7 @@ multiplying a covariance by c > 0 never changes its verdict. It guards
 `GaussianDistribution` (so every implied covariance, a fitted one too),
 `sigma` in the public `SemParameters` constructor, `gaussian_ci`,
 `estimation.ipf` and covariance input to `estimation.moment_matrix`. One
-scale-free rule, `_off_pattern_dependence`, decides that errors are
+rule free of each variable's scale, `_off_pattern_dependence`, decides that errors are
 independent off the undirected pattern, for the public `SemParameters`
 constructor and for the population check of `search.identify_in_class`.
 That constructor rejects a graph with a semidirected cycle before
@@ -74,7 +74,7 @@ _FAITHFUL_DRAWS = 50  # parameter draws faithful_parameters tries before giving 
 _CI_TOL = 1e-8  # |partial correlation| below which a covariance shows an independence
 _CI_LEVEL = 0.01  # level of the two-sided Fisher-z test that decides independence on data
 _EPS = float(np.finfo(float).eps)  # machine epsilon of a float, 2^-52
-_INVERSE_SLACK = 16.0  # multiple of _EPS·κ(sigma) below which an off-pattern partial correlation is rounding
+_INVERSE_SLACK = 16.0  # multiple of _EPS·κ(error correlation) below which an off-pattern partial correlation is rounding
 
 
 def _first_dependent(s: np.ndarray) -> int | None:
@@ -127,20 +127,24 @@ def _off_pattern_dependence(sigma: np.ndarray, undirected: frozenset) -> tuple |
 
     r is the partial correlation of j and k given all other nodes,
     -Ω_jk / sqrt(Ω_jj Ω_kk) with Ω the computed inverse of the error
-    covariance `sigma`, and the pair is dependent when |r| is not below
-    max(`_CI_TOL`, `_INVERSE_SLACK`·ε·κ(sigma)): the rule `_independences`
+    correlation matrix R = D^-1/2 sigma D^-1/2 (D the diagonal of sigma),
+    and the pair is dependent when |r| is not below
+    max(`_CI_TOL`, `_INVERSE_SLACK`·ε·κ(R)): the rule `_independences`
     applies to a covariance, widened to the rounding error of a computed
     inverse, about ε·κ relative to its norm (Higham 2002, ch. 14), with ε
-    the machine epsilon and κ the 1-norm condition number read off Ω. So a
+    the machine epsilon and κ the 1-norm condition number read off Ω.
+    Reading both off R makes the verdict independent of each variable's
+    scale, so rescaling the errors one by one never changes it, and a
     fitted sigma with zeros on the pattern reads back however
-    ill-conditioned, and scaling sigma by c > 0 never changes the verdict.
-    Pairs j < k are tried in `itertools.combinations` order; `undirected`
-    holds sorted pairs.
+    ill-conditioned. Pairs j < k are tried in `itertools.combinations`
+    order; `undirected` holds sorted pairs.
     """
-    prec = np.linalg.inv(sigma)
+    sd = np.sqrt(sigma.diagonal())
+    corr = sigma / np.outer(sd, sd)
+    prec = np.linalg.inv(corr)
     d = prec.diagonal()
     r = -prec / np.sqrt(d[:, None] * d)
-    kappa = np.abs(sigma).sum(axis=0).max() * np.abs(prec).sum(axis=0).max()
+    kappa = np.abs(corr).sum(axis=0).max() * np.abs(prec).sum(axis=0).max()
     js, ks = np.nonzero(np.abs(r) >= max(_CI_TOL, _INVERSE_SLACK * _EPS * kappa))  # row by row
     for j, k in zip(js.tolist(), ks.tolist()):
         if j < k and (j, k) not in undirected:
@@ -320,11 +324,11 @@ def rescale_equal_variances(params: SemParameters, sigma2: float = 1.0) -> SemPa
     Error j is scaled by sqrt(sigma2)/sd(error j); the coefficients are
     untouched. A diagonal congruence cannot create or destroy zeros of the
     concentration matrix, so the undirected structure is preserved, and
-    positive definiteness survives in both directions: the scale-free
-    verdict of `_valid_covariance` is that of params.sigma, and no partial
-    correlation that `_off_pattern_dependence` reads moves, so the result
-    is built on the trusted path (`graphs._trusted`). sigma2 must be
-    positive and finite.
+    positive definiteness survives in both directions: both verdicts,
+    `_valid_covariance` and `_off_pattern_dependence`, are free of each
+    variable's scale and so are those of params.sigma, and the result is
+    built on the trusted path (`graphs._trusted`). sigma2 must be positive
+    and finite.
     """
     if not 0.0 < sigma2 < np.inf:  # NaN fails too
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")

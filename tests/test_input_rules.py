@@ -121,6 +121,13 @@ def test_a_numpy_integer_is_the_plain_int(entry):
     assert _same(call(np.int64(good)), call(good))
 
 
+def test_a_sequence_of_seeds_is_any_iterable_but_a_string():
+    want = compose_seed([1, 2], 3)
+    assert compose_seed((1, 2), 3) == compose_seed(np.array([1, 2]), 3) == compose_seed(range(1, 3), 3) == want
+    with pytest.raises(ValueError, match="^seed must be an integer, got '12'$"):
+        compose_seed("12")
+
+
 def test_restarts_out_of_range_is_named():
     with pytest.raises(ValueError, match="^restarts must be a positive integer, got 0$"):
         SearchConfig(restarts=0)

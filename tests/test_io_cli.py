@@ -17,6 +17,7 @@ from ampcg import (
     ChainGraph,
     Dataset,
     ExperimentConfig,
+    SemParameters,
     SeparationQuery,
     fit,
     graph_from_dict,
@@ -866,6 +867,21 @@ class TestFittedParametersReadBack:
         back = io.parameters_from_dict(json.loads(json.dumps(io.parameters_to_dict(params))))
         assert back.graph == g
         assert np.array_equal(back.beta, params.beta) and np.array_equal(back.sigma, params.sigma)
+        rescaled = rescale_equal_variances(params)
+        back = io.parameters_from_dict(json.loads(json.dumps(io.parameters_to_dict(rescaled))))
+        assert np.array_equal(back.sigma, rescaled.sigma)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_rescaled_badly_scaled_parameters_read_back(self, scale):
+        # errors 0 and 1 correlated through their edge, error 2 independent; variances scale**2, scale**-2, 1
+        g = ChainGraph(3, directed={(0, 2)}, undirected={(0, 1)})
+        sd = np.array([scale, 1.0 / scale, 1.0])
+        sigma = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]) * np.outer(sd, sd)
+        beta = np.zeros((3, 3))
+        beta[2, 0] = 0.7
+        params = rescale_equal_variances(SemParameters(g, beta, sigma), 2.0)
+        back = io.parameters_from_dict(json.loads(json.dumps(io.parameters_to_dict(params))))
+        assert np.array_equal(back.sigma, params.sigma) and np.allclose(np.diag(back.sigma), 2.0)
 
 
 def _covariance_file(tmp_path, payload) -> Path:

@@ -18,6 +18,7 @@ from ampcg import (
     condition,
     faithful_parameters,
     gaussian_ci,
+    identify_in_class,
     implied_distribution,
     random_chain_graph,
     random_parameters,
@@ -103,6 +104,19 @@ class TestTypes:
         sigma = c * np.array([[1.0, 0.5], [0.5, 1.0]])
         with pytest.raises(ValueError, match=r"concentration entry \(0, 1\) must vanish"):
             SemParameters(ChainGraph(2), np.zeros((2, 2)), sigma)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_offpattern_concentration_rejected_at_every_variable_scale(self, scale):
+        # error correlation 0.5 however the two variables are scaled; cond_1(sigma) is about 1.3e16 at 1e8
+        sigma = np.array([[scale, 0.5], [0.5, 1.0 / scale]])
+        with pytest.raises(ValueError, match=r"concentration entry \(0, 1\) must vanish"):
+            SemParameters(ChainGraph(2), np.zeros((2, 2)), sigma)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_population_check_rejected_at_every_variable_scale(self, scale):
+        cov = np.array([[scale, 0.5], [0.5, 1.0 / scale]])
+        with pytest.raises(ValueError, match="^covariance is not a distribution of the class's model"):
+            identify_in_class(ChainGraph(2), cov)
 
     def test_off_pattern_rule_matches_a_pairwise_loop(self):
         rng = np.random.default_rng(11)
