@@ -4,19 +4,24 @@ The likelihood decomposes over chain components. A singleton component's
 maximum likelihood is closed form in either mode: least squares on its
 parents, with the error variance the residual sum of squares per sample
 (the Peters & Bühlmann 2014 DAG case). That regression of one node on a
-parent set is `_regression`: the singletons of `fit` and
-`fit_component`, the scorer's T0 and every regression in `search`'s
-identification read it. The scorer's bound (`_saturated_logdet`) and its
-edge sweeps (`_Component.separable`) regress a component's node set on
-its predictors jointly, on their own. Blocks of the second moment are cut
-with broadcast index arrays (see `_component`), which cost less per call
-than `np.ix_` on these small matrices. A multi-node component is fit in
-the unconstrained mode by one loop (`_alternating_fit`, after Drton &
-Eichler 2006): each round is a generalized-least-squares regression of the
-component on its parents under the current error concentration (plain
-least squares on the first round), then one sweep of iterative
-proportional fitting (IPF) of the regression-residual moment to the
-component's undirected structure, until the parameters stop moving. The
+parent set is `_regression`: the singletons of `fit` and `fit_component`
+and every regression in `search`'s identification read it. Every other
+residual moment, in the equal-variance solve and the scorer alike, is a
+read of one memo of conditional covariances, `_Conditioned`: Σ|M, the
+second moment conditioned on the nodes of the bitmask M, each entry one
+rank-one Schur update (`sem._condition_on`) of the entry without M's
+highest node, so its entries equal `sem`'s table of them to the bit. A
+node's residual variance on its parents pa is (Σ|pa)[v, v], and a tree's
+residual moment on its predictors P is (Σ|P)[K, K]. Blocks of the second
+moment are cut with broadcast index arrays (see `_component`), which cost
+less per call than `np.ix_` on these small matrices. A multi-node
+component is fit in the unconstrained mode by one loop
+(`_alternating_fit`, after Drton & Eichler 2006): each round is a
+generalized-least-squares regression of the component on its parents
+under the current error concentration (plain least squares on the first
+round), then one sweep of iterative proportional fitting (IPF) of the
+regression-residual moment to the component's undirected structure,
+until the parameters stop moving. The
 loop runs on the correlation scale and scales its result back, and `ipf`
 is that loop on a component without predictors, returning the loop's own
 `ComponentFit`.
@@ -46,12 +51,12 @@ squares). When the only multi-node component is two nodes joined by one
 undirected edge, the one free correlation is the best real root of its
 stationarity polynomial, so the optimum is global and closed form. One
 record type serves every such component: the polynomial's T0-free power
-series in plain floats, read off one Cholesky factor when the
+series in plain floats, read off three memo entries when the
 component's own predictors (those only one of its nodes regresses on)
-sit on at most one node, and built from their canonical correlations
-otherwise. One solve finds its real roots (`_real_roots`), in closed
-form when it is a cubic, as in the first case, and by companion
-eigenvalues otherwise. When every multi-node component is one edge, or a
+sit on at most one node, and built from their canonical correlations,
+on the memo's moment given the shared predictors, otherwise. One solve
+finds its real roots (`_real_roots`), in closed form when it is a cubic,
+as in the first case, and by companion eigenvalues otherwise. When every multi-node component is one edge, or a
 tree whose nodes all regress on the same predictors, the objective
 separates over the edges but for the shared T: a tree's GLS is least
 squares for every R_K and R_K is Markov on the tree, so each edge's share
@@ -65,16 +70,19 @@ each descent returns its end point's objective and gradient, so no point
 is evaluated twice.
 `EqualVarianceScorer` scores many graphs on one input with that same
 split and solve, read off parent tuples and undirected edges, so a search
-scores a state without building its graph. It builds each component once
-(a singleton's regression per (node, parent set), a multi-node
-component's record per parent sets and edges, and a record's per-edge
-records for the sweeps) and keeps each state's penalized score. A
-one-edge record keeps the part of its solve that does not depend on the
-rest of T, so each further solve of it is one small root solve in plain
-floats. The scorer bounds a state's score in closed form from the
-singletons' regressions and the log-determinant of each multi-node
-component's residual moment on all its predictors, kept per component
-and predictors, and builds no record for a state it only bounds.
+scores a state without building its graph. It keeps one memo for the
+input and builds each component once (a singleton's residual variance
+per (node, parent set), a multi-node component's record per parent sets
+and edges, and a record's per-edge records for the sweeps) and keeps
+each state's penalized score. A one-edge record keeps the part of its
+solve that does not depend on the rest of T, so each further solve of it
+is one small root solve in plain floats. The scorer bounds a state's
+score in closed form from the singletons' residual variances and each
+multi-node component's decomposable maximum (`_decomposable_logdet`:
+the component on all its predictors, with an error concentration
+vanishing off its undirected pattern made chordal, a sum of log
+conditional variances read off the memo), kept per component,
+predictors and edges, and builds no record for a state it only bounds.
 The spread of the unconstrained fit's log error variances is its
 `dispersion`.
 """
@@ -89,9 +97,17 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from .graphs import ChainGraph, _blocks, _node_indices, _require_chain_graph, _trusted, chain_components
+from .graphs import ChainGraph, _blocks, _mask, _node_indices, _nodes, _require_chain_graph, _trusted, chain_components
 from .seeds import _integer
-from .sem import _RANK_TOL, Dataset, SemParameters, _first_dependent, _valid_covariance, implied_distribution
+from .sem import (
+    _RANK_TOL,
+    Dataset,
+    SemParameters,
+    _condition_on,
+    _first_dependent,
+    _valid_covariance,
+    implied_distribution,
+)
 
 __all__ = [
     "ComponentFit",
@@ -228,7 +244,7 @@ def ipf(s, pattern: Iterable[tuple]) -> ComponentFit:
     edges = frozenset(tuple(sorted(_node_indices(pair, m, f"{fault}: node"))) for pair in pattern)
     if not all(a < b for a, b in edges):
         raise ValueError(fault)
-    return _alternating_fit(_component(s, ((),) * m, edges, frozenset(range(m))))
+    return _alternating_fit(_component(_Conditioned(s), ((),) * m, edges, frozenset(range(m))))
 
 
 class _OneEdge(NamedTuple):
@@ -250,9 +266,12 @@ class _Component:
     local predictor) index arrays, `pattern` the undirected edges as sorted
     local node pairs and `edges` the same pairs as index arrays. `normal` is
     the predictor factor of the weighted normal equations, one row and
-    column per supported coefficient.
+    column per supported coefficient. `given` is the memo of conditional
+    covariances of the second moment the slices come from (`_Conditioned`),
+    off which the closed forms read their residual moments.
     """
 
+    given: _Conditioned
     nodes: list
     predictors: list
     pattern: list
@@ -275,8 +294,9 @@ class _Component:
         A two-node component is its own one record, with offset 0: its
         share of T is the record's g / (1 - rho^2) (see
         `_one_edge_correlation`). A tree whose nodes all regress on the
-        same predictors has the least-squares residual moment E for every
+        same predictors P has the least-squares residual moment E for every
         R_K (GLS with the same predictors on every row is least squares),
+        the memo's (Σ|P)[K, K],
         and R_K is Markov on the tree, so
             trace(R_K^-1 E) = sum_v E_vv + sum_e [(E_uu - 2 rho_e E_uw + E_ww) / (1 - rho_e^2) - E_uu - E_ww]:
         one record per edge on the 2x2 block of E, in `pattern` order,
@@ -288,10 +308,10 @@ class _Component:
             return 0.0, (self,)
         if len(self.pattern) != m - 1 or self.support[0].size != m * len(self.predictors):
             return None
-        e = self.syy - self.syz @ np.linalg.solve(self.szz, self.syz.T) if self.predictors else self.syy
-        e = 0.5 * (e + e.T)
-        no_parents = ((),) * m
-        records = tuple(_component(e, no_parents, frozenset([edge]), frozenset(edge)) for edge in self.pattern)
+        y = np.array(self.nodes)
+        e = self.given[_mask(self.predictors)][y[:, None], y]  # (Σ|P)[K, K]
+        given, no_parents = _Conditioned(e), ((),) * m
+        records = tuple(_component(given, no_parents, frozenset([edge]), frozenset(edge)) for edge in self.pattern)
         degree = np.bincount(np.concatenate(self.edges), minlength=m)
         return -float((degree - 1) @ e.diagonal()), records
 
@@ -300,13 +320,15 @@ def _index_arrays(pairs: list) -> tuple:
     return tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)
 
 
-def _component(s: np.ndarray, parents: tuple, undirected: frozenset, comp: frozenset) -> _Component:
+def _component(given: _Conditioned, parents: tuple, undirected: frozenset, comp: frozenset) -> _Component:
     """The record of the chain component `comp` of the graph with these parent tuples and undirected edges.
 
-    The second moment is sliced with broadcast index arrays, a column of
-    row indices against a row of column indices, as every small-matrix
-    slice in the library is: the block `np.ix_` gives, without its
-    per-call argument handling.
+    `given` is the memo of the second moment s. One block of s over the
+    component's nodes and then its predictors is cut with broadcast index
+    arrays, a column of row indices against a row of column indices, as
+    every small-matrix slice in the library is: the block `np.ix_` gives,
+    without its per-call argument handling. The node, cross and predictor
+    blocks are views of it.
     """
     y_nodes = sorted(comp)
     z_nodes = sorted({z for v in comp for z in parents[v]})
@@ -315,17 +337,19 @@ def _component(s: np.ndarray, parents: tuple, undirected: frozenset, comp: froze
     local = {v: i for i, v in enumerate(y_nodes)}
     # sorted, so a record shared by many graphs orders its edges the same whichever graph built it
     pattern = sorted((local[a], local[b]) for a, b in undirected if a in comp and b in comp)
-    y, z = np.array(y_nodes)[:, None], np.array(z_nodes, dtype=int)
-    szz = s[z[:, None], z]
+    at, m = np.array(y_nodes + z_nodes), len(y_nodes)
+    block = given[0][at[:, None], at]
+    szz = block[m:, m:]
     rows, cols = _index_arrays(support)
     return _Component(
+        given=given,
         nodes=y_nodes,
         predictors=z_nodes,
         pattern=pattern,
         edges=_index_arrays(pattern),
         support=(rows, cols),
-        syy=s[y, y.T],
-        syz=s[y, z],
+        syy=block[:m, :m],
+        syz=block[:m, m:],
         szz=szz,
         normal=szz[cols[:, None], cols].T,
     )
@@ -356,6 +380,10 @@ def _residual_moment(c: _Component, b: np.ndarray) -> np.ndarray:
 def _regression(s: np.ndarray, node: int, into: tuple, cache: dict) -> tuple[np.ndarray, float]:
     """(coefficients, residual variance) of the least-squares regression of `node` on the parent tuple `into`.
 
+    For callers that need the coefficients (`fit`, `fit_component` and
+    `search`'s identification); the scorer reads residual variances off its
+    memo instead (`_residual_variance`).
+
     The residual variance is s[node, node] - s[node, into] @ b, the
     residual sum of squares per sample. The second moment s has passed
     `moment_matrix`, so it is positive definite and the regression is well
@@ -369,29 +397,60 @@ def _regression(s: np.ndarray, node: int, into: tuple, cache: dict) -> tuple[np.
     return cache[node, into]
 
 
-def _split(s: np.ndarray, parents: tuple, undirected: frozenset, comps: Iterable, cache: dict | None = None):
-    """(singleton regressions, multi-node `_Component` records) of the chain components `comps`.
+class _Conditioned(dict):
+    """Σ|M per bitmask M (bit v for node v): the second moment conditioned on the nodes of M, worked out on first read.
+
+    Entry 0 is the second moment itself, and entry M is one rank-one Schur
+    update (`sem._condition_on`) of the entry of M without its highest
+    node: the update `sem._conditional_covariances` applies to every mask
+    at once, so each entry equals that table's to the bit. Every closed
+    form the equal-variance solve and the scorer's bound need is a read
+    of it: (Σ|pa)[v, v] is v's least-squares residual variance on its
+    parents pa, and (Σ|M)[j, k] the residual covariance of j and k on M.
+    A pivot that is not positive, which a validated second moment never
+    gives, reads as NaN or infinity without a warning.
+    """
+
+    def __init__(self, s: np.ndarray):
+        super().__init__({0: s})
+
+    def __missing__(self, mask: int) -> np.ndarray:
+        top = mask.bit_length() - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self[mask] = given = _condition_on(self[mask ^ (1 << top)], top)
+        return given
+
+
+def _residual_variance(given: _Conditioned, node: int, into: tuple, cache: dict) -> float:
+    """(Σ|into)[node, node], the residual variance of `node` on the parent tuple `into`, kept by (node, into)."""
+    key = node, into
+    if key not in cache:
+        cache[key] = float(given[_mask(into)][node, node])
+    return cache[key]
+
+
+def _split(given: _Conditioned, parents: tuple, undirected: frozenset, comps: Iterable, cache: dict):
+    """(singleton (node, residual variance) pairs, multi-node `_Component` records) of the chain components `comps`.
 
     The graph is given by its parent tuples (sorted, one per node) and its
     undirected edges, as `ChainGraph._parents` and `ChainGraph.undirected`
-    hold them, so a caller can score a graph it never built. A singleton
-    is fit in closed form as (node, coefficients, residual variance) from
-    `_regression`; only the multi-node components are left for a numeric
-    fit. With a `cache`, each regression is kept by (node, parent set) and
-    each multi-node record by (component, its nodes' parent sets, its
-    undirected edges), so a component is built once however many graphs
-    contain it.
+    hold them, so a caller can score a graph it never built. A singleton's
+    record is its residual variance on its parents, a read of the memo
+    `given` (`_residual_variance`); only the multi-node components are
+    left for a numeric solve. The `cache` keeps each singleton's variance
+    by (node, parent set) and each multi-node record by (component, its
+    nodes' parent sets, its undirected edges), so a component is built
+    once however many graphs contain it.
     """
-    cache = {} if cache is None else cache
     singles, multi = [], []
     for comp in comps:
         if len(comp) == 1:
             (node,) = comp
-            singles.append((node, *_regression(s, node, parents[node], cache)))
+            singles.append((node, _residual_variance(given, node, parents[node], cache)))
             continue
         key = (comp, tuple(parents[v] for v in sorted(comp)), frozenset(e for e in undirected if e[0] in comp))
         if key not in cache:
-            cache[key] = _component(s, parents, undirected, comp)
+            cache[key] = _component(given, parents, undirected, comp)
         multi.append(cache[key])
     return singles, multi
 
@@ -455,10 +514,11 @@ def fit_component(data_or_cov, g: ChainGraph, comp: Iterable[int]) -> ComponentF
     comp = frozenset(_node_indices(comp, g.p))
     if comp not in set(chain_components(g)):
         raise ValueError("comp must be a chain component of g")
-    singles, multi = _split(moment_matrix(data_or_cov, g.p)[0], g._parents, g.undirected, [comp])
-    if multi:
-        return _alternating_fit(multi[0])
-    ((node, b, variance),) = singles
+    s = moment_matrix(data_or_cov, g.p)[0]
+    if len(comp) > 1:
+        return _alternating_fit(_component(_Conditioned(s), g._parents, g.undirected, comp))
+    (node,) = comp
+    b, variance = _regression(s, node, g._parents[node], {})
     return ComponentFit((node,), g._parents[node], b[None, :], np.full((1, 1), variance), 0, True)
 
 
@@ -505,22 +565,19 @@ def _horner(a, x: float) -> tuple[float, float]:
 def _one_edge_terms(c: _Component) -> _OneEdge:
     """The T0-free pieces of the one-edge solve of c (see `_one_edge_correlation`)."""
     pairs = list(zip(*(index.tolist() for index in c.support)))
-    shared = sorted({z for row, z in pairs if row == 0} & {z for row, z in pairs if row == 1})
+    shared = {z for row, z in pairs if row == 0} & {z for row, z in pairs if row == 1}
     own = [(row, z + 2) for row, z in pairs if z not in shared]
-    m = np.empty((2 + len(c.predictors),) * 2)  # second moment of (the two nodes, the predictors)
-    m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:] = c.syy, c.syz, c.syz.T, c.szz
+    on_shared = c.given[_mask(c.predictors[z] for z in shared)]  # Σ|S
     if len({row for row, _ in own}) < 2:
         k = own[0][0] if own else 0  # the row with own predictors, if any
-        at = np.array([z + 2 for z in shared] + [z for _, z in own] + [k, 1 - k])
-        factor = np.linalg.cholesky(m[at[:, None], at])
-        (*w, l_ok, l_oo), l_kk = factor[-1, len(shared) :].tolist(), float(factor[-2, -2])
-        g2 = -sum(x * x for x in w)
-        g0, g1 = l_kk * l_kk - g2 + l_ok * l_ok + l_oo * l_oo, -2.0 * l_ok * l_kk
-        # `_series` of g D = g0 + g1 rho + g2 rho^2 and D = 1, written out, so this build stays one Cholesky read
+        a, b = c.nodes[k], c.nodes[1 - k]
+        on_all = c.given[_mask(c.predictors)]  # Σ|S∪O
+        g0 = float(on_all[a, a] + on_shared[b, b])
+        g1, g2 = -2.0 * float(on_all[a, b]), float(on_all[b, b] - on_shared[b, b])
+        # `_series` of g D = g0 + g1 rho + g2 rho^2 and D = 1, written out, so this build stays three memo reads
         return _OneEdge((g0, g1, g2), (1.0,), ((g1, 0.0, 0.0), (2.0 * g2, g0, 2.0), (-g1, g1, 0.0), (-2.0 * g2, g2, -2.0)))
-    if shared:
-        at = np.array(shared) + 2
-        m -= m[:, at] @ np.linalg.solve(m[at[:, None], at], m[at])
+    at = np.array(c.nodes + c.predictors)
+    m = on_shared[at[:, None], at]  # the second moment of (the two nodes, the predictors) given S
     rows, cols = np.array(own).T
     szz = m[cols[:, None], cols]
     same_row = rows[:, None] == rows
@@ -858,7 +915,9 @@ def _equal_variance_solve(fixed_t: float, comps: list, p: int) -> _Solve:
 def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     """Maximum-likelihood parameters of g's model for the given input.
 
-    Singleton components are closed form in both modes (`_regression`).
+    Singleton components are closed form in both modes (`_regression`);
+    the multi-node records read their closed forms off the fit's own memo
+    of conditional covariances (`_Conditioned`), as the scorer's do.
     Unconstrained, each multi-node component is fit separately by
     `_alternating_fit`, one GLS solve and one IPF sweep per round, and
     iterations count the largest number of rounds; a component without
@@ -889,13 +948,19 @@ def fit(data_or_cov, g: ChainGraph, equal_variances: bool = False) -> FitResult:
     """
     _require_chain_graph(g)
     s = moment_matrix(data_or_cov, g.p)[0]
-    singles, multi = _split(s, g._parents, g.undirected, chain_components(g))
+    given = _Conditioned(s)
     beta = np.zeros((g.p, g.p))
     sigma = np.zeros((g.p, g.p))
-    for node, b, variance in singles:
+    fixed_t, multi = 0.0, []
+    for comp in chain_components(g):
+        if len(comp) > 1:
+            multi.append(_component(given, g._parents, g.undirected, comp))
+            continue
+        (node,) = comp
+        b, variance = _regression(s, node, g._parents[node], {})
         beta[node, g._parents[node]], sigma[node, node] = b, variance
+        fixed_t += variance
     if equal_variances:
-        fixed_t = sum(variance for *_, variance in singles)
         solve = _equal_variance_solve(fixed_t, multi, g.p)
         optimum = _profile(fixed_t, multi, g.p, solve.theta)
         if optimum is None:  # only the closed form reaches a correlation within rounding of +-1
@@ -969,48 +1034,73 @@ def penalized_score(
     return _bic(fit(data_or_cov, g, equal_variances).loglik, k, n_eff)
 
 
-def _saturated_logdet(s: np.ndarray, nodes: list, predictors: tuple) -> float:
-    """log det of the residual moment of `nodes` regressed jointly on all `predictors`; -inf unless positive definite.
+def _decomposable_logdet(given: _Conditioned, nodes: list, predictors: int, edges: Iterable) -> float:
+    """log det of the decomposable maximum of `nodes` on a predictor bitmask; -inf unless positive definite.
 
-    That is the least residual moment any error covariance of a component
-    with these nodes and predictors can leave (see
-    `EqualVarianceScorer.bound`). The blocks of s are cut as `_component`
-    cuts them.
+    The relaxed model of `EqualVarianceScorer.bound` for one multi-node
+    component K on the predictors P: its nodes regress on all of P, so the
+    coefficients are least squares and the residual moment is
+    (Σ|P)[K, K], and its error concentration vanishes off the undirected
+    pattern, made chordal. That maximum is closed form (Lauritzen 1996,
+    ch. 5): in an elimination order v_1, ..., v_m, with N_i the neighbours
+    of v_i among the nodes after it, log det is the sum over i of
+    log (Σ|P ∪ N_i)[v_i, v_i], each a read of the memo `given`. Each step
+    eliminates the node whose later neighbours lack the fewest edges among
+    themselves, the least node on a tie, and joins them. On a chordal
+    pattern a simplicial node lacks none, so the order is perfect and
+    nothing is joined; on any other the joins are the elimination's
+    fill-in, a larger pattern and so still a relaxation. A complete
+    pattern gives log det (Σ|P)[K, K], the saturated value.
     """
-    y, z = np.array(nodes)[:, None], np.array(predictors, dtype=int)
-    syy = s[y, y.T]
-    try:
-        if predictors:
-            syz = s[y, z]
-            syy = syy - syz @ np.linalg.solve(s[z[:, None], z], syz.T)
-        return 2.0 * float(np.log(np.linalg.cholesky(syy).diagonal()).sum())
-    except np.linalg.LinAlgError:
-        return -math.inf
+    around = dict.fromkeys(nodes, 0)
+    for a, b in edges:
+        around[a] |= 1 << b
+        around[b] |= 1 << a
+    left, total = _mask(nodes), 0.0
+
+    def lacking(v: int) -> tuple:
+        """(twice the joins missing among v's later neighbours, v)."""
+        later = around[v] & left
+        return sum((later & ~around[u]).bit_count() - 1 for u in _nodes(later)), v
+
+    while left:
+        v = min(_nodes(left), key=lacking)
+        later = around[v] & left
+        for u in _nodes(later):
+            around[u] |= later & ~(1 << u)
+        left ^= 1 << v
+        variance = given[predictors | later][v, v]
+        if not variance > 0.0:
+            return -math.inf
+        total += math.log(variance)
+    return total
 
 
 class EqualVarianceScorer:
     """Exact equal-variance log-likelihoods of many graphs on one input.
 
     The input is validated and its second moment formed once, on
-    construction. The profiled log-likelihood decomposes over chain
-    components: a singleton component enters only through its least-squares
-    residual sum of squares, and the multi-node components share one
-    profiled solve with the singleton sum as the constant part T0 of T (see
-    `_equal_variance_solve`). `loglik` takes a `ChainGraph`; `state_loglik`,
-    which it calls, takes the same graph as parent tuples and undirected
-    edges and gives bitwise the same result and counts. Each component's
-    record, a singleton's `_regression` or a multi-node `_Component`, is
-    built once and kept for the scorer's life (see `_split`). Between graphs
-    that share a lone one-edge component only T0 changes, so its record also
-    keeps the T0-free part of its closed-form solve, the power series of
-    its stationarity polynomial, and each further score is one small root
-    solve in plain floats, a closed-form cubic when the component's own
-    predictors sit on at most one of its nodes (see
-    `_one_edge_correlation`). A state whose components are all single
-    edges or trees whose nodes share their parents is solved by sweeps of
-    those one-edge solves, and each component keeps its per-edge records
-    (`_Component.separable`). B and sigma2 are profiled out, so the
-    average log-likelihood is
+    construction, with one memo of its conditional covariances
+    (`_Conditioned`) that every closed form reads. The profiled
+    log-likelihood decomposes over chain components: a singleton component
+    enters only through its least-squares residual variance (Σ|pa)[v, v],
+    and the multi-node components share one profiled solve with the
+    singleton sum as the constant part T0 of T (see
+    `_equal_variance_solve`). `loglik` takes a `ChainGraph`;
+    `state_loglik`, which it calls, takes the same graph as parent tuples
+    and undirected edges and gives bitwise the same result and counts.
+    Each component's record, a singleton's residual variance or a
+    multi-node `_Component`, is built once and kept for the scorer's life
+    (see `_split`). Between graphs that share a lone one-edge component
+    only T0 changes, so its record also keeps the T0-free part of its
+    closed-form solve, the power series of its stationarity polynomial,
+    read off the memo, and each further score is one small root solve in
+    plain floats, a closed-form cubic when the component's own predictors
+    sit on at most one of its nodes (see `_one_edge_correlation`). A state
+    whose components are all single edges or trees whose nodes share their
+    parents is solved by sweeps of those one-edge solves, and each
+    component keeps its per-edge records (`_Component.separable`). B and
+    sigma2 are profiled out, so the average log-likelihood is
         -(p log 2 pi + p + p log(T / p) + sum_K log det R_K) / 2
     at the optimum, the same value `fit(..., equal_variances=True)` reaches.
 
@@ -1019,13 +1109,15 @@ class EqualVarianceScorer:
     state's result, so a search asks for a state as often as it likes.
     `bound` gives, in closed form and with no solve, a score no fit of the
     state can exceed: the maximum of a relaxed model that contains the
-    equal-variance one, so a search can rule a state out unscored. A bound
-    builds no component record, so records are built only for states that
-    get scored, and the chain components are kept per undirected edge set.
+    equal-variance one, in which each multi-node component enters at its
+    decomposable maximum, so a search can rule a state out unscored. A
+    bound builds no component record, so records are built only for states
+    that get scored, and the chain components are kept per undirected edge
+    set.
 
     Plain counts of the work done so far: `graphs` scored, `bounds` worked
-    out, records built (`records_built`: a singleton's record is its
-    regression, which a bound may build too) and reused by the states
+    out, records built (`records_built`: a singleton's record is its first
+    read of the memo, which a bound may make too) and reused by the states
     scored (`records_reused`), `one_edge_solves`, `sweep_solves` and their
     `sweeps` (those that lowered the objective), `descents` and their
     `descent_steps`, and `nonconverged` solves.
@@ -1035,9 +1127,10 @@ class EqualVarianceScorer:
         self.p = p
         self.s, self.n = moment_matrix(data_or_cov, p)
         self.n_eff = _POPULATION_N_EFF if self.n is None else float(self.n)
+        self._given = _Conditioned(self.s)
         self._records: dict = {}
         self._components: dict = {}
-        self._saturated: dict = {}
+        self._relaxed: dict = {}
         self._bounds: dict = {}
         self._scores: dict = {}
         self.graphs = 0
@@ -1065,13 +1158,13 @@ class EqualVarianceScorer:
         edges as (smaller, larger) pairs, as a `ChainGraph` holds them; the
         caller vouches that they form a chain graph on the input's nodes.
         """
-        comps = self._chain_components(undirected)
+        comps = self._chain_components(undirected)[0]
         known = len(self._records)
-        singles, multi = _split(self.s, parents, undirected, comps, self._records)
+        singles, multi = _split(self._given, parents, undirected, comps, self._records)
         built = len(self._records) - known
         self.records_built += built
         self.records_reused += len(comps) - built
-        solve = _equal_variance_solve(sum(variance for *_, variance in singles), multi, self.p)
+        solve = _equal_variance_solve(sum(variance for _, variance in singles), multi, self.p)
         self.graphs += 1
         if solve.route == "one edge":
             self.one_edge_solves += 1
@@ -1096,39 +1189,40 @@ class EqualVarianceScorer:
         """An upper bound on `score` of `state_loglik`'s chain graph, in closed form.
 
         The bound is the score, at the same penalty, of a relaxed model: the
-        singletons share one error variance of their own, and each multi-node
-        component's nodes regress on every predictor of the component with a
-        free error covariance. The relaxed model contains the equal-variance
-        one, so no fit of the state scores above it. Its maximum is closed
-        form, with F' = n0 log(T0 / n0) + sum_K log det S_K in place of the
-        profiled objective, for n0 singletons of residual total T0 and S_K
-        each multi-node component's saturated residual moment
-        (`_saturated_logdet`); on a state of singletons alone it is the
-        score itself. A state already scored bounds at its score, and one
-        whose saturated moment is not positive definite at +inf. The bound
-        builds no component record: T0 reads the singletons' `_regression`,
-        which the scores share, and each log-determinant is kept per
-        (component, predictors). A state's bound is kept once worked out.
+        singletons share one error variance of their own, and each
+        multi-node component's nodes regress on every predictor of the
+        component with an error covariance of its own whose concentration
+        vanishes off the component's undirected pattern made chordal. The
+        relaxed model contains the equal-variance one, so no fit of the
+        state scores above it. Its maximum is closed form, with
+        F' = n0 log(T0 / n0) + sum_K log det S_K in place of the profiled
+        objective, for n0 singletons of residual total T0 and S_K each
+        multi-node component's decomposable maximum, a sum of logs of
+        memo reads (`_decomposable_logdet`); on a state of singletons
+        alone it is the score itself. A state already scored bounds at its
+        score, and one whose relaxed maximum is not positive definite at
+        +inf. The bound builds no component record: T0 reads the
+        singletons' residual variances, which the scores share, and each
+        log-determinant is kept per (component, predictors, edges). A
+        state's bound is kept once worked out.
         """
         key = (parents, undirected)
         if key in self._scores:
             return self._scores[key][0]
         if key not in self._bounds:
-            known = len(self._records)
-            variances, logdets = [], []
-            for comp in self._chain_components(undirected):
-                if len(comp) == 1:
-                    (node,) = comp
-                    variances.append(_regression(self.s, node, parents[node], self._records)[1])
-                    continue
-                predictors = tuple(sorted({z for v in comp for z in parents[v]}))
-                if (comp, predictors) not in self._saturated:
-                    self._saturated[comp, predictors] = _saturated_logdet(self.s, sorted(comp), predictors)
-                logdets.append(self._saturated[comp, predictors])
-            self.records_built += len(self._records) - known
+            _, singles, multi = self._chain_components(undirected)
+            records, known = self._records, len(self._records)
+            fixed_t = sum([_residual_variance(self._given, v, parents[v], records) for v in singles])
+            logdets = 0.0
+            for comp, nodes, edges in multi:
+                predictors = _mask({z for v in nodes for z in parents[v]})
+                piece = comp, predictors, edges
+                if piece not in self._relaxed:
+                    self._relaxed[piece] = _decomposable_logdet(self._given, nodes, predictors, edges)
+                logdets += self._relaxed[piece]
+            self.records_built += len(records) - known
             self.bounds += 1
-            singles, fixed_t = len(variances), sum(variances)
-            relaxed = sum(logdets) + (singles * math.log(fixed_t / singles) if singles else 0.0)
+            relaxed = logdets + (len(singles) * math.log(fixed_t / len(singles)) if singles else 0.0)
             self._bounds[key] = _state_bic(self._loglik(relaxed), parents, undirected, self.n_eff)
         return self._bounds[key]
 
@@ -1136,8 +1230,19 @@ class EqualVarianceScorer:
         """The average log-likelihood at a profiled objective F: -(p log 2 pi + p + F) / 2."""
         return -0.5 * (self.p * math.log(2.0 * math.pi) + self.p + objective)
 
-    def _chain_components(self, undirected: frozenset) -> list:
-        """The chain components of the states with these undirected edges, kept per edge set."""
+    def _chain_components(self, undirected: frozenset) -> tuple:
+        """The chain components of the states with these undirected edges, kept per edge set.
+
+        (the components, the singletons' nodes, (component, its sorted
+        nodes, its undirected edges) per multi-node component).
+        """
         if undirected not in self._components:
-            self._components[undirected] = _blocks(self.p, undirected)
+            comps = _blocks(self.p, undirected)
+            singles = tuple(v for comp in comps if len(comp) == 1 for v in comp)
+            multi = tuple(
+                (comp, sorted(comp), frozenset(e for e in undirected if e[0] in comp))
+                for comp in comps
+                if len(comp) > 1
+            )
+            self._components[undirected] = comps, singles, multi
         return self._components[undirected]

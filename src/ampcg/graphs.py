@@ -541,11 +541,14 @@ def orientations(p: int, adjacency: Iterable, target: Iterable, labels=None) -> 
 
     The pairs and `labels` are checked once per call, by one `ChainGraph`
     over the skeleton, and the triplexes' nodes by the node-set rule
-    (`_node_indices`); the enumeration itself is `_orientations`. Lazy: a
+    (`_node_indices`). A triplex is read in its canonical form, ends in
+    ascending order, so Triplex(2, 1, 0) names the same triplex as
+    Triplex(0, 1, 2). The enumeration itself is `_orientations`. Lazy: a
     caller that stops after the first graph pays for no other.
     """
     skeleton = ChainGraph(p, undirected=adjacency, labels=labels)  # rejects bad pairs and labels
-    target = frozenset(Triplex(*_node_indices(t, skeleton.p, "triplex node")) for t in target)
+    checked = (Triplex(*_node_indices(t, skeleton.p, "triplex node")) for t in target)
+    target = frozenset(Triplex(min(t.j, t.l), t.k, max(t.j, t.l)) for t in checked)  # the canonical form
     yield from _orientations(skeleton.p, sorted(skeleton.undirected), skeleton._neighbors, target, skeleton.labels)
 
 

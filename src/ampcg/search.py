@@ -16,14 +16,17 @@ pass: the members' residual variances form one members x p array, and
 every member's spreads come from whole-array reductions of it. The member
 whose variances are flattest wins; no equal-variance fit runs. Greedy
 search reads the input only through one `EqualVarianceScorer`, which
-validates it once, builds each chain component once for every graph that
+validates it once, reads every closed form off one memo of conditional
+covariances, builds each chain component once for every graph that
 contains it and keeps each state's score. Each step bounds every move
 in closed form (`EqualVarianceScorer.bound`, the maximum of a relaxed
-model that contains the equal-variance one) and scores moves exactly in
-decreasing bound, stopping once a bound falls below the best score found;
-the moves left unscored cannot win, so the step takes the move a scan of
-every move takes. Ties are broken on the state itself (`_rank`), so a
-search builds a graph only for the move it takes. Whether a move closes a
+model that contains the equal-variance one, each multi-node component at
+its decomposable maximum) and scores moves exactly in decreasing bound,
+stopping once a bound falls below the best score found; the moves left
+unscored cannot win, so the step takes the move a scan of every move
+takes. Ties are broken on the state itself (`_rank`), so a search builds
+a graph only for the move it takes, on the trusted path
+(`ChainGraph._from_masks`, see `_graph`). Whether a move closes a
 semidirected cycle is one `graphs._cycle_through` walk over copies of the
 child and neighbour masks the incumbent keeps from its one build, the
 walk that decides every cycle question in the library.
@@ -240,7 +243,20 @@ def _moves(g: ChainGraph):
 
 
 def _graph(p: int, parents: tuple, undirected: frozenset) -> ChainGraph:
-    return ChainGraph(p, [(j, k) for k, into in enumerate(parents) for j in into], undirected)
+    """The unlabelled graph of a state `_moves` generated, built on the trusted path (`ChainGraph._from_masks`).
+
+    The state came from a checked graph one edge state away, so it is a
+    simple chain graph on p nodes and none of the constructor's checks
+    runs again.
+    """
+    children, neighbors = [0] * p, [0] * p
+    for k, into in enumerate(parents):
+        for j in into:
+            children[j] |= 1 << k
+    for a, b in undirected:
+        neighbors[a] |= 1 << b
+        neighbors[b] |= 1 << a
+    return ChainGraph._from_masks(p, children, neighbors, None)
 
 
 def _rank(parents: tuple, undirected: frozenset) -> tuple:
@@ -262,20 +278,23 @@ def greedy_search(data_or_cov, cfg: SearchConfig | None = None) -> ChainGraph:
     A move edits the incumbent's parent tuples and undirected edges for one
     node pair, one walk from the pair rules out a semidirected cycle (see
     `_moves`), and one `EqualVarianceScorer` scores the state (`score`), so
-    a `ChainGraph` is built only for the move taken. The input is validated
-    once, before any move is scored.
+    a `ChainGraph` is built only for the move taken, from masks, with none
+    of the constructor's checks (`_graph`). The input is validated once,
+    before any move is scored.
 
     Each step first bounds every move (`EqualVarianceScorer.bound`): the
     score of a relaxed model in which the singletons share a variance of
-    their own and each multi-node component has a free error covariance on
-    all its parents. That model contains the equal-variance one, so no
-    move scores above its bound beyond rounding. The step scores moves
-    exactly in decreasing bound and stops at the first bound below the
-    best score so far, the incumbent's to start with, by more than a
-    relative rounding slack of 1e-9 (`_BOUND_SLACK`). Every move left
-    unscored then scores below the best, so it neither wins nor ties, and
-    the step takes the move a scan of every move takes, with the same
-    tie-break.
+    their own and each multi-node component regresses on all its parents
+    with an error covariance of its own, decomposable on its undirected
+    pattern made chordal, whose maximum is a sum of log conditional
+    variances read off the scorer's memo. That model contains the
+    equal-variance one, so no move scores above its bound beyond
+    rounding. The step scores moves exactly in decreasing bound and stops
+    at the first bound below the best score so far, the incumbent's to
+    start with, by more than a relative rounding slack of 1e-9
+    (`_BOUND_SLACK`). Every move left unscored then scores below the
+    best, so it neither wins nor ties, and the step takes the move a scan
+    of every move takes, with the same tie-break.
     """
     cfg = cfg or SearchConfig()
     p = _size(data_or_cov)

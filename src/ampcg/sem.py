@@ -34,8 +34,11 @@ its marginal block (`_partial_correlation`) and compares |r| with
 every pairwise query given every node subset at once: on a covariance by
 the same `_CI_TOL`, on data by a Fisher-z test at the fixed level
 `_CI_LEVEL`. It is built from one partial-correlation table,
-`_partial_correlations`, of rank-one Schur updates: `faithful_parameters`
-builds one per draw, and skeleton recovery in `search` one per call. Both
+`_partial_correlations`, read off one table of conditional covariances
+built by rank-one Schur updates (`_condition_on`, the update the
+equal-variance scorer's memo applies one mask at a time):
+`faithful_parameters` builds one per draw, and skeleton recovery in
+`search` one per call. Both
 read their pairwise queries off it through the index arrays of
 `separation._query_table`, in the order in which `separation._separations`
 lists a graph's separations, so a draw is checked against its graph by
@@ -402,29 +405,48 @@ def _partial_correlation(cov: np.ndarray, j: int, k: int, cond) -> float:
     return float(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1]))
 
 
-def _partial_correlations(cov: np.ndarray) -> np.ndarray:
-    """Partial correlation of every pair given every node subset, unchecked.
+def _condition_on(given: np.ndarray, m: int) -> np.ndarray:
+    """The second moment `given`, or each of a stack of them, further conditioned on node m.
 
-    `out[mask, j, k]` is the partial correlation of j and k given the nodes
-    whose bits are set in `mask` (see `_mask`); it is NaN when j or k is
-    itself in the mask. Each conditional covariance is one rank-one Schur
-    update of another, Σ|C = Σ|C' − Σ|C'[:, m] Σ|C'[m, :] / Σ|C'[m, m],
-    where m is the highest node of C and C' is C without m. The masks
-    2^m .. 2^(m+1) − 1 are those whose highest node is m, and their C' are
-    the masks 0 .. 2^m − 1, so node m's updates are one numpy operation:
-    2^p − 1 updates in p operations. `cov` must already be a validated
-    symmetric matrix; the table holds 2^p·p² numbers, so callers cap p at
-    `graphs.CLASS_CAP`.
+    One rank-one Schur update, Σ|C = Σ|C' − Σ|C'[:, m] Σ|C'[m, :] / Σ|C'[m, m]
+    with C = C' ∪ {m}, over the last two axes: the library's one
+    definition of it, which `_conditional_covariances` applies to a stack
+    of masks at once and `estimation._Conditioned` to one mask at a time,
+    elementwise alike, so the two agree to the bit.
+    """
+    col = given[..., :, m]
+    return given - col[..., :, None] * col[..., None, :] / given[..., m, m, None, None]
+
+
+def _conditional_covariances(cov: np.ndarray) -> np.ndarray:
+    """Σ|C for every node subset C, unchecked: `out[mask]` is `cov` conditioned on the nodes of `mask`.
+
+    Each entry is one `_condition_on` update of another, at m the highest
+    node of C and from C' = C without m. The masks 2^m .. 2^(m+1) − 1 are
+    those whose highest node is m, and their C' are the masks 0 .. 2^m − 1,
+    so node m's updates are one numpy operation: 2^p − 1 updates in p
+    operations. `cov` must already be a validated symmetric matrix; the
+    table holds 2^p·p² numbers, so callers cap p at `graphs.CLASS_CAP`.
     """
     p = len(cov)
     given = np.empty((1 << p, p, p))
     given[0] = cov
     for m in range(p):
-        base = given[: 1 << m]
-        col = base[:, :, m]
-        given[1 << m : 2 << m] = base - col[:, :, None] * col[:, None, :] / base[:, m, m, None, None]
+        given[1 << m : 2 << m] = _condition_on(given[: 1 << m], m)
+    return given
+
+
+def _partial_correlations(cov: np.ndarray) -> np.ndarray:
+    """Partial correlation of every pair given every node subset, unchecked.
+
+    `out[mask, j, k]` is the partial correlation of j and k given the nodes
+    whose bits are set in `mask` (see `_mask`), read off the conditional
+    covariances of `_conditional_covariances`; it is NaN when j or k is
+    itself in the mask. The same cap on p applies.
+    """
+    given = _conditional_covariances(cov)
     variances = np.diagonal(given, axis1=1, axis2=2).copy()
-    variances[_mask_bits(p)] = np.nan
+    variances[_mask_bits(len(cov))] = np.nan
     sd = np.sqrt(variances)
     return given / (sd[:, :, None] * sd[:, None, :])
 

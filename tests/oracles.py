@@ -11,9 +11,12 @@ few nodes for the exhaustive tests, filters its candidates with the
 library's `is_chain_graph`. `greedy_full_scan` is greedy search without
 its bounds: it shares the library's scorer, moves and tie-break and vets
 only the pruning. `equal_variance_bic` writes the equal-variance score out.
-`identify_in_class_loop` is identification as a loop over the members, one
-row at a time; it shares the library's covariance, regressions and
-tie-break and vets only the array ranking. `one_edge_series_correlation`
+`saturated_bound` is the scorer's bound as it was before each component
+entered at its decomposable maximum, every multi-node component's error
+covariance free, written out by solves. `identify_in_class_loop` is
+identification as a loop over the members, one row at a time; it shares
+the library's covariance, regressions and tie-break and vets only the
+array ranking. `one_edge_series_correlation`
 is the power-series route of the one-edge equal-variance solve run on
 every record, as it ran before records with own predictors on at most one
 row took the closed-form cubic; it shares only the record's slices of the
@@ -400,6 +403,35 @@ def brute_force_separated(g: ChainGraph, q: SeparationQuery, max_len: int | None
 def equal_variance_bic(loglik: float, g: ChainGraph, n_eff: float) -> float:
     """n_eff * loglik - (k / 2) log(n_eff), with k every edge of g plus the one shared error variance."""
     return n_eff * loglik - 0.5 * (len(g.directed) + len(g.undirected) + 1) * math.log(n_eff)
+
+
+def saturated_bound(s: np.ndarray, g: ChainGraph, n_eff: float) -> float:
+    """The score bound of g on the second moment s with every multi-node component's error covariance free.
+
+    The relaxed model `EqualVarianceScorer.bound` maximised before each
+    component entered at its decomposable maximum: the singletons share one
+    error variance, and each multi-node component regresses on all its
+    predictors with a saturated error covariance, entering through the log
+    determinant of its least residual moment (+inf as a bound when that is
+    not positive definite). Written out from raw blocks of s, by solves and
+    `slogdet`.
+    """
+    fixed_t, singles, logdets = 0.0, 0, 0.0
+    for comp in chain_components(g):
+        nodes = sorted(comp)
+        into = sorted({z for v in nodes for z in g._parents[v]})
+        e = s[np.ix_(nodes, nodes)]
+        if into:
+            e = e - s[np.ix_(nodes, into)] @ np.linalg.solve(s[np.ix_(into, into)], s[np.ix_(into, nodes)])
+        if len(nodes) == 1:
+            fixed_t, singles = fixed_t + float(e[0, 0]), singles + 1
+            continue
+        sign, logdet = np.linalg.slogdet(e)
+        if sign <= 0:
+            return math.inf
+        logdets += float(logdet)
+    objective = logdets + (singles * math.log(fixed_t / singles) if singles else 0.0)
+    return equal_variance_bic(-0.5 * (g.p * math.log(2.0 * math.pi) + g.p + objective), g, n_eff)
 
 
 def greedy_full_scan(data_or_cov, cfg: search.SearchConfig | None = None) -> ChainGraph:

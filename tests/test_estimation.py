@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from ampcg import (
     random_parameters,
     rescale_equal_variances,
     sample,
+    sem,
 )
 
 from .conftest import chain_graphs, near_collinear_input
@@ -39,6 +41,7 @@ from .oracles import (
     one_edge_record_numeric,
     one_edge_series_correlation,
     sem_equal_variance_mle_numeric,
+    saturated_bound,
     tree_equal_variance_numeric,
 )
 
@@ -644,7 +647,7 @@ class TestEqualVarianceFit:
         rng = np.random.default_rng(60 + p)
         data, cov = Dataset(rng.normal(size=(300, p)) @ rng.normal(size=(p, p))), _random_pd(rng, p)
         for data_or_cov, s in ((data, moment_matrix(data, p)[0]), (cov, cov)):
-            (record,) = estimation._split(s, g._parents, g.undirected, chain_components(g))[1]
+            (record,) = _split(s, g)[1]
             assert _stationarity_degree(record) <= 3
             result = fit(data_or_cov, g, equal_variances=True)
             assert result.converged and result.iterations == 0
@@ -670,6 +673,11 @@ class TestEqualVarianceFit:
         assert result.dispersion < 1e-6
 
 
+def _split(s: np.ndarray, g: ChainGraph) -> tuple:
+    """(singleton (node, residual variance) pairs, multi-node records) of g's components on the second moment s."""
+    return estimation._split(estimation._Conditioned(s), g._parents, g.undirected, chain_components(g), {})
+
+
 class TestEqualVarianceScorer:
     def test_loglik_rejects_a_semidirected_cycle(self):
         scorer = EqualVarianceScorer(_noise(), 3)
@@ -693,7 +701,7 @@ class TestEqualVarianceScorer:
             cases.append((moment_matrix(Dataset(rng.normal(size=(200, 5)) @ rng.normal(size=(5, 5))), 5)[0], g))
         solved, routes = 0, set()
         for s, g in cases:
-            singles, multi = estimation._split(s, g._parents, g.undirected, chain_components(g))
+            singles, multi = _split(s, g)
             if sum(len(c.pattern) for c in multi) < 2:
                 continue
             fixed_t = sum(variance for *_, variance in singles)
@@ -919,9 +927,24 @@ class TestEqualVarianceScorer:
             out.append((g, bound, scorer.score(g._parents, g.undirected)[0]))
         return out
 
+    @staticmethod
+    def _shaped_states(p: int) -> list:
+        """Trees, triangles and a four-cycle on nodes 0-3, bare and regressing on the nodes after them."""
+        parents = {(z, v) for z in range(4, p) for v in range(4) if (z + v) % 2}
+        patterns = [
+            {(0, 1), (1, 2)},  # a path
+            {(0, 1), (0, 2), (0, 3)},  # a star
+            {(0, 1), (1, 2), (1, 3)},  # a tree
+            {(0, 1), (1, 2), (0, 2)},  # a triangle
+            {(0, 1), (1, 2), (0, 2), (2, 3)},  # a triangle with a pendant edge
+            {(0, 1), (1, 2), (2, 3), (0, 3)},  # a four-cycle: the elimination adds a fill-in edge
+        ]
+        shapes = [e for e in patterns if max(map(max, e)) < p]
+        return [ChainGraph(p, directed, undirected) for undirected in shapes for directed in (set(), parents)]
+
     def test_bound_is_never_below_the_score(self):
         rng = np.random.default_rng(50)
-        multi = 0
+        multi, shaped = 0, 0
         for p in (3, 4, 5, 6):
             values = rng.normal(size=(400, p)) @ rng.normal(size=(p, p))
             collinear = values.copy()
@@ -929,11 +952,43 @@ class TestEqualVarianceScorer:
             truth = random_chain_graph(p, 0.5, 0.5, seed=p)
             population = implied_distribution(rescale_equal_variances(random_parameters(truth, seed=p))).cov
             graphs = [truth] + [random_chain_graph(p, 0.6, 0.6, seed=seed) for seed in range(25)]
+            graphs += self._shaped_states(p)
             for source in (Dataset(values), Dataset(collinear), population):
                 for g, bound, score in self._bounds_and_scores(source, p, graphs):
                     assert bound >= score - 1e-12 * abs(score), (p, g)
                     multi += any(len(comp) > 1 for comp in chain_components(g))
-        assert multi > 200
+                    shaped += any(len(comp) > 2 for comp in chain_components(g))
+        assert multi > 200 and shaped > 100
+
+    def test_bound_is_at_most_the_saturated_bound(self):
+        # each multi-node component's decomposable maximum lies in its saturated model, so it bounds tighter
+        rng = np.random.default_rng(53)
+        below = set()
+        for p in (3, 4, 5, 6):
+            values = rng.normal(size=(400, p)) @ rng.normal(size=(p, p))
+            collinear = values.copy()
+            collinear[:, 1] = collinear[:, 0] + 1e-4 * rng.normal(size=400)
+            truth = random_chain_graph(p, 0.5, 0.5, seed=p)
+            population = implied_distribution(rescale_equal_variances(random_parameters(truth, seed=p))).cov
+            graphs = [random_chain_graph(p, 0.6, 0.6, seed=seed) for seed in range(25)] + self._shaped_states(p)
+            for source in (Dataset(values), Dataset(collinear), population):
+                scorer = EqualVarianceScorer(source, p)
+                # a log-determinant read off conditional variances, like one off a factorisation, loses about
+                # eps * cond(s) to rounding, and the score is n_eff times it: 1e-5 on the collinear columns
+                rounding = scorer.n_eff * p * np.linalg.cond(scorer.s) * np.finfo(float).eps
+                for g in graphs:
+                    bound = scorer.bound(g._parents, g.undirected)
+                    saturated = saturated_bound(scorer.s, g, scorer.n_eff)
+                    slack = 1e-12 * abs(saturated) + rounding
+                    assert bound <= saturated + slack, (p, g)
+                    complete = all(
+                        set(itertools.combinations(sorted(comp), 2)) <= g.undirected for comp in chain_components(g)
+                    )
+                    if complete:  # the decomposable maximum of a complete pattern is the saturated one
+                        assert abs(bound - saturated) <= slack, (p, g)
+                    elif bound < saturated - 1e-6 * abs(saturated):
+                        below.add(len(g.undirected))
+        assert below >= {2, 3}  # strictly tighter on paths and trees
 
     def test_bound_is_the_score_on_singleton_states(self):
         rng = np.random.default_rng(51)
@@ -961,8 +1016,118 @@ class TestEqualVarianceScorer:
     def test_saturated_moment_not_positive_definite_bounds_at_infinity(self):
         g = ChainGraph(3, directed={(0, 1)}, undirected={(1, 2)})
         scorer = EqualVarianceScorer(np.eye(3), 3)
-        scorer.s = np.ones((3, 3))  # nodes 1 and 2 share all their variance with node 0
+        scorer._given = estimation._Conditioned(np.ones((3, 3)))  # nodes 1 and 2 share all their variance with node 0
         assert scorer.bound(g._parents, g.undirected) == math.inf
+
+
+class TestConditionedMemo:
+    @staticmethod
+    def _moments(p: int) -> list:
+        rng = np.random.default_rng(90 + p)
+        data = Dataset(rng.normal(size=(200, p)) @ rng.normal(size=(p, p)))
+        truth = random_chain_graph(p, 0.5, 0.5, seed=p)
+        population = implied_distribution(rescale_equal_variances(random_parameters(truth, seed=p))).cov
+        return [moment_matrix(data, p)[0], moment_matrix(population, p)[0]]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_entries_are_the_conditional_covariance_table_to_the_bit(self, p):
+        # one Schur update serves the scorer's memo and the independence table, so they agree bitwise
+        for s in self._moments(p):
+            table = sem._conditional_covariances(s)
+            for order in (range(1 << p), reversed(range(1 << p))):  # entries read in either order
+                given = estimation._Conditioned(s)
+                for mask in order:
+                    assert given[mask].tobytes() == table[mask].tobytes(), (p, mask)
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_entries_are_least_squares_residual_moments(self, p):
+        rng = np.random.default_rng(95 + p)
+        values = rng.normal(size=(300, p)) @ rng.normal(size=(p, p))
+        given = estimation._Conditioned(moment_matrix(Dataset(values), p)[0])
+        for mask in range(1 << p):
+            into = list(graphs._nodes(mask))
+            residuals = values - values[:, into] @ np.linalg.lstsq(values[:, into], values, rcond=None)[0]
+            scale = np.abs(values).max() ** 2
+            assert np.allclose(given[mask], residuals.T @ residuals / 300, rtol=1e-10, atol=1e-10 * scale), mask
+
+    def test_one_row_terms_are_residual_moments(self):
+        # k regresses on the shared predictors S and its own O, the other row o on S alone
+        rng = np.random.default_rng(97)
+        values = rng.normal(size=(400, 6)) @ rng.normal(size=(6, 6))
+        s = moment_matrix(Dataset(values), 6)[0]
+
+        def residual(rows, into):
+            x = values[:, into]
+            return values[:, rows] - x @ np.linalg.lstsq(x, values[:, rows], rcond=None)[0] if into else values[:, rows]
+
+        for shared, own, k in (([], [], 0), ([2, 3], [], 0), ([], [4, 5], 1), ([2], [3, 4], 0), ([3], [2, 5], 1)):
+            o = 1 - k
+            directed = {(z, v) for z in shared for v in (0, 1)} | {(z, k) for z in own}
+            g = ChainGraph(6, directed=directed, undirected={(0, 1)})
+            (record,) = _split(s, g)[1]
+            both = residual([k, o], shared + own)
+            on_shared = residual([o], shared)[:, 0]
+            g0 = (both[:, 0] @ both[:, 0] + on_shared @ on_shared) / 400
+            g1 = -2.0 * (both[:, 0] @ both[:, 1]) / 400
+            g2 = (both[:, 1] @ both[:, 1] - on_shared @ on_shared) / 400
+            assert np.allclose(record.one_edge.g_d, (g0, g1, g2), rtol=1e-10, atol=1e-12 * g0), (shared, own, k)
+            assert record.one_edge.d == (1.0,)
+
+
+class TestDecomposableBound:
+    _CHORDAL = (
+        [(0, 1), (1, 2)],  # a path
+        [(0, 1), (0, 2), (0, 3)],  # a star
+        [(0, 1), (1, 2), (0, 2), (2, 3)],  # a triangle with a pendant edge
+        [(0, 1), (1, 2), (0, 2), (1, 3), (2, 3)],  # two triangles on one edge
+        [(0, 1), (1, 2), (2, 3), (3, 4)],  # a five-node path
+    )
+
+    @staticmethod
+    def _given(seed: int, p: int = 7):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(300, p)) @ rng.normal(size=(p, p))
+        return estimation._Conditioned(moment_matrix(Dataset(values), p)[0])
+
+    @pytest.mark.parametrize("predictors", [(), (5,), (5, 6)])
+    def test_chordal_patterns_give_the_graphical_model_maximum(self, predictors):
+        # the perfect elimination's sum of log conditional variances is log det of the covariance MLE under
+        # the pattern, fit numerically to the residual moment on all the predictors
+        given = self._given(100)
+        for pattern in self._CHORDAL:
+            nodes = sorted({v for e in pattern for v in e})
+            mask = graphs._mask(predictors)
+            e = given[mask][np.ix_(nodes, nodes)]
+            fitted = ggm_mle_numeric(e, pattern)  # nodes are 0..m-1, so the pattern is local as it stands
+            expected = np.linalg.slogdet(fitted)[1]
+            got = estimation._decomposable_logdet(given, nodes, mask, frozenset(pattern))
+            assert abs(got - expected) < 1e-6, pattern
+            saturated = np.linalg.slogdet(e)[1]
+            assert got > saturated + 1e-6  # a missing edge leaves a looser fit: a larger log det
+
+    def test_a_four_cycle_is_bounded_with_its_fill_in(self):
+        # the elimination joins the first node's two neighbours: the cycle's bound is its chordal cover's
+        given = self._given(101)
+        cycle = frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+        for predictors in (0, graphs._mask([5, 6])):
+            got = estimation._decomposable_logdet(given, [0, 1, 2, 3], predictors, cycle)
+            assert got == estimation._decomposable_logdet(given, [0, 1, 2, 3], predictors, cycle | {(1, 3)})
+            e = given[predictors][:4, :4]
+            own_maximum = np.linalg.slogdet(ipf(e, cycle).sigma)[1]  # the cycle's own, non-decomposable fit
+            assert np.linalg.slogdet(e)[1] - 1e-9 <= got <= own_maximum + 1e-9
+
+    def test_every_value_is_kept_by_component_predictors_and_edges(self, monkeypatch):
+        scorer = EqualVarianceScorer(self._given(102)[0], 7)
+        calls = []
+        logdet = estimation._decomposable_logdet
+        monkeypatch.setattr(estimation, "_decomposable_logdet", lambda *args: calls.append(args[1:]) or logdet(*args))
+        a = ChainGraph(7, directed={(5, 0), (6, 1)}, undirected={(0, 1), (1, 2)})
+        b = ChainGraph(7, directed={(5, 0), (6, 2), (3, 4)}, undirected={(0, 1), (1, 2)})  # same predictors {5, 6}
+        c = ChainGraph(7, directed={(5, 0)}, undirected={(0, 1), (1, 2)})
+        for g in (a, b, c, a):
+            scorer.bound(g._parents, g.undirected)
+        path = frozenset({(0, 1), (1, 2)})
+        assert calls == [([0, 1, 2], graphs._mask([5, 6]), path), ([0, 1, 2], 1 << 5, path)]
 
 
 def _one_row_records(count: int, seed: int, shrink: tuple = (0.0, 0.0), both: bool = False) -> list:
@@ -999,7 +1164,7 @@ def _one_row_records(count: int, seed: int, shrink: tuple = (0.0, 0.0), both: bo
         units = 10.0 ** -np.random.default_rng([seed, i, 1]).uniform(*shrink, size=p)
         units[:2] = 1.0
         s = units[:, None] * s * units
-        singles, (record,) = estimation._split(s, g._parents, g.undirected, chain_components(g))
+        singles, (record,) = _split(s, g)
         out.append((sum(variance for *_, variance in singles), record, p))
     return out
 
@@ -1065,7 +1230,7 @@ class TestOneEdgeCubic:
             ({(2, 0), (3, 0), (4, 1)}, 9),  # k = 3
         ):
             g = ChainGraph(5, directed=directed, undirected={(0, 1)})
-            singles, (record,) = estimation._split(s, g._parents, g.undirected, chain_components(g))
+            singles, (record,) = _split(s, g)
             assert _stationarity_degree(record) == degree
             fixed_t = sum(variance for *_, variance in singles)
             self._assert_routes_agree(fixed_t, record, 5)
@@ -1216,7 +1381,7 @@ class TestEdgeSweeps:
             mix = np.eye(5)
             mix[1, 0], mix[1, 1] = 1.0 - 1e-4, 1e-4  # X1 becomes X0 plus 1e-4 of itself
             cov = mix @ cov @ mix.T
-            singles, multi = estimation._split(cov, g._parents, g.undirected, chain_components(g))
+            singles, multi = _split(cov, g)
             solve = estimation._sweep(sum(variance for *_, variance in singles), multi, 5)
             assert solve.converged and solve.route == "sweep"
             oracle = one_edge_equal_variance_numeric(cov, sorted((k, j) for j, k in directed), (2, 3))

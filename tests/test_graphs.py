@@ -397,6 +397,18 @@ class TestOrientations:
     def test_triplex_off_the_skeleton_yields_nothing(self):
         assert list(orientations(3, {(0, 1)}, {Triplex(0, 1, 2)})) == []
 
+    def test_triplex_ends_in_either_order_name_one_triplex(self):
+        path = {(0, 1), (1, 2)}
+        canonical = list(orientations(3, path, {Triplex(0, 1, 2)}))
+        assert len(canonical) == 3
+        assert list(orientations(3, path, {Triplex(2, 1, 0)})) == canonical
+        assert list(orientations(3, path, {(2, 1, 0), Triplex(0, 1, 2)})) == canonical
+        g = random_chain_graph(5, 0.5, 0.3, seed=1)  # two triplexes
+        flipped = {Triplex(t.l, t.k, t.j) for t in g._triplexes}
+        assert len(flipped) == 2 and not flipped & g._triplexes
+        members = list(orientations(5, g._adjacencies, flipped))
+        assert members == list(orientations(5, g._adjacencies, g._triplexes)) and g in members
+
     def test_pairs_and_labels_checked_once_up_front(self):
         with pytest.raises(GraphStructureError, match="self-loop"):
             next(orientations(3, {(1, 1)}, ()))

@@ -384,6 +384,18 @@ class TestGreedySearch:
             assert [(h._parents, h.undirected) for h in neighbors] == moves
             assert set(neighbors) == {h for h in every[g.p] if structural_hamming_distance(g, h) == 1}, g
 
+    @settings(max_examples=60, deadline=None)
+    @given(chain_graphs(max_p=6))
+    def test_a_move_builds_the_graph_the_constructor_builds(self, g):
+        # the taken move is built on the trusted path, from masks, yet is the public constructor's graph
+        for parents, undirected in search._moves(g):
+            built = search._graph(g.p, parents, undirected)
+            h = ChainGraph(g.p, [(j, k) for k, into in enumerate(parents) for j in into], undirected)
+            assert type(built) is ChainGraph and built == h and hash(built) == hash(h)
+            assert canonical_key(built) == canonical_key(h) and vars(built) == vars(h)
+            assert (built._child_masks, built._neighbor_masks) == (h._child_masks, h._neighbor_masks)
+            assert built.labels is None and is_chain_graph(built)
+
     @settings(max_examples=100, deadline=None)
     @given(chain_graphs(max_p=6))
     def test_walk_from_the_pair_decides_every_edge_state(self, g):
